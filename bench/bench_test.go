@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"regexp"
@@ -49,6 +50,21 @@ func TestSpecIsWellFormed(t *testing.T) {
 	if m, ok := s.endToEnd("setup_s"); !ok || m.Unit != "s" || m.Better != "lower" {
 		t.Error("setup_s must be declared in s, lower is better")
 	}
+	for _, wm := range workloadMetrics {
+		m := wm.metricSpec
+		if !nameRE.MatchString(m.Name) || seen[m.Name] || !s.workload(wm.workload) || wm.q <= 0 || wm.q >= 1 {
+			t.Errorf("workload metric %q: bad or repeated name, unknown workload %q or quantile %v", m.Name, wm.workload, wm.q)
+		}
+		seen[m.Name] = true
+		if m.Unit == "" || (m.Better != "lower" && m.Better != "higher") || m.Bound == nil || *m.Bound <= 0 || *m.Bound > 0.25 {
+			t.Errorf("workload metric %q needs a unit, a direction and a bound in (0, 0.25]", m.Name)
+		}
+	}
+	for name := range exactMetrics {
+		if _, ok := s.endToEnd(name); !ok {
+			t.Errorf("exact metric %q is not an end-to-end metric", name)
+		}
+	}
 	moves := map[string]layerMove{}
 	for _, lm := range layerMoves {
 		moves[lm.layer] = lm
@@ -69,15 +85,12 @@ func TestSpecIsWellFormed(t *testing.T) {
 			t.Errorf("per-layer metric %q names no end-to-end metric it moves", m.Name)
 			continue
 		}
-		if _, ok := s.endToEnd(lm.endToEnd); !ok {
-			t.Errorf("per-layer metric %q moves unknown end-to-end metric %q", m.Name, lm.endToEnd)
-		}
 		if len(lm.workloads) == 0 {
 			t.Errorf("per-layer metric %q names no workload", m.Name)
 		}
 		for _, w := range lm.workloads {
-			if !s.workload(w) {
-				t.Errorf("per-layer metric %q moves on unknown workload %q", m.Name, w)
+			if !s.workload(w) || !s.reports(w, lm.endToEnd) {
+				t.Errorf("per-layer metric %q moves %q on %q, which does not report it", m.Name, lm.endToEnd, w)
 			}
 		}
 	}
@@ -102,7 +115,7 @@ func TestWorkloadsEmitEveryMetric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range s.EndToEnd {
+			for _, m := range s.metricsOf(w.Name) {
 				if ms := sum.Metrics[m.Name]; ms.Unit != m.Unit || ms.N == 0 {
 					t.Errorf("%s: %+v", m.Name, ms)
 				}
@@ -163,6 +176,45 @@ func TestVerdict(t *testing.T) {
 	} {
 		if got := verdict(lower, c.a, c.b); got != c.want {
 			t.Errorf("verdict(%v, %v) = %s, want %s", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// summaryOf is a correct one-run summary of workload paper-serve.
+func summaryOf(seed int64, failed int64, metrics map[string]float64) *summary {
+	sum := &summary{Workload: "paper-serve", Seed: seed, Correct: true, Attempted: 1000, Failed: failed,
+		Metrics: map[string]metricSummary{}}
+	for name, v := range metrics {
+		sum.Metrics[name] = metricSummary{Median: v, Q1: v, Q3: v, N: 10}
+	}
+	return sum
+}
+
+func TestCompareFlagsRegressions(t *testing.T) {
+	s := testSpec(t)
+	base := map[string]float64{"clients_per_s": 1000, "avg_delay_slots": 8}
+	with := func(clients, delay float64) map[string]float64 {
+		return map[string]float64{"clients_per_s": clients, "avg_delay_slots": delay}
+	}
+	set := func(sums ...*summary) map[string][]*summary { return map[string][]*summary{"paper-serve": sums} }
+	a := set(summaryOf(1, 0, base), summaryOf(2, 0, base))
+	for _, c := range []struct {
+		name string
+		b    map[string][]*summary
+		want int
+	}{
+		{"same", set(summaryOf(1, 0, base), summaryOf(2, 0, base)), 0},
+		{"missing from B", set(), 1},
+		{"a gate failed in B", set(summaryOf(1, 0, base), &summary{Workload: "paper-serve", Seed: 2}), 1},
+		{"more failures in B", set(summaryOf(1, 0, base), summaryOf(2, 1, base)), 1},
+		{"throughput within bound", set(summaryOf(1, 0, with(950, 8)), summaryOf(2, 0, with(950, 8))), 0},
+		{"throughput past bound", set(summaryOf(1, 0, with(500, 8)), summaryOf(2, 0, with(500, 8))), 1},
+		{"exact metric worse on one seed", set(summaryOf(1, 0, base), summaryOf(2, 0, with(1000, 8.0001))), 1},
+		{"exact metric better", set(summaryOf(1, 0, base), summaryOf(2, 0, with(1000, 7.9))), 0},
+	} {
+		var out bytes.Buffer
+		if got := printComparison(s, a, c.b, &out); got != c.want {
+			t.Errorf("%s: exit %d, want %d\n%s", c.name, got, c.want, out.String())
 		}
 	}
 }

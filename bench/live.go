@@ -25,10 +25,10 @@ const (
 	liveEditEvery   = 64
 	liveEdits       = 500
 	liveToyEdits    = 20
-	liveToggleEvery = 100 // every 100th edit is a rebuild
-	liveToggleGroup = 7   // group 8, 0-based: its expected time toggles 512 ↔ 1024
-	liveRate        = 1.0 // client arrivals per aired slot
-	liveSetupBuilds = 200 // about 0.8 ms each
+	liveToggleEvery = 100  // every 100th edit is a rebuild
+	liveToggleGroup = 7    // group 8, 0-based: its expected time toggles 512 ↔ 1024
+	liveRate        = 16.0 // client arrivals per aired slot
+	liveSetupBuilds = 200  // about 0.8 ms each
 )
 
 // liveClients is the client stream bucketed by the slot at which each
@@ -77,7 +77,7 @@ func bucketClients(stream workload.Stream, limit, horizon int) *liveClients {
 
 // liveOutcome is what one live repetition measured.
 type liveOutcome struct {
-	wall     float64
+	secs     float64 // wall time less steal, see netSeconds
 	slots    int
 	served   int64
 	unserved int64
@@ -91,6 +91,7 @@ type liveOutcome struct {
 	placed   int
 	flips    int
 	flipWait int64
+	eventMs  []float64 // per staged edit: edit → snapshot → stage
 }
 
 func liveCatalog(r *run) error {
@@ -124,6 +125,7 @@ func liveCatalog(r *run) error {
 		return err
 	}
 	var last *liveOutcome
+	var eventMs []float64 // pooled over the timed repetitions
 	err = r.repeat(1, func() error {
 		return r.timeSetup(liveSetupBuilds, newEngine)
 	}, func(timed bool) error {
@@ -150,8 +152,9 @@ func liveCatalog(r *run) error {
 			return nil
 		}
 		last = out
-		r.sample("clients_per_s", float64(out.served)/out.wall)
-		r.sample("air_slots_per_s", float64(out.slots)/out.wall)
+		eventMs = append(eventMs, out.eventMs...)
+		r.sample("clients_per_s", float64(out.served)/out.secs)
+		r.sample("air_slots_per_s", float64(out.slots)/out.secs)
 		r.sample("wait_avg_slots", out.wait.Mean())
 		r.sample("wait_p99_slots", out.waitSk.Quantile(0.99))
 		r.sample("avg_delay_slots", out.delay.Mean())
@@ -160,8 +163,12 @@ func liveCatalog(r *run) error {
 		r.failed += out.rejected + out.unserved
 		return nil
 	})
-	if err != nil || r.tr == nil {
+	if err != nil {
 		return err
+	}
+	r.samplePooled("replan_ms", eventMs)
+	if r.tr == nil {
+		return nil
 	}
 
 	in, err := r.build(liveFactor)
@@ -174,12 +181,9 @@ func liveCatalog(r *run) error {
 		return err
 	}
 	editMs := r.tr.durations("replan.edit", timedRep)
-	eventMs := r.tr.durations("replan.event", timedRep)
 	tot := r.tr.totals(timedRep)
 	r.layers["replan.edit_p50_ms"] = stats.Percentile(editMs, 0.50)
 	r.layers["replan.edit_p99_ms"] = stats.Percentile(editMs, 0.99)
-	r.layers["replan.event_p50_ms"] = stats.Percentile(eventMs, 0.50)
-	r.layers["replan.event_p99_ms"] = stats.Percentile(eventMs, 0.99)
 	r.layers["replan.snapshot_ms"] = perCall(tot["replan.Engine.Snapshot"]) / 1e6
 	r.layers["netcast.stage_ns"] = perCall(tot["netcast.Caster.StageProgram"])
 	for k, name := range []string{"none", "append", "suffix", "rebuild"} {
@@ -215,7 +219,7 @@ func (r *run) liveRep(eng *replan.Engine, clients *liveClients, horizon int) (*l
 	var airErr error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	t0 := time.Now()
+	w := r.startWatch()
 	go func() {
 		defer wg.Done()
 		defer sh.end()
@@ -226,7 +230,7 @@ func (r *run) liveRep(eng *replan.Engine, clients *liveClients, horizon int) (*l
 		liveVerify(clients, gs0, ring, horizon, out, sh)
 	}()
 	wg.Wait()
-	out.wall = time.Since(t0).Seconds()
+	out.secs = r.netSeconds(w)
 	if airErr != nil {
 		return nil, airErr
 	}
@@ -296,6 +300,7 @@ func (r *run) liveAir(eng *replan.Engine, caster *netcast.Caster, ringSlots, hor
 			continue
 		}
 		edit++
+		t0 := time.Now()
 		ev := r.tr.begin("replan.event", 0)
 		sp := r.tr.begin("replan.edit", ev)
 		d, err := liveEdit(eng, rng, edit, gs0)
@@ -315,6 +320,7 @@ func (r *run) liveAir(eng *replan.Engine, caster *netcast.Caster, ringSlots, hor
 		if err != nil {
 			return err
 		}
+		out.eventMs = append(out.eventMs, float64(time.Since(t0))/1e6)
 		stagedAt = abs + 1
 		out.kinds[d.Kind]++
 		out.placed += d.PlacedCells

@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"syscall"
 	"time"
 
 	"tcsa/internal/stats"
@@ -59,7 +58,9 @@ type result struct {
 	Error     string               `json:"error,omitempty"`
 	Attempted int64                `json:"attempted"`
 	Failed    int64                `json:"failed"`
+	StealS    float64              `json:"steal_s"`
 	Samples   map[string][]float64 `json:"samples"`
+	Pooled    map[string]int       `json:"pooled,omitempty"` // observations behind a pooled percentile
 	Layers    map[string]float64   `json:"layers,omitempty"`
 }
 
@@ -156,25 +157,18 @@ func runWorkload(name string, seed int64, budget time.Duration, toy, traced bool
 		err = fn(r)
 	}
 	if err == nil {
-		r.sample("rss_peak_mb", peakRSSMiB())
+		if len(r.samples["rss_peak_mb"]) == 0 {
+			r.sample("rss_peak_mb", peakRSSMiB())
+		}
 		r.runtimeLayers()
 	}
 	res.Correct = err == nil
 	if err != nil {
 		res.Error = err.Error()
 	}
-	res.Attempted, res.Failed = r.attempted, r.failed
-	res.Samples, res.Layers = r.samples, r.layers
+	res.Attempted, res.Failed, res.StealS = r.attempted, r.failed, r.steal
+	res.Samples, res.Pooled, res.Layers = r.samples, r.pooled, r.layers
 	return res, r.tr
-}
-
-// peakRSSMiB is this process's peak resident set size.
-func peakRSSMiB() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return math.NaN()
-	}
-	return float64(ru.Maxrss) / 1024 // Linux reports KiB
 }
 
 // spawn re-executes this binary as a child process for one workload.
@@ -300,13 +294,15 @@ type lineMetric struct {
 }
 
 // summary is summary.json: every end-to-end metric as the median over the
-// run's timed repetitions, with quartiles.
+// run's timed repetitions, with quartiles. A pooled percentile is one value
+// per run, and its n counts the observations it was taken over.
 type summary struct {
 	Workload  string                   `json:"workload"`
 	Seed      int64                    `json:"seed"`
 	Correct   bool                     `json:"correct"`
 	Attempted int64                    `json:"attempted"`
 	Failed    int64                    `json:"failed"`
+	StealS    float64                  `json:"steal_s"` // hypervisor steal taken out of the timings
 	Metrics   map[string]metricSummary `json:"metrics"`
 }
 
@@ -321,19 +317,22 @@ type metricSummary struct {
 func summarize(s *spec, res *result) (*summary, error) {
 	sum := &summary{
 		Workload: res.Workload, Seed: res.Seed, Correct: res.Correct,
-		Attempted: res.Attempted, Failed: res.Failed,
+		Attempted: res.Attempted, Failed: res.Failed, StealS: res.StealS,
 		Metrics: map[string]metricSummary{},
 	}
 	if !res.Correct {
 		return sum, nil
 	}
-	for _, m := range s.EndToEnd {
+	for _, m := range s.metricsOf(res.Workload) {
 		xs := res.Samples[m.Name]
 		if len(xs) == 0 {
 			return nil, fmt.Errorf("%s: metric %s was not measured", res.Workload, m.Name)
 		}
 		q1, q3 := quartiles(xs)
 		ms := metricSummary{Median: stats.Percentile(xs, 0.5), Q1: q1, Q3: q3, N: len(xs), Unit: m.Unit}
+		if n, ok := res.Pooled[m.Name]; ok {
+			ms.N = n
+		}
 		if math.IsNaN(ms.Median) || math.IsInf(ms.Median, 0) || ms.Median <= 0 {
 			return nil, fmt.Errorf("%s: metric %s = %v, want a positive finite value", res.Workload, m.Name, ms.Median)
 		}
@@ -343,13 +342,13 @@ func summarize(s *spec, res *result) (*summary, error) {
 }
 
 func printSummary(w io.Writer, s *spec, sum *summary) {
-	fmt.Fprintf(w, "%s  seed %d  attempted %d  failed %d\n", sum.Workload, sum.Seed, sum.Attempted, sum.Failed)
-	for _, m := range s.EndToEnd {
+	fmt.Fprintf(w, "%s  seed %d  attempted %d  failed %d  steal %.2f s\n", sum.Workload, sum.Seed, sum.Attempted, sum.Failed, sum.StealS)
+	for _, m := range s.metricsOf(sum.Workload) {
 		ms, ok := sum.Metrics[m.Name]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "  %-16s %14.6g %-10s q1 %.6g  q3 %.6g  n %d\n", m.Name, ms.Median, m.Unit, ms.Q1, ms.Q3, ms.N)
+		fmt.Fprintf(w, "  %-18s %14.6g %-10s q1 %.6g  q3 %.6g  n %d\n", m.Name, ms.Median, m.Unit, ms.Q1, ms.Q3, ms.N)
 	}
 }
 
@@ -384,7 +383,7 @@ func layerReport(s *spec, untraced *summary, tres *result) (*layers, error) {
 		lm := moves[m.Name]
 		l.Metrics[m.Name] = layerMetric{Value: v, Unit: m.Unit, Moves: lm.endToEnd, Workloads: lm.workloads}
 	}
-	for _, m := range s.EndToEnd {
+	for _, m := range s.metricsOf(tres.Workload) {
 		base := untraced.Metrics[m.Name].Median
 		if xs := tres.Samples[m.Name]; len(xs) > 0 && base != 0 {
 			l.Overhead[m.Name] = stats.Percentile(xs, 0.5)/base - 1
@@ -403,9 +402,9 @@ func printLayers(w io.Writer, s *spec, l *layers) {
 		fmt.Fprintf(w, "  %-30s %14.6g %s\n", m.Name, lm.Value, m.Unit)
 	}
 	fmt.Fprintf(w, "%s  tracing overhead (traced median / untraced median - 1)\n", l.Workload)
-	for _, m := range s.EndToEnd {
+	for _, m := range s.metricsOf(l.Workload) {
 		if o, ok := l.Overhead[m.Name]; ok {
-			fmt.Fprintf(w, "  %-16s %+7.2f%%\n", m.Name, 100*o)
+			fmt.Fprintf(w, "  %-18s %+7.2f%%\n", m.Name, 100*o)
 		}
 	}
 }

@@ -3,8 +3,12 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
+	"syscall"
 	"time"
 
 	"tcsa/internal/core"
@@ -26,6 +30,8 @@ type run struct {
 	tr       *tracer       // nil for an untraced run
 
 	samples   map[string][]float64
+	pooled    map[string]int
+	steal     float64 // seconds taken out of timed work by netSeconds
 	layers    map[string]float64
 	attempted int64
 	failed    int64
@@ -38,6 +44,7 @@ func newRun(workload string, seed int64, budget time.Duration, toy, traced bool)
 		budget:   budget,
 		toy:      toy,
 		samples:  map[string][]float64{},
+		pooled:   map[string]int{},
 		layers:   map[string]float64{},
 	}
 	if traced {
@@ -54,6 +61,18 @@ func gatef(format string, args ...any) error {
 
 func (r *run) sample(name string, v float64) { r.samples[name] = append(r.samples[name], v) }
 
+// samplePooled samples every workload metric of this run's workload that
+// is a percentile of pool, taken over xs, which it sorts in place.
+func (r *run) samplePooled(pool string, xs []float64) {
+	sort.Float64s(xs)
+	for _, wm := range workloadMetrics {
+		if wm.workload == r.workload && wm.pool == pool {
+			r.sample(wm.Name, stats.PercentileSorted(xs, wm.q))
+			r.pooled[wm.Name] = len(xs)
+		}
+	}
+}
+
 // timedReps is the least number of timed repetitions a run makes, however
 // short its budget.
 func (r *run) timedReps() int {
@@ -65,7 +84,10 @@ func (r *run) timedReps() int {
 
 // repeat runs warm untimed repetitions, then timed ones until the budget is
 // spent and at least timedReps have run. A set-up batch precedes every
-// timed repetition, so set-up time is sampled under the same conditions.
+// timed repetition, so set-up time is sampled under the same conditions,
+// and each timed repetition samples the peak RSS of its batch and itself,
+// so one repetition the garbage collector fell behind in does not set the
+// run's value.
 func (r *run) repeat(warm int, setup func() error, rep func(timed bool) error) error {
 	r.tr.setRep(-1)
 	for i := 0; i < warm; i++ {
@@ -76,11 +98,16 @@ func (r *run) repeat(warm int, setup func() error, rep func(timed bool) error) e
 	start := time.Now()
 	for i := 0; i < r.timedReps() || time.Since(start) < r.budget; i++ {
 		r.tr.setRep(i)
+		perRep := resetPeakRSS()
 		if err := setup(); err != nil {
 			return err
 		}
+		runtime.GC() // every repetition starts from the same clean heap, not the batch's garbage
 		if err := rep(true); err != nil {
 			return err
+		}
+		if perRep {
+			r.sample("rss_peak_mb", peakRSSMiB())
 		}
 	}
 	r.tr.setRep(replayRep)
@@ -180,14 +207,93 @@ func (r *run) setupBatch(n, factor int) (*instance, error) {
 // collected on set-up's time.
 func (r *run) timeSetup(n int, build func() error) error {
 	runtime.GC()
-	t0 := time.Now()
+	w := r.startWatch()
 	for i := 0; i < n; i++ {
 		if err := build(); err != nil {
 			return err
 		}
 	}
-	r.sample("setup_s", time.Since(t0).Seconds()/float64(n))
+	r.sample("setup_s", r.netSeconds(w)/float64(n))
 	return nil
+}
+
+// stopwatch times work on the benchmark's own clock: wall time less the
+// hypervisor's steal over the same stretch.
+type stopwatch struct {
+	t0    time.Time
+	steal float64
+}
+
+func (r *run) startWatch() stopwatch { return stopwatch{t0: time.Now(), steal: stealSeconds()} }
+
+// netSeconds is the wall time since w started less the steal in that
+// time. Steal is the time the host ran other guests on this machine's
+// virtual CPUs. On a shared virtual machine it is the main source of drift
+// between runs, and it says nothing about the code. Over 200 serving
+// repetitions on the machine the benchmark was sized on, each second of
+// steal per virtual CPU added 1.07 s to a two-thread repetition's wall
+// time. The run also keeps the steal it took out, for summary.json.
+func (r *run) netSeconds(w stopwatch) float64 {
+	wall := time.Since(w.t0).Seconds()
+	steal := min(stealSeconds()-w.steal, wall/2)
+	r.steal += steal
+	return wall - steal
+}
+
+// userHZ is the unit of /proc/stat's times: ticks per second, 100 on
+// every Linux architecture.
+const userHZ = 100
+
+// stealSeconds is the steal time since boot per virtual CPU: the steal
+// column of /proc/stat's cpu line, over the number of cpuN lines. It is 0
+// where the kernel does not report one, so wall time is left as it is.
+func stealSeconds() float64 {
+	data, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0
+	}
+	lines := strings.Split(string(data), "\n")
+	f := strings.Fields(lines[0])
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0
+	}
+	ticks, err := strconv.ParseFloat(f[8], 64)
+	if err != nil {
+		return 0
+	}
+	cpus := 0
+	for _, l := range lines[1:] {
+		if strings.HasPrefix(l, "cpu") {
+			cpus++
+		}
+	}
+	return ticks / userHZ / float64(max(cpus, 1))
+}
+
+// resetPeakRSS restarts the kernel's peak resident set size from the
+// current one (clear_refs 5), so a repetition's peak can be read on its
+// own. It reports whether the kernel allowed it.
+func resetPeakRSS() bool {
+	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0) == nil
+}
+
+// peakRSSMiB is this process's peak resident set size since start or the
+// last resetPeakRSS: VmHWM of /proc/self/status, else ru_maxrss.
+func peakRSSMiB() float64 {
+	if data, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, l := range strings.Split(string(data), "\n") {
+			if v, ok := strings.CutPrefix(l, "VmHWM:"); ok {
+				if kib, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 64); err == nil {
+					return kib / 1024
+				}
+			}
+		}
+	}
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return math.NaN()
+	}
+	return float64(ru.Maxrss) / 1024 // Linux reports KiB
 }
 
 // placementGate checks a PAMAD program's bookkeeping, the law of
@@ -218,6 +324,9 @@ func placementGate(prog *core.Program, s delaymodel.Frequencies, st pamad.Placem
 	total := s.TotalSlots(gs)
 	if filled != total || prog.Filled() != total {
 		return gatef("placement: %d cells indexed, %d filled, transmissions total %d", filled, prog.Filled(), total)
+	}
+	if st.Spills < 0 || st.Spills > total {
+		return gatef("placement: Spills %d outside [0, %d]", st.Spills, total)
 	}
 	if empty := prog.Channels()*prog.Length() - total; st.EmptySlots != empty {
 		return gatef("placement: EmptySlots %d, grid has %d empty cells", st.EmptySlots, empty)

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"math"
-	"time"
 
 	"tcsa/internal/chaos"
 	"tcsa/internal/core"
@@ -114,9 +113,9 @@ func (c serveCase) run(r *run) error {
 		return err
 	}, func(timed bool) error {
 		sp := r.tr.begin("loadgen.RunStream", 0)
-		t0 := time.Now()
+		w := r.startWatch()
 		res, err := loadgen.RunStream(context.Background(), a, stream, fault, loadgen.Options{Workers: loadgenWorkers})
-		wall := time.Since(t0).Seconds()
+		secs := r.netSeconds(w)
 		r.tr.end(sp, 1)
 		if err != nil {
 			return err
@@ -132,8 +131,8 @@ func (c serveCase) run(r *run) error {
 			return nil
 		}
 		last = res
-		r.sample("clients_per_s", float64(clients)/wall)
-		r.sample("air_slots_per_s", float64(res.SlotsAired)/wall)
+		r.sample("clients_per_s", float64(clients)/secs)
+		r.sample("air_slots_per_s", float64(res.SlotsAired)/secs)
 		r.sample("wait_avg_slots", res.AvgWait)
 		r.sample("wait_p99_slots", res.Wait.P99)
 		r.sample("avg_delay_slots", res.AvgDelay)
@@ -275,9 +274,9 @@ func pullTier(r *run) error {
 		return err
 	}, func(timed bool) error {
 		sp := r.tr.begin("online.Run", 0)
-		t0 := time.Now()
+		w := r.startWatch()
 		res, err := online.Run(prog, stream, cfg)
-		wall := time.Since(t0).Seconds()
+		secs := r.netSeconds(w)
 		r.tr.end(sp, 1)
 		if err != nil {
 			return err
@@ -291,8 +290,8 @@ func pullTier(r *run) error {
 		}
 		last = res
 		delay, miss := flowDelays(in.gs, stream, res.Flows)
-		r.sample("clients_per_s", float64(res.Requests)/wall)
-		r.sample("air_slots_per_s", float64(res.HorizonSlots)/wall)
+		r.sample("clients_per_s", float64(res.Requests)/secs)
+		r.sample("air_slots_per_s", float64(res.HorizonSlots)/secs)
 		r.sample("wait_avg_slots", res.AvgFlow)
 		r.sample("wait_p99_slots", res.Flow.P99)
 		r.sample("avg_delay_slots", delay)

@@ -87,8 +87,76 @@ func (s *spec) endToEnd(name string) (metricSpec, bool) {
 	return metricSpec{}, false
 }
 
+// reports reports whether workload reports end-to-end metric name.
+func (s *spec) reports(workload, name string) bool {
+	for _, m := range s.metricsOf(workload) {
+		if m.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// workloadMetric is an end-to-end metric that only one workload has: a
+// latency its users wait on that the other workloads have no analogue of.
+// BENCHMARK.json cannot declare it, because every workload reports every
+// metric declared there, so it is declared here. It goes to summary.json
+// and -compare judges it under its bound. pool names the observations the
+// run takes the metric's percentile over, pooled across its timed
+// repetitions.
+type workloadMetric struct {
+	metricSpec
+	workload string
+	pool     string
+	q        float64
+}
+
+func bound(b float64) *float64 { return &b }
+
+var workloadMetrics = []workloadMetric{
+	// Edit → Snapshot → StageProgram, per catalog edit.
+	{metricSpec{Name: "replan_p50_ms", Unit: "ms", Better: "lower", Bound: bound(0.10)}, "live-catalog", "replan_ms", 0.50},
+	{metricSpec{Name: "replan_p99_ms", Unit: "ms", Better: "lower", Bound: bound(0.15)}, "live-catalog", "replan_ms", 0.99},
+	// From the Publish stamp until Tuner.ReadFrame returns, per datagram.
+	{metricSpec{Name: "air_latency_p50_us", Unit: "us", Better: "lower", Bound: bound(0.10)}, "udp-air", "air_latency_us", 0.50},
+	{metricSpec{Name: "air_latency_p99_us", Unit: "us", Better: "lower", Bound: bound(0.15)}, "udp-air", "air_latency_us", 0.99},
+}
+
+// metricsOf lists the end-to-end metrics a workload reports: every one of
+// BENCHMARK.json, then its own.
+func (s *spec) metricsOf(workload string) []metricSpec {
+	ms := append([]metricSpec(nil), s.EndToEnd...)
+	for _, wm := range workloadMetrics {
+		if wm.workload == workload {
+			ms = append(ms, wm.metricSpec)
+		}
+	}
+	return ms
+}
+
+// exactMetrics are the client-side metrics. The five virtual-time
+// workloads compute them from the seed's inputs alone, so two runs of the
+// same code on one seed read them bit-equal, and -compare holds them
+// exact: worse on any seed both sets ran is a regression. BENCHMARK.json
+// cannot say exact: its bound also caps their spread over runs that each
+// take another seed, and they move a little from seed to seed.
+var exactMetrics = map[string]bool{
+	"wait_avg_slots":  true,
+	"wait_p99_slots":  true,
+	"avg_delay_slots": true,
+	"miss_ratio":      true,
+}
+
+// isExact reports whether -compare holds metric exact on workload. On
+// udp-air a datagram the host drops lengthens a wait, so its client
+// metrics are not a function of the seed alone.
+func isExact(workload, metric string) bool {
+	return exactMetrics[metric] && workload != "udp-air"
+}
+
 // layerMove records which end-to-end metric a per-layer metric should move,
-// and on which workloads, written down before anything was measured.
+// and on which workloads, written down before anything was measured. The
+// end-to-end metric is one that each of those workloads reports.
 type layerMove struct {
 	layer     string
 	endToEnd  string
@@ -120,16 +188,14 @@ var layerMoves = []layerMove{
 	{"netcast.publish_ns_per_frame", "clients_per_s", []string{"catalog-x100", "live-catalog"}},
 	{"netcast.frames_published", "clients_per_s", []string{"catalog-x100", "live-catalog"}},
 	{"netcast.poll_ns", "clients_per_s", []string{"paper-serve", "live-catalog"}},
-	{"netcast.stage_ns", "air_slots_per_s", liveOnly},
-	{"netcast.epochs", "air_slots_per_s", liveOnly},
+	{"netcast.stage_ns", "replan_p50_ms", liveOnly},
+	{"netcast.epochs", "replan_p50_ms", liveOnly},
 	{"netcast.flip_wait_slots", "wait_avg_slots", liveOnly},
-	{"netcast.udp_publish_ns", "air_slots_per_s", udpOnly},
-	{"netcast.udp_overruns", "wait_avg_slots", udpOnly},
-	{"netcast.frames_received", "wait_avg_slots", udpOnly},
+	{"netcast.udp_publish_ns", "air_latency_p50_us", udpOnly},
+	{"netcast.udp_overruns", "air_latency_p99_us", udpOnly},
+	{"netcast.frames_received", "air_latency_p99_us", udpOnly},
 	{"netcast.frames_lost", "wait_avg_slots", udpOnly},
 	{"netcast.tick_slip", "air_slots_per_s", udpOnly},
-	{"netcast.air_latency_p50_us", "wait_avg_slots", udpOnly},
-	{"netcast.air_latency_p99_us", "wait_p99_slots", udpOnly},
 	{"loadgen.serve_s", "clients_per_s", serveLoad},
 	{"loadgen.slots_aired", "clients_per_s", serveLoad},
 	{"loadgen.residual_s", "clients_per_s", []string{"paper-serve", "lossy-air"}},
@@ -137,16 +203,14 @@ var layerMoves = []layerMove{
 	{"chaos.engine_ns_per_req", "clients_per_s", lossyOnly},
 	{"chaos.retries_per_client", "clients_per_s", lossyOnly},
 	{"chaos.served_per_attempt", "clients_per_s", lossyOnly},
-	{"replan.edit_p50_ms", "air_slots_per_s", liveOnly},
-	{"replan.edit_p99_ms", "air_slots_per_s", liveOnly},
-	{"replan.event_p50_ms", "air_slots_per_s", liveOnly},
-	{"replan.event_p99_ms", "air_slots_per_s", liveOnly},
-	{"replan.snapshot_ms", "air_slots_per_s", liveOnly},
-	{"replan.kind.none", "air_slots_per_s", liveOnly},
-	{"replan.kind.append", "air_slots_per_s", liveOnly},
-	{"replan.kind.suffix", "air_slots_per_s", liveOnly},
-	{"replan.kind.rebuild", "air_slots_per_s", liveOnly},
-	{"replan.placed_cells_per_edit", "air_slots_per_s", liveOnly},
+	{"replan.edit_p50_ms", "replan_p50_ms", liveOnly},
+	{"replan.edit_p99_ms", "replan_p99_ms", liveOnly},
+	{"replan.snapshot_ms", "replan_p50_ms", liveOnly},
+	{"replan.kind.none", "replan_p50_ms", liveOnly},
+	{"replan.kind.append", "replan_p50_ms", liveOnly},
+	{"replan.kind.suffix", "replan_p50_ms", liveOnly},
+	{"replan.kind.rebuild", "replan_p99_ms", liveOnly},
+	{"replan.placed_cells_per_edit", "replan_p50_ms", liveOnly},
 	{"online.run_s", "clients_per_s", pullOnly},
 	{"online.horizon_slots", "clients_per_s", pullOnly},
 	{"online.airings", "clients_per_s", pullOnly},

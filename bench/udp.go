@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,12 +21,16 @@ import (
 // UDP air: the paper program aired in real time by netcast.Server over UDP
 // loopback. Two tuners listen on channels 0 and 1; each of those channels
 // also carries udpCopies more subscriptions of its tuner's address, which
-// sets the datagram rate.
+// sets the datagram rate: about 64,000 a second. The slot lasts 4 ms, not
+// 1 ms at a quarter of the copies, because the server's ticker drops every
+// tick it is more than a slot late for: at 1 ms the slot clock ran 5% to
+// 29% slow, depending on how loaded the shared host was, and at 4 ms it
+// holds within 1%.
 const (
-	udpSlot         = time.Millisecond
+	udpSlot         = 4 * time.Millisecond
 	udpTuned        = 2
-	udpCopies       = 32
-	udpRate         = 16.0 // client arrivals per nominal slot, before keeping the tuned channels' pages
+	udpCopies       = 128
+	udpRate         = 512.0 // client arrivals per nominal slot, before keeping the tuned channels' pages
 	udpSetupBatches = 10
 	udpToyAir       = 300 * time.Millisecond
 	udpReadTimeout  = 50 * time.Millisecond
@@ -57,8 +62,8 @@ func (t *stampedTransport) Publish(ch, abs int, frame []byte) {
 
 // udpReceipts is what one tuner read.
 type udpReceipts struct {
-	first    []int64 // per slot: ns since epoch of the first copy read, 0 if none
-	latency  []float64
+	read     []bool    // per slot: at least one copy was read
+	latency  []float64 // per datagram read: µs since its Publish
 	received int64
 	bad      int64
 }
@@ -112,13 +117,17 @@ func udpAir(r *run) error {
 		defer tuners[ch].Close() // teardown: unsubscribing from a stopped server may fail
 	}
 
+	// One latency buffer for every tuner, each filling its own part, so
+	// pooling them at the end allocates nothing.
+	perTuner := (udpCopies + 1) * maxSlots
+	pool := make([]float64, udpTuned*perTuner)
 	receipts := make([]*udpReceipts, udpTuned)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for ch := range tuners {
 		receipts[ch] = &udpReceipts{
-			first:   make([]int64, maxSlots),
-			latency: make([]float64, 0, (udpCopies+1)*maxSlots),
+			read:    make([]bool, maxSlots),
+			latency: pool[ch*perTuner : ch*perTuner : (ch+1)*perTuner],
 		}
 		wg.Add(1)
 		go func(ch int) {
@@ -127,6 +136,14 @@ func udpAir(r *run) error {
 		}(ch)
 	}
 
+	// The peak RSS covers the air and the clients' reckoning, not the
+	// set-up batches around them. Their garbage is collected and handed
+	// back to the kernel first: how much of it the runtime still held when
+	// the high-water mark was reset otherwise moved the peak by a third
+	// from one run to the next. The air is paced by the wall clock, so the
+	// pages the runtime faults back in cost it nothing.
+	debug.FreeOSMemory()
+	perRun := resetPeakRSS()
 	ctx, cancel := context.WithTimeout(context.Background(), air)
 	start := time.Since(tr.epoch)
 	err = srv.Run(ctx)
@@ -140,9 +157,6 @@ func udpAir(r *run) error {
 		return err
 	}
 	slots := int(srv.Slot())
-	if err := setup(); err != nil {
-		return err
-	}
 
 	for ch, rc := range receipts {
 		if rc.bad > 0 {
@@ -150,11 +164,12 @@ func udpAir(r *run) error {
 		}
 	}
 
-	// Clients arrive in real time, a Poisson stream over nominal slots,
-	// and wait on the wall clock for the first copy of their page read on
-	// a tuned channel.
-	nominal := int(air / udpSlot)
-	window := nominal - min(2*prog.Length(), nominal/2)
+	// Clients arrive over the first half of the nominal slots, a Poisson
+	// stream, and wait for the first slot at or after their arrival in
+	// which a tuner read a copy of their page. The second half leaves
+	// every one of them a full cycle on air, however late the slot clock
+	// runs.
+	window := int(air/udpSlot) / 2
 	stream, err := workload.NewPoissonStream(in.gs, workload.PoissonConfig{
 		RequestConfig: workload.RequestConfig{Count: int(udpRate * float64(window)), Seed: r.seed},
 		Rate:          udpRate,
@@ -162,10 +177,23 @@ func udpAir(r *run) error {
 	if err != nil {
 		return err
 	}
-	w, err := udpClients(prog, stream, receipts, slots, window, float64(start))
+	w, err := udpClients(prog, stream, receipts, slots, window)
 	if err != nil {
 		return err
 	}
+	if perRun {
+		r.sample("rss_peak_mb", peakRSSMiB())
+	}
+	if err := setup(); err != nil {
+		return err
+	}
+	lat := pool[:0]
+	var received int64
+	for _, rc := range receipts {
+		lat = append(lat, rc.latency...) // moves down within pool
+		received += rc.received
+	}
+	r.samplePooled("air_latency_us", lat)
 	r.sample("clients_per_s", float64(w.served)/wall)
 	r.sample("air_slots_per_s", float64(slots)/wall)
 	r.sample("wait_avg_slots", w.wait.Mean())
@@ -184,20 +212,12 @@ func udpAir(r *run) error {
 	if err := r.replayLayers(in.a, stream, int64(slots), nil, waitsOf(in.a, stream)); err != nil {
 		return err
 	}
-	var lat []float64
-	var received int64
-	for _, rc := range receipts {
-		lat = append(lat, rc.latency...)
-		received += rc.received
-	}
 	expected := int64(slots) * udpTuned * (udpCopies + 1)
 	r.layers["netcast.udp_publish_ns"] = float64(tr.busyNs) / float64(max(tr.calls, 1))
 	r.layers["netcast.udp_overruns"] = float64(udp.Overruns())
 	r.layers["netcast.frames_received"] = float64(received)
 	r.layers["netcast.frames_lost"] = float64(max(expected-received, 0))
 	r.layers["netcast.tick_slip"] = 1 - float64(slots)/(wall/udpSlot.Seconds())
-	r.layers["netcast.air_latency_p50_us"] = stats.Percentile(lat, 0.50)
-	r.layers["netcast.air_latency_p99_us"] = stats.Percentile(lat, 0.99)
 	return nil
 }
 
@@ -247,7 +267,7 @@ func udpRead(t *netcast.Tuner, ch int, prog *core.Program, tr *stampedTransport,
 			continue // a quiet read window while the air runs
 		}
 		slot := int(f.Slot)
-		if f.Channel != ch || slot >= len(rc.first) || f.Page != prog.At(ch, prog.Column(slot)) {
+		if f.Channel != ch || slot >= len(rc.read) || f.Page != prog.At(ch, prog.Column(slot)) {
 			rc.bad++
 			continue
 		}
@@ -255,9 +275,7 @@ func udpRead(t *netcast.Tuner, ch int, prog *core.Program, tr *stampedTransport,
 		if st := tr.stamps[ch][slot].Load(); st > 0 {
 			rc.latency = append(rc.latency, float64(now-st)/1e3)
 		}
-		if rc.first[slot] == 0 {
-			rc.first[slot] = now
-		}
+		rc.read[slot] = true
 	}
 }
 
@@ -268,12 +286,13 @@ type udpWaits struct {
 	waitSk                   *stats.Sketch
 }
 
-// udpClients serves the stream's clients for pages on the tuned channels
-// from what the tuners read. A client arriving at nominal slot u is due at
-// start + u slot durations; its wait, in nominal slots, runs until the
-// first read copy of its page at or after that instant, so a lost frame,
-// a late frame and a late slot clock all lengthen it.
-func udpClients(prog *core.Program, stream workload.Stream, receipts []*udpReceipts, slots, window int, start float64) (*udpWaits, error) {
+// udpClients serves the stream's clients that arrive before slot window
+// and ask for a page of the tuned channels, from what the tuners read. A
+// client arriving at u waits until the first slot at or after u in which a
+// tuner read its page, so a datagram the host dropped lengthens its wait.
+// The wait is in slots of the server's clock; how late that clock ran on
+// the wall clock is netcast.tick_slip.
+func udpClients(prog *core.Program, stream workload.Stream, receipts []*udpReceipts, slots, window int) (*udpWaits, error) {
 	gs := prog.GroupSet()
 	tuned := make([]bool, gs.Pages())
 	for ch := 0; ch < udpTuned; ch++ {
@@ -283,26 +302,25 @@ func udpClients(prog *core.Program, stream workload.Stream, receipts []*udpRecei
 			}
 		}
 	}
-	reads := make([][]float64, gs.Pages())
+	reads := make([][]int, gs.Pages())
 	for ch, rc := range receipts {
-		for slot := 0; slot < slots && slot < len(rc.first); slot++ {
-			if rc.first[slot] == 0 {
+		for slot := 0; slot < slots && slot < len(rc.read); slot++ {
+			if !rc.read[slot] {
 				continue
 			}
 			if p := prog.At(ch, prog.Column(slot)); p != core.None {
-				reads[p] = append(reads[p], float64(rc.first[slot]))
+				reads[p] = append(reads[p], slot)
 			}
 		}
 	}
 	for _, rs := range reads {
-		sort.Float64s(rs)
+		sort.Ints(rs)
 	}
 	sk, err := sketchFor(prog.Length())
 	if err != nil {
 		return nil, err
 	}
 	w := &udpWaits{waitSk: sk}
-	slotNs := float64(udpSlot)
 	cur := stream.NewCursor()
 	var req workload.Request
 	for k := 0; k < stream.Shards(); k++ {
@@ -311,14 +329,13 @@ func udpClients(prog *core.Program, stream workload.Stream, receipts []*udpRecei
 			if !tuned[req.Page] || req.Arrival >= float64(window) {
 				continue
 			}
-			due := start + req.Arrival*slotNs
 			rs := reads[req.Page]
-			i := sort.SearchFloat64s(rs, due)
+			i := sort.SearchInts(rs, int(math.Ceil(req.Arrival)))
 			if i == len(rs) {
 				w.unserved++
 				continue
 			}
-			wait := (rs[i] - due) / slotNs
+			wait := float64(rs[i]) - req.Arrival
 			d := math.Max(0, wait-float64(gs.TimeOf(req.Page)))
 			w.wait.Add(wait)
 			w.waitSk.Add(wait)
