@@ -138,8 +138,8 @@ func TestRunFig5Parallel(t *testing.T) {
 // with its regressions reported.
 func TestRunBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	// -buildout must not default: the default path would overwrite the
-	// committed BENCH_build.json baseline in the package directory.
+	// -buildout must not default: the default path is relative, so the
+	// test would write a BENCH_build.json into the package directory.
 	buildPath := filepath.Join(t.TempDir(), "BENCH_build.json")
 	fast := []string{"-bench", "-stride", "16", "-skipopt", "-requests", "200", "-dist", "sskew",
 		"-benchout", path, "-buildout", buildPath}

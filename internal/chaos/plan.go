@@ -7,9 +7,9 @@
 // Everything is a pure function of (Config.Seed, channel, slot) — or, for
 // the sequential burst chain, of a per-channel tape precomputed at Plan
 // construction — so a failing run replays bit-for-bit from its seed at
-// any worker count. With every fault probability zero the engine's
-// arithmetic is an exact mirror of sim.MeasureStream, and the package
-// tests pin that equality bit-for-bit; conformance.MissFreeLaw then turns
+// any worker count. With every fault probability zero the engine takes
+// sim.MeasureStream's closed form, and the package tests pin that
+// equality bit-for-bit; conformance.MissFreeLaw then turns
 // "zero faults on a valid program" into a machine-checked zero-miss law.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds

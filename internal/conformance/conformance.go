@@ -233,8 +233,18 @@ func SpillAccounting(prog *core.Program, s delaymodel.Frequencies, counts Placem
 		return fmt.Errorf("%w: major cycle %d, frequencies demand %d",
 			core.ErrInvalidProgram, prog.Length(), want)
 	}
+	// One grid pass counts every page's cells: O(cells), where a CountOf
+	// per page would rescan the grid for each of them.
+	occupied := make([]int, gs.Pages())
+	for ch := 0; ch < prog.Channels(); ch++ {
+		for slot := 0; slot < prog.Length(); slot++ {
+			if id := prog.At(ch, slot); id >= 0 && int(id) < len(occupied) {
+				occupied[id]++
+			}
+		}
+	}
 	for id := core.PageID(0); int(id) < gs.Pages(); id++ {
-		if got, want := prog.CountOf(id), s[gs.GroupOf(id)]; got != want {
+		if got, want := occupied[id], s[gs.GroupOf(id)]; got != want {
 			return fmt.Errorf("%w: page %d occupies %d cells, frequency is %d",
 				core.ErrInvalidProgram, id, got, want)
 		}

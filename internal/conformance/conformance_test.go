@@ -3,6 +3,7 @@ package conformance_test
 import (
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"tcsa/internal/conformance"
@@ -180,6 +181,38 @@ func TestSpillAccountingRejectsWrongCounts(t *testing.T) {
 	}
 	if err := conformance.SpillAccounting(prog, res.Frequencies, bad); err == nil {
 		t.Fatal("SpillAccounting accepted an off-by-one EmptySlots")
+	}
+}
+
+func TestSpillAccountingRejectsMovedCell(t *testing.T) {
+	gs := geometric(t, 4, 2, []int{3, 5, 9})
+	prog, res, err := pamad.Build(gs, 2)
+	if err != nil {
+		t.Fatalf("pamad.Build: %v", err)
+	}
+	counts := conformance.PlacementCounts{
+		Spills:     res.Placement.Spills,
+		EmptySlots: res.Placement.EmptySlots,
+	}
+	// Hand one of page 1's cells to page 2: the total is unchanged, so
+	// only the per-page count can catch it, and page 1 is reported first.
+	moved := false
+	for cell := 0; cell < prog.Channels()*prog.Length() && !moved; cell++ {
+		ch, slot := cell/prog.Length(), cell%prog.Length()
+		if prog.At(ch, slot) == 1 {
+			prog.Clear(ch, slot)
+			if err := prog.Place(ch, slot, 2); err != nil {
+				t.Fatal(err)
+			}
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("page 1 not placed")
+	}
+	err = conformance.SpillAccounting(prog, res.Frequencies, counts)
+	if !errors.Is(err, core.ErrInvalidProgram) || !strings.Contains(err.Error(), "page 1 occupies") {
+		t.Fatalf("SpillAccounting on a moved cell: %v", err)
 	}
 }
 

@@ -140,27 +140,12 @@ func (a *Analysis) NextAfter(id PageID, u float64) float64 {
 		return L
 	}
 	// First column >= u.
-	target := int32(ceilF(u))
+	target := int32(Ceil(u))
 	k := sort.Search(len(cols), func(i int) bool { return cols[i] >= target })
 	if k == len(cols) {
 		return float64(cols[0]) + L - u
 	}
 	return float64(cols[k]) - u
-}
-
-// ceilF is a dependency-free ceil for non-negative floats. Values at or
-// above 2^63 never fit an int64 — that conversion is implementation-defined
-// in Go — but every float64 that large is already integral (the mantissa
-// has 52 fraction bits), so they are their own ceiling.
-func ceilF(x float64) float64 {
-	if x >= 1<<63 {
-		return x
-	}
-	i := float64(int64(x))
-	if i < x {
-		return i + 1
-	}
-	return i
 }
 
 func mean(xs []float64) float64 {

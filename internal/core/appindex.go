@@ -3,9 +3,9 @@ package core
 // AppearanceIndex is the flat CSR-style appearance structure of a program:
 // for every page, its sorted distinct appearance columns, stored in a single
 // shared column arena instead of one heap slice per page. It is the
-// allocation-free backbone of Analyze, Program.Validate and the air-index
-// math in internal/bindex; the legacy [][]int AppearanceTable is a thin
-// materialisation of this index kept for compatibility.
+// allocation-free backbone of Analyze and Program.Validate; the legacy
+// [][]int AppearanceTable is a thin materialisation of this index kept for
+// compatibility.
 //
 // Layout: page id's columns are cols[offs[id]:offs[id+1]], ascending. Pages
 // that never appear have an empty (not nil) range. Columns fit in int32 by

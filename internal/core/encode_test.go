@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -119,5 +120,18 @@ func TestProgramJSONRejectsMalformed(t *testing.T) {
 				t.Errorf("malformed input accepted: %s", mutated)
 			}
 		})
+	}
+}
+
+// hugeDeclaredProgram declares 10^6 channels of 10^9 slots but carries no
+// grid: a decoder that allocates the declared grid before checking its
+// shape panics on it.
+const hugeDeclaredProgram = `{"version":1,"groups":[{"Time":4,"Count":1}],"channels":1000000,"length":1000000000,"grid":[]}`
+
+func TestProgramJSONRejectsUndecodedGrid(t *testing.T) {
+	var back Program
+	err := json.Unmarshal([]byte(hugeDeclaredProgram), &back)
+	if !errors.Is(err, ErrInvalidProgram) {
+		t.Fatalf("got %v, want ErrInvalidProgram", err)
 	}
 }

@@ -118,6 +118,7 @@ func FuzzProgramJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"groups":[{"Time":2,"Count":1}],"channels":1,"length":1,"grid":[[0]]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(hugeDeclaredProgram))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var prog Program
 		if err := json.Unmarshal(data, &prog); err != nil {

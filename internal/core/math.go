@@ -13,6 +13,21 @@ func CeilDiv(a, b int) int {
 	return q
 }
 
+// Ceil is a dependency-free ceil for non-negative floats. Values at or
+// above 2^63 never fit an int64 — that conversion is implementation-defined
+// in Go — but every float64 that large is already integral (the mantissa
+// has 52 fraction bits), so they are their own ceiling.
+func Ceil(x float64) float64 {
+	if x >= 1<<63 {
+		return x
+	}
+	i := float64(int64(x))
+	if i < x {
+		return i + 1
+	}
+	return i
+}
+
 // gcd returns the greatest common divisor of two positive ints.
 func gcd(a, b int) int {
 	for b != 0 {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,31 +30,9 @@ import (
 	"tcsa/internal/core"
 	"tcsa/internal/netcast"
 	"tcsa/internal/pamad"
-	"tcsa/internal/replan"
 	"tcsa/internal/sim"
-	"tcsa/internal/stats"
 	"tcsa/internal/workload"
 )
-
-// Sketch parameters, identical to sim.MeasureStream's and the chaos
-// engine's: the aggregated sketches must be bit-identical.
-const (
-	sketchQuantileAccuracy = 0.01
-	sketchResolution       = 1 << 20
-)
-
-// FNV-1a 64-bit constants, matching the chaos trace digest.
-const (
-	fnvOffset uint64 = 0xcbf29ce484222325
-	fnvPrime  uint64 = 0x100000001b3
-)
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
-	}
-	return h
-}
 
 // Config describes one load-generation scenario: the paper instance, the
 // client population, and the fault plan.
@@ -271,14 +248,14 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	if maxCycles <= 0 {
 		maxCycles = chaos.DefaultMaxCycles
 	}
-	base := &Result{
+	res := &Result{
 		Clients:  stream.Count(),
 		Channels: prog.Channels(),
 		CycleLen: prog.Length(),
 	}
 	count := stream.Count()
 	if count == 0 {
-		return finish(base, plan, prog)
+		return finish(res, plan, prog)
 	}
 
 	workers := opts.Workers
@@ -298,19 +275,14 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		return nil, err
 	}
 
-	gs := prog.GroupSet()
-	times := make([]float64, gs.Pages())
-	for i := range times {
-		times[i] = float64(gs.TimeOf(core.PageID(i)))
-	}
 	eng := &engine{
 		ring:       ring,
 		plan:       plan,
 		ix:         a.Index(),
 		chanOf:     chaos.ChannelTable(prog, a.Index()),
 		stream:     stream,
-		times:      times,
-		pages:      gs.Pages(),
+		times:      sim.ExpectedTimes(prog.GroupSet()),
+		pages:      prog.GroupSet().Pages(),
 		cycleLen:   prog.Length(),
 		maxCycles:  maxCycles,
 		active:     fault.Active(),
@@ -348,13 +320,20 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		}
 	}
 
-	res, err := eng.fold(base, count, shards)
-	if err != nil {
+	if err := eng.fold(res, workers); err != nil {
 		return nil, err
 	}
 	res.SlotsAired = slotsAired
 	res.FaultStats = caster.Faults()
 	return finish(res, plan, prog)
+}
+
+// finish attaches the chaos engine's plan-level quantities to res.
+func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) {
+	if err := chaos.Finish(&res.Result, plan, prog); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // broadcast publishes exactly slots slots through the caster — the air
@@ -412,13 +391,9 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 		cur.Seek(shard)
 		for local := 0; cur.Next(&r); local++ {
 			glob := int64(shard)*workload.ShardSize + int64(local)
-			if r.Page < 0 || int(r.Page) >= e.pages {
+			if err := sim.CheckRequest(&r, glob, e.pages); err != nil {
 				e.failed.Store(true)
-				return fmt.Errorf("%w: request %d page %d", core.ErrPageRange, glob, r.Page)
-			}
-			if r.Arrival < 0 {
-				e.failed.Store(true)
-				return fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, glob, r.Arrival)
+				return err
 			}
 			u := math.Mod(r.Arrival, L)
 			cols := e.ix.Columns(r.Page)
@@ -428,10 +403,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				continue
 			}
 			// First candidate appearance at or after the arrival offset.
-			// One comparison form serves both engine branches: for integer
-			// columns, col >= u (float) and col >= ceil(u) (int) select the
-			// same k, and the sorted-cursor walk stops there too.
-			k := int32(sort.Search(len(cols), func(i int) bool { return float64(cols[i]) >= u }))
+			k := sim.NextIndex(nil, r.Page, cols, u)
 			wraps := int32(0)
 			if int(k) == len(cols) {
 				k, wraps = 0, 1
@@ -554,124 +526,29 @@ func (e *engine) step(c *client, ledger *chaos.Ledger, L float64) (done bool, er
 	return true, nil
 }
 
-// fold aggregates the per-request outcomes exactly as the measurement
-// engines do: per-shard partials accumulated in request order, folded in
-// ascending shard order — the float-summation order that makes the
-// result worker-count-independent and engine-identical. The sketches are
-// integer-binned and therefore order-insensitive; one pair fed in fold
-// order equals the engines' merged per-worker sketches.
-func (e *engine) fold(base *Result, count, shards int) (*Result, error) {
-	L := float64(e.cycleLen)
-	ws, err1 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
-	ds, err2 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
-	if err := errors.Join(err1, err2); err != nil {
-		return nil, err
-	}
-
-	var wait, delay stats.Online
-	var waitSum, delaySum float64
-	var misses int64
-	var ledger chaos.Ledger
-	digest := fnvOffset
-	cur := e.stream.NewCursor()
-	var r workload.Request
-	for shard := 0; shard < shards; shard++ {
-		var pw, pd stats.Online
-		var pwSum, pdSum float64
-		var pMisses int64
-		pDigest := fnvOffset
-		cur.Seek(shard)
-		for local := 0; cur.Next(&r); local++ {
-			glob := int64(shard)*workload.ShardSize + int64(local)
-			wv := e.waits[glob]
-			dv := wv - e.times[r.Page]
-			if dv < 0 {
-				dv = 0
-			} else if dv > 0 {
-				pMisses++
+// fold replays the recorded per-request outcomes on the measurement
+// kernel — the waits and attempt counts become exactly the values the
+// chaos fault walk folds — so the Result is worker-count-independent and
+// engine-identical.
+func (e *engine) fold(res *Result, workers int) error {
+	span := sim.CycleSpan(float64(e.cycleLen), 1)
+	fold, err := sim.FoldShards(e.stream, workers, span, span, func() sim.Visit {
+		var r workload.Request
+		return func(shard int, cur workload.Cursor, p *sim.Partial) error {
+			for glob := shard * workload.ShardSize; cur.Next(&r); glob++ {
+				p.AddWait(r.Page, e.waits[glob], e.times[r.Page], uint64(e.attempts[glob]))
 			}
-			pw.Add(wv)
-			pd.Add(dv)
-			pwSum += wv
-			pdSum += dv
-			ws.Add(wv)
-			ds.Add(dv)
-			d := fnv64(pDigest, uint64(uint32(r.Page)))
-			d = fnv64(d, math.Float64bits(wv))
-			pDigest = fnv64(d, uint64(e.attempts[glob]))
+			return nil
 		}
-		wait.Merge(pw)
-		delay.Merge(pd)
-		waitSum += pwSum
-		delaySum += pdSum
-		misses += pMisses
-		addLedger(&ledger, &e.ledgers[shard])
-		digest = fnv64(digest, pDigest)
+	})
+	if err != nil {
+		return err
 	}
-
-	base.Metrics = sim.Metrics{
-		Requests:  count,
-		AvgWait:   waitSum / float64(count),
-		AvgDelay:  delaySum / float64(count),
-		MissRatio: float64(misses) / float64(count),
-		Wait:      summarize(wait, ws),
-		Delay:     summarize(delay, ds),
+	res.Metrics = fold.Metrics()
+	res.Misses = fold.Hits
+	res.TraceDigest = fold.Digest
+	for k := range e.ledgers {
+		res.Ledger.Add(&e.ledgers[k])
 	}
-	base.Ledger = ledger
-	base.Misses = misses
-	base.TraceDigest = digest
-	return base, nil
-}
-
-func addLedger(l, o *chaos.Ledger) {
-	l.LostDeliveries += o.LostDeliveries
-	l.CorruptSkips += o.CorruptSkips
-	l.StallSkips += o.StallSkips
-	l.ChurnSkips += o.ChurnSkips
-	l.Retries += o.Retries
-	l.Unserved += o.Unserved
-}
-
-// finish attaches the plan-level quantities exactly as the chaos engine
-// does: effective loss always, the graceful-degradation replan when the
-// config asks for one and the plan degrades capacity below nominal.
-func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) {
-	res.EffectiveLoss = plan.EffectiveLossRate()
-	if plan.Config().Replan {
-		eff := plan.EffectiveChannels()
-		if eff < prog.Channels() {
-			eng, err := replan.New(prog.GroupSet(), prog.Channels())
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: degradation replan at %d channels: %w", eff, err)
-			}
-			delta, err := eng.SetChannels(eff)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: degradation replan at %d channels: %w", eff, err)
-			}
-			res.Result.Replan = &chaos.Replan{
-				EffectiveChannels: eff,
-				Frequencies:       eng.Frequencies(),
-				MajorCycle:        eng.Program().Length(),
-				AnalyticDelay:     eng.Delay(),
-				DeltaKind:         delta.Kind.String(),
-				ClearedCells:      delta.ClearedCells,
-				PlacedCells:       delta.PlacedCells,
-			}
-		}
-	}
-	return res, nil
-}
-
-// summarize mirrors the engines' summary construction.
-func summarize(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
+	return nil
 }

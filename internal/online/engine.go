@@ -25,19 +25,7 @@ type admitted struct {
 // bucketOf is the admission slot of arrival a: the first integer slot at
 // which an airing can serve it (float64(s) >= a).
 func bucketOf(a float64) int {
-	return int(ceilF(a))
-}
-
-// ceilF mirrors core's dependency-free ceiling for non-negative floats.
-func ceilF(x float64) float64 {
-	if x >= 1<<63 {
-		return x
-	}
-	i := float64(int64(x))
-	if i < x {
-		return i + 1
-	}
-	return i
+	return int(core.Ceil(a))
 }
 
 // admit drains the stream (serially — the decision pass is sequential

@@ -1,16 +1,11 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"tcsa/internal/core"
-	"tcsa/internal/stats"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -41,58 +36,9 @@ func buildAirIndex(pages int, airings []Airing) *airIndex {
 	return ix
 }
 
-// nextOnline is the first online airing of page at or after arrival a, as
-// a flow time (float64(slot) - a), or +Inf when the page never airs online
-// again. Airings never wrap: the log is a finite timeline, not a cycle.
-func (ix *airIndex) nextOnline(page core.PageID, a float64) float64 {
-	slots := ix.slots[ix.offs[page]:ix.offs[page+1]]
-	if len(slots) == 0 {
-		return math.Inf(1)
-	}
-	target := int64(ceilF(a))
-	k := sort.Search(len(slots), func(i int) bool { return slots[i] >= target })
-	if k == len(slots) {
-		return math.Inf(1)
-	}
-	return float64(slots[k]) - a
-}
-
-// onlineCursor walks one page's airing slots for non-decreasing arrivals,
-// the airIndex analogue of sim's pageCursor: identical arithmetic to
-// nextOnline, amortised O(1) per request. Online slots are absolute (no
-// cycle wrap), so the cursor only ever advances within a shard.
-type onlineCursor struct {
-	k     int32
-	prevA float64
-}
-
-func (ix *airIndex) nextSorted(oc *onlineCursor, page core.PageID, a float64) float64 {
-	if a < oc.prevA {
-		oc.k = 0 // new shard restarted the arrival clock
-	}
-	oc.prevA = a
-	slots := ix.slots[ix.offs[page]:ix.offs[page+1]]
-	k := oc.k
-	for int(k) < len(slots) && float64(slots[k]) < a {
-		k++
-	}
-	oc.k = k
-	if int(k) == len(slots) {
-		return math.Inf(1)
-	}
-	return float64(slots[k]) - a
-}
-
-// mpartial is the per-shard accumulation state of the measurement pass,
-// mirroring sim's partial: disjoint shards written without synchronisation,
-// folded afterwards in ascending shard order so every float and the digest
-// are independent of the worker count.
-type mpartial struct {
-	flow, df       stats.Online
-	flowSum, dfSum float64
-	onlineServed   int64
-	digest         uint64
-	err            error
+// slotsOf is page's ascending online airing slots.
+func (ix *airIndex) slotsOf(page core.PageID) []int64 {
+	return ix.slots[ix.offs[page]:ix.offs[page+1]]
 }
 
 // measure computes every request's flow against the fixed push+online
@@ -101,235 +47,73 @@ type mpartial struct {
 // the same page in the same slot, so the min is never a tie and the serving
 // tier is unambiguous; it also guarantees the min reproduces the decision
 // pass's clearing instants (a waiting request is cleared by whichever tier
-// airs its page first).
+// airs its page first). It is one visit on the sim.FoldShards kernel: the
+// flow is the value, the delay factor the derived value, and being served
+// online the hit.
 func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg Config) (*Result, error) {
 	count := stream.Count()
-	gs := prog.GroupSet()
-	pages := gs.Pages()
+	pages := prog.GroupSet().Pages()
 	res := &Result{Requests: count}
 	if count == 0 {
 		return res, nil
 	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := stream.Shards()
-	if workers > shards {
-		workers = shards
-	}
-
 	a := core.Analyze(prog)
 	ix := a.Index()
 	air := buildAirIndex(pages, airings)
 	L := float64(prog.Length())
 	pure := cfg.Split.Mode == SplitPureOnline
 	sorted := stream.Sorted()
-	times := make([]float64, pages)
-	for i := range times {
-		times[i] = float64(gs.TimeOf(core.PageID(i)))
-	}
-
-	var flows []float64
-	var servedOn []bool
+	times := sim.ExpectedTimes(prog.GroupSet())
 	if cfg.RecordFlows {
-		flows = make([]float64, count)
-		servedOn = make([]bool, count)
+		res.Flows = make([]float64, count)
+		res.ServedOnline = make([]bool, count)
 	}
-
-	partials := make([]mpartial, shards)
-	flowSketches := make([]*stats.Sketch, workers)
-	dfSketches := make([]*stats.Sketch, workers)
-
-	var nextShard atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	var sketchErr atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(widx int) {
-			defer wg.Done()
-			fs, err1 := stats.NewSketch(L/(1<<20), flowSketchSpan*L, sketchQuantileAccuracy)
-			ds, err2 := stats.NewSketch(dfSketchLo, dfSketchHi, sketchQuantileAccuracy)
-			if err1 != nil || err2 != nil {
-				sketchErr.Store(errors.Join(err1, err2))
-				failed.Store(true)
-				return
-			}
-			flowSketches[widx] = fs
-			dfSketches[widx] = ds
-			cur := stream.NewCursor()
-			var pushCursors []pageCursor
-			var onCursors []onlineCursor
-			if sorted {
-				pushCursors = make([]pageCursor, pages)
-				onCursors = make([]onlineCursor, pages)
-			}
-			var r workload.Request
-			for {
-				if failed.Load() {
-					return
+	fold, err := sim.FoldShards(stream, cfg.Workers, flowSpan(L), dfSpan, func() sim.Visit {
+		push, on := sim.NewCursors(sorted, pages), sim.NewCursors(sorted, pages)
+		var r workload.Request
+		return func(shard int, cur workload.Cursor, p *sim.Partial) error {
+			for local := 0; cur.Next(&r); local++ {
+				// The decision pass validated the stream; a request it
+				// never saw means the stream is not replayable.
+				if r.Page < 0 || int(r.Page) >= pages || r.Arrival < 0 {
+					return fmt.Errorf("online: stream not replayable: request %d/%d changed to page %d arrival %f",
+						shard, local, r.Page, r.Arrival)
 				}
-				k := int(nextShard.Add(1)) - 1
-				if k >= shards {
-					return
+				flowPush := math.Inf(1)
+				if cols := ix.Columns(r.Page); !pure && len(cols) != 0 {
+					// Identical arithmetic to the serial reference's
+					// float64(serveSlot) - arrival: math.Mod is exact,
+					// so both subtractions round the same real number.
+					u := math.Mod(r.Arrival, L)
+					flowPush = sim.WaitAt(cols, sim.NextIndex(push, r.Page, cols, u), u, L)
 				}
-				p := &partials[k]
-				d := fnvOffset
-				cur.Seek(k)
-				for local := 0; cur.Next(&r); local++ {
-					// The decision pass validated the stream; a request it
-					// never saw means the stream is not replayable.
-					if r.Page < 0 || int(r.Page) >= pages || r.Arrival < 0 {
-						p.err = fmt.Errorf("online: stream not replayable: request %d/%d changed to page %d arrival %f",
-							k, local, r.Page, r.Arrival)
-						failed.Store(true)
-						return
-					}
-					flowPush := math.Inf(1)
-					if !pure {
-						// Identical arithmetic to the serial reference's
-						// float64(serveSlot) - arrival: math.Mod is exact,
-						// so both subtractions round the same real number.
-						if cols := ix.Columns(r.Page); len(cols) != 0 {
-							u := math.Mod(r.Arrival, L)
-							if sorted {
-								flowPush = nextSorted(&pushCursors[r.Page], cols, u, L)
-							} else {
-								flowPush = a.NextAfter(r.Page, u)
-							}
-						}
-					}
-					var flowOn float64
-					if sorted {
-						flowOn = air.nextSorted(&onCursors[r.Page], r.Page, r.Arrival)
-					} else {
-						flowOn = air.nextOnline(r.Page, r.Arrival)
-					}
-					flow := flowPush
-					online := false
-					if flowOn < flowPush {
-						flow = flowOn
-						online = true
-						p.onlineServed++
-					}
-					if math.IsInf(flow, 1) {
-						p.err = fmt.Errorf("online: request %d/%d page %d never served (internal inconsistency)",
-							k, local, r.Page)
-						failed.Store(true)
-						return
-					}
-					df := flow / times[r.Page]
-					if df < 1 {
-						df = 1
-					}
-					p.flow.Add(flow)
-					p.df.Add(df)
-					p.flowSum += flow
-					p.dfSum += df
-					fs.Add(flow)
-					ds.Add(df)
-					d = fnv64(d, uint64(uint32(r.Page)))
-					d = fnv64(d, math.Float64bits(flow))
-					served := uint64(0)
-					if online {
-						served = 1
-					}
-					d = fnv64(d, served)
-					if cfg.RecordFlows {
-						flows[k*workload.ShardSize+local] = flow
-						servedOn[k*workload.ShardSize+local] = online
-					}
+				// Online airings never wrap: the log is a finite
+				// timeline, not a cycle.
+				flowOn := math.Inf(1)
+				slots := air.slotsOf(r.Page)
+				if k := sim.NextIndex(on, r.Page, slots, r.Arrival); int(k) < len(slots) {
+					flowOn = float64(slots[k]) - r.Arrival
 				}
-				p.digest = d
+				flow, online := flowPush, flowOn < flowPush
+				if online {
+					flow = flowOn
+				}
+				if math.IsInf(flow, 1) {
+					return fmt.Errorf("online: request %d/%d page %d never served (internal inconsistency)",
+						shard, local, r.Page)
+				}
+				addFlow(p, r.Page, flow, times[r.Page], online)
+				if cfg.RecordFlows {
+					i := shard*workload.ShardSize + local
+					res.Flows[i], res.ServedOnline[i] = flow, online
+				}
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	for k := range partials {
-		if partials[k].err != nil {
-			return nil, partials[k].err
+			return nil
 		}
-	}
-	if err, _ := sketchErr.Load().(error); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	// Fold partials in shard order (worker-independent), sketches in worker
-	// order (integer buckets, so any order yields the same quantiles).
-	var flow, df stats.Online
-	var flowSum, dfSum float64
-	var onlineServed int64
-	digest := fnvOffset
-	for k := range partials {
-		flow.Merge(partials[k].flow)
-		df.Merge(partials[k].df)
-		flowSum += partials[k].flowSum
-		dfSum += partials[k].dfSum
-		onlineServed += partials[k].onlineServed
-		digest = fnv64(digest, partials[k].digest)
-	}
-	flowSketch, dfSketch := flowSketches[0], dfSketches[0]
-	for w := 1; w < workers; w++ {
-		if flowSketches[w] == nil {
-			continue // worker exited before claiming a shard
-		}
-		if err := flowSketch.Merge(flowSketches[w]); err != nil {
-			return nil, err
-		}
-		if err := dfSketch.Merge(dfSketches[w]); err != nil {
-			return nil, err
-		}
-	}
-
-	res.OnlineServed = int(onlineServed)
-	res.PushServed = count - int(onlineServed)
-	res.AvgFlow = flowSum / float64(count)
-	res.MaxFlow = flow.Max()
-	res.AvgDelayFactor = dfSum / float64(count)
-	res.MaxDelayFactor = df.Max()
-	res.Flow = summaryOf(flow, flowSketch)
-	res.DelayFactor = summaryOf(df, dfSketch)
-	res.TraceDigest = digest
-	res.Flows = flows
-	res.ServedOnline = servedOn
+	setFold(res, fold)
 	return res, nil
-}
-
-// pageCursor + nextSorted mirror sim's sorted-shard column walk: identical
-// arithmetic to Analysis.NextAfter (identical bits), amortised O(1).
-type pageCursor struct {
-	k     int32
-	prevU float64
-}
-
-func nextSorted(pc *pageCursor, cols []int32, u, L float64) float64 {
-	if u < pc.prevU {
-		pc.k = 0 // arrival wrapped to a new cycle (or a new shard began)
-	}
-	pc.prevU = u
-	k := pc.k
-	for int(k) < len(cols) && float64(cols[k]) < u {
-		k++
-	}
-	pc.k = k
-	if int(k) == len(cols) {
-		return float64(cols[0]) + L - u
-	}
-	return float64(cols[k]) - u
-}
-
-func summaryOf(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
 }

@@ -30,10 +30,10 @@
 //
 // Run is the production path: a serial slot-level decision pass (the
 // scheduling itself is inherently sequential) followed by a sharded
-// parallel measurement pass over the then-fixed airing timeline, exactly
-// the sim.MeasureStream worker discipline. RunSerial is the retained
-// one-pass reference implementation the differential and fuzz suites pin
-// Run against, bit for bit.
+// parallel measurement pass over the then-fixed airing timeline, one visit
+// on the sim.FoldShards kernel. RunSerial is the retained one-pass
+// reference implementation the differential and fuzz suites pin Run
+// against, bit for bit.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package online
@@ -43,6 +43,7 @@ import (
 	"math"
 
 	"tcsa/internal/core"
+	"tcsa/internal/sim"
 	"tcsa/internal/stats"
 )
 
@@ -273,32 +274,45 @@ type Result struct {
 	ServedOnline []bool
 }
 
-// flowSketchSpan is the sketch range multiplier: flows up to
-// flowSketchSpan cycles resolve to ~1% buckets, larger flows clamp into
-// the top bucket (the exact Max is carried separately).
-const flowSketchSpan = 64
+// flowSpan is the flow sketch range: flows up to 64 cycles resolve to ~1%
+// buckets, larger flows clamp into the top bucket (the exact Max is
+// carried separately).
+func flowSpan(L float64) sim.Span { return sim.CycleSpan(L, 64) }
 
-// Delay-factor sketch range: factors are >= 1 by definition, so lo = 0.5
-// keeps them out of the sketch's zero bucket; factors beyond dfSketchHi
-// clamp into the top bucket.
-const (
-	dfSketchLo = 0.5
-	dfSketchHi = 4096
-)
+// dfSpan is the delay-factor sketch range: factors are >= 1 by
+// definition, so lo = 0.5 keeps them out of the sketch's zero bucket;
+// factors beyond 4096 clamp into the top bucket.
+var dfSpan = sim.Span{Lo: 0.5, Hi: 4096}
 
-// sketchQuantileAccuracy mirrors sim.MeasureStream's bucket width.
-const sketchQuantileAccuracy = 0.01
-
-// FNV-1a 64-bit folding, the repo's standard trace-digest construction
-// (same as chaos.TraceDigest).
-const (
-	fnvOffset uint64 = 0xcbf29ce484222325
-	fnvPrime  uint64 = 0x100000001b3
-)
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
+// addFlow folds one request's flow into p: the delay factor max(1, flow/t)
+// is the derived value, and being served online is both the hit and the
+// digest tag.
+func addFlow(p *sim.Partial, page core.PageID, flow, t float64, online bool) {
+	df := flow / t
+	if df < 1 {
+		df = 1
 	}
-	return h
+	var tag uint64
+	if online {
+		tag = 1
+	}
+	p.Add(page, flow, df, tag, online)
+}
+
+// setFold fills res's measured fields from the kernel's fold; an empty
+// fold leaves them zero.
+func setFold(res *Result, f sim.Fold) {
+	if f.N == 0 {
+		return
+	}
+	n := float64(f.N)
+	res.OnlineServed = int(f.Hits)
+	res.PushServed = f.N - int(f.Hits)
+	res.AvgFlow = f.ValueSum / n
+	res.MaxFlow = f.Value.Max
+	res.AvgDelayFactor = f.DerivedSum / n
+	res.MaxDelayFactor = f.Derived.Max
+	res.Flow = f.Value
+	res.DelayFactor = f.Derived
+	res.TraceDigest = f.Digest
 }

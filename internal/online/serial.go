@@ -7,7 +7,7 @@ import (
 	"sort"
 
 	"tcsa/internal/core"
-	"tcsa/internal/stats"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -100,10 +100,7 @@ func RunSerial(prog *core.Program, stream workload.Stream, cfg Config) (*Result,
 
 	// waiting[p] is page p's live request list, insertion-ordered.
 	waiting := make([][]sreq, pages)
-	times := make([]float64, pages)
-	for i := range times {
-		times[i] = float64(gs.TimeOf(core.PageID(i)))
-	}
+	times := sim.ExpectedTimes(gs)
 
 	flows := make([]float64, n)
 	servedOn := make([]bool, n)
@@ -247,15 +244,22 @@ func RunSerial(prog *core.Program, stream workload.Stream, cfg Config) (*Result,
 		}
 	}
 
-	pageOf := make([]core.PageID, n)
-	for i := range reqs {
-		pageOf[i] = reqs[i].page
-	}
-	res, err := summarizeSerial(pageOf, flows, servedOn, times, float64(L))
+	// Fold the outcomes in request order on the measurement kernel, one
+	// worker, so the reference shares only the bookkeeping with Run.
+	fold, err := sim.FoldShards(stream, 1, flowSpan(float64(L)), dfSpan, func() sim.Visit {
+		return func(shard int, _ workload.Cursor, p *sim.Partial) error {
+			end := min(n, (shard+1)*workload.ShardSize)
+			for i := shard * workload.ShardSize; i < end; i++ {
+				addFlow(p, reqs[i].page, flows[i], times[reqs[i].page], servedOn[i])
+			}
+			return nil
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Requests = n
+	res := &Result{Requests: n}
+	setFold(res, fold)
 	res.OnlineAirings = len(airings)
 	res.StolenSlots = stolen
 	res.HorizonSlots = horizon
@@ -264,72 +268,5 @@ func RunSerial(prog *core.Program, stream workload.Stream, cfg Config) (*Result,
 		res.Flows = flows
 		res.ServedOnline = servedOn
 	}
-	return res, nil
-}
-
-// summarizeSerial folds per-request outcomes exactly the way the parallel
-// measurement pass does — per-shard left-to-right sums and Welford moments
-// merged in ascending shard order, one sketch, per-shard FNV digests folded
-// in shard order — so a bit-identical Result is the expected outcome, not a
-// lucky one.
-func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, times []float64, L float64) (*Result, error) {
-	n := len(flows)
-	res := &Result{}
-	if n == 0 {
-		return res, nil
-	}
-	fs, err1 := stats.NewSketch(L/(1<<20), flowSketchSpan*L, sketchQuantileAccuracy)
-	ds, err2 := stats.NewSketch(dfSketchLo, dfSketchHi, sketchQuantileAccuracy)
-	if err1 != nil || err2 != nil {
-		return nil, errors.Join(err1, err2)
-	}
-	var flow, df stats.Online
-	var flowSum, dfSum float64
-	onlineServed := 0
-	digest := fnvOffset
-	for start := 0; start < n; start += workload.ShardSize {
-		end := start + workload.ShardSize
-		if end > n {
-			end = n
-		}
-		var cflow, cdf stats.Online
-		var cflowSum, cdfSum float64
-		d := fnvOffset
-		for i := start; i < end; i++ {
-			f := flows[i]
-			v := f / times[pageOf[i]]
-			if v < 1 {
-				v = 1
-			}
-			cflow.Add(f)
-			cdf.Add(v)
-			cflowSum += f
-			cdfSum += v
-			fs.Add(f)
-			ds.Add(v)
-			d = fnv64(d, uint64(uint32(pageOf[i])))
-			d = fnv64(d, math.Float64bits(f))
-			served := uint64(0)
-			if servedOn[i] {
-				served = 1
-				onlineServed++
-			}
-			d = fnv64(d, served)
-		}
-		flow.Merge(cflow)
-		df.Merge(cdf)
-		flowSum += cflowSum
-		dfSum += cdfSum
-		digest = fnv64(digest, d)
-	}
-	res.OnlineServed = onlineServed
-	res.PushServed = n - onlineServed
-	res.AvgFlow = flowSum / float64(n)
-	res.MaxFlow = flow.Max()
-	res.AvgDelayFactor = dfSum / float64(n)
-	res.MaxDelayFactor = df.Max()
-	res.Flow = summaryOf(flow, fs)
-	res.DelayFactor = summaryOf(df, ds)
-	res.TraceDigest = digest
 	return res, nil
 }

@@ -377,12 +377,12 @@ func TestNextSortedAgreesWithNextAfter(t *testing.T) {
 		if len(cols) == 0 {
 			continue
 		}
-		var pc pageCursor
+		cursors := NewCursors(true, gs.Pages())
 		// Non-decreasing instants with repeats and exact hits, then a wrap.
 		us := []float64{0, 0, 0.5, float64(cols[0]), float64(cols[0]), L - 0.25}
 		us = append(us, 0.125, 1, L-1e-9) // wrapped cycle
 		for _, u := range us {
-			got := nextSorted(&pc, cols, u, L)
+			got := WaitAt(cols, NextIndex(cursors, core.PageID(id), cols, u), u, L)
 			want := a.NextAfter(core.PageID(id), u)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("page %d u=%v: cursor %v, NextAfter %v", id, u, got, want)

@@ -142,12 +142,18 @@ func (s *Sketch) Quantile(p float64) float64 {
 // the moment fields (N, Mean, StdDev, Min, Max) are exact, the quantiles
 // are bucket estimates per Quantile.
 func (s *Sketch) Summary() Summary {
+	return s.SummaryOf(s.moments)
+}
+
+// SummaryOf is Summary with the moment fields taken from o, for callers
+// that fold the same observations' moments in an order of their own.
+func (s *Sketch) SummaryOf(o Online) Summary {
 	return Summary{
-		N:      int(s.moments.N()),
-		Mean:   s.moments.Mean(),
-		StdDev: s.moments.StdDev(),
-		Min:    s.moments.Min(),
-		Max:    s.moments.Max(),
+		N:      int(o.N()),
+		Mean:   o.Mean(),
+		StdDev: o.StdDev(),
+		Min:    o.Min(),
+		Max:    o.Max(),
 		P50:    s.Quantile(0.50),
 		P95:    s.Quantile(0.95),
 		P99:    s.Quantile(0.99),

@@ -23,7 +23,7 @@ echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
 echo "==> go test -race (concurrent packages)"
-go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/experiments/... ./cmd/...
+go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
 
 echo "==> chaos smoke (determinism gate against BENCH_chaos.json)"
 go run ./cmd/airbench -chaos -chaosout BENCH_chaos_new.json -chaosbaseline BENCH_chaos.json
