@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzReplanEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/replan/
 	$(GO) test -fuzz='FuzzOndemandQueue$$'     -fuzztime=$(FUZZTIME) ./internal/ondemand/
 	$(GO) test -fuzz='FuzzOnlineEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/online/
+	$(GO) test -fuzz='FuzzLoadgenEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/loadgen/
 
 # Smoke the hot-path benchmarks and the benchmark-trajectory harness (see
 # docs/perf.md). `make bench BASELINE=BENCH_sweep.json` also compares; the
@@ -48,7 +49,7 @@ fuzz:
 # BENCH_build.json baseline.
 bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'Fanout' -benchtime=1x -benchmem ./internal/netcast/
+	$(GO) test -run '^$$' -bench 'Fanout|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 	$(GO) run ./cmd/airbench -bench -stride 8 -skipopt -requests 300 -dist sskew \
 		-buildout BENCH_build_new.json -buildbaseline BENCH_build.json \

@@ -150,61 +150,19 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	})
 }
 
-// client is one pending request's delivery state machine.
+// client is one pending request's delivery state machine. The fields are
+// ordered so the calendar link packs into what would otherwise be padding:
+// the record is 48 bytes.
 type client struct {
 	next     int64 // absolute slot of the pending delivery opportunity
 	glob     int64 // global request index (shard*ShardSize + local)
-	page     core.PageID
 	u        float64
+	page     core.PageID
 	k        int32
 	wraps    int32
 	attempts int32
 	ch       int32 // channel of the pending opportunity
-}
-
-// eventHeap is a binary min-heap of clients keyed by next slot. It is
-// hand-rolled (rather than container/heap) so pushes and pops in the
-// million-client hot loop stay devirtualised and allocation-free.
-type eventHeap []client
-
-func (h eventHeap) less(i, j int) bool { return h[i].next < h[j].next }
-
-func (h *eventHeap) push(c client) {
-	*h = append(*h, c)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() client {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
+	link     int32 // next client in the same calendar bucket; -1 ends it
 }
 
 // engine carries the shared state of one RunStream measurement.
@@ -265,6 +223,9 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	shards := stream.Shards()
 	if workers > shards {
 		workers = shards
+	}
+	if n := ownedClients(count, 0, workers); n > math.MaxInt32 {
+		return nil, fmt.Errorf("loadgen: %d clients on one of %d workers overflow the calendar's int32 links", n, workers)
 	}
 	ring, err := netcast.NewBroadcastRing(prog.Channels(), opts.RingSlots)
 	if err != nil {
@@ -341,9 +302,9 @@ func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) 
 // deterministic function of the plan — pacing itself so no slot a client
 // still needs is ever overwritten: slot abs may air only once every
 // worker's pending watermark is within one ring length of it. Watermarks
-// are per-worker monotone (a heap pops in slot order and every retry
-// reschedules later), so a slot that cleared the gate can never be
-// wanted again.
+// are per-worker monotone (a worker drains its calendar in slot order and
+// every retry reschedules later), so a slot that cleared the gate can
+// never be wanted again.
 func (e *engine) broadcast(ctx context.Context, caster *netcast.Caster, slots int64) error {
 	ringSlots := int64(e.ring.Slots())
 	for abs := int64(0); abs < slots; abs++ {
@@ -375,14 +336,28 @@ func (e *engine) minWatermark() int64 {
 }
 
 // work runs one client shard-group: build the delivery state machines
-// for every owned shard, then drain them in slot order against the ring.
-// The worker's watermark stays 0 for the whole build phase — a later
-// shard can contribute an earlier first event, so advancing it early
-// would let the broadcaster overwrite a slot a still-unbuilt client
-// needs.
+// for every owned shard into a slot calendar, then drain it in slot order
+// against the ring. The worker's watermark stays 0 for the whole build
+// phase — a later shard can contribute an earlier first event, so
+// advancing it early would let the broadcaster overwrite a slot a
+// still-unbuilt client needs.
+//
+// The calendar is a ring of 2L bucket heads indexed by absolute slot
+// mod 2L, each the head of a list linked through client.link. The program
+// repeats every L slots, so while slot s drains every pending opportunity
+// lies in [s, s+2L): a first opportunity is at most one wrap past the
+// arrival offset, below 2L, and a retry moves to the page's next airing,
+// at most L ahead. No two pending slots therefore share a bucket.
+// Order within a bucket is immaterial: every outcome is a pure function
+// of (request, plan), recorded at its global index.
 func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 	defer e.watermarks[w].Store(math.MaxInt64)
-	heap := make(eventHeap, 0, (e.stream.Count()/workers)+1)
+	clients := make([]client, 0, ownedClients(e.stream.Count(), w, workers))
+	window := 2 * int64(e.cycleLen)
+	heads := make([]int32, window)
+	for i := range heads {
+		heads[i] = -1
+	}
 	cur := e.stream.NewCursor()
 	L := float64(e.cycleLen)
 	var r workload.Request
@@ -415,42 +390,70 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				e.waits[glob] = float64(e.maxCycles) * L
 				continue
 			}
-			heap.push(client{
+			next := int64(wraps)*int64(e.cycleLen) + int64(cols[k])
+			b := next % window
+			clients = append(clients, client{
 				glob:  glob,
 				page:  r.Page,
 				u:     u,
 				k:     k,
 				wraps: wraps,
-				next:  int64(wraps)*int64(e.cycleLen) + int64(cols[k]),
+				next:  next,
 				ch:    e.chanOf[r.Page][k],
+				link:  heads[b],
 			})
+			heads[b] = int32(len(clients) - 1)
 		}
 	}
-	for len(heap) > 0 {
-		next := heap[0].next
-		e.watermarks[w].Store(next)
-		ch := int(heap[0].ch)
-		for e.ring.Head(ch) <= next {
-			if err := ctx.Err(); err != nil {
+	pending := len(clients)
+	for s := int64(0); pending > 0; s++ {
+		b := s % window
+		i := heads[b]
+		if i < 0 {
+			continue
+		}
+		heads[b] = -1
+		e.watermarks[w].Store(s)
+		for i >= 0 {
+			c := &clients[i]
+			for e.ring.Head(int(c.ch)) <= s {
+				if err := ctx.Err(); err != nil {
+					e.failed.Store(true)
+					return err
+				}
+				if e.failed.Load() {
+					return nil
+				}
+				runtime.Gosched()
+			}
+			link := c.link
+			done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)], L)
+			if err != nil {
 				e.failed.Store(true)
 				return err
 			}
-			if e.failed.Load() {
-				return nil
+			if done {
+				pending--
+			} else {
+				nb := c.next % window
+				c.link, heads[nb] = heads[nb], i
 			}
-			runtime.Gosched()
-		}
-		c := heap.pop()
-		done, err := e.step(&c, &e.ledgers[int(c.glob/workload.ShardSize)], L)
-		if err != nil {
-			e.failed.Store(true)
-			return err
-		}
-		if !done {
-			heap.push(c)
+			i = link
 		}
 	}
 	return nil
+}
+
+// ownedClients is how many of count requests worker w of workers owns:
+// the shards w, w+workers, w+2*workers, ... The calendar links clients by
+// int32 index, so RunStream refuses a worker that would own more than
+// math.MaxInt32.
+func ownedClients(count, w, workers int) int {
+	n := 0
+	for start := w * workload.ShardSize; start < count; start += workers * workload.ShardSize {
+		n += min(workload.ShardSize, count-start)
+	}
+	return n
 }
 
 // step resolves one delivery opportunity for client c against the ring,

@@ -32,8 +32,9 @@ const (
 	FrameSize = 16
 )
 
-// Field offsets of the encoded frame. appendFrame and parseFrame index
-// through these so the layout is written down exactly once.
+// Field offsets of the encoded frame; parseFrame indexes through these.
+// appendFrame and frameFromWords handle the same layout as two big-endian
+// words: w0 holds bytes 0-7 (magic to checksum), w1 bytes 8-15.
 const (
 	frameMagicOff   = 0  // magic(2)
 	frameVersionOff = 2  // version(1)
@@ -63,39 +64,59 @@ var ErrBadFrame = errors.New("netcast: bad frame")
 // Encoding (big endian): magic(2) version(1) flags(1) channel(2)
 // checksum(2) slot(4) page(4). Page -1 (empty slot) is carried as the
 // two's-complement pattern. The checksum is frameSum over the other 14
-// bytes; version-1 frames carried zeros there and are accepted unchecked.
+// bytes; version-1 frames carried zeros there and are accepted unchecked
+// when those bytes are still zero.
 type Frame struct {
 	Channel int
 	Slot    uint32
 	Page    core.PageID
 }
 
-// frameSum is a 16-bit FNV-1a fold over the frame bytes outside the
-// checksum field: cheap enough for a per-slot hot path, strong enough
-// that a corrupted payload byte is caught (a single flipped bit always
-// changes the fold).
-func frameSum(b []byte) uint16 {
-	h := uint32(2166136261)
-	for i, c := range b {
-		if i == frameSumOff || i == frameSumOff+1 {
-			continue // the checksum's own slot
-		}
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return uint16(h>>16) ^ uint16(h)
-}
+// frameSum is a CRC-16/CCITT (polynomial 0x1021, initial value 0xFFFF)
+// over the frame bytes outside the checksum field. A CRC whose generator
+// has both end terms detects every error burst of up to 16 bits, so every
+// single-byte corruption of the other 14 bytes is caught. b must hold a
+// whole frame; the CRC runs over its packed words (frameSumWords).
+func frameSum(b []byte) uint16 { return frameSumWords(packFrameWords(b)) }
 
-// appendFrame encodes f onto buf.
+const (
+	crcPoly = 0x1021
+	crcInit = 0xFFFF
+)
+
+// crcTable[k][v] is the CRC register after feeding byte v and then k zero
+// bytes into a zero register. The CRC is linear, so feeding n bytes at
+// once — the register XORed into the first two — is the XOR of one
+// lookup per byte: crcTable[n-1] for the first, crcTable[0] for the last.
+var crcTable = func() (t [8][256]uint16) {
+	for v := range t[0] {
+		crc := uint16(v) << 8
+		for bit := 0; bit < 8; bit++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ crcPoly
+			} else {
+				crc <<= 1
+			}
+		}
+		t[0][v] = crc
+	}
+	for k := 1; k < len(t); k++ {
+		for v := range t[k] {
+			t[k][v] = t[k-1][v]<<8 ^ t[0][t[k-1][v]>>8]
+		}
+	}
+	return t
+}()
+
+// appendFrame encodes f onto buf. It assembles the two big-endian words
+// frameFromWords reads, so the checksum is computed on registers rather
+// than re-read from bytes just written.
 func appendFrame(buf []byte, f Frame) []byte {
-	var b [FrameSize]byte
-	binary.BigEndian.PutUint16(b[frameMagicOff:], frameMagic)
-	b[frameVersionOff] = frameVersion
-	b[frameFlagsOff] = 0
-	binary.BigEndian.PutUint16(b[frameChannelOff:], uint16(f.Channel))
-	binary.BigEndian.PutUint32(b[frameSlotOff:], f.Slot)
-	binary.BigEndian.PutUint32(b[framePageOff:], uint32(f.Page))
-	binary.BigEndian.PutUint16(b[frameSumOff:], frameSum(b[:]))
-	return append(buf, b[:]...)
+	w0 := uint64(frameMagic)<<48 | uint64(frameVersion)<<40 | uint64(uint16(f.Channel))<<16
+	w1 := uint64(f.Slot)<<32 | uint64(uint32(f.Page))
+	w0 |= uint64(frameSumWords(w0, w1))
+	buf = binary.BigEndian.AppendUint64(buf, w0)
+	return binary.BigEndian.AppendUint64(buf, w1)
 }
 
 // parseFrame decodes one datagram.
@@ -112,7 +133,10 @@ func parseFrame(b []byte) (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: checksum %#04x, computed %#04x", ErrBadFrame, got, want)
 		}
 	case frameVersionV1:
-		// Pre-checksum wire format: nothing further to verify.
+		// Pre-checksum wire format: the checksum bytes were reserved zeros.
+		if sum := binary.BigEndian.Uint16(b[frameSumOff:]); sum != 0 {
+			return Frame{}, fmt.Errorf("%w: version-1 reserved bytes %#04x", ErrBadFrame, sum)
+		}
 	default:
 		return Frame{}, fmt.Errorf("%w: version %d", ErrBadFrame, b[frameVersionOff])
 	}
@@ -142,7 +166,10 @@ func frameFromWords(w0, w1 uint64) (Frame, bool) {
 			return Frame{}, false
 		}
 	case frameVersionV1:
-		// Pre-checksum wire format: nothing further to verify.
+		// Pre-checksum wire format: the checksum bytes were reserved zeros.
+		if uint16(w0) != 0 {
+			return Frame{}, false
+		}
 	default:
 		return Frame{}, false
 	}
@@ -153,22 +180,18 @@ func frameFromWords(w0, w1 uint64) (Frame, bool) {
 	}, true
 }
 
-// frameSumWords is frameSum over the packed words: identical fold,
-// identical skip of the checksum's own bytes.
+// frameSumWords is frameSum over the packed words. The checksum field is
+// the low two bytes of w0, so the CRC takes w0's top six bytes in one step
+// and w1's eight in a second, each step a tree of independent table
+// lookups — cheap enough for the per-slot publish and poll hot paths.
 func frameSumWords(w0, w1 uint64) uint16 {
-	h := uint32(2166136261)
-	for i := 0; i < FrameSize; i++ {
-		if i == frameSumOff || i == frameSumOff+1 {
-			continue
-		}
-		w := w0
-		if i >= 8 {
-			w = w1
-		}
-		c := byte(w >> (56 - 8*uint(i%8)))
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return uint16(h>>16) ^ uint16(h)
+	t := &crcTable
+	x := w0 ^ crcInit<<48
+	crc := t[5][byte(x>>56)] ^ t[4][byte(x>>48)] ^ t[3][byte(x>>40)] ^
+		t[2][byte(x>>32)] ^ t[1][byte(x>>24)] ^ t[0][byte(x>>16)]
+	x = w1 ^ uint64(crc)<<48
+	return t[7][byte(x>>56)] ^ t[6][byte(x>>48)] ^ t[5][byte(x>>40)] ^ t[4][byte(x>>32)] ^
+		t[3][byte(x>>24)] ^ t[2][byte(x>>16)] ^ t[1][byte(x>>8)] ^ t[0][byte(x)]
 }
 
 // Control datagrams.

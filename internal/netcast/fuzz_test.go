@@ -14,6 +14,10 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x7C, 0x5A, 1, 0})
 	f.Add(make([]byte, FrameSize))
+	// The corruption flip the former folded FNV-1a checksum let through.
+	hole := appendFrame(nil, Frame{Channel: 4, Slot: 21834, Page: 1})
+	hole[corruptFlipOffset] ^= corruptFlipMask
+	f.Add(hole)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := parseFrame(data)
 		if err != nil {

@@ -26,7 +26,7 @@ type PlacementStats struct {
 // sentinel root meaning "no free column at or after c". When a column
 // saturates it is linked to its successor, so repeated scans never re-walk
 // full columns — this replaces the linear window and spill scans of the
-// literal Algorithm 4 (retained in placeEvenlyReference).
+// literal Algorithm 4 (kept in the tests as the oracle).
 type colChain []int32
 
 func newColChain(tMajor int) colChain {
@@ -68,8 +68,8 @@ func (cc colChain) markFull(c int) {
 // fill bottom-up and cells are never cleared, so the first empty channel of
 // column c is exactly nReal - freeInCol[c] — and skips saturated columns
 // through a union-find successor chain, making each placement O(α(t_major))
-// amortized instead of O(window + N). placeEvenlyReference retains the
-// literal scanning algorithm; the package differential tests and
+// amortized instead of O(window + N). The package tests retain the literal
+// scanning algorithm as an oracle; the differential tests and
 // FuzzPAMADPlacement pin the two cell for cell.
 //
 // The same placement routine serves both PAMAD and the m-PB baseline, as in

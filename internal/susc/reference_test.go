@@ -10,9 +10,8 @@ import (
 // every page it rescans channels 0..N-1 from the top (getAvailableSlot),
 // placing each repeat with a per-cell Place call. It is retained verbatim as
 // the differential oracle — TestBuildMatchesReference and
-// FuzzSUSCEquivalence pin Build's grids cell for cell against it — and is
-// deliberately not exported: production callers get the O(cells) cursor
-// build.
+// FuzzSUSCEquivalence pin Build's grids cell for cell against it — and
+// lives in test code: production callers get the O(cells) cursor build.
 func buildReference(gs *core.GroupSet, channels int) (*core.Program, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)

@@ -12,7 +12,7 @@
 //     channel (Theorem 3.3), t_h/t_i appearances per cycle.
 //
 // Build realises that greedy fill without the per-page channel-major rescan
-// of the literal Algorithm 2 (retained as buildReference): because every
+// of the literal Algorithm 2 (kept in the tests as the oracle): because every
 // earlier group's period divides the current one's, the occupied cells of a
 // channel always form whole residue classes modulo the current period, so a
 // channel the scan moves past is completely full and the scan never needs to

@@ -60,6 +60,7 @@ else
     go test -fuzz=FuzzReplanEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/replan/
     go test -fuzz=FuzzOndemandQueue'$'      -fuzztime="$FUZZTIME" ./internal/ondemand/
     go test -fuzz=FuzzOnlineEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/online/
+    go test -fuzz=FuzzLoadgenEquivalence'$' -fuzztime="$FUZZTIME" ./internal/loadgen/
 fi
 
 echo "==> all checks passed"
