@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet airvet lint lint-baseline test race fuzz bench chaos netcast loadgen optscale replan hybrid check
+.PHONY: build vet airvet lint lint-baseline test race fuzz bench gates loadgen check
 
 build:
 	$(GO) build ./...
@@ -43,46 +43,18 @@ fuzz:
 	$(GO) test -fuzz='FuzzOnlineEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/online/
 	$(GO) test -fuzz='FuzzLoadgenEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/loadgen/
 
-# Smoke the hot-path benchmarks and the benchmark-trajectory harness (see
-# docs/perf.md). `make bench BASELINE=BENCH_sweep.json` also compares; the
-# construction-engine report is always gated against the committed
-# BENCH_build.json baseline.
+# Smoke the hot-path benchmarks (see docs/perf.md).
 bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Fanout|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
-	$(GO) run ./cmd/airbench -bench -stride 8 -skipopt -requests 300 -dist sskew \
-		-buildout BENCH_build_new.json -buildbaseline BENCH_build.json \
-		$(if $(BASELINE),-baseline $(BASELINE))
 
-# Chaos determinism smoke: regenerate the chaos trajectory and gate it
-# against the committed BENCH_chaos.json (zero-fault identity + pinned
-# faulted fingerprint). See docs/testing.md.
-chaos:
-	$(GO) run ./cmd/airbench -chaos -chaosout BENCH_chaos_new.json -chaosbaseline BENCH_chaos.json
-
-# Fan-out engine smoke: ring publish cost, loadgen bit-identity, and the
-# sharded-vs-serial UDP slot path, gated against BENCH_netcast.json.
-netcast:
-	$(GO) run ./cmd/airbench -netcast -netcastout BENCH_netcast_new.json -netcastbaseline BENCH_netcast.json
-
-# Optimizer-scaling smoke: run the (1+eps) PTAS ladder — live family/ratio
-# gates plus the committed BENCH_optscale.json checksum baseline. See
+# Every benchmark-trajectory gate in airbench's registry: each writes
+# BENCH_<name>_new.json and fails on any regression against the committed
+# BENCH_<name>.json. One gate: `go run ./cmd/airbench -gate chaos`. See
 # docs/perf.md.
-optscale:
-	$(GO) run ./cmd/airbench -optscale -optscaleout BENCH_optscale_new.json -optscalebaseline BENCH_optscale.json
-
-# Incremental replan smoke: single-page deltas at 10^5 pages must beat a
-# from-scratch PAMAD rebuild by >=10x with a bit-identical grid, gated
-# against the committed BENCH_replan.json. See docs/perf.md.
-replan:
-	$(GO) run ./cmd/airbench -replan -replanout BENCH_replan_new.json -replanbaseline BENCH_replan.json
-
-# Online hybrid tier smoke: serial/parallel bit-identity across worker
-# counts, conservation oracles on a recorded run, and the intensity x split
-# matrix fingerprint, gated against the committed BENCH_hybrid.json.
-hybrid:
-	$(GO) run ./cmd/airbench -hybrid -hybridout BENCH_hybrid_new.json -hybridbaseline BENCH_hybrid.json
+gates:
+	$(GO) run ./cmd/airbench -gate all
 
 # Quick scenario sweep through the broadcast transport; fault-free cells
 # self-verify against sim.MeasureStream. Artifacts land under results/.

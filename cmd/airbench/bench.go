@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
 
 	"tcsa/internal/core"
@@ -18,57 +16,34 @@ import (
 	"tcsa/internal/workload"
 )
 
-// benchConfig carries the -bench mode flags.
-type benchConfig struct {
-	out           string  // -benchout: where to write the report
-	baseline      string  // -baseline: prior report to compare against ("" = none)
-	buildOut      string  // -buildout: where to write the construction report ("" = skip)
-	buildBaseline string  // -buildbaseline: prior construction report ("" = none)
-	slowdown      float64 // -maxslowdown: ns/op bound for the comparison (<=0 off)
-	allocs        float64 // -maxallocgrowth: allocs/op bound (<=0 off)
+// sweepParams is the spec the sweep gate pins: the paper's defaults
+// sampled at every 8th channel count with 300 requests per point and OPT
+// skipped. Changing it is a deliberate BENCH_sweep.json break.
+func sweepParams() experiments.Params {
+	p := experiments.DefaultParams()
+	p.Requests = 300
+	p.ChannelStride = 8
+	p.SkipOPT = true
+	return p
 }
 
-// runBench measures the analysis and sweep hot paths with
-// testing.Benchmark, fingerprints the Figure 5 series each sweep produces,
-// and writes the perf.Report to cfg.out. With a baseline it then compares
-// and fails on any regression, making the benchmark trajectory a CI gate.
-func runBench(p experiments.Params, dists []workload.Distribution, cfg benchConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
-
+// runSweep measures the analysis and sweep hot paths with
+// testing.Benchmark and fingerprints the results they produce, including
+// the S-skewed Figure 5 series.
+func runSweep(rec *recorder) error {
+	p := sweepParams()
 	prog, err := paperProgram(p)
 	if err != nil {
 		return err
 	}
-	add := func(name string, r testing.BenchmarkResult, checksum string) {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp())
-		if checksum != "" {
-			fmt.Fprintf(out, "  series %s", checksum)
-		}
-		fmt.Fprintln(out)
-	}
-
-	add("AppearanceIndex", testing.Benchmark(func(b *testing.B) {
+	rec.add("AppearanceIndex", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			core.BuildAppearanceIndex(prog)
 		}
 	}), "")
 	var analysis *core.Analysis
-	add("Analyze", testing.Benchmark(func(b *testing.B) {
+	rec.add("Analyze", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analysis = core.Analyze(prog)
@@ -86,7 +61,7 @@ func runBench(p experiments.Params, dists []workload.Distribution, cfg benchConf
 		return err
 	}
 	var measured *sim.Metrics
-	add("Measure", testing.Benchmark(func(b *testing.B) {
+	rec.add("Measure", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m, err := sim.MeasureStream(analysis, stream)
@@ -96,7 +71,7 @@ func runBench(p experiments.Params, dists []workload.Distribution, cfg benchConf
 			measured = m
 		}
 	}), perf.SeriesChecksum(metricsFloats(measured)))
-	add("MeasureParallel", testing.Benchmark(func(b *testing.B) {
+	rec.add("MeasureParallel", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m, err := sim.MeasureParallel(analysis, stream, 0)
@@ -107,94 +82,38 @@ func runBench(p experiments.Params, dists []workload.Distribution, cfg benchConf
 		}
 	}), perf.SeriesChecksum(metricsFloats(measured)))
 
-	ctx := context.Background()
-	for _, dist := range dists {
-		var series *experiments.Fig5Series
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := experiments.Figure5(ctx, p, dist)
-				if err != nil {
-					b.Fatal(err)
-				}
-				series = s
+	var series *experiments.Fig5Series
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := experiments.Figure5(context.Background(), p, workload.SSkewed)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		if series == nil {
-			return fmt.Errorf("bench: Figure5 %v produced no series", dist)
+			series = s
 		}
-		add("Figure5/"+dist.String(), r, perf.SeriesChecksum(seriesFloats(series)))
+	})
+	if series == nil {
+		return fmt.Errorf("Figure5 %v produced no series", workload.SSkewed)
 	}
-
-	if err := writeAndCompare(rep, cfg.out, cfg.baseline, cfg, out); err != nil {
-		return err
-	}
-	if cfg.buildOut == "" {
-		return nil
-	}
-	buildRep, err := runBuildBench(p, out)
-	if err != nil {
-		return err
-	}
-	return writeAndCompare(buildRep, cfg.buildOut, cfg.buildBaseline, cfg, out)
+	rec.add("Figure5/"+workload.SSkewed.String(), r, perf.SeriesChecksum(seriesFloats(series)))
+	return nil
 }
 
-// writeAndCompare persists one report and gates it against its baseline.
-func writeAndCompare(rep *perf.Report, path, baseline string, cfg benchConfig, out io.Writer) error {
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (%d samples)\n", path, len(rep.Samples))
-
-	if baseline == "" {
-		return nil
-	}
-	base, err := perf.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("bench: read baseline: %w", err)
-	}
-	regs := perf.Compare(base, rep, perf.Options{MaxSlowdown: cfg.slowdown, MaxAllocGrowth: cfg.allocs})
-	if len(regs) == 0 {
-		fmt.Fprintf(out, "no regressions against %s\n", baseline)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(out, "REGRESSION:", r)
-	}
-	return fmt.Errorf("bench: %d regression(s) against %s", len(regs), baseline)
-}
-
-// runBuildBench measures the construction engine — the three schedulers'
+// runBuild measures the construction engine — the three schedulers'
 // build paths — on the paper's default instance, fingerprinting each
 // produced grid (and OPT's result vector) so the trajectory also detects
 // silent output drift, not just slowdowns.
-func runBuildBench(p experiments.Params, out io.Writer) (*perf.Report, error) {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
+func runBuild(rec *recorder) error {
+	p := experiments.DefaultParams()
 	gs, err := p.Instance(workload.Uniform)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := core.CeilDiv(gs.MinChannels(), 5)
-	add := func(name string, r testing.BenchmarkResult, checksum string) {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op  series %s\n",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), checksum)
-	}
 
 	var suscProg *core.Program
-	add("SUSCBuild", testing.Benchmark(func(b *testing.B) {
+	rec.add("SUSCBuild", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			prog, err := susc.BuildMinimal(gs)
@@ -206,7 +125,7 @@ func runBuildBench(p experiments.Params, out io.Writer) (*perf.Report, error) {
 	}), perf.SeriesChecksum(gridFloats(suscProg)))
 
 	var pamadProg *core.Program
-	add("PAMADBuild", testing.Benchmark(func(b *testing.B) {
+	rec.add("PAMADBuild", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			prog, _, err := pamad.Build(gs, n)
@@ -219,7 +138,7 @@ func runBuildBench(p experiments.Params, out io.Writer) (*perf.Report, error) {
 
 	ctx := context.Background()
 	var optRes *opt.Result
-	add("OPTSearch", testing.Benchmark(func(b *testing.B) {
+	rec.add("OPTSearch", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := opt.Search(ctx, gs, n, opt.Options{MaxFactor: p.OptMaxFactor})
@@ -238,11 +157,11 @@ func runBuildBench(p experiments.Params, out io.Writer) (*perf.Report, error) {
 	// engine drifting silently breaks the baseline.
 	big, err := p.ScaledInstance(workload.Uniform, 100)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bigMin := big.MinChannels()
 	var quality []float64
-	add("ApproxQualityX100", testing.Benchmark(func(b *testing.B) {
+	rec.add("ApproxQualityX100", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			quality = quality[:0]
@@ -262,10 +181,10 @@ func runBuildBench(p experiments.Params, out io.Writer) (*perf.Report, error) {
 		}
 	}), perf.SeriesChecksum(quality))
 	for i := 0; i+2 < len(quality); i += 3 {
-		fmt.Fprintf(out, "  x100 quality @%4.0f channels: PTAS D' %10.2f  PAMAD D' %10.2f  gap %.4f\n",
+		fmt.Fprintf(rec.out, "  x100 quality @%4.0f channels: PTAS D' %10.2f  PAMAD D' %10.2f  gap %.4f\n",
 			quality[i], quality[i+1], quality[i+2], quality[i+2]/quality[i+1])
 	}
-	return rep, nil
+	return nil
 }
 
 // gridFloats flattens a program into the float sequence its checksum

@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
 
 	"tcsa/internal/chaos"
@@ -15,14 +13,6 @@ import (
 	"tcsa/internal/susc"
 	"tcsa/internal/workload"
 )
-
-// chaosConfig carries the -chaos mode flags.
-type chaosConfig struct {
-	out      string // -chaosout: where to write the report
-	baseline string // -chaosbaseline: prior report to compare against ("" = none)
-	slowdown float64
-	allocs   float64
-}
 
 // chaosFaultedConfig is the canonical all-classes fault mix the committed
 // BENCH_chaos.json baseline pins: every fault class active, plus the
@@ -42,19 +32,14 @@ func chaosFaultedConfig(seed int64) chaos.Config {
 	}
 }
 
-// runChaosBench measures the chaos engine on the paper's default instance
-// and writes the BENCH_chaos.json trajectory. Its load-bearing assertion
+// runChaos measures the chaos engine on the paper's default instance.
+// Its load-bearing assertion
 // is the zero-fault identity: a chaos run with no faults enabled must
 // fingerprint bit-for-bit identically to sim.MeasureStream, which is
 // checked here directly and then pinned across commits by the checksum in
 // the committed baseline.
-func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
+func runChaos(rec *recorder) error {
+	p := experiments.DefaultParams()
 	prog, err := paperProgram(p)
 	if err != nil {
 		return err
@@ -68,19 +53,6 @@ func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
 		return err
 	}
 
-	add := func(name string, r testing.BenchmarkResult, checksum string) {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op  series %s\n",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), checksum)
-	}
-
 	// The reference the zero-fault identity is checked against.
 	measured, err := sim.MeasureStream(analysis, stream)
 	if err != nil {
@@ -89,7 +61,7 @@ func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
 	measureSum := perf.SeriesChecksum(metricsFloats(measured))
 
 	var zero *chaos.Result
-	add("ChaosZeroFault", testing.Benchmark(func(b *testing.B) {
+	zeroSum := rec.add("ChaosZeroFault", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := chaos.RunParallel(analysis, stream, chaos.Config{Seed: p.Seed}, 0)
@@ -98,16 +70,15 @@ func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
 			}
 			zero = r
 		}
-	}), perf.SeriesChecksum(metricsFloats(&zero.Metrics)))
-	zeroSum := rep.Samples[len(rep.Samples)-1].Checksum
+	}), perf.SeriesChecksum(metricsFloats(&zero.Metrics))).Checksum
 	if zeroSum != measureSum {
-		return fmt.Errorf("chaos: zero-fault run drifted from sim.MeasureStream: %s != %s",
+		return fmt.Errorf("zero-fault run drifted from sim.MeasureStream: %s != %s",
 			zeroSum, measureSum)
 	}
 	if zero.Ledger != (chaos.Ledger{}) {
-		return fmt.Errorf("chaos: zero-fault run registered faults: ledger %+v", zero.Ledger)
+		return fmt.Errorf("zero-fault run registered faults: ledger %+v", zero.Ledger)
 	}
-	fmt.Fprintf(out, "zero-fault identity holds: chaos == MeasureStream (%s)\n", zeroSum)
+	fmt.Fprintf(rec.out, "zero-fault identity holds: chaos == MeasureStream (%s)\n", zeroSum)
 
 	// The miss-free law: on a SUSC-valid program (sufficient channels),
 	// zero faults must mean zero deadline misses. The sweep instance above
@@ -124,10 +95,10 @@ func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
 	if err := conformance.MissFreeLaw(valid, vres.Misses); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "miss-free law holds: SUSC-valid program, zero faults, %d misses\n", vres.Misses)
+	fmt.Fprintf(rec.out, "miss-free law holds: SUSC-valid program, zero faults, %d misses\n", vres.Misses)
 
 	var faulted *chaos.Result
-	add("ChaosFaulted", testing.Benchmark(func(b *testing.B) {
+	rec.add("ChaosFaulted", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := chaos.RunParallel(analysis, stream, chaosFaultedConfig(p.Seed), 0)
@@ -137,12 +108,9 @@ func runChaosBench(p experiments.Params, cfg chaosConfig, out io.Writer) error {
 			faulted = r
 		}
 	}), perf.SeriesChecksum(chaosFloats(faulted)))
-	fmt.Fprintf(out, "faulted run: misses %d (ratio %.4f), effective loss %.4f, digest %016x\n",
+	fmt.Fprintf(rec.out, "faulted run: misses %d (ratio %.4f), effective loss %.4f, digest %016x\n",
 		faulted.Misses, faulted.MissRatio, faulted.EffectiveLoss, faulted.TraceDigest)
-
-	return writeAndCompare(rep, cfg.out, cfg.baseline, benchConfig{
-		slowdown: cfg.slowdown, allocs: cfg.allocs,
-	}, out)
+	return nil
 }
 
 // chaosFloats flattens a chaos result into the float sequence its

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
@@ -14,14 +13,6 @@ import (
 	"tcsa/internal/perf"
 	"tcsa/internal/workload"
 )
-
-// hybridConfig carries the -hybrid mode flags.
-type hybridConfig struct {
-	out      string // -hybridout: where to write the report
-	baseline string // -hybridbaseline: prior report to compare against ("" = none)
-	slowdown float64
-	allocs   float64
-}
 
 // onlineSeries flattens an online result into the float series the
 // trajectory checksum freezes. The FNV trace digest rides along as two
@@ -70,45 +61,21 @@ func hybridMatrixSpec() (experiments.Params, []float64, []online.Split) {
 	return p, rates, splits
 }
 
-// runHybridBench measures the online hybrid tier and writes the
-// BENCH_hybrid.json trajectory. Its load-bearing assertions run in-process
-// before any number is committed: the sharded parallel engine must be
-// bit-identical to the serial reference at several worker counts, and a
-// recorded run must pass the brute-force conservation and push-integrity
-// oracles. Only then are the wall-time samples and series checksums
-// compared against the baseline.
-func runHybridBench(cfg hybridConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
-	add := func(name string, r testing.BenchmarkResult, checksum string) {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op  series %s\n",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), checksum)
-	}
-
+// runHybrid measures the online hybrid tier. Its load-bearing assertions
+// run in-process before any number is recorded: the sharded engine must
+// be bit-identical across worker counts, and a recorded run must pass the
+// brute-force conservation and push-integrity oracles. The committed
+// baseline then pins the single-worker series against drift.
+func runHybrid(rec *recorder) error {
 	prog, stream, ocfg, err := hybridBenchInstance()
 	if err != nil {
 		return err
 	}
 
-	// Bit-identity gate: the serial reference and the parallel engine must
-	// agree in every float and in the trace digest before we benchmark it.
-	ref, err := online.RunSerial(prog, stream, ocfg)
-	if err != nil {
-		return err
-	}
-	refSum := perf.SeriesChecksum(onlineSeries(ref))
+	// Bit-identity gate: every worker count must agree in every float and
+	// in the trace digest before we benchmark it.
+	var ref *online.Result
+	var refSum string
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		wcfg := ocfg
 		wcfg.Workers = workers
@@ -116,12 +83,14 @@ func runHybridBench(cfg hybridConfig, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if got.TraceDigest != ref.TraceDigest || perf.SeriesChecksum(onlineSeries(got)) != refSum {
-			return fmt.Errorf("hybrid: online run at %d workers diverged from the serial reference (%016x vs %016x)",
+		if ref == nil {
+			ref, refSum = got, perf.SeriesChecksum(onlineSeries(got))
+		} else if got.TraceDigest != ref.TraceDigest || perf.SeriesChecksum(onlineSeries(got)) != refSum {
+			return fmt.Errorf("online run at %d workers diverged from the single-worker run (%016x vs %016x)",
 				workers, got.TraceDigest, ref.TraceDigest)
 		}
 	}
-	fmt.Fprintf(out, "serial/parallel identity holds across worker counts: digest %016x, series %s\n",
+	fmt.Fprintf(rec.out, "identity holds across worker counts: digest %016x, series %s\n",
 		ref.TraceDigest, refSum)
 
 	// Oracle gate on a recorded small run: every flow equals the first
@@ -159,15 +128,15 @@ func runHybridBench(cfg hybridConfig, out io.Writer) error {
 	}
 	rows := smallProg.Channels()
 	if err := conformance.OnlineConservation(smallProg, rows, airings, pages, arrivals, srec.Flows); err != nil {
-		return fmt.Errorf("hybrid: conservation oracle: %w", err)
+		return fmt.Errorf("conservation oracle: %w", err)
 	}
 	if err := conformance.PushIntegrity(smallProg, rows, airings); err != nil {
-		return fmt.Errorf("hybrid: push-integrity oracle: %w", err)
+		return fmt.Errorf("push-integrity oracle: %w", err)
 	}
-	fmt.Fprintf(out, "conservation and push-integrity oracles hold on %d recorded requests\n", len(smallReqs))
+	fmt.Fprintf(rec.out, "conservation and push-integrity oracles hold on %d recorded requests\n", len(smallReqs))
 
 	var res *online.Result
-	add("OnlineLWFReserved", testing.Benchmark(func(b *testing.B) {
+	rec.add("OnlineLWFReserved", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r, err := online.Run(prog, stream, ocfg)
@@ -178,7 +147,7 @@ func runHybridBench(cfg hybridConfig, out io.Writer) error {
 		}
 	}), refSum)
 	if perf.SeriesChecksum(onlineSeries(res)) != refSum {
-		return fmt.Errorf("hybrid: benchmark run diverged from the reference series")
+		return fmt.Errorf("benchmark run diverged from the reference series")
 	}
 
 	// The full coupled matrix: arrival intensity x split x policy through
@@ -190,7 +159,7 @@ func runHybridBench(cfg hybridConfig, out io.Writer) error {
 	}
 	matrixSum := perf.SeriesChecksum(experiments.HybridSeries(first))
 	var pts []experiments.HybridPoint
-	add("HybridMatrix", testing.Benchmark(func(b *testing.B) {
+	rec.add("HybridMatrix", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m, err := experiments.HybridMatrix(p, workload.Uniform, rates, splits, online.Policies())
@@ -201,10 +170,7 @@ func runHybridBench(cfg hybridConfig, out io.Writer) error {
 		}
 	}), matrixSum)
 	if perf.SeriesChecksum(experiments.HybridSeries(pts)) != matrixSum {
-		return fmt.Errorf("hybrid: matrix is not deterministic across runs")
+		return fmt.Errorf("matrix is not deterministic across runs")
 	}
-
-	return writeAndCompare(rep, cfg.out, cfg.baseline, benchConfig{
-		slowdown: cfg.slowdown, allocs: cfg.allocs,
-	}, out)
+	return nil
 }

@@ -9,8 +9,8 @@ import (
 	"tcsa/internal/workload"
 )
 
-// TestHybridCommittedChecksums recomputes the two series the -hybrid gate
-// freezes — the serial reference of the main online workload and the
+// TestHybridCommittedChecksums recomputes the two series the hybrid gate
+// freezes — the single-worker run of the main online workload and the
 // coupled intensity x split x policy matrix — and compares them against the
 // committed BENCH_hybrid.json. Any engine change that moves a float, a
 // count, or the trace digest shows up here without running the wall-time
@@ -24,7 +24,8 @@ func TestHybridCommittedChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := online.RunSerial(prog, stream, ocfg)
+	ocfg.Workers = 1
+	ref, err := online.Run(prog, stream, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}

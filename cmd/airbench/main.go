@@ -12,14 +12,16 @@
 //	airbench -experiment optgap -dist all          # PAMAD-vs-OPT gap
 //	airbench -experiment optprune -dist uniform    # OPT pruning ablation
 //	airbench -experiment all                       # everything above
-//	airbench -chaos -chaosbaseline BENCH_chaos.json  # chaos determinism gate
-//	airbench -netcast -netcastbaseline BENCH_netcast.json  # fan-out engine gate
-//	airbench -optscale -optscalebaseline BENCH_optscale.json  # PTAS scaling gate
-//	airbench -replan -replanbaseline BENCH_replan.json  # incremental replan gate
-//	airbench -hybrid -hybridbaseline BENCH_hybrid.json  # online hybrid tier gate
+//	airbench -gate chaos                           # one trajectory gate
+//	airbench -gate all                             # every trajectory gate
 //
 // -csv switches Figure 5 output to CSV for plotting; -stride k samples
 // every k-th channel count to trade resolution for speed.
+//
+// -gate runs a benchmark-trajectory gate from the registry in gate.go in
+// the current directory: it writes BENCH_<name>_new.json and fails on any
+// regression against the committed BENCH_<name>.json, which it never
+// writes. Gates take no other flags; each pins its own inputs.
 package main
 
 import (
@@ -51,30 +53,15 @@ func run(args []string, out io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of tables (fig5 only)")
 	plot := fs.Bool("plot", false, "append an ASCII chart per fig5 subplot")
 	workers := fs.Int("parallel", 0, "fan fig5 channel counts over this many workers (0 = GOMAXPROCS)")
-	bench := fs.Bool("bench", false, "measure the hot paths and write a benchmark-trajectory report instead of running experiments")
-	chaosBench := fs.Bool("chaos", false, "measure the chaos fault-injection engine (zero-fault identity + canonical fault mix) and write a chaos trajectory report")
-	chaosout := fs.String("chaosout", "BENCH_chaos.json", "report path for -chaos")
-	chaosbaseline := fs.String("chaosbaseline", "", "prior -chaos report to compare against; drift fails the run")
-	netcastBench := fs.Bool("netcast", false, "measure the fan-out engine (ring publish, loadgen identities, UDP slot/wire paths) and write a fan-out trajectory report")
-	netcastout := fs.String("netcastout", "BENCH_netcast.json", "report path for -netcast")
-	netcastbaseline := fs.String("netcastbaseline", "", "prior -netcast report to compare against; drift fails the run")
-	optscaleBench := fs.Bool("optscale", false, "measure the (1+eps) PTAS optimizer against branch-and-bound along the scaling ladder and write a trajectory report")
-	optscaleout := fs.String("optscaleout", "BENCH_optscale.json", "report path for -optscale")
-	optscalebaseline := fs.String("optscalebaseline", "", "prior -optscale report to compare against; drift fails the run")
-	hybridBench := fs.Bool("hybrid", false, "measure the online hybrid tier (serial/parallel bit-identity, conservation oracles, intensity x split matrix) and write a trajectory report")
-	hybridout := fs.String("hybridout", "BENCH_hybrid.json", "report path for -hybrid")
-	hybridbaseline := fs.String("hybridbaseline", "", "prior -hybrid report to compare against; drift fails the run")
-	replanBench := fs.Bool("replan", false, "measure the incremental replan engine against a from-scratch rebuild (single-page deltas at 10^5 pages, >=10x gate) and write a trajectory report")
-	replanout := fs.String("replanout", "BENCH_replan.json", "report path for -replan")
-	replanbaseline := fs.String("replanbaseline", "", "prior -replan report to compare against; drift fails the run")
-	benchout := fs.String("benchout", "BENCH_sweep.json", "report path for -bench")
-	baseline := fs.String("baseline", "", "prior -bench report to compare against; regressions fail the run")
-	buildout := fs.String("buildout", "BENCH_build.json", "construction-engine report path for -bench (empty = skip)")
-	buildbaseline := fs.String("buildbaseline", "", "prior construction-engine report to compare against")
-	maxSlowdown := fs.Float64("maxslowdown", 0, "fail -baseline comparison when ns/op grows beyond this factor (0 = ignore wall time)")
-	maxAllocGrowth := fs.Float64("maxallocgrowth", 1.5, "fail -baseline comparison when allocs/op grows beyond this factor (0 = ignore)")
+	gateName := fs.String("gate", "", "run one benchmark-trajectory gate, or all, against its committed baseline: "+gateNames())
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *gateName != "" {
+		if fs.NFlag() > 1 {
+			return fmt.Errorf("-gate takes no other flags; each gate pins its own inputs")
+		}
+		return runGates(*gateName, ".", out)
 	}
 
 	p := experiments.DefaultParams()
@@ -86,56 +73,6 @@ func run(args []string, out io.Writer) error {
 	dists, err := parseDists(*dist)
 	if err != nil {
 		return err
-	}
-	if *chaosBench {
-		return runChaosBench(p, chaosConfig{
-			out:      *chaosout,
-			baseline: *chaosbaseline,
-			slowdown: *maxSlowdown,
-			allocs:   *maxAllocGrowth,
-		}, out)
-	}
-	if *hybridBench {
-		return runHybridBench(hybridConfig{
-			out:      *hybridout,
-			baseline: *hybridbaseline,
-			slowdown: *maxSlowdown,
-			allocs:   *maxAllocGrowth,
-		}, out)
-	}
-	if *replanBench {
-		return runReplanBench(replanConfig{
-			out:      *replanout,
-			baseline: *replanbaseline,
-			slowdown: *maxSlowdown,
-			allocs:   *maxAllocGrowth,
-		}, out)
-	}
-	if *optscaleBench {
-		return runOptscaleBench(optscaleCases(), optscaleConfig{
-			out:      *optscaleout,
-			baseline: *optscalebaseline,
-			slowdown: *maxSlowdown,
-			allocs:   *maxAllocGrowth,
-		}, out)
-	}
-	if *netcastBench {
-		return runNetcastBench(p, netcastConfig{
-			out:      *netcastout,
-			baseline: *netcastbaseline,
-			slowdown: *maxSlowdown,
-			allocs:   *maxAllocGrowth,
-		}, out)
-	}
-	if *bench {
-		return runBench(p, dists, benchConfig{
-			out:           *benchout,
-			baseline:      *baseline,
-			buildOut:      *buildout,
-			buildBaseline: *buildbaseline,
-			slowdown:      *maxSlowdown,
-			allocs:        *maxAllocGrowth,
-		}, out)
 	}
 	ctx := context.Background()
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,6 +80,8 @@ func TestRunErrors(t *testing.T) {
 	tests := [][]string{
 		{"-experiment", "nope"},
 		{"-dist", "pareto"},
+		{"-gate", "nope"},
+		{"-gate", "chaos", "-seed", "7"},
 	}
 	for _, args := range tests {
 		var out strings.Builder
@@ -133,24 +134,17 @@ func TestRunFig5Parallel(t *testing.T) {
 	}
 }
 
-// TestRunBench: -bench writes a well-formed BENCH_sweep.json whose sweep
-// samples carry series checksums, and a doctored baseline fails the run
-// with its regressions reported.
+// TestRunBench: the sweep gate records well-formed samples whose sweep
+// sample carries a series checksum and whose serial and parallel
+// measurements fingerprint alike, and the build gate records every
+// scheduler's build.
 func TestRunBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	// -buildout must not default: the default path is relative, so the
-	// test would write a BENCH_build.json into the package directory.
-	buildPath := filepath.Join(t.TempDir(), "BENCH_build.json")
-	fast := []string{"-bench", "-stride", "16", "-skipopt", "-requests", "200", "-dist", "sskew",
-		"-benchout", path, "-buildout", buildPath}
 	var out strings.Builder
-	if err := run(fast, &out); err != nil {
+	rec := newRecorder(&out)
+	if err := runSweep(rec); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := perf.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := &rec.rep
 	if rep.Schema != perf.SchemaVersion || rep.MaxProcs < 1 || rep.GOOS == "" {
 		t.Errorf("malformed report header: %+v", rep)
 	}
@@ -173,28 +167,13 @@ func TestRunBench(t *testing.T) {
 		t.Errorf("Measure checksum %q != MeasureParallel checksum %q", serial.Checksum, par.Checksum)
 	}
 
-	// A baseline claiming a different series and fewer allocations must
-	// fail the comparison and name both regressions.
-	bad := *rep
-	bad.Samples = append([]perf.Sample(nil), rep.Samples...)
-	for i := range bad.Samples {
-		if bad.Samples[i].Name == "Figure5/S-skewed" {
-			bad.Samples[i].Checksum = "0000000000000000"
-			bad.Samples[i].AllocsPerOp = 1
-		}
-	}
-	badPath := filepath.Join(t.TempDir(), "baseline.json")
-	if err := bad.WriteFile(badPath); err != nil {
+	rec = newRecorder(&out)
+	if err := runBuild(rec); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	err = run(append(fast, "-baseline", badPath), &out)
-	if err == nil {
-		t.Fatal("regressed baseline comparison passed")
-	}
-	for _, want := range []string{"checksum", "allocs/op"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("comparison output missing %q regression:\n%s", want, out.String())
+	for _, name := range []string{"SUSCBuild", "PAMADBuild", "OPTSearch", "ApproxQualityX100"} {
+		if s := rec.rep.Find(name); s == nil || len(s.Checksum) != 16 {
+			t.Errorf("build report sample %q missing or unchecksummed: %+v", name, s)
 		}
 	}
 }

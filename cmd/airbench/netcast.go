@@ -3,9 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -19,51 +17,24 @@ import (
 	"tcsa/internal/workload"
 )
 
-// netcastConfig carries the -netcast mode flags.
-type netcastConfig struct {
-	out      string // -netcastout: where to write the report
-	baseline string // -netcastbaseline: prior report to compare against ("" = none)
-	slowdown float64
-	allocs   float64
-}
-
 // udpBenchSubs is the fan-out population the UDP samples measure: large
 // enough that the serial per-subscriber loop visibly monopolises the
 // slot clock, small enough to benchmark in CI.
 const udpBenchSubs = 10_000
 
-// runNetcastBench measures the fan-out engine on the paper's default
-// instance and writes the BENCH_netcast.json trajectory. Three hard
-// in-run assertions back the acceptance criteria: the ring publish path
+// runNetcast measures the fan-out engine on the paper's default instance.
+// Three hard in-run assertions back its samples: the ring publish path
 // allocates nothing per slot, the loadgen harness reproduces
 // sim.MeasureStream bit-for-bit with faults off (and the chaos engine
 // bit-for-bit with faults on), and the sharded slot path beats the
 // pre-Transport serial transmit loop by at least 10x at 10k subscribers.
-func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
+func runNetcast(rec *recorder) error {
+	p := experiments.DefaultParams()
 	prog, err := paperProgram(p)
 	if err != nil {
 		return err
 	}
 	analysis := core.Analyze(prog)
-
-	add := func(name string, r testing.BenchmarkResult, checksum string) {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op  series %s\n",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), checksum)
-	}
 
 	// Ring publish path: one CastSlot through the seqlock ring. The
 	// checksum fingerprints a full aired cycle as polled back out of the
@@ -88,23 +59,23 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 		for abs := int64(0); abs < int64(prog.Length()); abs++ {
 			f, st := ring.Poll(ch, abs)
 			if st != netcast.RingOK {
-				return fmt.Errorf("netcast: ring poll (%d, %d) = %v, want RingOK", ch, abs, st)
+				return fmt.Errorf("ring poll (%d, %d) = %v, want RingOK", ch, abs, st)
 			}
 			cycle = append(cycle, float64(f.Page))
 		}
 	}
 	abs := prog.Length()
-	add("FanoutRingPublish", testing.Benchmark(func(b *testing.B) {
+	publish := rec.add("FanoutRingPublish", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			caster.CastSlot(abs)
 			abs++
 		}
 	}), perf.SeriesChecksum(cycle))
-	if got := rep.Samples[len(rep.Samples)-1].AllocsPerOp; got != 0 {
-		return fmt.Errorf("netcast: ring publish allocates %d per slot, want 0", got)
+	if publish.AllocsPerOp != 0 {
+		return fmt.Errorf("ring publish allocates %d per slot, want 0", publish.AllocsPerOp)
 	}
-	fmt.Fprintf(out, "ring publish is alloc-free per slot (%d channels, cycle %d)\n",
+	fmt.Fprintf(rec.out, "ring publish is alloc-free per slot (%d channels, cycle %d)\n",
 		prog.Channels(), prog.Length())
 
 	// Loadgen through the ring: the full client harness at 2*ShardSize
@@ -131,10 +102,10 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 	}
 	zeroSum := perf.SeriesChecksum(metricsFloats(&zero.Metrics))
 	if zeroSum != measureSum {
-		return fmt.Errorf("netcast: zero-fault loadgen drifted from sim.MeasureStream: %s != %s",
+		return fmt.Errorf("zero-fault loadgen drifted from sim.MeasureStream: %s != %s",
 			zeroSum, measureSum)
 	}
-	add("LoadgenRingZeroFault", testing.Benchmark(func(b *testing.B) {
+	rec.add("LoadgenRingZeroFault", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := loadgen.RunStream(context.Background(), analysis, stream,
@@ -143,7 +114,7 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 			}
 		}
 	}), zeroSum)
-	fmt.Fprintf(out, "zero-fault identity holds: loadgen(%d clients) == MeasureStream (%s)\n",
+	fmt.Fprintf(rec.out, "zero-fault identity holds: loadgen(%d clients) == MeasureStream (%s)\n",
 		stream.Count(), zeroSum)
 
 	want, err := chaos.RunParallel(analysis, stream, chaosFaultedConfig(p.Seed), 0)
@@ -157,10 +128,10 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 	}
 	faultedSum := perf.SeriesChecksum(chaosFloats(&faulted.Result))
 	if wantSum := perf.SeriesChecksum(chaosFloats(want)); faultedSum != wantSum {
-		return fmt.Errorf("netcast: faulted loadgen drifted from the chaos engine: %s != %s",
+		return fmt.Errorf("faulted loadgen drifted from the chaos engine: %s != %s",
 			faultedSum, wantSum)
 	}
-	add("LoadgenRingFaulted", testing.Benchmark(func(b *testing.B) {
+	rec.add("LoadgenRingFaulted", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := loadgen.RunStream(context.Background(), analysis, stream,
@@ -169,7 +140,7 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 			}
 		}
 	}), faultedSum)
-	fmt.Fprintf(out, "faulted identity holds: loadgen == chaos engine, digest %016x\n",
+	fmt.Fprintf(rec.out, "faulted identity holds: loadgen == chaos engine, digest %016x\n",
 		faulted.TraceDigest)
 
 	// UDP fan-out at 10k subscribers, both axes. Slot path: what one slot
@@ -212,7 +183,7 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 			slotAbs++
 		}
 	})
-	add("UDPSlotSharded", sharded, perf.SeriesChecksum([]float64{udpBenchSubs}))
+	rec.add("UDPSlotSharded", sharded, perf.SeriesChecksum([]float64{udpBenchSubs}))
 
 	sender, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -232,16 +203,16 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 			}
 		}
 	})
-	add("UDPSlotSerial", serial, perf.SeriesChecksum([]float64{udpBenchSubs}))
+	rec.add("UDPSlotSerial", serial, perf.SeriesChecksum([]float64{udpBenchSubs}))
 
 	slotSpeedup := serial.T.Seconds() / float64(serial.N) /
 		(sharded.T.Seconds() / float64(sharded.N))
-	fmt.Fprintf(out, "slot-path speedup at %d subs: %.0fx (sharded %v vs serial %v per slot)\n",
+	fmt.Fprintf(rec.out, "slot-path speedup at %d subs: %.0fx (sharded %v vs serial %v per slot)\n",
 		udpBenchSubs, slotSpeedup,
 		sharded.T/time.Duration(max(1, sharded.N)),
 		serial.T/time.Duration(max(1, serial.N)))
 	if slotSpeedup < 10 {
-		return fmt.Errorf("netcast: sharded slot path only %.1fx over the serial transmit loop, want >= 10x",
+		return fmt.Errorf("sharded slot path only %.1fx over the serial transmit loop, want >= 10x",
 			slotSpeedup)
 	}
 
@@ -255,13 +226,10 @@ func runNetcastBench(p experiments.Params, cfg netcastConfig, out io.Writer) err
 			}
 		}
 	})
-	add("UDPWireBatched", batched, perf.SeriesChecksum([]float64{udpBenchSubs}))
+	rec.add("UDPWireBatched", batched, perf.SeriesChecksum([]float64{udpBenchSubs}))
 	wireSpeedup := serial.T.Seconds() / float64(serial.N) /
 		(batched.T.Seconds() / float64(batched.N))
-	fmt.Fprintf(out, "wire speedup at %d subs: %.2fx (sendmmsg batches vs serial datagrams; "+
+	fmt.Fprintf(rec.out, "wire speedup at %d subs: %.2fx (sendmmsg batches vs serial datagrams; "+
 		"kernel delivery dominates on loopback)\n", udpBenchSubs, wireSpeedup)
-
-	return writeAndCompare(rep, cfg.out, cfg.baseline, benchConfig{
-		slowdown: cfg.slowdown, allocs: cfg.allocs,
-	}, out)
+	return nil
 }

@@ -3,8 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"runtime"
+	"testing"
 	"time"
 
 	"tcsa/internal/conformance"
@@ -14,14 +13,6 @@ import (
 	"tcsa/internal/ptas"
 )
 
-// optscaleConfig carries the -optscale mode flags.
-type optscaleConfig struct {
-	out      string // -optscaleout: where to write the report
-	baseline string // -optscalebaseline: prior report to compare against ("" = none)
-	slowdown float64
-	allocs   float64
-}
-
 // frontierFamilyFloor is the family size beyond which an instance counts as
 // infeasible for the exact search: opt.Search enumerates family members at
 // well under 10^8 evaluations per second, so a 10^9-leaf family cannot finish
@@ -29,7 +20,7 @@ type optscaleConfig struct {
 // The frontier cases below exceed it by orders of magnitude.
 const frontierFamilyFloor = 1e9
 
-// optscaleEps is the slack every -optscale case runs at. Changing it is a
+// optscaleEps is the slack every optscale case runs at. Changing it is a
 // deliberate baseline break: the committed BENCH_optscale.json pins the
 // resulting vectors.
 const optscaleEps = 0.1
@@ -90,27 +81,21 @@ func optscaleCases() []optscaleCase {
 	}
 }
 
-// runOptscaleBench measures the (1+ε) PTAS against branch-and-bound along
-// the scaling ladder and writes the BENCH_optscale.json trajectory. Live
-// gates, independent of the baseline: every returned vector is checked
+// runOptscale measures the (1+ε) PTAS against branch-and-bound along the
+// scaling ladder, one single-shot sample per rung. Live gates, independent
+// of the baseline: every returned vector is checked
 // against the divisor-chain family oracle; on searchable rungs the
 // approximate delay must be within (1+ε) of the exact optimum; on frontier
 // rungs the family size must witness Search-infeasibility; and the
 // parallelism determinism contract is spot-checked by re-running the first
 // rung single-threaded.
-func runOptscaleBench(cases []optscaleCase, cfg optscaleConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
+func runOptscale(rec *recorder, cases []optscaleCase) error {
 	ctx := context.Background()
 
 	for i, tc := range cases {
 		gs, err := core.NewGroupSet(tc.groups)
 		if err != nil {
-			return fmt.Errorf("optscale %s: %w", tc.name, err)
+			return fmt.Errorf("%s: %w", tc.name, err)
 		}
 		nReal := tc.nReal(gs)
 		family := ptas.FamilySize(gs, nil)
@@ -118,11 +103,11 @@ func runOptscaleBench(cases []optscaleCase, cfg optscaleConfig, out io.Writer) e
 		t0 := time.Now()
 		ares, err := opt.Approx(ctx, gs, nReal, opt.ApproxOptions{Eps: optscaleEps})
 		if err != nil {
-			return fmt.Errorf("optscale %s: %w", tc.name, err)
+			return fmt.Errorf("%s: %w", tc.name, err)
 		}
-		approxNs := float64(time.Since(t0).Nanoseconds())
+		approxTime := time.Since(t0)
 		if err := conformance.DivisorChainFamily(gs, ares.Frequencies); err != nil {
-			return fmt.Errorf("optscale %s: approx vector outside the family: %w", tc.name, err)
+			return fmt.Errorf("%s: approx vector outside the family: %w", tc.name, err)
 		}
 
 		// The determinism contract in the artifact itself: the committed
@@ -131,10 +116,10 @@ func runOptscaleBench(cases []optscaleCase, cfg optscaleConfig, out io.Writer) e
 		if i == 0 {
 			solo, err := opt.Approx(ctx, gs, nReal, opt.ApproxOptions{Eps: optscaleEps, Parallelism: 1})
 			if err != nil {
-				return fmt.Errorf("optscale %s: %w", tc.name, err)
+				return fmt.Errorf("%s: %w", tc.name, err)
 			}
 			if solo.Delay != ares.Delay || solo.Evaluated != ares.Evaluated {
-				return fmt.Errorf("optscale %s: parallelism leaked into the result: (%v, %d) vs (%v, %d)",
+				return fmt.Errorf("%s: parallelism leaked into the result: (%v, %d) vs (%v, %d)",
 					tc.name, solo.Delay, solo.Evaluated, ares.Delay, ares.Evaluated)
 			}
 		}
@@ -150,39 +135,31 @@ func runOptscaleBench(cases []optscaleCase, cfg optscaleConfig, out io.Writer) e
 			t0 = time.Now()
 			sres, err := opt.Search(ctx, gs, nReal, opt.Options{})
 			if err != nil {
-				return fmt.Errorf("optscale %s: exact search: %w", tc.name, err)
+				return fmt.Errorf("%s: exact search: %w", tc.name, err)
 			}
 			searchNs := float64(time.Since(t0).Nanoseconds())
 			ratio := 1.0
 			if sres.Delay > 0 {
 				ratio = ares.Delay / sres.Delay
 			} else if ares.Delay > 0 {
-				return fmt.Errorf("optscale %s: exact optimum 0 but approx delay %v", tc.name, ares.Delay)
+				return fmt.Errorf("%s: exact optimum 0 but approx delay %v", tc.name, ares.Delay)
 			}
 			if ares.Delay > sres.Delay*(1+optscaleEps)+1e-9 {
-				return fmt.Errorf("optscale %s: approx %v beyond (1+ε)·opt %v", tc.name, ares.Delay, sres.Delay)
+				return fmt.Errorf("%s: approx %v beyond (1+ε)·opt %v", tc.name, ares.Delay, sres.Delay)
 			}
 			vals = append(vals, sres.Delay, ratio)
-			fmt.Fprintf(out, "%-22s h=%2d pages=%6d N=%4d family=%8.3g  approx %8.1fms  search %8.1fms  ratio %.6f\n",
-				tc.name, gs.Len(), gs.Pages(), nReal, family, approxNs/1e6, searchNs/1e6, ratio)
+			fmt.Fprintf(rec.out, "%-22s h=%2d pages=%6d N=%4d family=%8.3g  approx %8.1fms  search %8.1fms  ratio %.6f\n",
+				tc.name, gs.Len(), gs.Pages(), nReal, family, approxTime.Seconds()*1e3, searchNs/1e6, ratio)
 		} else {
 			if family <= frontierFamilyFloor {
-				return fmt.Errorf("optscale %s: family %.3g does not witness Search-infeasibility (floor %.0g)",
+				return fmt.Errorf("%s: family %.3g does not witness Search-infeasibility (floor %.0g)",
 					tc.name, family, frontierFamilyFloor)
 			}
-			fmt.Fprintf(out, "%-22s h=%2d pages=%6d N=%4d family=%8.3g  approx %8.1fms  search infeasible (family > %.0g)\n",
-				tc.name, gs.Len(), gs.Pages(), nReal, family, approxNs/1e6, frontierFamilyFloor)
+			fmt.Fprintf(rec.out, "%-22s h=%2d pages=%6d N=%4d family=%8.3g  approx %8.1fms  search infeasible (family > %.0g)\n",
+				tc.name, gs.Len(), gs.Pages(), nReal, family, approxTime.Seconds()*1e3, frontierFamilyFloor)
 		}
 
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:       tc.name,
-			Iterations: 1,
-			NsPerOp:    approxNs,
-			Checksum:   perf.SeriesChecksum(vals),
-		})
+		rec.add(tc.name, testing.BenchmarkResult{N: 1, T: approxTime}, perf.SeriesChecksum(vals))
 	}
-
-	return writeAndCompare(rep, cfg.out, cfg.baseline, benchConfig{
-		slowdown: cfg.slowdown, allocs: cfg.allocs,
-	}, out)
+	return nil
 }

@@ -1,20 +1,18 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"tcsa/internal/core"
-	"tcsa/internal/perf"
 )
 
 // optscaleTestLadder is a miniature of the committed ladder: one searchable
 // rung, plus (when frontier is set) the narrowest rung past the
 // infeasibility floor — h=16 at ratio 2 is family 4^15 ≈ 1.07e9. The full
-// ladder runs Search for seconds per rung, which is the CI bench job's
-// budget, not the test suite's, and the frontier rung itself costs enough
-// that the baseline-comparison reruns below go without it.
+// ladder runs Search for seconds per rung, which is the gate's budget, not
+// the test suite's, and the frontier rung itself costs enough that
+// TestRunGate's reruns go without it.
 func optscaleTestLadder(frontier bool) []optscaleCase {
 	knee := func(gs *core.GroupSet) int { return core.CeilDiv(gs.MinChannels(), 5) }
 	cases := []optscaleCase{
@@ -28,66 +26,26 @@ func optscaleTestLadder(frontier bool) []optscaleCase {
 	return cases
 }
 
-// TestRunOptscale drives the miniature ladder through the real report
-// pipeline: well-formed samples with series checksums, a clean second run
-// against the first as baseline, and a doctored baseline failing with the
-// checksum drift named.
+// TestRunOptscale drives the miniature ladder through the recorder:
+// well-formed single-shot samples with series checksums, and the frontier
+// rung reported as infeasible. TestRunGate covers the baseline comparison.
 func TestRunOptscale(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_optscale.json")
 	var out strings.Builder
-	if err := runOptscaleBench(optscaleTestLadder(true), optscaleConfig{out: path}, &out); err != nil {
+	rec := newRecorder(&out)
+	if err := runOptscale(rec, optscaleTestLadder(true)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "search infeasible") {
 		t.Errorf("frontier rung not reported as infeasible:\n%s", out.String())
 	}
-	rep, err := perf.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"TestKnee_h4", "TestFrontier_h16"} {
-		s := rep.Find(name)
+		s := rec.rep.Find(name)
 		if s == nil {
 			t.Fatalf("report missing sample %q", name)
 		}
-		if len(s.Checksum) != 16 || s.NsPerOp <= 0 {
+		if s.Iterations != 1 || len(s.Checksum) != 16 || s.NsPerOp <= 0 {
 			t.Errorf("%s: malformed sample %+v", name, s)
 		}
-	}
-
-	// Re-running against a fresh knee-only report must be drift-free: the
-	// checksummed fields are exactly the deterministic ones.
-	out.Reset()
-	kneeBase := filepath.Join(t.TempDir(), "BENCH_knee.json")
-	if err := runOptscaleBench(optscaleTestLadder(false), optscaleConfig{out: kneeBase}, &out); err != nil {
-		t.Fatal(err)
-	}
-	kneeRep, err := perf.ReadFile(kneeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	path2 := filepath.Join(t.TempDir(), "BENCH_optscale2.json")
-	err = runOptscaleBench(optscaleTestLadder(false), optscaleConfig{out: path2, baseline: kneeBase}, &out)
-	if err != nil {
-		t.Fatalf("self-comparison drifted: %v\n%s", err, out.String())
-	}
-
-	// A baseline claiming a different vector must fail the comparison.
-	bad := *kneeRep
-	bad.Samples = append([]perf.Sample(nil), kneeRep.Samples...)
-	bad.Samples[0].Checksum = "0000000000000000"
-	badPath := filepath.Join(t.TempDir(), "baseline.json")
-	if err := bad.WriteFile(badPath); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	err = runOptscaleBench(optscaleTestLadder(false), optscaleConfig{out: path2, baseline: badPath}, &out)
-	if err == nil {
-		t.Fatal("doctored baseline comparison passed")
-	}
-	if !strings.Contains(out.String(), "checksum") {
-		t.Errorf("comparison output missing checksum regression:\n%s", out.String())
 	}
 }
 
@@ -100,7 +58,7 @@ func TestOptscaleFrontierWitness(t *testing.T) {
 		{name: "BogusFrontier_h4", groups: optscaleUniform(25, 4, 4), nReal: knee, searchable: false},
 	}
 	var out strings.Builder
-	err := runOptscaleBench(small, optscaleConfig{out: filepath.Join(t.TempDir(), "r.json")}, &out)
+	err := runOptscale(newRecorder(&out), small)
 	if err == nil || !strings.Contains(err.Error(), "infeasibility") {
 		t.Fatalf("err = %v, want the infeasibility-witness failure", err)
 	}

@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
 
 	"tcsa/internal/core"
@@ -13,35 +11,20 @@ import (
 	"tcsa/internal/workload"
 )
 
-// replanConfig carries the -replan mode flags.
-type replanConfig struct {
-	out      string // -replanout: where to write the report
-	baseline string // -replanbaseline: prior report to compare against ("" = none)
-	slowdown float64
-	allocs   float64
-}
-
 // replanSpeedupFloor is the committed incremental-vs-rebuild gate: a
 // single-page delta at 10^5 pages must replan at least this many times
 // faster than a from-scratch PAMAD build. The run fails below the floor,
 // making the O(Δ) claim a CI invariant rather than a doc comment.
 const replanSpeedupFloor = 10.0
 
-// runReplanBench measures the incremental replan engine against the
+// runReplan measures the incremental replan engine against the
 // from-scratch rebuild it replaces, on the paper's instance scaled x100
-// (10^5 pages), and writes the BENCH_replan.json trajectory. Its
-// load-bearing assertions are (1) the differential identity — after every
-// retire/add round trip the engine's live grid is bit-identical to the
-// from-scratch build, checked in-process via the grid fingerprint — and
-// (2) the speedup floor: a single-page event must beat the full rebuild
-// by at least replanSpeedupFloor x.
-func runReplanBench(cfg replanConfig, out io.Writer) error {
-	rep := &perf.Report{
-		Schema:   perf.SchemaVersion,
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		MaxProcs: runtime.GOMAXPROCS(0),
-	}
+// (10^5 pages). Its load-bearing assertions are (1) the differential
+// identity — after every retire/add round trip the engine's live grid is
+// bit-identical to the from-scratch build, checked in-process via the grid
+// fingerprint — and (2) the speedup floor: a single-page event must beat
+// the full rebuild by at least replanSpeedupFloor x.
+func runReplan(rec *recorder) error {
 	gs, err := workload.GroupSet(workload.Uniform, 8, 100_000, 4, 2)
 	if err != nil {
 		return err
@@ -49,24 +32,10 @@ func runReplanBench(cfg replanConfig, out io.Writer) error {
 	n := core.CeilDiv(gs.MinChannels(), 5)
 	h := gs.Len()
 
-	add := func(name string, r testing.BenchmarkResult, checksum string) float64 {
-		rep.Samples = append(rep.Samples, perf.Sample{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: int64(r.AllocsPerOp()),
-			BytesPerOp:  int64(r.AllocedBytesPerOp()),
-			Checksum:    checksum,
-		})
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %10d allocs/op %12d B/op  series %s\n",
-			name, rep.Samples[len(rep.Samples)-1].NsPerOp, r.AllocsPerOp(), r.AllocedBytesPerOp(), checksum)
-		return rep.Samples[len(rep.Samples)-1].NsPerOp
-	}
-
 	// The cost a dynamic event pays without the engine: rederive the
 	// frequency assignment and replace the whole grid.
 	var fullProg *core.Program
-	fullNs := add("ReplanFullRebuild", testing.Benchmark(func(b *testing.B) {
+	full := rec.add("ReplanFullRebuild", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			prog, _, err := pamad.Build(gs, n)
@@ -76,14 +45,13 @@ func runReplanBench(cfg replanConfig, out io.Writer) error {
 			fullProg = prog
 		}
 	}), perf.SeriesChecksum(gridFloats(fullProg)))
-	fullSum := rep.Samples[len(rep.Samples)-1].Checksum
 
 	eng, err := replan.New(gs, n)
 	if err != nil {
 		return err
 	}
-	if got := perf.SeriesChecksum(gridFloats(eng.Program())); got != fullSum {
-		return fmt.Errorf("replan: engine bootstrap grid %s != from-scratch grid %s", got, fullSum)
+	if got := perf.SeriesChecksum(gridFloats(eng.Program())); got != full.Checksum {
+		return fmt.Errorf("engine bootstrap grid %s != from-scratch grid %s", got, full.Checksum)
 	}
 
 	// One retire + one add on the last group: a suffix replay plus an
@@ -92,7 +60,7 @@ func runReplanBench(cfg replanConfig, out io.Writer) error {
 	// to the initial build after every iteration — checked below by
 	// fingerprint, which is the in-process differential gate.
 	var lastKinds [2]replan.Kind
-	pairNs := add("ReplanRetireAddPair", testing.Benchmark(func(b *testing.B) {
+	pair := rec.add("ReplanRetireAddPair", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dr, err := eng.RetirePage(h - 1)
@@ -106,24 +74,21 @@ func runReplanBench(cfg replanConfig, out io.Writer) error {
 			lastKinds = [2]replan.Kind{dr.Kind, da.Kind}
 		}
 	}), perf.SeriesChecksum(gridFloats(eng.Program())))
-	if got := rep.Samples[len(rep.Samples)-1].Checksum; got != fullSum {
-		return fmt.Errorf("replan: grid drifted after retire/add round trips: %s != %s", got, fullSum)
+	if pair.Checksum != full.Checksum {
+		return fmt.Errorf("grid drifted after retire/add round trips: %s != %s", pair.Checksum, full.Checksum)
 	}
 	if k := lastKinds[0]; k == replan.KindRebuild || k == replan.KindNone {
-		return fmt.Errorf("replan: retire took the %v path, want an incremental kind", k)
+		return fmt.Errorf("retire took the %v path, want an incremental kind", k)
 	}
-	fmt.Fprintf(out, "round-trip identity holds: engine grid == from-scratch grid (%s); kinds retire=%v add=%v\n",
-		fullSum, lastKinds[0], lastKinds[1])
+	fmt.Fprintf(rec.out, "round-trip identity holds: engine grid == from-scratch grid (%s); kinds retire=%v add=%v\n",
+		full.Checksum, lastKinds[0], lastKinds[1])
 
-	perEvent := pairNs / 2
-	speedup := fullNs / perEvent
-	fmt.Fprintf(out, "single-page delta: %12.0f ns/event, full rebuild %12.0f ns  =>  %.1fx speedup (floor %.0fx)\n",
-		perEvent, fullNs, speedup, replanSpeedupFloor)
+	perEvent := pair.NsPerOp / 2
+	speedup := full.NsPerOp / perEvent
+	fmt.Fprintf(rec.out, "single-page delta: %12.0f ns/event, full rebuild %12.0f ns  =>  %.1fx speedup (floor %.0fx)\n",
+		perEvent, full.NsPerOp, speedup, replanSpeedupFloor)
 	if speedup < replanSpeedupFloor {
-		return fmt.Errorf("replan: incremental speedup %.1fx below the %.0fx floor", speedup, replanSpeedupFloor)
+		return fmt.Errorf("incremental speedup %.1fx below the %.0fx floor", speedup, replanSpeedupFloor)
 	}
-
-	return writeAndCompare(rep, cfg.out, cfg.baseline, benchConfig{
-		slowdown: cfg.slowdown, allocs: cfg.allocs,
-	}, out)
+	return nil
 }

@@ -96,7 +96,7 @@ func HybridMatrix(p Params, dist workload.Distribution, rates []float64,
 }
 
 // HybridSeries flattens the matrix into a checksum-friendly float series in
-// row order: the fingerprint the airbench -hybrid gate freezes.
+// row order: the fingerprint the airbench hybrid gate freezes.
 func HybridSeries(pts []HybridPoint) []float64 {
 	s := make([]float64, 0, 5*len(pts))
 	for _, pt := range pts {

@@ -338,8 +338,8 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 // Run executes the online tier: the serial decision pass fixes the airing
 // timeline, then the sharded measurement pass (bit-identical at any worker
 // count) computes every request's flow time against the combined
-// push+online timeline. See RunSerial for the one-pass reference this is
-// differentially pinned against.
+// push+online timeline. The tests' RunSerial is the one-pass reference
+// this is differentially pinned against.
 func Run(prog *core.Program, stream workload.Stream, cfg Config) (*Result, error) {
 	if prog == nil {
 		return nil, errors.New("online: nil program")

@@ -31,9 +31,9 @@
 // Run is the production path: a serial slot-level decision pass (the
 // scheduling itself is inherently sequential) followed by a sharded
 // parallel measurement pass over the then-fixed airing timeline, one visit
-// on the sim.FoldShards kernel. RunSerial is the retained one-pass
-// reference implementation the differential and fuzz suites pin Run
-// against, bit for bit.
+// on the sim.FoldShards kernel. The differential and fuzz suites pin Run
+// bit for bit against RunSerial, a one-pass reference implementation kept
+// in the package's tests.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package online

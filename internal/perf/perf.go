@@ -1,14 +1,15 @@
-// Package perf defines the benchmark-trajectory report that
-// `airbench -bench` emits (BENCH_sweep.json) and the comparator CI uses to
-// flag regressions between two reports.
+// Package perf defines the benchmark-trajectory report that every
+// `airbench -gate` writes (BENCH_<name>_new.json) and the comparator that
+// holds it to the committed BENCH_<name>.json baseline.
 //
 // A report is a flat list of named samples. Each sample carries the three
 // cost metrics of one benchmark (ns/op, allocs/op, B/op) plus an optional
 // checksum over the result series the benchmark computed, so a comparison
-// can distinguish "got slower" from "now computes something different".
-// Allocation counts and checksums are deterministic and therefore the
-// primary CI signal; wall time is noisy on shared runners and is only
-// checked when the caller opts in with a slowdown bound.
+// can distinguish "costs more" from "now computes something different".
+//
+// Compare holds a report to its baseline by one fixed rule over the
+// deterministic signals, checksums and allocation counts. Wall time is
+// noisy on shared runners, so ns/op is recorded but never compared.
 //
 // The package is deliberately pure data + comparison: it does not import
 // testing, run benchmarks, or know how samples are produced.
@@ -40,7 +41,7 @@ type Sample struct {
 	Checksum string `json:"checksum,omitempty"`
 }
 
-// Report is the BENCH_sweep.json document.
+// Report is one BENCH_<name>.json document.
 type Report struct {
 	Schema   int      `json:"schema"`
 	GOOS     string   `json:"goos"`
@@ -95,22 +96,19 @@ func SeriesChecksum(vals []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Options bounds how much a current report may degrade from the baseline.
-type Options struct {
-	// MaxSlowdown flags samples with NsPerOp > baseline*MaxSlowdown.
-	// <= 0 disables the wall-time check (recommended on shared CI).
-	MaxSlowdown float64
-	// MaxAllocGrowth flags samples with AllocsPerOp > baseline*MaxAllocGrowth.
-	// Growth of at most 2 allocs/op is always tolerated so tiny baselines
-	// (e.g. 6 allocs) don't trip on a single extra allocation.
-	// <= 0 disables the allocation check.
-	MaxAllocGrowth float64
-}
+// maxAllocGrowth is the fixed allocs/op bound: a sample fails when its
+// allocs/op exceed both baseline*maxAllocGrowth and baseline+allocSlack.
+// The absolute slack keeps tiny baselines (e.g. 6 allocs) from tripping
+// on a single extra allocation.
+const (
+	maxAllocGrowth = 1.5
+	allocSlack     = 2
+)
 
 // Regression is one detected degradation.
 type Regression struct {
 	Sample string  // sample name
-	Metric string  // "ns/op", "allocs/op", "checksum", "missing", "schema"
+	Metric string  // "allocs/op", "checksum", "missing", "schema"
 	Base   float64 // baseline value (0 for non-numeric metrics)
 	Cur    float64 // current value (0 for non-numeric metrics)
 	Detail string  // human-readable explanation
@@ -121,10 +119,11 @@ func (r Regression) String() string {
 }
 
 // Compare diffs cur against base and returns every regression found:
-// schema mismatches, samples that disappeared, checksum drift, and metric
-// degradations beyond opts. A nil/empty result means cur is acceptable.
-// Samples present only in cur are new benchmarks, not regressions.
-func Compare(base, cur *Report, opts Options) []Regression {
+// schema mismatches, samples that disappeared, checksum drift, and
+// allocs/op growth beyond maxAllocGrowth and allocSlack. A nil/empty
+// result means cur is acceptable. Samples present only in cur are new
+// benchmarks, not regressions.
+func Compare(base, cur *Report) []Regression {
 	var regs []Regression
 	if base.Schema != cur.Schema {
 		return []Regression{{
@@ -151,23 +150,14 @@ func Compare(base, cur *Report, opts Options) []Regression {
 				Detail: fmt.Sprintf("series checksum drifted: %s -> %s", b.Checksum, c.Checksum),
 			})
 		}
-		if opts.MaxAllocGrowth > 0 && c.AllocsPerOp > b.AllocsPerOp+2 &&
-			float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*opts.MaxAllocGrowth {
+		if c.AllocsPerOp > b.AllocsPerOp+allocSlack &&
+			float64(c.AllocsPerOp) > float64(b.AllocsPerOp)*maxAllocGrowth {
 			regs = append(regs, Regression{
 				Sample: b.Name,
 				Metric: "allocs/op",
 				Base:   float64(b.AllocsPerOp),
 				Cur:    float64(c.AllocsPerOp),
-				Detail: fmt.Sprintf("allocs/op grew %d -> %d (limit %.2fx)", b.AllocsPerOp, c.AllocsPerOp, opts.MaxAllocGrowth),
-			})
-		}
-		if opts.MaxSlowdown > 0 && c.NsPerOp > b.NsPerOp*opts.MaxSlowdown {
-			regs = append(regs, Regression{
-				Sample: b.Name,
-				Metric: "ns/op",
-				Base:   b.NsPerOp,
-				Cur:    c.NsPerOp,
-				Detail: fmt.Sprintf("ns/op grew %.0f -> %.0f (limit %.2fx)", b.NsPerOp, c.NsPerOp, opts.MaxSlowdown),
+				Detail: fmt.Sprintf("allocs/op grew %d -> %d (limit %.2fx)", b.AllocsPerOp, c.AllocsPerOp, maxAllocGrowth),
 			})
 		}
 	}

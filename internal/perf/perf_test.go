@@ -37,28 +37,27 @@ func report(samples ...Sample) *Report {
 }
 
 func TestCompareClean(t *testing.T) {
+	// Wall time is never compared: a 5x slowdown is not a regression.
 	base := report(Sample{Name: "Analyze", NsPerOp: 100, AllocsPerOp: 6, Checksum: "aa"})
-	cur := report(Sample{Name: "Analyze", NsPerOp: 120, AllocsPerOp: 6, Checksum: "aa"},
+	cur := report(Sample{Name: "Analyze", NsPerOp: 500, AllocsPerOp: 6, Checksum: "aa"},
 		Sample{Name: "NewBench", NsPerOp: 1, AllocsPerOp: 1})
-	if regs := Compare(base, cur, Options{MaxSlowdown: 1.5, MaxAllocGrowth: 1.5}); len(regs) != 0 {
+	if regs := Compare(base, cur); len(regs) != 0 {
 		t.Fatalf("clean compare flagged regressions: %v", regs)
 	}
 }
 
 func TestCompareFlagsEachMetric(t *testing.T) {
 	base := report(
-		Sample{Name: "slow", NsPerOp: 100, AllocsPerOp: 10},
 		Sample{Name: "alloc", NsPerOp: 100, AllocsPerOp: 10},
 		Sample{Name: "drift", NsPerOp: 100, AllocsPerOp: 10, Checksum: "aa"},
 		Sample{Name: "gone", NsPerOp: 100, AllocsPerOp: 10},
 	)
 	cur := report(
-		Sample{Name: "slow", NsPerOp: 500, AllocsPerOp: 10},
 		Sample{Name: "alloc", NsPerOp: 100, AllocsPerOp: 40},
 		Sample{Name: "drift", NsPerOp: 100, AllocsPerOp: 10, Checksum: "bb"},
 	)
-	regs := Compare(base, cur, Options{MaxSlowdown: 2, MaxAllocGrowth: 2})
-	want := map[string]string{"slow": "ns/op", "alloc": "allocs/op", "drift": "checksum", "gone": "missing"}
+	regs := Compare(base, cur)
+	want := map[string]string{"alloc": "allocs/op", "drift": "checksum", "gone": "missing"}
 	if len(regs) != len(want) {
 		t.Fatalf("got %d regressions %v, want %d", len(regs), regs, len(want))
 	}
@@ -73,12 +72,22 @@ func TestCompareAllocSlack(t *testing.T) {
 	// Tiny baselines tolerate +2 allocs even when the ratio bound is blown.
 	base := report(Sample{Name: "tiny", AllocsPerOp: 1})
 	cur := report(Sample{Name: "tiny", AllocsPerOp: 3})
-	if regs := Compare(base, cur, Options{MaxAllocGrowth: 1.5}); len(regs) != 0 {
+	if regs := Compare(base, cur); len(regs) != 0 {
 		t.Errorf("+2 allocs on a 1-alloc baseline flagged: %v", regs)
 	}
 	cur.Samples[0].AllocsPerOp = 4
-	if regs := Compare(base, cur, Options{MaxAllocGrowth: 1.5}); len(regs) != 1 {
+	if regs := Compare(base, cur); len(regs) != 1 {
 		t.Errorf("+3 allocs beyond ratio bound not flagged: %v", regs)
+	}
+	// Past the slack the 1.5x ratio decides: 10 -> 15 passes, 10 -> 16 fails.
+	base.Samples[0].AllocsPerOp = 10
+	cur.Samples[0].AllocsPerOp = 15
+	if regs := Compare(base, cur); len(regs) != 0 {
+		t.Errorf("1.5x allocs flagged: %v", regs)
+	}
+	cur.Samples[0].AllocsPerOp = 16
+	if regs := Compare(base, cur); len(regs) != 1 {
+		t.Errorf("1.6x allocs not flagged: %v", regs)
 	}
 }
 
@@ -86,7 +95,7 @@ func TestCompareSchemaMismatch(t *testing.T) {
 	base := report()
 	cur := report()
 	cur.Schema = SchemaVersion + 1
-	regs := Compare(base, cur, Options{})
+	regs := Compare(base, cur)
 	if len(regs) != 1 || regs[0].Metric != "schema" {
 		t.Fatalf("schema mismatch not flagged: %v", regs)
 	}

@@ -25,23 +25,11 @@ go test -shuffle=on ./...
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
 
-echo "==> chaos smoke (determinism gate against BENCH_chaos.json)"
-go run ./cmd/airbench -chaos -chaosout BENCH_chaos_new.json -chaosbaseline BENCH_chaos.json
-
-echo "==> netcast smoke (fan-out gate against BENCH_netcast.json)"
-go run ./cmd/airbench -netcast -netcastout BENCH_netcast_new.json -netcastbaseline BENCH_netcast.json
-
 echo "==> loadgen smoke (zero-fault scenarios self-verify against sim.MeasureStream)"
 go run ./cmd/loadgen -clients 1000 -dists uniform,sskew -out ""
 
-echo "==> optscale smoke (PTAS scaling gate against BENCH_optscale.json)"
-go run ./cmd/airbench -optscale -optscaleout BENCH_optscale_new.json -optscalebaseline BENCH_optscale.json
-
-echo "==> replan smoke (incremental >=10x gate against BENCH_replan.json)"
-go run ./cmd/airbench -replan -replanout BENCH_replan_new.json -replanbaseline BENCH_replan.json
-
-echo "==> hybrid smoke (online tier bit-identity + oracles against BENCH_hybrid.json)"
-go run ./cmd/airbench -hybrid -hybridout BENCH_hybrid_new.json -hybridbaseline BENCH_hybrid.json
+echo "==> trajectory gates (every airbench gate against its committed BENCH_<name>.json)"
+go run ./cmd/airbench -gate all
 
 if [ "$FUZZTIME" = "0" ]; then
     echo "==> fuzz smoke skipped (FUZZTIME=0)"
