@@ -46,7 +46,7 @@ fuzz:
 # Smoke the hot-path benchmarks (see docs/perf.md).
 bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'Fanout|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
+	$(GO) test -run '^$$' -bench 'Fanout|CastSlot|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 
 # Every benchmark-trajectory gate in airbench's registry: each writes

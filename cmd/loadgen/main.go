@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 	theta := fs.Float64("theta", 0, "zipf skew for -pagechoice zipf")
 	seed := fs.Int64("seed", 1, "master seed (stream and fault plan)")
 	workers := fs.Int("workers", 0, "client shard workers (0 = GOMAXPROCS)")
-	ringSlots := fs.Int("ringslots", 0, "broadcast-ring depth per channel (0 = default)")
+	ringSlots := fs.Int("ringslots", 0, "broadcast-ring depth in slots (0 = default)")
 	outDir := fs.String("out", "results", "base directory for result artifacts (empty = don't write)")
 	stamp := fs.String("stamp", "", "results subdirectory name (default: UTC timestamp)")
 	verify := fs.Bool("verify", true, "cross-check fault-free scenarios against sim.MeasureStream")

@@ -59,7 +59,7 @@ type Config struct {
 	// Fault is the chaos plan driven through the transport. The zero
 	// value is fault-free air.
 	Fault chaos.Config
-	// RingSlots is the per-channel broadcast-ring depth; 0 = the netcast
+	// RingSlots is the broadcast-ring depth in slots; 0 = the netcast
 	// default. Depth only affects scheduling slack, never results.
 	RingSlots int
 }
@@ -414,18 +414,19 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 		}
 		heads[b] = -1
 		e.watermarks[w].Store(s)
+		// Every channel of slot s becomes readable at once.
+		for e.ring.Head() <= s {
+			if err := ctx.Err(); err != nil {
+				e.failed.Store(true)
+				return err
+			}
+			if e.failed.Load() {
+				return nil
+			}
+			runtime.Gosched()
+		}
 		for i >= 0 {
 			c := &clients[i]
-			for e.ring.Head(int(c.ch)) <= s {
-				if err := ctx.Err(); err != nil {
-					e.failed.Store(true)
-					return err
-				}
-				if e.failed.Load() {
-					return nil
-				}
-				runtime.Gosched()
-			}
 			link := c.link
 			done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)], L)
 			if err != nil {

@@ -1,9 +1,12 @@
 package netcast
 
 import (
+	"fmt"
 	"testing"
 
 	"tcsa/internal/core"
+	"tcsa/internal/pamad"
+	"tcsa/internal/workload"
 )
 
 // BenchmarkFrameCodec measures the UDP frame encode+decode round trip.
@@ -15,5 +18,32 @@ func BenchmarkFrameCodec(b *testing.B) {
 		if _, err := parseFrame(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCastSlot measures the publish side of the ring: one fault-free
+// CastSlot per iteration into a default-depth ring, at the paper instance
+// (1000 pages, 8 uniform groups) and its x10 and x100 catalogs, each on
+// PAMAD's knee channel count (13, 125 and 1,246 channels). ns/frame is
+// the cost of one (channel, slot) frame.
+func BenchmarkCastSlot(b *testing.B) {
+	for _, scale := range []int{1, 10, 100} {
+		gs, err := workload.GroupSet(workload.Uniform, 8, 1000*scale, 4, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, _, err := pamad.Build(gs, core.CeilDiv(gs.MinChannels(), 5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("x%d/ch=%d", scale, prog.Channels()), func(b *testing.B) {
+			_, caster := ringCaster(b, prog, 0, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				caster.CastSlot(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prog.Channels()), "ns/frame")
+		})
 	}
 }

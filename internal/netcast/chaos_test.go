@@ -415,7 +415,7 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 					case RingSkipped:
 						abs++
 					case RingLost:
-						abs = ring.Head(ch) // fell behind: resync
+						abs = ring.Head() // fell behind: resync
 					case RingPending:
 						time.Sleep(200 * time.Microsecond)
 					default:

@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -25,58 +26,69 @@ const (
 	RingLost
 )
 
-// ringCell is one slot's storage. The frame travels as two packed
-// big-endian words so readers can snapshot it with plain atomic loads —
-// no lock, no copy_out of a byte slice, and no race-detector report,
-// because every access is an atomic operation. seq carries the seqlock
-// protocol stamped with the absolute slot number:
-//
-//	2*abs+1  write in progress for slot abs
-//	2*abs+2  slot abs stable (readable)
-//
-// Folding abs into the sequence makes wrap-around detection free: a
-// reader asking for slot abs that observes any other stamp knows the
-// cell was lapped, with no separate generation counter to maintain.
+// ringCell is one channel's frame in one slot, as the two packed
+// big-endian words of the encoding, so readers snapshot it with plain
+// atomic loads — no lock, no copy of a byte slice, and no race-detector
+// report, because every access is an atomic operation. A w0 of
+// skipMarker records that the channel transmitted nothing in the slot.
 type ringCell struct {
-	seq atomic.Uint64
-	w0  atomic.Uint64
-	w1  atomic.Uint64
+	w0 atomic.Uint64
+	w1 atomic.Uint64
 }
 
-// ringChannel is one channel's ring: a single-writer circular buffer of
-// cells plus the published watermark. head is the count of slots aired
-// (head-1 is the newest readable absolute slot); it is stored after the
-// cell so a reader that sees head > abs is guaranteed to find cell abs
-// either stable or already lapped — never mid-write by the same slot.
-type ringChannel struct {
-	head  atomic.Int64
-	cells []ringCell
-}
+// skipMarker is the w0 a skipped channel writes into its cell. A real
+// frame never has it: every encoded frame carries frameMagic in w0's top
+// two bytes.
+const skipMarker = 0
 
-// BroadcastRing is the in-process Transport: a per-channel single-writer
-// ring of encoded frames. The writer does O(1) work per (channel, slot)
-// no matter how many subscribers exist — subscribers pull, lock-free,
-// with zero allocations per poll — so one server saturates millions of
-// in-process clients.
+// maxRingCells caps a ring's channels × depth cells (4 GiB of frames):
+// the grid is one allocation sized from caller input. The depth alone is
+// checked against it before rounding up, so the rounding cannot overflow,
+// and the product is checked by division, so it cannot overflow either.
+const maxRingCells = 1 << 28
+
+// BroadcastRing is the in-process Transport: the program's channels ×
+// slots grid kept slot-major, one row per aired slot, exactly as the air
+// transmits it. The writer does O(1) work per (channel, slot) no matter
+// how many subscribers exist — subscribers pull, lock-free, with zero
+// allocations per poll — so one server saturates millions of in-process
+// clients.
 //
-// The seqlock protocol (odd stamp while writing, even stamp when stable,
-// verified again after the payload words are loaded) means a reader
-// either gets the exact frame for the slot it asked for, or a definite
-// RingLost — torn reads are impossible because the two payload words are
-// only trusted when the same even stamp brackets both loads.
+// Row abs&mask holds every channel's cell for slot abs side by side, so
+// a cast writes one contiguous row. The row is guarded by one seqlock
+// stamp carrying the absolute slot number:
+//
+//	2*abs+1  row being written for slot abs
+//	2*abs+2  row stable for slot abs (readable)
+//
+// and the ring-wide head (slots aired) is stored after the stable stamp.
+// A reader that sees head > abs therefore finds row abs stable or
+// already lapped, never mid-write for abs itself; folding abs into the
+// stamp makes the lap check free. The reader loads the stamp, the two
+// cell words, then the stamp again, and trusts the words only when the
+// same even stamp brackets both loads — so it either gets the exact frame
+// for the slot it asked for, or a definite RingLost, never a torn read.
+//
+// A skipped channel writes skipMarker, so a row never exposes the frame
+// its cell held one ring length earlier.
 type BroadcastRing struct {
-	chans []ringChannel
-	mask  int64
+	cells    []ringCell      // slot-major: row i is cells[i*channels:][:channels]
+	stamps   []atomic.Uint64 // one seqlock stamp per row
+	head     atomic.Int64
+	channels int
+	mask     int64
+	open     int64 // the slot whose row is being written; writer-owned
 }
 
-// DefaultRingSlots is the per-channel ring length used when a caller
-// passes slots <= 0: enough slack for a reader to fall a full kilocycle
-// of slots behind before losing data.
+// DefaultRingSlots is the ring depth used when a caller passes
+// slots <= 0: enough slack for a reader to fall a full kilocycle of
+// slots behind before losing data.
 const DefaultRingSlots = 1024
 
 // NewBroadcastRing builds a ring transport with the given channel count.
 // slots (rounded up to a power of two; DefaultRingSlots if <= 0) is how
-// many consecutive slots stay readable per channel.
+// many consecutive slots stay readable. It fails when channels × depth
+// exceeds 2^28 cells.
 func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	if channels <= 0 {
 		return nil, errors.New("netcast: ring needs at least one channel")
@@ -84,86 +96,106 @@ func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	if slots <= 0 {
 		slots = DefaultRingSlots
 	}
+	if slots > maxRingCells {
+		return nil, fmt.Errorf("netcast: ring depth %d exceeds %d slots", slots, maxRingCells)
+	}
 	n := 1
 	for n < slots {
 		n <<= 1
 	}
-	r := &BroadcastRing{
-		chans: make([]ringChannel, channels),
-		mask:  int64(n) - 1,
+	if channels > maxRingCells/n {
+		return nil, fmt.Errorf("netcast: ring of %d channels x %d slots exceeds %d cells", channels, n, maxRingCells)
 	}
-	for ch := range r.chans {
-		r.chans[ch].cells = make([]ringCell, n)
-	}
-	return r, nil
+	return &BroadcastRing{
+		cells:    make([]ringCell, channels*n),
+		stamps:   make([]atomic.Uint64, n),
+		channels: channels,
+		mask:     int64(n) - 1,
+		open:     -1,
+	}, nil
 }
 
 // Channels implements Transport.
-func (r *BroadcastRing) Channels() int { return len(r.chans) }
+func (r *BroadcastRing) Channels() int { return r.channels }
 
 // NeedsFrame implements Transport. The ring always wants the frame:
 // publishing costs O(1) regardless of subscribers, and a slot written
 // now is readable by a subscriber that arrives later.
 func (r *BroadcastRing) NeedsFrame(ch int) bool { return true }
 
-// Slots reports the per-channel ring capacity.
+// Slots reports the ring depth: how many consecutive slots stay readable.
 func (r *BroadcastRing) Slots() int { return int(r.mask) + 1 }
 
-// Publish implements Transport: single writer per channel.
-func (r *BroadcastRing) Publish(ch, abs int, frame []byte) {
-	rc := &r.chans[ch]
-	cell := &rc.cells[int64(abs)&r.mask]
-	w0, w1 := packFrameWords(frame)
-	cell.seq.Store(2*uint64(abs) + 1)
-	cell.w0.Store(w0)
-	cell.w1.Store(w1)
-	cell.seq.Store(2*uint64(abs) + 2)
-	rc.head.Store(int64(abs) + 1)
+// row returns slot abs's row of cells, one per channel.
+func (r *BroadcastRing) row(abs int64) []ringCell {
+	i := int(abs&r.mask) * r.channels
+	return r.cells[i : i+r.channels : i+r.channels]
 }
 
-// Skip implements Transport: the slot aired with nothing on this channel.
-// The cell keeps whatever older slot it held (its stamp exposes the lap),
-// and only the watermark moves — readers polling this slot see the head
-// pass them while the cell still carries a different slot's stamp, which
-// Poll reports as RingSkipped rather than RingLost.
+// cell returns channel ch's cell in slot abs's row, stamping the row as
+// being written the first time the slot is touched.
+func (r *BroadcastRing) cell(ch, abs int) *ringCell {
+	if a := int64(abs); a != r.open {
+		r.open = a
+		r.stamps[a&r.mask].Store(2*uint64(a) + 1)
+	}
+	return &r.row(int64(abs))[ch]
+}
+
+// Publish implements Transport. The ring has a single writer: one
+// goroutine publishes or skips every channel of a slot, then ends it.
+func (r *BroadcastRing) Publish(ch, abs int, frame []byte) {
+	w0, w1 := packFrameWords(frame)
+	c := r.cell(ch, abs)
+	c.w0.Store(w0)
+	c.w1.Store(w1)
+}
+
+// Skip implements Transport: the slot airs with nothing on channel ch.
+// The cell gets the skip marker in place of the frame it held one ring
+// length ago, which Poll reports as RingSkipped.
 func (r *BroadcastRing) Skip(ch, abs int) {
-	r.chans[ch].head.Store(int64(abs) + 1)
+	r.cell(ch, abs).w0.Store(skipMarker)
+}
+
+// EndSlot implements Transport: slot abs's row is complete. Its stamp
+// turns stable, then the head moves past it.
+func (r *BroadcastRing) EndSlot(abs int) {
+	r.stamps[int64(abs)&r.mask].Store(2*uint64(abs) + 2)
+	r.head.Store(int64(abs) + 1)
 }
 
 // Close implements Transport. The ring holds no OS resources and spawns
 // no goroutines; readers may keep polling historical slots after Close.
 func (r *BroadcastRing) Close() error { return nil }
 
-// Head reports how many slots channel ch has aired (the next absolute
-// slot to be published).
-func (r *BroadcastRing) Head(ch int) int64 { return r.chans[ch].head.Load() }
+// Head reports how many slots the ring has aired (the next absolute slot
+// to be published), on every channel at once.
+func (r *BroadcastRing) Head() int64 { return r.head.Load() }
 
 // Poll reads absolute slot abs from channel ch. It never blocks and
 // never allocates. RingOK returns the decoded frame; every other status
 // returns a zero Frame.
 func (r *BroadcastRing) Poll(ch int, abs int64) (Frame, PollStatus) {
-	rc := &r.chans[ch]
-	if rc.head.Load() <= abs {
+	if r.head.Load() <= abs {
 		return Frame{}, RingPending
 	}
-	cell := &rc.cells[abs&r.mask]
+	stamp := &r.stamps[abs&r.mask]
+	cell := &r.row(abs)[ch]
 	want := 2*uint64(abs) + 2
-	seq := cell.seq.Load()
-	if seq != want {
-		if seq > want {
-			// The cell already carries a newer slot: lapped.
-			return Frame{}, RingLost
-		}
-		// The slot aired (head moved past it) but nothing was written
-		// here for it: the engine skipped this channel at this slot.
-		return Frame{}, RingSkipped
+	// The head passed abs, so the row is stable for abs or a newer slot.
+	if stamp.Load() != want {
+		return Frame{}, RingLost
 	}
 	w0 := cell.w0.Load()
 	w1 := cell.w1.Load()
-	if cell.seq.Load() != want {
+	if stamp.Load() != want {
 		// A writer lapped us between the stamp check and the word loads:
 		// the words may be torn, discard them.
 		return Frame{}, RingLost
+	}
+	if w0 == skipMarker {
+		return Frame{}, RingSkipped
 	}
 	f, ok := frameFromWords(w0, w1)
 	if !ok {

@@ -2,9 +2,11 @@ package netcast
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/susc"
 )
@@ -34,9 +36,25 @@ func ringCaster(t testing.TB, prog *core.Program, slots int, fault FaultInjector
 	return ring, caster
 }
 
+// TestRingValidation pins the constructor's checks and rounding. An
+// oversized ring is refused with an error rather than hanging or
+// allocating: a depth whose power-of-two rounding would overflow, a
+// channels x depth product that overflows int, and one that fits int but
+// exceeds the cell limit.
 func TestRingValidation(t *testing.T) {
-	if _, err := NewBroadcastRing(0, 8); err == nil {
-		t.Error("expected error for zero channels")
+	for _, c := range []struct {
+		name            string
+		channels, slots int
+	}{
+		{"zero channels", 0, 8},
+		{"depth rounding overflows", 1, math.MaxInt/2 + 2},
+		{"depth over the cell limit", 1, maxRingCells + 1},
+		{"product overflows", math.MaxInt / 2, 1 << 20},
+		{"product over the cell limit", maxRingCells/DefaultRingSlots + 1, 0},
+	} {
+		if _, err := NewBroadcastRing(c.channels, c.slots); err == nil {
+			t.Errorf("%s: NewBroadcastRing(%d, %d) succeeded, want an error", c.name, c.channels, c.slots)
+		}
 	}
 	ring, err := NewBroadcastRing(2, 0)
 	if err != nil {
@@ -84,10 +102,10 @@ func TestRingPollMatchesProgram(t *testing.T) {
 	for abs := 0; abs < slots; abs++ {
 		caster.CastSlot(abs)
 	}
+	if got := ring.Head(); got != slots {
+		t.Fatalf("Head() = %d, want %d", got, slots)
+	}
 	for ch := 0; ch < prog.Channels(); ch++ {
-		if got := ring.Head(ch); got != slots {
-			t.Fatalf("Head(%d) = %d, want %d", ch, got, slots)
-		}
 		for abs := int64(0); abs < slots; abs++ {
 			f, st := ring.Poll(ch, abs)
 			if st != RingOK {
@@ -169,6 +187,82 @@ func TestRingSkipAndCorrupt(t *testing.T) {
 	}
 }
 
+// TestRingClassificationDifferential casts a program through a depth-8
+// ring under a plan with stalls, i.i.d. and burst loss and corruption
+// all on, and after every slot polls every (channel, slot) in and around
+// the window: each aired slot must read exactly as plan.Classify says,
+// slots past the head RingPending, and the slot one ring length back
+// RingLost. A channel skipped at abs whose row held an intact frame for
+// abs-depth is the state a slot-major row makes reachable; it must read
+// RingSkipped, never the stale frame.
+func TestRingClassificationDifferential(t *testing.T) {
+	prog := testProgram(t)
+	const depth = 8
+	cycles := max(4, 96/prog.Length())
+	plan, err := chaos.NewPlan(chaos.Config{
+		Seed:       3,
+		Loss:       0.15,
+		Corrupt:    0.15,
+		StallEvery: 11,
+		StallFor:   2,
+		Burst:      &chaos.BurstConfig{GoodToBad: 0.1, BadToGood: 0.3, LossBad: 0.9},
+	}, prog.Channels(), prog.Length())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, caster := ringCaster(t, prog, depth, plan)
+	seen := map[chaos.SkipReason]int{}
+	staleSkips := 0
+	for head := 1; head <= cycles*prog.Length(); head++ {
+		caster.CastSlot(head - 1)
+		for ch := 0; ch < prog.Channels(); ch++ {
+			for abs := max(0, head-depth); abs < head; abs++ {
+				reason := plan.Classify(ch, abs)
+				f, st := ring.Poll(ch, int64(abs))
+				switch reason {
+				case chaos.SkipNone:
+					want := Frame{Channel: ch, Slot: uint32(abs), Page: prog.At(ch, prog.Column(abs))}
+					if st != RingOK || f != want {
+						t.Fatalf("head %d: Poll(%d, %d) = %+v/%v, want %+v/RingOK", head, ch, abs, f, st, want)
+					}
+				case chaos.SkipStall, chaos.SkipLoss:
+					if st != RingSkipped {
+						t.Fatalf("head %d: Poll(%d, %d) = %+v/%v, want RingSkipped (%v)", head, ch, abs, f, st, reason)
+					}
+				case chaos.SkipCorrupt:
+					if st != RingCorrupt {
+						t.Fatalf("head %d: Poll(%d, %d) = %+v/%v, want RingCorrupt", head, ch, abs, f, st)
+					}
+				}
+			}
+			if _, st := ring.Poll(ch, int64(head)); st != RingPending {
+				t.Fatalf("head %d: Poll(%d, %d) = %v, want RingPending", head, ch, head, st)
+			}
+			if lapped := head - 1 - depth; lapped >= 0 {
+				if _, st := ring.Poll(ch, int64(lapped)); st != RingLost {
+					t.Fatalf("head %d: Poll(%d, %d) = %v, want RingLost", head, ch, lapped, st)
+				}
+			}
+			// Tally the newest slot once, when it airs.
+			abs := head - 1
+			reason := plan.Classify(ch, abs)
+			seen[reason]++
+			if (reason == chaos.SkipStall || reason == chaos.SkipLoss) &&
+				abs >= depth && plan.Classify(ch, abs-depth) == chaos.SkipNone {
+				staleSkips++
+			}
+		}
+	}
+	for _, r := range []chaos.SkipReason{chaos.SkipNone, chaos.SkipStall, chaos.SkipLoss, chaos.SkipCorrupt} {
+		if seen[r] == 0 {
+			t.Errorf("plan never produced %v; the differential does not cover it", r)
+		}
+	}
+	if staleSkips == 0 {
+		t.Error("no channel was skipped over an intact frame one ring length back")
+	}
+}
+
 // TestRingZeroAllocs is the acceptance-criteria alloc guard: the ring
 // transport does zero allocations per slot on the publish side and zero
 // per poll on the subscriber side, at any subscriber count — the O(1)
@@ -216,7 +310,7 @@ func TestRingChurnStorm(t *testing.T) {
 					return
 				default:
 				}
-				head := ring.Head(ch)
+				head := ring.Head()
 				if head == 0 {
 					continue
 				}
@@ -233,7 +327,7 @@ func TestRingChurnStorm(t *testing.T) {
 					}
 					abs++
 				case RingLost:
-					abs = ring.Head(ch) - 1
+					abs = ring.Head() - 1
 				case RingCorrupt:
 					t.Errorf("corrupt frame without fault injection at (%d, %d)", ch, abs)
 					return

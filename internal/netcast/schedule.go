@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tcsa/internal/core"
@@ -23,9 +24,10 @@ type ScheduleServer struct {
 	listener net.Listener
 	payload  []byte
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	closed   bool
+	wg       sync.WaitGroup
+	sendErrs atomic.Int64
 }
 
 // scheduleDoc is the published document.
@@ -99,12 +101,35 @@ func (ss *ScheduleServer) acceptLoop() {
 		ss.wg.Add(1)
 		go func() {
 			defer ss.wg.Done()
-			defer conn.Close()
-			_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			_, _ = conn.Write(ss.payload)
+			ss.serve(conn)
 		}()
 	}
 }
+
+// serve sends the schedule to one client, counts a failed send, and
+// closes the connection.
+func (ss *ScheduleServer) serve(conn net.Conn) {
+	defer conn.Close()
+	if err := ss.send(conn); err != nil {
+		ss.sendErrs.Add(1)
+	}
+}
+
+// send writes the schedule document to conn, giving the client five
+// seconds to read it.
+func (ss *ScheduleServer) send(conn net.Conn) error {
+	if err := conn.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		return fmt.Errorf("netcast: setting schedule write deadline: %w", err)
+	}
+	if _, err := conn.Write(ss.payload); err != nil {
+		return fmt.Errorf("netcast: sending schedule: %w", err)
+	}
+	return nil
+}
+
+// SendErrors reports how many schedule sends have failed: clients that
+// hung up before reading the document or stalled past the write timeout.
+func (ss *ScheduleServer) SendErrors() int64 { return ss.sendErrs.Load() }
 
 // FetchSchedule downloads and decodes the published schedule.
 func FetchSchedule(addr string, timeout time.Duration) (*Schedule, error) {

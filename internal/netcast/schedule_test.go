@@ -1,6 +1,9 @@
 package netcast
 
 import (
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -50,6 +53,9 @@ func TestFetchScheduleMultipleClients(t *testing.T) {
 		if _, err := FetchSchedule(ss.Addr().String(), 2*time.Second); err != nil {
 			t.Fatalf("client %d: %v", i, err)
 		}
+	}
+	if got := ss.SendErrors(); got != 0 {
+		t.Errorf("SendErrors() = %d after five complete fetches, want 0", got)
 	}
 }
 
@@ -105,5 +111,23 @@ func TestCloseStopsAccepting(t *testing.T) {
 	}
 	if _, err := FetchSchedule(addr, 300*time.Millisecond); err == nil {
 		t.Error("fetch succeeded after Close")
+	}
+}
+
+// TestScheduleSendErrorCounted pins that a schedule send to a client that
+// already hung up returns its error and is counted on the server, rather
+// than discarded.
+func TestScheduleSendErrorCounted(t *testing.T) {
+	ss := &ScheduleServer{payload: []byte(`{"program":null}`)}
+	server, client := net.Pipe()
+	client.Close()
+	if err := ss.send(server); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("send to a closed reader: err = %v, want io.ErrClosedPipe", err)
+	}
+	server, client = net.Pipe()
+	client.Close()
+	ss.serve(server)
+	if got := ss.SendErrors(); got != 1 {
+		t.Errorf("SendErrors() = %d after one failed serve, want 1", got)
 	}
 }

@@ -28,10 +28,15 @@ type Transport interface {
 	// implementations must copy what they need before returning.
 	Publish(ch, abs int, frame []byte)
 	// Skip records that channel ch transmits nothing at slot abs — a
-	// stall, an injected drop, or a silent channel. The ring advances its
-	// slot watermark so subscribers can tell "lost" from "not yet aired";
-	// UDP has nothing to do (a missing datagram is the loss).
+	// stall, an injected drop, or a silent channel. The ring writes a
+	// skip marker into the channel's cell so subscribers read "aired
+	// empty", not the frame the cell held one ring length earlier; UDP
+	// has nothing to do (a missing datagram is the loss).
 	Skip(ch, abs int)
+	// EndSlot marks slot abs complete: every channel has been published
+	// or skipped. The ring makes the slot readable on every channel at
+	// once; UDP has nothing to do.
+	EndSlot(abs int)
 	// Close releases the transport's resources and stops its workers.
 	// Safe to call more than once.
 	Close() error
@@ -136,7 +141,8 @@ func (c *Caster) StageProgram(next *core.Program) error {
 // never a torn mix.
 func (c *Caster) Epoch() EpochInfo { return *c.published.Load() }
 
-// CastSlot encodes and publishes absolute slot abs on every channel.
+// CastSlot encodes and publishes absolute slot abs on every channel, then
+// ends the slot on the transport.
 func (c *Caster) CastSlot(abs int) {
 	if st := c.staged.Load(); st != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
 		// Start of an old-epoch cycle: flip. The CAS tolerates a racing
@@ -155,6 +161,7 @@ func (c *Caster) CastSlot(abs int) {
 		for ch := 0; ch < prog.Channels(); ch++ {
 			c.tr.Skip(ch, abs)
 		}
+		c.tr.EndSlot(abs)
 		return
 	}
 	col := prog.Column(abs - c.epoch.Base)
@@ -183,6 +190,7 @@ func (c *Caster) CastSlot(abs int) {
 		}
 		c.tr.Publish(ch, abs, c.frame)
 	}
+	c.tr.EndSlot(abs)
 }
 
 // Faults reports the faults injected so far. Safe to call concurrently

@@ -124,6 +124,10 @@ func (t *UDPTransport) Publish(ch, abs int, frame []byte) {
 // on UDP a missing datagram needs no marker.
 func (t *UDPTransport) Skip(ch, abs int) {}
 
+// EndSlot implements Transport: each frame went to its channel's worker
+// on Publish, so the end of a slot sends nothing.
+func (t *UDPTransport) EndSlot(abs int) {}
+
 // Overruns reports how many frames were dropped because a channel's
 // transmit worker had fallen a full mailbox behind the slot clock.
 func (t *UDPTransport) Overruns() int64 { return t.overruns.Load() }
