@@ -10,13 +10,11 @@ import (
 	"context"
 	"testing"
 
-	"tcsa/internal/adaptive"
 	"tcsa/internal/bdisk"
 	"tcsa/internal/core"
 	"tcsa/internal/experiments"
 	"tcsa/internal/hybrid"
 	"tcsa/internal/mpb"
-	"tcsa/internal/multiitem"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/opt"
 	"tcsa/internal/pamad"
@@ -346,49 +344,6 @@ func BenchmarkBDiskBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bdisk.Build(gs, disks, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiItemOptimal measures the exact set-retrieval planner on an
-// 8-page query over a paper-scale PAMAD program.
-func BenchmarkMultiItemOptimal(b *testing.B) {
-	gs := paperInstance(b)
-	prog, _, err := pamad.Build(gs, core.CeilDiv(gs.MinChannels(), 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := core.Analyze(prog)
-	query := make([]core.PageID, 8)
-	for i := range query {
-		query[i] = core.PageID(i * 111)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := multiitem.Optimal(a, query, 3.5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdaptiveRebuild measures one closed-loop epoch rebuild at paper
-// scale.
-func BenchmarkAdaptiveRebuild(b *testing.B) {
-	ctrl, err := adaptive.New(1000, adaptive.Config{Channels: 13, Fallback: 512})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if _, err := ctrl.Report(i, float64(4+(i%500))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ctrl.Rebuild(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,14 +108,18 @@ func (m *Medium) Start() error {
 		m.transmit()
 		return true
 	}
-	if m.jitter == nil {
-		return m.sim.Periodic(first, 1, tick)
-	}
-	// Jittered clock: slot k is transmitted at first + k + jitter(k), so
-	// the interval after tick k bridges to the next jittered boundary.
+	// Slot k is transmitted at first + k + offset(k), so the interval
+	// after tick k bridges to the next jittered boundary. Without jitter
+	// the offset is a constant 0 and every interval is exactly 1.
 	// clampJ keeps a misbehaving jitter source from reordering slots.
-	return m.sim.PeriodicVar(first+clampJ(m.jitter(0)), func(k int) float64 {
-		return 1 + clampJ(m.jitter(k+1)) - clampJ(m.jitter(k))
+	offset := func(k int) float64 {
+		if m.jitter == nil {
+			return 0
+		}
+		return clampJ(m.jitter(k))
+	}
+	return m.sim.PeriodicVar(first+offset(0), func(k int) float64 {
+		return 1 + offset(k+1) - offset(k)
 	}, tick)
 }
 

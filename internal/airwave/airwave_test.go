@@ -246,57 +246,73 @@ func TestPageAt(t *testing.T) {
 }
 
 // TestSlotJitterShiftsDeliveryInstants: with WithSlotJitter, frame k is
-// delivered at k + jitter(k) instead of exactly k, frames still arrive in
-// slot order, and an out-of-contract jitter value is clamped.
+// delivered at first + k + jitter(k) instead of exactly first + k, frames
+// still arrive in slot order, and an out-of-contract jitter value is
+// clamped. Without jitter every frame lands exactly on its integer slot
+// boundary, however long the medium runs.
 func TestSlotJitterShiftsDeliveryInstants(t *testing.T) {
-	var sim eventsim.Simulator
-	jitter := func(slot int) float64 {
-		switch slot % 3 {
-		case 1:
-			return 0.25
-		case 2:
-			return 2.0 // out of contract: must clamp to 0.5
-		}
-		return 0
-	}
-	m, err := New(&sim, twoChannelProgram(t), WithSlotJitter(jitter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type delivery struct {
-		slot int
-		at   float64
-	}
-	var got []delivery
-	tuner, err := m.NewTuner(func(f Frame) { got = append(got, delivery{f.Slot, sim.Now()}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.TuneTo(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(6.9)
-	m.Stop()
-	sim.Run()
-	if len(got) < 6 {
-		t.Fatalf("heard %d frames, want >= 6", len(got))
-	}
-	for i, d := range got[:6] {
-		if d.slot != i {
-			t.Fatalf("frame %d carries slot %d; deliveries: %+v", i, d.slot, got)
-		}
-		want := float64(i)
-		switch i % 3 {
-		case 1:
-			want += 0.25
-		case 2:
-			want += 0.5 // clamped
-		}
-		if d.at != want { //lint:ignore floateq jittered instants are exact sums of exact offsets
-			t.Errorf("slot %d delivered at %v, want %v", i, d.at, want)
-		}
+	for _, tc := range []struct {
+		name   string
+		jitter func(slot int) float64
+		frames int
+	}{
+		{"none", nil, 1000},
+		{"clamped", func(slot int) float64 {
+			switch slot % 3 {
+			case 1:
+				return 0.25
+			case 2:
+				return 2.0 // out of contract: must clamp to 0.5
+			}
+			return 0
+		}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sim eventsim.Simulator
+			sim.RunUntil(2.5) // start mid-slot: the first frame waits for slot boundary 3
+			const first = 3.0
+			m, err := New(&sim, twoChannelProgram(t), WithSlotJitter(tc.jitter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			type delivery struct {
+				slot int
+				at   float64
+			}
+			var got []delivery
+			tuner, err := m.NewTuner(func(f Frame) { got = append(got, delivery{f.Slot, sim.Now()}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tuner.TuneTo(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Start(); err != nil {
+				t.Fatal(err)
+			}
+			sim.RunUntil(first + float64(tc.frames) - 0.1)
+			m.Stop()
+			sim.Run()
+			if len(got) < tc.frames {
+				t.Fatalf("heard %d frames, want >= %d", len(got), tc.frames)
+			}
+			for k, d := range got[:tc.frames] {
+				if d.slot != k {
+					t.Fatalf("frame %d carries slot %d", k, d.slot)
+				}
+				want := first + float64(k)
+				if tc.jitter != nil {
+					switch k % 3 {
+					case 1:
+						want += 0.25
+					case 2:
+						want += 0.5 // clamped
+					}
+				}
+				if d.at != want { //lint:ignore floateq slot instants are exact sums of exact offsets
+					t.Errorf("slot %d delivered at %v, want %v", k, d.at, want)
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"tcsa/internal/adaptive"
 	"tcsa/internal/conformance"
 	"tcsa/internal/core"
 	"tcsa/internal/pamad"
@@ -433,7 +432,7 @@ func TestConfigValidate(t *testing.T) {
 // TestDegradationTransitionBound closes the loop between the chaos
 // degradation path and the live-transition machinery: flipping from the
 // nominal PAMAD schedule to the loss-degraded one must keep every page's
-// splice wait within adaptive.SpliceBounds, checked by the independent
+// splice wait within replan.SpliceBounds, checked by the independent
 // conformance replay. Page identities are stable across a channel resize,
 // so the item universe is the identity map.
 func TestDegradationTransitionBound(t *testing.T) {
@@ -460,10 +459,7 @@ func TestDegradationTransitionBound(t *testing.T) {
 	for i := range ids {
 		ids[i] = core.PageID(i)
 	}
-	bounds, err := adaptive.SpliceBounds(
-		adaptive.Epoch{Program: nominal, IDs: ids},
-		adaptive.Epoch{Program: degraded, IDs: ids},
-	)
+	bounds, err := replan.SpliceBounds(nominal, degraded, ids, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

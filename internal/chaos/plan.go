@@ -18,8 +18,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-
-	"tcsa/internal/airwave"
 )
 
 // Fault-kind tags folded into the stateless per-(channel, slot) hashes.
@@ -325,21 +323,6 @@ func (p *Plan) Classify(ch, abs int) SkipReason {
 	default:
 		return SkipNone
 	}
-}
-
-// DropFunc adapts the channel-side faults to the airwave loss interface,
-// for replaying the plan through the discrete-event simulation.
-func (p *Plan) DropFunc() airwave.DropFunc {
-	return func(f airwave.Frame) bool { return p.Lost(f.Channel, f.Slot) }
-}
-
-// JitterFunc adapts JitterAt for airwave.WithSlotJitter; nil when the
-// plan has no jitter, so lossless media keep the fixed-period fast path.
-func (p *Plan) JitterFunc() func(slot int) float64 {
-	if p.cfg.Jitter <= 0 {
-		return nil
-	}
-	return p.JitterAt
 }
 
 // EffectiveLossRate is the fraction of the first maxCycles cycles' frame

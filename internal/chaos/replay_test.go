@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"tcsa/internal/airwave"
 	"tcsa/internal/core"
 	"tcsa/internal/sim"
 	"tcsa/internal/workload"
@@ -40,4 +41,19 @@ func Replay(prog *core.Program, reqs []workload.Request, cfg Config) (*sim.Outco
 // scale AbandonAfter multiplies).
 func minTime(prog *core.Program) int {
 	return prog.GroupSet().Group(0).Time
+}
+
+// DropFunc adapts the channel-side faults to the airwave loss interface,
+// for replaying the plan through the discrete-event simulation.
+func (p *Plan) DropFunc() airwave.DropFunc {
+	return func(f airwave.Frame) bool { return p.Lost(f.Channel, f.Slot) }
+}
+
+// JitterFunc adapts JitterAt for airwave.WithSlotJitter; nil when the
+// plan has no jitter.
+func (p *Plan) JitterFunc() func(slot int) float64 {
+	if p.cfg.Jitter <= 0 {
+		return nil
+	}
+	return p.JitterAt
 }

@@ -12,10 +12,10 @@ import (
 // served in-cycle by the old program if any appearance lies at or after u,
 // otherwise carried across the boundary to the new program's phase-0
 // appearance — and checks each measured wait against the caller-supplied
-// per-item bound (adaptive.SpliceBounds in production).
+// per-item bound (replan.SpliceBounds for a live epoch flip).
 //
-// The replay is deliberately independent of the adaptive package's closed
-// forms: it sweeps the grids directly, builds its own appearance lists,
+// The replay is deliberately independent of replan.SpliceBounds' closed
+// form: it sweeps the grids directly, builds its own appearance lists,
 // and walks every arrival with a two-pointer scan, O(items * L) total.
 // oldIDs and newIDs give each item's page identity in the respective
 // programs (the replan engine's Delta.RemapPage output); bounds[i] is the

@@ -4,12 +4,10 @@
 // client-reported time tolerances into the per-page expected times the
 // schedulers consume.
 //
-// Two collection styles share one aggregation core:
-//
-//   - Piggyback: every client request carries the client's tolerated wait
-//     for that page; the server folds reports in continuously.
-//   - Probe: the server polls a random sample of clients once and folds in
-//     everything they report.
+// Every client request carries the client's tolerated wait for that page
+// (piggybacking), and the server folds the reports in continuously; a
+// probing server feeds the answers of the clients it polls through the
+// same Report call.
 //
 // Aggregation keeps a bounded per-page reservoir and estimates a low
 // quantile of the reported tolerances — conservative, so the schedule is
@@ -144,36 +142,4 @@ func (a *Aggregator) Groups(c, fallback int) (*core.Rearrangement, error) {
 		return nil, err
 	}
 	return core.Rearrange(times, c)
-}
-
-// Report is one client's tolerance statement, used by Probe.
-type Report struct {
-	Page      core.PageID
-	Tolerance float64
-}
-
-// Probe polls a uniform random sample (without replacement) of the client
-// population and aggregates everything the sampled clients report.
-// population[i] lists client i's tolerances. sampleSize >= len(population)
-// polls everyone.
-func Probe(pages int, population [][]Report, sampleSize int, cfg Config) (*Aggregator, error) {
-	if sampleSize < 1 {
-		return nil, fmt.Errorf("estimator: sample size %d", sampleSize)
-	}
-	agg, err := NewAggregator(pages, cfg)
-	if err != nil {
-		return nil, err
-	}
-	idx := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)).Perm(len(population))
-	if sampleSize > len(idx) {
-		sampleSize = len(idx)
-	}
-	for _, ci := range idx[:sampleSize] {
-		for _, rep := range population[ci] {
-			if err := agg.Report(rep.Page, rep.Tolerance); err != nil {
-				return nil, fmt.Errorf("estimator: client %d: %w", ci, err)
-			}
-		}
-	}
-	return agg, nil
 }

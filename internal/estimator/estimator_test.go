@@ -152,46 +152,3 @@ func TestGroupsPipeline(t *testing.T) {
 		}
 	}
 }
-
-func TestProbeSamplesPopulation(t *testing.T) {
-	population := [][]Report{
-		{{Page: 0, Tolerance: 10}},
-		{{Page: 0, Tolerance: 20}},
-		{{Page: 1, Tolerance: 30}},
-		{{Page: 1, Tolerance: 40}, {Page: 0, Tolerance: 50}},
-	}
-	agg, err := Probe(2, population, 4, Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Reports(0) != 3 || agg.Reports(1) != 2 {
-		t.Errorf("reports = %d/%d, want 3/2 when polling everyone", agg.Reports(0), agg.Reports(1))
-	}
-	sampled, err := Probe(2, population, 2, Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total := sampled.Reports(0) + sampled.Reports(1); total < 1 || total > 3 {
-		t.Errorf("sample of 2 clients yielded %d reports", total)
-	}
-	if _, err := Probe(2, population, 0, Config{}); err == nil {
-		t.Error("sample size 0 accepted")
-	}
-}
-
-func TestProbeDeterministic(t *testing.T) {
-	population := make([][]Report, 50)
-	rng := rand.New(rand.NewSource(7))
-	for i := range population {
-		population[i] = []Report{{Page: core.PageID(rng.Intn(4)), Tolerance: 1 + rng.Float64()*9}}
-	}
-	a1, _ := Probe(4, population, 10, Config{Seed: 8})
-	a2, _ := Probe(4, population, 10, Config{Seed: 8})
-	for p := core.PageID(0); p < 4; p++ {
-		e1, ok1 := a1.Estimate(p)
-		e2, ok2 := a2.Estimate(p)
-		if ok1 != ok2 || e1 != e2 {
-			t.Fatalf("probe not deterministic for page %d", p)
-		}
-	}
-}

@@ -56,33 +56,14 @@ func (s *Simulator) After(d float64, fn func()) error {
 	return s.At(s.now+d, fn)
 }
 
-// Periodic schedules fn at start and then every interval slots for as long
-// as fn returns true. fn receives the firing time.
-func (s *Simulator) Periodic(start, interval float64, fn func(t float64) bool) error {
-	if interval <= 0 {
-		return fmt.Errorf("eventsim: non-positive interval %f", interval)
-	}
-	if fn == nil {
-		return errors.New("eventsim: nil event function")
-	}
-	var tick func()
-	tick = func() {
-		if fn(s.now) {
-			// Scheduling from inside an event cannot fail: now+interval is
-			// in the future.
-			_ = s.After(interval, tick)
-		}
-	}
-	return s.At(start, tick)
-}
-
 // PeriodicVar schedules fn at start and then after interval(k) slots
 // following its k-th firing (k counts from 0), for as long as fn returns
-// true. It is Periodic with a per-tick interval — the substrate for slot
-// jitter, where consecutive slot boundaries are not exactly one slot
-// apart. interval must return positive values; a non-positive interval
-// stops the train (fn is not called again), so a buggy jitter source
-// degrades to silence instead of looping at a frozen clock.
+// true. A constant interval gives a fixed-period train; a varying one is
+// the substrate for slot jitter, where consecutive slot boundaries are
+// not exactly one slot apart. interval must return positive values; a
+// non-positive interval stops the train (fn is not called again), so a
+// buggy jitter source degrades to silence instead of looping at a frozen
+// clock.
 func (s *Simulator) PeriodicVar(start float64, interval func(k int) float64, fn func(t float64) bool) error {
 	if interval == nil {
 		return errors.New("eventsim: nil interval function")
@@ -137,17 +118,6 @@ func (s *Simulator) RunUntil(deadline float64) int {
 	}
 	if deadline > s.now {
 		s.now = deadline
-	}
-	return n
-}
-
-// RunLimit executes at most limit events; it returns the number executed
-// (less than limit only if the queue drained first). A guard against
-// accidental infinite self-scheduling loops.
-func (s *Simulator) RunLimit(limit int) int {
-	n := 0
-	for n < limit && s.Step() {
-		n++
 	}
 	return n
 }

@@ -126,23 +126,11 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunLimit(t *testing.T) {
-	var s Simulator
-	for i := 0; i < 5; i++ {
-		_ = s.At(float64(i), func() {})
-	}
-	if n := s.RunLimit(3); n != 3 {
-		t.Errorf("RunLimit(3) = %d, want 3", n)
-	}
-	if n := s.RunLimit(99); n != 2 {
-		t.Errorf("RunLimit(99) = %d, want remaining 2", n)
-	}
-}
-
+// TestPeriodic: a constant interval fires a fixed-period train.
 func TestPeriodic(t *testing.T) {
 	var s Simulator
 	var fires []float64
-	err := s.Periodic(2, 3, func(at float64) bool {
+	err := s.PeriodicVar(2, func(int) float64 { return 3 }, func(at float64) bool {
 		fires = append(fires, at)
 		return len(fires) < 4
 	})
@@ -158,16 +146,6 @@ func TestPeriodic(t *testing.T) {
 		if fires[i] != want[i] {
 			t.Fatalf("fires = %v, want %v", fires, want)
 		}
-	}
-}
-
-func TestPeriodicValidation(t *testing.T) {
-	var s Simulator
-	if err := s.Periodic(0, 0, func(float64) bool { return false }); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if err := s.Periodic(0, 1, nil); err == nil {
-		t.Error("nil function accepted")
 	}
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"tcsa/internal/core"
 	"tcsa/internal/hybrid"
@@ -104,19 +102,4 @@ func HybridSeries(pts []HybridPoint) []float64 {
 			float64(pt.StolenSlots), pt.EndToEndMean)
 	}
 	return s
-}
-
-// RenderHybridMatrix renders the sweep as one table per arrival rate.
-func RenderHybridMatrix(dist fmt.Stringer, pts []HybridPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Hybrid pull/push matrix — Poisson intensity x split x policy, %v distribution\n", dist)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "rate\tsplit\tpolicy\tpull share\tonline flow\tmax DF\tstolen\te2e mean\te2e max\t")
-	for _, pt := range pts {
-		fmt.Fprintf(w, "%.2f\t%v\t%v\t%.3f\t%.3f\t%.2f\t%d\t%.3f\t%.3f\t\n",
-			pt.Rate, pt.Split, pt.Policy, pt.PullShare, pt.OnlineAvgFlow,
-			pt.OnlineMaxDF, pt.StolenSlots, pt.EndToEndMean, pt.EndToEndMax)
-	}
-	_ = w.Flush() // cannot fail: flushes into the in-memory builder
-	return b.String()
 }

@@ -131,6 +131,9 @@ func (ss *ScheduleServer) send(conn net.Conn) error {
 // hung up before reading the document or stalled past the write timeout.
 func (ss *ScheduleServer) SendErrors() int64 { return ss.sendErrs.Load() }
 
+// maxScheduleBytes bounds the schedule document FetchSchedule accepts.
+const maxScheduleBytes = 64 << 20
+
 // FetchSchedule downloads and decodes the published schedule.
 func FetchSchedule(addr string, timeout time.Duration) (*Schedule, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
@@ -138,10 +141,17 @@ func FetchSchedule(addr string, timeout time.Duration) (*Schedule, error) {
 		return nil, fmt.Errorf("netcast: dialing schedule server: %w", err)
 	}
 	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	data, err := io.ReadAll(io.LimitReader(conn, 64<<20))
+	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, fmt.Errorf("netcast: setting schedule read deadline: %w", err)
+	}
+	// Read one byte past the limit, so an oversized document is refused
+	// as such rather than truncated into a misleading decode error.
+	data, err := io.ReadAll(io.LimitReader(conn, maxScheduleBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("netcast: reading schedule: %w", err)
+	}
+	if len(data) > maxScheduleBytes {
+		return nil, fmt.Errorf("netcast: schedule exceeds %d MiB", maxScheduleBytes>>20)
 	}
 	var doc scheduleDoc
 	if err := json.Unmarshal(data, &doc); err != nil {

@@ -1,9 +1,11 @@
 package netcast
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +74,37 @@ func TestServeScheduleValidation(t *testing.T) {
 func TestFetchScheduleErrors(t *testing.T) {
 	if _, err := FetchSchedule("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Error("dead endpoint accepted")
+	}
+}
+
+// TestFetchScheduleRejectsOversized: a peer that streams one byte more
+// than the schedule limit is refused with a size error, not truncated
+// into a JSON decode error.
+func TestFetchScheduleRejectsOversized(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// maxScheduleBytes+1 bytes of JSON whitespace: valid up to the
+		// limit, one byte over it.
+		chunk := bytes.Repeat([]byte(" "), 1<<20)
+		for sent := 0; sent < maxScheduleBytes; sent += len(chunk) {
+			if _, err := conn.Write(chunk); err != nil {
+				return
+			}
+		}
+		_, _ = conn.Write(chunk[:1])
+	}()
+	_, err = FetchSchedule(ln.Addr().String(), 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "schedule exceeds 64 MiB") {
+		t.Fatalf("oversized schedule: err = %v, want a size error", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package netcast
 import (
 	"testing"
 
-	"tcsa/internal/adaptive"
 	"tcsa/internal/conformance"
 	"tcsa/internal/core"
 	"tcsa/internal/replan"
@@ -98,7 +97,7 @@ func TestRingEpochFlipZeroPause(t *testing.T) {
 
 // TestFlipRespectsSpliceBounds measures, client-side off the ring, the
 // worst wait of every surviving item for arrivals in the final old cycle,
-// and checks the measurement against adaptive.SpliceBounds — then hands
+// and checks the measurement against replan.SpliceBounds — then hands
 // the same transition to the conformance.TransitionBound oracle. This is
 // the per-client deadline-regression guarantee of a live replan.
 func TestFlipRespectsSpliceBounds(t *testing.T) {
@@ -109,10 +108,7 @@ func TestFlipRespectsSpliceBounds(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			old, next, oldIDs, newIDs := flipFixture(t, edit)
-			bounds, err := adaptive.SpliceBounds(
-				adaptive.Epoch{Program: old, IDs: oldIDs},
-				adaptive.Epoch{Program: next, IDs: newIDs},
-			)
+			bounds, err := replan.SpliceBounds(old, next, oldIDs, newIDs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,11 +71,11 @@ type EpochInfo struct {
 // The caster owns the live-transition protocol. A replan stages its new
 // program with StageProgram; the cast loop keeps airing the old epoch and
 // flips exactly at the next slot that starts an old-program cycle — the
-// boundary the adaptive transition model assumes: the old epoch runs to
-// the end of its cycle, the new one starts at phase zero. The flip is a
-// pointer swap between two immutable snapshots, so no slot is ever paused
-// and no frame mixes epochs; clients' extra wait across the boundary is
-// bounded by adaptive.SpliceBounds and checked by the
+// boundary replan.SpliceBounds assumes: the old epoch runs to the end of
+// its cycle, the new one starts at phase zero. The flip is a pointer swap
+// between two immutable snapshots, so no slot is ever paused and no frame
+// mixes epochs; clients' extra wait across the boundary is bounded by
+// replan.SpliceBounds and checked by the
 // conformance.TransitionBound oracle in the package tests.
 //
 // CastSlot is not safe for concurrent use — one goroutine (the server's

@@ -1,7 +1,7 @@
 // Package stats provides the small, dependency-free statistics toolkit the
 // simulators and experiment harness use: streaming moments (Welford),
-// percentiles, histograms and confidence intervals. Everything is
-// deterministic and allocation-conscious.
+// percentiles, mergeable quantile sketches and confidence intervals.
+// Everything is deterministic and allocation-conscious.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package stats
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Online accumulates count, mean and variance in one pass using Welford's
@@ -192,67 +191,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f p50=%.4f p95=%.4f p99=%.4f max=%.4f",
 		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.P99, s.Max)
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); out-of-range values
-// clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-	count  int64
-}
-
-// NewHistogram allocates bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: %d bins", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: empty range [%f, %f)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.count++
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.count == 0 || i < 0 || i >= len(h.Bins) {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.count)
-}
-
-// String renders a compact ASCII bar chart, one row per bin.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	width := float64(h.Hi-h.Lo) / float64(len(h.Bins))
-	var peak int64 = 1
-	for _, c := range h.Bins {
-		if c > peak {
-			peak = c
-		}
-	}
-	for i, c := range h.Bins {
-		bar := int(float64(c) / float64(peak) * 40)
-		fmt.Fprintf(&b, "[%8.2f,%8.2f) %7d %s\n",
-			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // JainIndex computes Jain's fairness index of a non-negative sample:

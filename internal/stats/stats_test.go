@@ -130,45 +130,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Errorf("Count = %d, want 7", h.Count())
-	}
-	// Bin 0 holds 0, 1.9 and clamped -3; bin 4 holds 9.9 and clamped 42.
-	if h.Bins[0] != 3 || h.Bins[1] != 1 || h.Bins[2] != 1 || h.Bins[4] != 2 {
-		t.Errorf("Bins = %v", h.Bins)
-	}
-	if got, want := h.Fraction(0), 3.0/7.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Fraction(0) = %f, want %f", got, want)
-	}
-	if h.Fraction(99) != 0 {
-		t.Error("Fraction out of range != 0")
-	}
-	if s := h.String(); !strings.Contains(s, "#") {
-		t.Errorf("String() = %q has no bars", s)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	var empty Histogram
-	if empty.Fraction(0) != 0 {
-		t.Error("empty histogram Fraction != 0")
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	tests := []struct {
 		xs   []float64

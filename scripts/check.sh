@@ -16,6 +16,17 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> orphan-package guard (every internal package reached by a binary, an example or the bench module)"
+reached=$(mktemp)
+{ go list -deps ./cmd/... ./examples/... . && (cd bench && go list -deps .); } | sort -u >"$reached"
+orphans=$(go list ./internal/... | sort | comm -23 - "$reached")
+rm -f "$reached"
+if [ -n "$orphans" ]; then
+    echo "internal packages no binary, example or bench reaches (give each an importer or delete it):"
+    echo "$orphans"
+    exit 1
+fi
+
 echo "==> airvet ./... (against lint_baseline.json)"
 go run ./cmd/airvet -baseline lint_baseline.json ./...
 
