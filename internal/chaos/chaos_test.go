@@ -93,7 +93,7 @@ func eqMetrics(t *testing.T, got, want *sim.Metrics) {
 }
 
 // TestZeroFaultMatchesMeasureStream is the acceptance criterion: with no
-// faults configured, the chaos engine's metrics are bit-for-bit the
+// faults configured, the chaos engine's walk yields bit-for-bit the
 // sim.MeasureStream metrics — on sorted and unsorted streams, on SUSC and
 // PAMAD programs.
 func TestZeroFaultMatchesMeasureStream(t *testing.T) {
@@ -217,6 +217,45 @@ func TestZeroLossValidProgramMissFree(t *testing.T) {
 	}
 	if res.MissRatio != 0 { //lint:ignore floateq exact zero is the law under test
 		t.Errorf("MissRatio = %g on a valid program with no faults", res.MissRatio)
+	}
+}
+
+// TestZeroFaultMaxCyclesBound pins that MaxCycles bounds fault-free
+// walks too: at MaxCycles 1 exactly the requests whose arrival falls after
+// their page's last appearance in the cycle give up, each waiting one
+// full cycle, and the rest wait as in sim.MeasureStream.
+func TestZeroFaultMaxCyclesBound(t *testing.T) {
+	gs, prog := suscProgram(t)
+	a := core.Analyze(prog)
+	stream := uniformStream(t, gs, prog.Length(), 5000, 8)
+	res, err := Run(a, stream, Config{Seed: 1, MaxCycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := float64(prog.Length())
+	var wrapped int64
+	var sum float64
+	cur := stream.NewCursor()
+	cur.Seek(0)
+	var r workload.Request
+	for cur.Next(&r) {
+		cols := a.Index().Columns(r.Page)
+		u := math.Mod(r.Arrival, L)
+		if float64(cols[len(cols)-1]) < u {
+			wrapped++
+			sum += L
+		} else {
+			sum += a.NextAfter(r.Page, u)
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no arrival falls after its page's last appearance; the case does not reach the bound")
+	}
+	if res.Unserved != wrapped || res.Retries != 0 {
+		t.Errorf("ledger %+v, want %d unserved and no retries", res.Ledger, wrapped)
+	}
+	if want := sum / float64(stream.Count()); math.Abs(res.AvgWait-want) > 1e-9 {
+		t.Errorf("AvgWait = %v, want %v", res.AvgWait, want)
 	}
 }
 

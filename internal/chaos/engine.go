@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"tcsa/internal/core"
 	"tcsa/internal/delaymodel"
@@ -95,9 +94,9 @@ func Run(a *core.Analysis, stream workload.Stream, cfg Config) (*Result, error) 
 // RunParallel walks every request through the fault plan on the
 // sim.FoldShards kernel, with per-shard ledgers summed afterwards, so the
 // Result (metrics, ledger and trace digest alike) is bit-for-bit identical
-// at any worker count. An inactive cfg loses no delivery, so it takes
-// sim.MeasureFold's closed form and reproduces sim.MeasureParallel's
-// Metrics bit for bit.
+// at any worker count. Every plan walks, so MaxCycles bounds every wait;
+// an inactive cfg at the default MaxCycles loses no delivery and
+// reproduces sim.MeasureParallel's Metrics bit for bit.
 func RunParallel(a *core.Analysis, stream workload.Stream, cfg Config, workers int) (*Result, error) {
 	if a == nil {
 		return nil, errors.New("chaos: nil analysis")
@@ -110,102 +109,53 @@ func RunParallel(a *core.Analysis, stream workload.Stream, cfg Config, workers i
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	var fold sim.Fold
-	if cfg.Active() {
-		ledgers := make([]Ledger, stream.Shards())
-		span := sim.CycleSpan(float64(prog.Length()), 1)
-		fold, err = sim.FoldShards(stream, workers, span, span, faultWalk(a, plan, stream.Sorted(), ledgers))
-		for k := range ledgers {
-			res.Ledger.Add(&ledgers[k])
-		}
-	} else {
-		fold, err = sim.MeasureFold(a, stream, workers)
-	}
+	ledgers := make([]Ledger, stream.Shards())
+	span := sim.CycleSpan(float64(prog.Length()), 1)
+	fold, err := sim.FoldShards(stream, workers, span, span, faultWalk(plan, a, stream.Sorted(), ledgers))
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics = fold.Metrics()
-	res.Misses = fold.Hits
-	res.TraceDigest = fold.Digest
+	res := &Result{Metrics: fold.Metrics(), Misses: fold.Hits, TraceDigest: fold.Digest}
+	for k := range ledgers {
+		res.Ledger.Add(&ledgers[k])
+	}
 	if err := Finish(res, plan, prog); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// faultWalk is the kernel visit of an active plan: from the first
-// appearance at or after each arrival, it walks the page's appearances
-// through the plan's faults in the order stall, loss, corruption, churn
-// until one is delivered or MaxCycles cycles have passed, ledgering every
-// skipped appearance in the shard's ledger.
-func faultWalk(a *core.Analysis, plan *Plan, sorted bool, ledgers []Ledger) func() sim.Visit {
-	prog := a.Program()
-	ix := a.Index()
-	pages := prog.GroupSet().Pages()
-	times := sim.ExpectedTimes(prog.GroupSet())
-	chanOf := ChannelTable(prog, ix)
-	Li := prog.Length()
-	L := float64(Li)
-	maxCycles := plan.cfg.maxCycles()
+// faultWalk is the kernel visit: each request walks its page's
+// appearances through the plan's faults until one is delivered or
+// MaxCycles cycles have passed, ledgering every skipped appearance in the
+// shard's ledger.
+func faultWalk(plan *Plan, a *core.Analysis, sorted bool, ledgers []Ledger) func() sim.Visit {
+	gs := a.Program().GroupSet()
+	pages := gs.Pages()
+	times := sim.ExpectedTimes(gs)
+	L := float64(plan.length)
 	return func() sim.Visit {
 		cursors := sim.NewCursors(sorted, pages)
 		var r workload.Request
 		return func(shard int, cur workload.Cursor, p *sim.Partial) error {
 			ledger := &ledgers[shard]
 			for local := 0; cur.Next(&r); local++ {
-				reqIdx := int64(shard)*workload.ShardSize + int64(local)
-				if err := sim.CheckRequest(&r, reqIdx, pages); err != nil {
+				req := int64(shard)*workload.ShardSize + int64(local)
+				if err := sim.CheckRequest(&r, req, pages); err != nil {
 					return err
 				}
-				u := math.Mod(r.Arrival, L)
-				wait := L
-				attempts := 0
-				if cols := ix.Columns(r.Page); len(cols) != 0 {
-					k := sim.NextIndex(cursors, r.Page, cols, u)
-					wraps := 0
-					if int(k) == len(cols) {
-						k, wraps = 0, 1
-					}
-					for {
-						if wraps >= maxCycles {
-							ledger.Unserved++
-							wait = float64(maxCycles) * L
-							break
-						}
-						abs := wraps*Li + int(cols[k])
-						ch := int(chanOf[r.Page][k])
-						skipped := true
-						switch {
-						case plan.Stalled(abs):
-							ledger.StallSkips++
-						case plan.Drop(ch, abs):
-							ledger.LostDeliveries++
-						case plan.Corrupt(ch, abs):
-							ledger.CorruptSkips++
-						case plan.ChurnAway(reqIdx, attempts):
-							ledger.ChurnSkips++
-						default:
-							skipped = false
-						}
-						if skipped {
-							attempts++
-							ledger.Retries++
-							if k++; int(k) == len(cols) {
-								k, wraps = 0, wraps+1
-							}
-							continue
-						}
-						if wraps == 0 {
-							wait = float64(cols[k]) - u
-						} else {
-							wait = float64(cols[k]) + float64(wraps)*L - u
-						}
-						wait += plan.JitterAt(abs)
+				var w Walk
+				// The program is cyclic, so arrivals beyond the first
+				// cycle (e.g. Poisson streams) fold back into it.
+				pending := w.Start(plan, a, cursors, r.Page, math.Mod(r.Arrival, L), ledger)
+				for pending {
+					reason := plan.Charge(&w, req)
+					if reason == SkipNone {
 						break
 					}
+					pending = w.Skip(plan, a, reason, r.Page, ledger)
 				}
-				p.AddWait(r.Page, wait, times[r.Page], uint64(attempts))
+				p.AddWait(r.Page, w.Wait(plan, a, r.Page), times[r.Page], uint64(w.Attempts))
 			}
 			return nil
 		}
@@ -247,32 +197,4 @@ func Finish(res *Result, plan *Plan, prog *core.Program) error {
 		PlacedCells:       delta.PlacedCells,
 	}
 	return nil
-}
-
-// ChannelTable aligns each page's broadcast channel with its appearance
-// columns: the result's [p][k] is the channel carrying ix.Columns(p)[k].
-// Pages appear on one channel in SUSC programs but may straddle channels
-// under PAMAD placement, so the table is per-appearance. Both the
-// measurement engine and the loadgen client harness key their fault
-// lookups through it.
-func ChannelTable(prog *core.Program, ix *core.AppearanceIndex) [][]int32 {
-	pages := prog.GroupSet().Pages()
-	chanOf := make([][]int32, pages)
-	for p := 0; p < pages; p++ {
-		chanOf[p] = make([]int32, len(ix.Columns(core.PageID(p))))
-	}
-	for ch := 0; ch < prog.Channels(); ch++ {
-		for c := 0; c < prog.Length(); c++ {
-			p := prog.At(ch, c)
-			if p == core.None {
-				continue
-			}
-			cols := ix.Columns(p)
-			k := sort.Search(len(cols), func(i int) bool { return cols[i] >= int32(c) })
-			if k < len(cols) && cols[k] == int32(c) {
-				chanOf[p][k] = int32(ch)
-			}
-		}
-	}
-	return chanOf
 }

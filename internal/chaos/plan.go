@@ -7,10 +7,12 @@
 // Everything is a pure function of (Config.Seed, channel, slot) — or, for
 // the sequential burst chain, of a per-channel tape precomputed at Plan
 // construction — so a failing run replays bit-for-bit from its seed at
-// any worker count. With every fault probability zero the engine takes
+// any worker count. Every client, in RunParallel and in loadgen's ring
+// harness alike, is one Walk through its page's appearances. With every
+// fault probability zero and the default MaxCycles the walk reproduces
 // sim.MeasureStream's closed form, and the package tests pin that
-// equality bit-for-bit; conformance.MissFreeLaw then turns
-// "zero faults on a valid program" into a machine-checked zero-miss law.
+// equality bit-for-bit; conformance.MissFreeLaw then turns "zero faults
+// on a valid program" into a machine-checked zero-miss law.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package chaos
@@ -124,8 +126,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Active reports whether the config injects any fault at all. Inactive
-// configs take the exact sim.MeasureStream arithmetic path.
+// Active reports whether the config injects any fault at all. An
+// inactive config still walks every request; at the default MaxCycles
+// its metrics equal sim.MeasureStream's bit for bit.
 func (c Config) Active() bool {
 	return c.Loss > 0 || c.Corrupt > 0 || c.Churn > 0 || c.Jitter > 0 ||
 		(c.StallEvery > 0 && c.StallFor > 0) ||
@@ -145,11 +148,12 @@ func (c Config) maxCycles() int {
 // tapes for the Markov chain. A Plan is immutable after construction and
 // safe for concurrent use; it implements netcast.FaultInjector.
 type Plan struct {
-	cfg      Config
-	channels int
-	length   int
-	horizon  int        // burst-tape length in slots (0 when Burst is nil)
-	burst    [][]uint64 // per-channel loss bitset over [0, horizon)
+	cfg       Config
+	channels  int
+	length    int
+	maxCycles int        // cfg.MaxCycles resolved
+	horizon   int        // burst-tape length in slots (0 when Burst is nil)
+	burst     [][]uint64 // per-channel loss bitset over [0, horizon)
 }
 
 // NewPlan validates cfg and precomputes the burst tapes for a program
@@ -161,11 +165,11 @@ func NewPlan(cfg Config, channels, length int) (*Plan, error) {
 	if channels < 1 || length < 1 {
 		return nil, fmt.Errorf("chaos: %d channels x %d slots", channels, length)
 	}
-	p := &Plan{cfg: cfg, channels: channels, length: length}
+	p := &Plan{cfg: cfg, channels: channels, length: length, maxCycles: cfg.maxCycles()}
 	if cfg.Burst != nil {
 		p.horizon = cfg.Horizon
 		if p.horizon == 0 {
-			p.horizon = (cfg.maxCycles() + 2) * length
+			p.horizon = (p.maxCycles + 2) * length
 			if p.horizon > DefaultHorizonCap {
 				p.horizon = DefaultHorizonCap
 			}
@@ -180,6 +184,9 @@ func NewPlan(cfg Config, channels, length int) (*Plan, error) {
 
 // Config returns the plan's configuration.
 func (p *Plan) Config() Config { return p.cfg }
+
+// MaxCycles returns the give-up bound, Config.MaxCycles resolved.
+func (p *Plan) MaxCycles() int { return p.maxCycles }
 
 // splitmix64 is the avalanche finalizer also used by workload's per-shard
 // seeding: a bijection over uint64 whose output bits are uniform.
@@ -289,7 +296,7 @@ func (p *Plan) ChurnAway(req int64, attempt int) bool {
 // Lost reports whether the delivery on channel ch at absolute slot abs
 // fails for any channel-side reason (stall, loss or corruption).
 func (p *Plan) Lost(ch, abs int) bool {
-	return p.Stalled(abs) || p.Drop(ch, abs) || p.Corrupt(ch, abs)
+	return p.Classify(ch, abs) != SkipNone
 }
 
 // SkipReason classifies why one delivery opportunity on a channel was
@@ -305,13 +312,13 @@ const (
 	SkipLoss
 	// SkipCorrupt: the frame arrived but failed its checksum.
 	SkipCorrupt
+	// SkipChurn: the frame aired intact but the client was away.
+	SkipChurn
 )
 
 // Classify reports the channel-side fate of the frame on channel ch at
-// absolute slot abs, evaluating the fault predicates in the same
-// priority order as the measurement engine (stall, then drop, then
-// corruption). Client-side churn is per request, not per frame, and is
-// judged separately via ChurnAway.
+// absolute slot abs: stall, then drop, then corruption. Client-side churn
+// is per request, not per frame; Charge judges it after Classify.
 func (p *Plan) Classify(ch, abs int) SkipReason {
 	switch {
 	case p.Stalled(abs):
@@ -325,6 +332,19 @@ func (p *Plan) Classify(ch, abs int) SkipReason {
 	}
 }
 
+// Charge is the one statement of the order in which faults hit a waiting
+// client, global request req: its pending appearance's channel-side fate
+// (Classify), then churn. SkipNone means the appearance is delivered.
+func (p *Plan) Charge(w *Walk, req int64) SkipReason {
+	if r := p.Classify(int(w.Ch), int(w.Next)); r != SkipNone {
+		return r
+	}
+	if p.ChurnAway(req, int(w.Attempts)) {
+		return SkipChurn
+	}
+	return SkipNone
+}
+
 // EffectiveLossRate is the fraction of the first maxCycles cycles' frame
 // slots lost to stalls, drops and corruption — the observed channel
 // quality the graceful-degradation path feeds back into PAMAD. It is a
@@ -334,7 +354,7 @@ func (p *Plan) EffectiveLossRate() float64 {
 	if !p.cfg.Active() {
 		return 0
 	}
-	window := p.cfg.maxCycles() * p.length
+	window := p.maxCycles * p.length
 	if window > 1<<16 {
 		window = 1 << 16 // ample for a stable rate estimate, bounded work
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Analysis is an immutable snapshot of a program's per-page appearance
@@ -25,6 +27,10 @@ type Analysis struct {
 	perPageWait  []float64
 	perPageMiss  []float64
 	maxDelay     float64
+	// chans is the channel of every appearance, aligned with ix's column
+	// arena, built by the first Channels call rather than by Analyze.
+	chansOnce sync.Once
+	chans     []int32
 }
 
 // Analyze computes the appearance snapshot of p. Pages that never appear
@@ -84,6 +90,32 @@ func (a *Analysis) Program() *Program { return a.program }
 
 // Index returns the appearance index snapshot backing the analysis.
 func (a *Analysis) Index() *AppearanceIndex { return a.ix }
+
+// Channels returns the channel carrying each of page id's appearances:
+// Channels(id)[k] airs column Index().Columns(id)[k]. A page broadcast on
+// several channels of one column reports the highest of them. The table
+// is one arena built on the first call; callers must not modify it.
+func (a *Analysis) Channels(id PageID) []int32 {
+	a.chansOnce.Do(a.buildChannels)
+	return a.chans[a.ix.offs[id]:a.ix.offs[id+1]]
+}
+
+// buildChannels fills the arena row by row, so a later channel of a column
+// overwrites an earlier one.
+func (a *Analysis) buildChannels() {
+	p, ix := a.program, a.ix
+	a.chans = make([]int32, len(ix.cols))
+	for ch := 0; ch < p.channels; ch++ {
+		for slot, id := range p.grid[ch*p.length : (ch+1)*p.length] {
+			if id == None {
+				continue
+			}
+			if k, ok := slices.BinarySearch(ix.Columns(id), int32(slot)); ok {
+				a.chans[int(ix.offs[id])+k] = int32(ch)
+			}
+		}
+	}
+}
 
 // PageDelay returns E[delay] (slots beyond the expected time) of page id.
 func (a *Analysis) PageDelay(id PageID) float64 { return a.perPageDelay[id] }

@@ -232,3 +232,31 @@ func TestCeilF(t *testing.T) {
 		}
 	}
 }
+
+// TestChannels pins the channel table's alignment with the appearance
+// columns, its choice of the highest channel when a page airs twice in one
+// column, and that later calls share the first call's table.
+func TestChannels(t *testing.T) {
+	gs := MustGroupSet([]Group{{4, 3}})
+	p, _ := NewProgram(gs, 3, 8)
+	// Page 0 airs in column 2 on channels 0 and 2; page 2 never airs.
+	mustPlaceAll(p, [][3]int{
+		{1, 0, 0}, {0, 2, 0}, {2, 2, 0}, {2, 5, 0}, {0, 1, 1}, {1, 6, 1},
+	})
+	a := Analyze(p)
+	want := [][]int32{{1, 2, 2}, {0, 1}, {}}
+	for id := PageID(0); id < 3; id++ {
+		cols, chans := a.Index().Columns(id), a.Channels(id)
+		if len(chans) != len(cols) {
+			t.Fatalf("page %d: %d channels for %d columns", id, len(chans), len(cols))
+		}
+		for k := range cols {
+			if chans[k] != want[id][k] || p.At(int(chans[k]), int(cols[k])) != id {
+				t.Errorf("page %d column %d: channel %d, want %d", id, cols[k], chans[k], want[id][k])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Channels(1) }); allocs != 0 {
+		t.Errorf("Channels allocates %.0f times after the first call", allocs)
+	}
+}

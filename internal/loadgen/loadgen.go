@@ -9,7 +9,8 @@
 // The package's contract is bit-identity with the measurement engines:
 // the aggregated Result reproduces chaos.RunParallel exactly — same
 // metrics, same ledger, same trace digest — at any worker count, and
-// with faults off it therefore reproduces sim.MeasureStream exactly.
+// with faults off at the default MaxCycles it therefore reproduces
+// sim.MeasureStream exactly.
 // That holds because every client outcome is a pure function of
 // (request, plan): the ring's flow control guarantees no client ever
 // loses a slot to overwrite (a RingLost poll is a hard error, not a
@@ -137,46 +138,25 @@ func Materialize(cfg Config) (*core.Analysis, workload.Stream, error) {
 	return core.Analyze(prog), stream, nil
 }
 
-// Run materialises the scenario cfg describes (instance, PAMAD program,
-// request stream) and measures it through the in-process transport.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	a, stream, err := Materialize(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunStream(ctx, a, stream, cfg.Fault, Options{
-		Workers:   cfg.Workers,
-		RingSlots: cfg.RingSlots,
-	})
-}
-
-// client is one pending request's delivery state machine. The fields are
-// ordered so the calendar link packs into what would otherwise be padding:
-// the record is 48 bytes.
+// client is one pending request's walk plus what the calendar needs. The
+// fields are ordered so the calendar link packs into what would otherwise
+// be padding: the record is 48 bytes.
 type client struct {
-	next     int64 // absolute slot of the pending delivery opportunity
-	glob     int64 // global request index (shard*ShardSize + local)
-	u        float64
-	page     core.PageID
-	k        int32
-	wraps    int32
-	attempts int32
-	ch       int32 // channel of the pending opportunity
-	link     int32 // next client in the same calendar bucket; -1 ends it
+	chaos.Walk
+	glob int64 // global request index (shard*ShardSize + local)
+	page core.PageID
+	link int32 // next client in the same calendar bucket; -1 ends it
 }
 
 // engine carries the shared state of one RunStream measurement.
 type engine struct {
-	ring      *netcast.BroadcastRing
-	plan      *chaos.Plan
-	ix        *core.AppearanceIndex
-	chanOf    [][]int32
-	stream    workload.Stream
-	times     []float64
-	pages     int
-	cycleLen  int
-	maxCycles int
-	active    bool
+	ring     *netcast.BroadcastRing
+	plan     *chaos.Plan
+	a        *core.Analysis
+	stream   workload.Stream
+	times    []float64
+	pages    int
+	cycleLen int
 
 	waits      []float64
 	attempts   []int32
@@ -188,8 +168,8 @@ type engine struct {
 // RunStream measures stream against the analysed program under the fault
 // plan, through the in-process ring transport. Metrics, ledger and trace
 // digest are bit-identical to chaos.RunParallel on the same inputs at any
-// worker count; with an inactive fault config they are therefore
-// bit-identical to sim.MeasureStream.
+// worker count; with an inactive fault config at the default MaxCycles
+// they are therefore bit-identical to sim.MeasureStream.
 func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fault chaos.Config, opts Options) (*Result, error) {
 	if a == nil {
 		return nil, errors.New("loadgen: nil analysis")
@@ -201,10 +181,6 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	plan, err := chaos.NewPlan(fault, prog.Channels(), prog.Length())
 	if err != nil {
 		return nil, err
-	}
-	maxCycles := fault.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = chaos.DefaultMaxCycles
 	}
 	res := &Result{
 		Clients:  stream.Count(),
@@ -239,21 +215,18 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	eng := &engine{
 		ring:       ring,
 		plan:       plan,
-		ix:         a.Index(),
-		chanOf:     chaos.ChannelTable(prog, a.Index()),
+		a:          a,
 		stream:     stream,
 		times:      sim.ExpectedTimes(prog.GroupSet()),
 		pages:      prog.GroupSet().Pages(),
 		cycleLen:   prog.Length(),
-		maxCycles:  maxCycles,
-		active:     fault.Active(),
 		waits:      make([]float64, count),
 		attempts:   make([]int32, count),
 		ledgers:    make([]chaos.Ledger, shards),
 		watermarks: make([]atomic.Int64, workers),
 	}
 
-	slotsAired := int64(maxCycles) * int64(prog.Length())
+	slotsAired := int64(plan.MaxCycles()) * int64(prog.Length())
 	errs := make([]error, workers+1)
 	var wg sync.WaitGroup
 	wg.Add(workers + 1)
@@ -370,38 +343,14 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				e.failed.Store(true)
 				return err
 			}
-			u := math.Mod(r.Arrival, L)
-			cols := e.ix.Columns(r.Page)
-			if len(cols) == 0 {
-				// Never-aired page: the engines charge a full cycle.
-				e.waits[glob] = L
+			c := client{glob: glob, page: r.Page}
+			if !c.Start(e.plan, e.a, nil, r.Page, math.Mod(r.Arrival, L), ledger) {
+				e.waits[glob] = c.Wait(e.plan, e.a, r.Page)
 				continue
 			}
-			// First candidate appearance at or after the arrival offset.
-			k := sim.NextIndex(nil, r.Page, cols, u)
-			wraps := int32(0)
-			if int(k) == len(cols) {
-				k, wraps = 0, 1
-			}
-			if int(wraps) >= e.maxCycles {
-				// Only reachable at MaxCycles 1 with a wrapped arrival:
-				// the engine gives up before the first opportunity.
-				ledger.Unserved++
-				e.waits[glob] = float64(e.maxCycles) * L
-				continue
-			}
-			next := int64(wraps)*int64(e.cycleLen) + int64(cols[k])
-			b := next % window
-			clients = append(clients, client{
-				glob:  glob,
-				page:  r.Page,
-				u:     u,
-				k:     k,
-				wraps: wraps,
-				next:  next,
-				ch:    e.chanOf[r.Page][k],
-				link:  heads[b],
-			})
+			b := c.Next % window
+			c.link = heads[b]
+			clients = append(clients, c)
 			heads[b] = int32(len(clients) - 1)
 		}
 	}
@@ -428,7 +377,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 		for i >= 0 {
 			c := &clients[i]
 			link := c.link
-			done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)], L)
+			done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)])
 			if err != nil {
 				e.failed.Store(true)
 				return err
@@ -436,7 +385,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 			if done {
 				pending--
 			} else {
-				nb := c.next % window
+				nb := c.Next % window
 				c.link, heads[nb] = heads[nb], i
 			}
 			i = link
@@ -457,76 +406,39 @@ func ownedClients(count, w, workers int) int {
 	return n
 }
 
-// step resolves one delivery opportunity for client c against the ring,
-// in the measurement engine's exact priority order: the slot's poll
-// status covers the channel-side faults (stall, loss, corruption), a
-// received frame can still be missed to client churn, and a served
-// client computes its wait with the engine's exact arithmetic.
-func (e *engine) step(c *client, ledger *chaos.Ledger, L float64) (done bool, err error) {
-	abs := c.next
-	cols := e.ix.Columns(c.page)
-	f, st := e.ring.Poll(int(c.ch), abs)
-	skipped := true
-	switch st {
-	case netcast.RingOK:
-		if f.Page != c.page {
-			return false, fmt.Errorf("loadgen: slot %d channel %d carried page %d, client expected %d",
-				abs, c.ch, f.Page, c.page)
-		}
-		if e.active && e.plan.ChurnAway(c.glob, int(c.attempts)) {
-			ledger.ChurnSkips++
-		} else {
-			skipped = false
-		}
-	case netcast.RingSkipped:
-		switch e.plan.Classify(int(c.ch), int(abs)) {
-		case chaos.SkipStall:
-			ledger.StallSkips++
-		case chaos.SkipLoss:
-			ledger.LostDeliveries++
-		default:
-			return false, fmt.Errorf("loadgen: slot %d channel %d skipped without a plan fault", abs, c.ch)
-		}
-	case netcast.RingCorrupt:
-		if e.plan.Classify(int(c.ch), int(abs)) != chaos.SkipCorrupt {
-			return false, fmt.Errorf("loadgen: slot %d channel %d corrupt without a plan fault", abs, c.ch)
-		}
-		ledger.CorruptSkips++
-	case netcast.RingLost:
+// step resolves client c's pending appearance against the ring. The plan
+// charges it (chaos.Plan.Charge), and the slot must poll as the
+// channel-side part of that charge says: skipped for a stall or loss,
+// corrupt for corruption, and otherwise an intact frame carrying the page.
+func (e *engine) step(c *client, ledger *chaos.Ledger) (done bool, err error) {
+	abs := c.Next
+	reason := e.plan.Charge(&c.Walk, c.glob)
+	want := netcast.RingOK
+	switch reason {
+	case chaos.SkipStall, chaos.SkipLoss:
+		want = netcast.RingSkipped
+	case chaos.SkipCorrupt:
+		want = netcast.RingCorrupt
+	case chaos.SkipNone, chaos.SkipChurn: // the frame aired intact
+	}
+	switch f, st := e.ring.Poll(int(c.Ch), abs); {
+	case st == netcast.RingLost:
 		// Flow control guarantees this cannot happen; if it does, the
 		// determinism contract is broken and the run must fail loudly.
 		return false, fmt.Errorf("loadgen: slot %d channel %d overwritten before client %d read it",
-			abs, c.ch, c.glob)
-	case netcast.RingPending:
-		return false, fmt.Errorf("loadgen: slot %d channel %d polled before airing", abs, c.ch)
+			abs, c.Ch, c.glob)
+	case st != want:
+		return false, fmt.Errorf("loadgen: slot %d channel %d polled with status %d, plan charges fault %d",
+			abs, c.Ch, st, reason)
+	case st == netcast.RingOK && f.Page != c.page:
+		return false, fmt.Errorf("loadgen: slot %d channel %d carried page %d, client expected %d",
+			abs, c.Ch, f.Page, c.page)
 	}
-	if skipped {
-		c.attempts++
-		ledger.Retries++
-		if c.k++; int(c.k) == len(cols) {
-			c.k, c.wraps = 0, c.wraps+1
-		}
-		if int(c.wraps) >= e.maxCycles {
-			ledger.Unserved++
-			e.waits[c.glob] = float64(e.maxCycles) * L
-			e.attempts[c.glob] = c.attempts
-			return true, nil
-		}
-		c.next = int64(c.wraps)*int64(e.cycleLen) + int64(cols[c.k])
-		c.ch = e.chanOf[c.page][c.k]
+	if reason != chaos.SkipNone && c.Skip(e.plan, e.a, reason, c.page, ledger) {
 		return false, nil
 	}
-	var wait float64
-	if c.wraps == 0 {
-		wait = float64(cols[c.k]) - c.u
-	} else {
-		wait = float64(cols[c.k]) + float64(c.wraps)*L - c.u
-	}
-	// With an inactive plan this adds exactly +0.0, so the fault-free
-	// wait stays bit-identical to the engines' closed-form branch.
-	wait += e.plan.JitterAt(int(abs))
-	e.waits[c.glob] = wait
-	e.attempts[c.glob] = c.attempts
+	e.waits[c.glob] = c.Wait(e.plan, e.a, c.page)
+	e.attempts[c.glob] = c.Attempts
 	return true, nil
 }
 

@@ -152,9 +152,9 @@ func TestRunStreamWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunMatchesChaosEndToEnd pins the top-level Run wrapper: the
-// scenario it materialises measures identically to the chaos engine run
-// on the same manually built instance.
+// TestRunMatchesChaosEndToEnd pins Materialize + RunStream, the path
+// cmd/loadgen takes: the scenario it materialises measures identically to
+// the chaos engine run on the same manually built instance.
 func TestRunMatchesChaosEndToEnd(t *testing.T) {
 	cfg := Config{
 		Clients: 5000,
@@ -165,7 +165,11 @@ func TestRunMatchesChaosEndToEnd(t *testing.T) {
 		Seed:    21,
 		Fault:   chaos.Config{Seed: 21, Loss: 0.2, Jitter: 0.2},
 	}
-	res, err := Run(context.Background(), cfg)
+	ma, mstream, err := Materialize(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunStream(context.Background(), ma, mstream, cfg.Fault, Options{Workers: cfg.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +199,14 @@ func TestRunMatchesChaosEndToEnd(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Config{Clients: -1}); err == nil {
+	if _, _, err := Materialize(Config{Clients: -1}); err == nil {
 		t.Error("expected error for negative client count")
 	}
-	res, err := Run(context.Background(), Config{Clients: 0, Pages: 100, Groups: 4, Seed: 1})
+	a, stream, err := Materialize(Config{Clients: 0, Pages: 100, Groups: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunStream(context.Background(), a, stream, chaos.Config{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,40 +265,3 @@ func (p *Placer) AppendLast(gsNew *core.GroupSet) ([]Cell, error) {
 	p.stats.EmptySlots = p.nReal*p.tMajor - p.prog.Filled()
 	return p.cells[start:], nil
 }
-
-// placeOnePage places the j-th page of group gi — the single-page slice of
-// placeGroupPages, kept textually in lockstep with it so the append fast
-// path stays bit-identical to the full loop's treatment of the same page.
-func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, j, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
-	si := s[gi]
-	id := gs.PageAt(gi, j)
-	for k := 0; k < si; k++ {
-		start := core.CeilDiv(tMajor*k, si)
-		end := core.CeilDiv(tMajor*(k+1), si)
-		col := chain.find(start)
-		if col >= end {
-			stats.Spills++
-			col = chain.find(end)
-			if col == tMajor {
-				col = chain.find(0)
-			}
-			if col == tMajor {
-				return fmt.Errorf(
-					"pamad: no free slot for page %d appearance %d/%d (t_major=%d, F=%d, N=%d)",
-					id, k+1, si, tMajor, s.TotalSlots(gs), nReal)
-			}
-		}
-		ch := nReal - freeInCol[col]
-		if err := prog.Place(ch, col, id); err != nil {
-			return err
-		}
-		if cells != nil {
-			*cells = append(*cells, Cell{Channel: int32(ch), Column: int32(col)})
-		}
-		freeInCol[col]--
-		if freeInCol[col] == 0 {
-			chain.markFull(col)
-		}
-	}
-	return nil
-}

@@ -118,88 +118,57 @@ func PlaceEvenly(gs *core.GroupSet, s delaymodel.Frequencies, nReal int) (*core.
 // placeGroupPages runs the Algorithm 4 inner loop for every page of group
 // gi against the live chain/freeInCol state, optionally recording each
 // placement into cells. It is the one placement loop shared by PlaceEvenly,
-// the incremental Placer's full build, and the Placer's suffix replay — the
-// bit-identity of incremental rebuilds rests on all three walking exactly
-// this code.
+// the incremental Placer's full build, and the Placer's suffix replay, and
+// its per-page step is the Placer's append fast path — the bit-identity of
+// incremental rebuilds rests on all four walking exactly this code.
 func placeGroupPages(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
-	g := gs.Group(gi)
-	si := s[gi]
-	for j := 0; j < g.Count; j++ {
-		id := gs.PageAt(gi, j)
-		for k := 0; k < si; k++ {
-			start := core.CeilDiv(tMajor*k, si)
-			end := core.CeilDiv(tMajor*(k+1), si)
-			col := chain.find(start)
-			if col >= end {
-				// Nothing free inside the window: spill cyclically from
-				// its end. end <= t_major (k < S_i), and wrapping to
-				// find(0) matches the cyclic scan because when every
-				// column >= end is full the first free column overall
-				// precedes end.
-				stats.Spills++
-				col = chain.find(end)
-				if col == tMajor {
-					col = chain.find(0)
-				}
-				if col == tMajor {
-					return fmt.Errorf(
-						"pamad: no free slot for page %d appearance %d/%d (t_major=%d, F=%d, N=%d)",
-						id, k+1, si, tMajor, s.TotalSlots(gs), nReal)
-				}
-			}
-			// Columns fill bottom-up and are never cleared, so the first
-			// empty channel is determined by the fill count alone.
-			ch := nReal - freeInCol[col]
-			if err := prog.Place(ch, col, id); err != nil {
-				return err
-			}
-			if cells != nil {
-				*cells = append(*cells, Cell{Channel: int32(ch), Column: int32(col)})
-			}
-			freeInCol[col]--
-			if freeInCol[col] == 0 {
-				chain.markFull(col)
-			}
+	for j := 0; j < gs.Group(gi).Count; j++ {
+		if err := placeOnePage(prog, gs, s, gi, j, tMajor, nReal, chain, freeInCol, stats, cells); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// findFreeColumn returns the first column in [start, end) with a free cell.
-func findFreeColumn(freeInCol []int, start, end int) (int, bool) {
-	for c := start; c < end && c < len(freeInCol); c++ {
-		if freeInCol[c] > 0 {
-			return c, true
+// placeOnePage places the j-th page of group gi: its S_i appearances, one
+// per window of the major cycle, spilling cyclically past a full window.
+func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, j, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
+	si := s[gi]
+	id := gs.PageAt(gi, j)
+	for k := 0; k < si; k++ {
+		start := core.CeilDiv(tMajor*k, si)
+		end := core.CeilDiv(tMajor*(k+1), si)
+		col := chain.find(start)
+		if col >= end {
+			// Nothing free inside the window: spill cyclically from
+			// its end. end <= t_major (k < S_i), and wrapping to
+			// find(0) matches the cyclic scan because when every
+			// column >= end is full the first free column overall
+			// precedes end.
+			stats.Spills++
+			col = chain.find(end)
+			if col == tMajor {
+				col = chain.find(0)
+			}
+			if col == tMajor {
+				return fmt.Errorf(
+					"pamad: no free slot for page %d appearance %d/%d (t_major=%d, F=%d, N=%d)",
+					id, k+1, si, tMajor, s.TotalSlots(gs), nReal)
+			}
+		}
+		// Columns fill bottom-up and are never cleared, so the first
+		// empty channel is determined by the fill count alone.
+		ch := nReal - freeInCol[col]
+		if err := prog.Place(ch, col, id); err != nil {
+			return err
+		}
+		if cells != nil {
+			*cells = append(*cells, Cell{Channel: int32(ch), Column: int32(col)})
+		}
+		freeInCol[col]--
+		if freeInCol[col] == 0 {
+			chain.markFull(col)
 		}
 	}
-	return 0, false
-}
-
-// findFreeColumnCyclic scans from column `from` wrapping around the cycle.
-// The wrap uses an overflow reset instead of a `%` per probe.
-func findFreeColumnCyclic(freeInCol []int, from, tMajor int) (int, bool) {
-	c := from
-	if c >= tMajor {
-		c -= tMajor
-	}
-	for step := 0; step < tMajor; step++ {
-		if freeInCol[c] > 0 {
-			return c, true
-		}
-		c++
-		if c == tMajor {
-			c = 0
-		}
-	}
-	return 0, false
-}
-
-// placeInColumn puts id in the first empty channel of column col.
-func placeInColumn(prog *core.Program, col int, id core.PageID) error {
-	for ch := 0; ch < prog.Channels(); ch++ {
-		if prog.At(ch, col) == core.None {
-			return prog.Place(ch, col, id)
-		}
-	}
-	return fmt.Errorf("%w: column %d unexpectedly full", core.ErrSlotOccupied, col)
+	return nil
 }

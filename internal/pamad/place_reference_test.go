@@ -66,3 +66,42 @@ func placeEvenlyReference(gs *core.GroupSet, s delaymodel.Frequencies, nReal int
 	stats.EmptySlots = nReal*tMajor - prog.Filled()
 	return prog, stats, nil
 }
+
+// findFreeColumn returns the first column in [start, end) with a free cell.
+func findFreeColumn(freeInCol []int, start, end int) (int, bool) {
+	for c := start; c < end && c < len(freeInCol); c++ {
+		if freeInCol[c] > 0 {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
+// findFreeColumnCyclic scans from column `from` wrapping around the cycle.
+// The wrap uses an overflow reset instead of a `%` per probe.
+func findFreeColumnCyclic(freeInCol []int, from, tMajor int) (int, bool) {
+	c := from
+	if c >= tMajor {
+		c -= tMajor
+	}
+	for step := 0; step < tMajor; step++ {
+		if freeInCol[c] > 0 {
+			return c, true
+		}
+		c++
+		if c == tMajor {
+			c = 0
+		}
+	}
+	return 0, false
+}
+
+// placeInColumn puts id in the first empty channel of column col.
+func placeInColumn(prog *core.Program, col int, id core.PageID) error {
+	for ch := 0; ch < prog.Channels(); ch++ {
+		if prog.At(ch, col) == core.None {
+			return prog.Place(ch, col, id)
+		}
+	}
+	return fmt.Errorf("%w: column %d unexpectedly full", core.ErrSlotOccupied, col)
+}

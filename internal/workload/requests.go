@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"tcsa/internal/core"
 )
@@ -44,46 +43,28 @@ type RequestConfig struct {
 
 // GenerateRequests draws cfg.Count requests against an instance with n
 // pages and the given cycle length. Arrivals are uniform over the cycle,
-// matching the "client may start to listen at any time" model.
+// matching the "client may start to listen at any time" model. It is
+// NewStream's requests, materialised.
 func GenerateRequests(gs *core.GroupSet, cycleLen int, cfg RequestConfig) ([]Request, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
+	s, err := NewStream(gs, cycleLen, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Count < 0 {
-		return nil, fmt.Errorf("workload: negative request count %d", cfg.Count)
-	}
-	if cycleLen < 1 {
-		return nil, fmt.Errorf("workload: cycle length %d", cycleLen)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := gs.Pages()
+	return materialize(s), nil
+}
 
-	var pick func() core.PageID
-	switch cfg.Choice {
-	case UniformPages:
-		pick = func() core.PageID { return core.PageID(rng.Intn(n)) }
-	case ZipfPages:
-		theta := cfg.Theta
-		if theta == 0 {
-			theta = 0.8
-		}
-		if theta < 0 || theta > 1 {
-			return nil, fmt.Errorf("workload: zipf theta %f outside (0,1]", theta)
-		}
-		cdf := zipfCDF(n, theta)
-		pick = func() core.PageID { return core.PageID(searchCDF(cdf, rng.Float64())) }
-	default:
-		return nil, fmt.Errorf("workload: unknown page choice %d", cfg.Choice)
-	}
-
-	reqs := make([]Request, cfg.Count)
-	for i := range reqs {
-		reqs[i] = Request{
-			Page:    pick(),
-			Arrival: rng.Float64() * float64(cycleLen),
+// materialize returns every request of s, shard by shard.
+func materialize(s Stream) []Request {
+	reqs := make([]Request, s.Count())
+	cur := s.NewCursor()
+	i := 0
+	for k := 0; k < s.Shards(); k++ {
+		cur.Seek(k)
+		for i < len(reqs) && cur.Next(&reqs[i]) {
+			i++
 		}
 	}
-	return reqs, nil
+	return reqs
 }
 
 // zipfCDF precomputes the cumulative distribution of a Zipf(theta) law over
@@ -161,43 +142,19 @@ type PoissonConfig struct {
 // and the configured page-choice model (UniformPages or ZipfPages, as in
 // GenerateRequests). Arrival instants are absolute simulation times (they
 // exceed one cycle for long streams); consumers treat the program as
-// cyclic. The draw order is gap first, then page, so uniform streams are
-// bit-identical to those generated before Zipf support existed.
+// cyclic. It is NewPoissonStream's requests, materialised.
 func GeneratePoissonRequests(gs *core.GroupSet, cfg PoissonConfig) ([]Request, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
-	}
-	if cfg.Count < 0 {
-		return nil, fmt.Errorf("workload: negative request count %d", cfg.Count)
-	}
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("workload: poisson rate %f", cfg.Rate)
-	}
-	cdf, err := poissonPageCDF(gs.Pages(), cfg.RequestConfig)
+	s, err := NewPoissonStream(gs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := gs.Pages()
-	reqs := make([]Request, cfg.Count)
-	now := 0.0
-	for i := range reqs {
-		now += rng.ExpFloat64() / cfg.Rate
-		page := core.PageID(0)
-		if cdf != nil {
-			page = core.PageID(searchCDF(cdf, rng.Float64()))
-		} else {
-			page = core.PageID(rng.Intn(n))
-		}
-		reqs[i] = Request{Page: page, Arrival: now}
-	}
-	return reqs, nil
+	return materialize(s), nil
 }
 
-// poissonPageCDF resolves a Poisson stream's page-choice model: nil for
-// UniformPages (the rng.Intn fast path, kept bit-identical to historical
-// streams) or the Zipf CDF for ZipfPages.
-func poissonPageCDF(n int, cfg RequestConfig) ([]float64, error) {
+// pageCDF resolves a stream's page-choice model: nil for UniformPages
+// (the rng.Intn draw) or the Zipf CDF for ZipfPages, whose Theta defaults
+// to 0.8 and must lie in (0, 1].
+func pageCDF(n int, cfg RequestConfig) ([]float64, error) {
 	switch cfg.Choice {
 	case UniformPages:
 		return nil, nil

@@ -50,10 +50,10 @@ type Cursor interface {
 }
 
 // shardSeed derives the RNG seed of shard k from the stream seed. Shard 0
-// uses the seed verbatim so a single-shard stream replays GenerateRequests
-// exactly; later shards decorrelate through a splitmix64 finalizer over
-// seed + k*goldenGamma (the splitmix64 increment), which is a bijection per
-// shard index and avalanches every bit.
+// uses the seed verbatim so a single-shard stream replays the one-source
+// draw sequence exactly; later shards decorrelate through a splitmix64
+// finalizer over seed + k*goldenGamma (the splitmix64 increment), which is
+// a bijection per shard index and avalanches every bit.
 func shardSeed(seed int64, k int) int64 {
 	if k == 0 {
 		return seed
@@ -90,9 +90,9 @@ const (
 )
 
 // genStream generates uniform, Zipf or Poisson request streams shard by
-// shard, mirroring GenerateRequests / GeneratePoissonRequests draw for
-// draw: shard 0 of a stream is bit-for-bit the prefix those functions
-// return for the same configuration.
+// shard from one math/rand source per shard. Shard 0 draws from the
+// configured seed itself, so it is bit-for-bit the sequence one source
+// seeded once produces for the same configuration.
 type genStream struct {
 	kind  genKind
 	count int
@@ -103,9 +103,9 @@ type genStream struct {
 	seed  int64
 }
 
-// NewStream builds an on-the-fly equivalent of GenerateRequests: same
-// validation, same distribution, and — for streams of at most ShardSize
-// requests — the same draws in the same order.
+// NewStream builds the uniform-arrival request stream cfg describes: per
+// request a page draw (uniform or Zipf) then an arrival uniform over the
+// cycle. GenerateRequests materialises it.
 func NewStream(gs *core.GroupSet, cycleLen int, cfg RequestConfig) (Stream, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
@@ -116,34 +116,28 @@ func NewStream(gs *core.GroupSet, cycleLen int, cfg RequestConfig) (Stream, erro
 	if cycleLen < 1 {
 		return nil, fmt.Errorf("workload: cycle length %d", cycleLen)
 	}
-	s := &genStream{
+	cdf, err := pageCDF(gs.Pages(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	kind := genUniform
+	if cdf != nil {
+		kind = genZipf
+	}
+	return &genStream{
+		kind:  kind,
 		count: cfg.Count,
 		pages: gs.Pages(),
 		cycle: float64(cycleLen),
+		cdf:   cdf,
 		seed:  cfg.Seed,
-	}
-	switch cfg.Choice {
-	case UniformPages:
-		s.kind = genUniform
-	case ZipfPages:
-		theta := cfg.Theta
-		if theta == 0 {
-			theta = 0.8
-		}
-		if theta < 0 || theta > 1 {
-			return nil, fmt.Errorf("workload: zipf theta %f outside (0,1]", theta)
-		}
-		s.kind = genZipf
-		s.cdf = zipfCDF(s.pages, theta)
-	default:
-		return nil, fmt.Errorf("workload: unknown page choice %d", cfg.Choice)
-	}
-	return s, nil
+	}, nil
 }
 
-// NewPoissonStream builds an on-the-fly equivalent of
-// GeneratePoissonRequests, honouring the configured page-choice model.
-// Shard 0 replays it draw for draw; shard k > 0 restarts the arrival clock
+// NewPoissonStream builds the Poisson-arrival request stream cfg
+// describes, honouring the configured page-choice model: per request an
+// exponential gap then a page draw. GeneratePoissonRequests materialises
+// it. Shard k > 0 restarts the arrival clock
 // at the expected offset k*ShardSize/Rate, so the stream keeps the
 // configured rate while every shard stays independently seekable. Arrivals
 // are non-decreasing within each shard (Sorted is true).
@@ -157,7 +151,7 @@ func NewPoissonStream(gs *core.GroupSet, cfg PoissonConfig) (Stream, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("workload: poisson rate %f", cfg.Rate)
 	}
-	cdf, err := poissonPageCDF(gs.Pages(), cfg.RequestConfig)
+	cdf, err := pageCDF(gs.Pages(), cfg.RequestConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +197,8 @@ func (c *genCursor) Next(r *Request) bool {
 	}
 	c.remaining--
 	s := c.stream
-	// Draw order matches GenerateRequests/GeneratePoissonRequests exactly:
-	// page first for uniform/zipf, inter-arrival gap first for Poisson.
+	// Draw order: page first for uniform/zipf, inter-arrival gap first
+	// for Poisson.
 	switch s.kind {
 	case genUniform:
 		r.Page = core.PageID(c.rng.Intn(s.pages))

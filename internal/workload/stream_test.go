@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tcsa/internal/core"
@@ -43,9 +44,64 @@ func requireSameRequests(t *testing.T, label string, got, want []Request) {
 	}
 }
 
+// drawRequests is the one-source uniform-arrival generator, drawn
+// literally: page then arrival per request from one math/rand source
+// seeded once. It is the oracle for the stream's draw order; cfg must be
+// valid.
+func drawRequests(gs *core.GroupSet, cycleLen int, cfg RequestConfig) []Request {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := gs.Pages()
+	pick := func() core.PageID { return core.PageID(rng.Intn(n)) }
+	if cfg.Choice == ZipfPages {
+		theta := cfg.Theta
+		if theta == 0 {
+			theta = 0.8
+		}
+		cdf := zipfCDF(n, theta)
+		pick = func() core.PageID { return core.PageID(searchCDF(cdf, rng.Float64())) }
+	}
+	reqs := make([]Request, cfg.Count)
+	for i := range reqs {
+		reqs[i] = Request{
+			Page:    pick(),
+			Arrival: rng.Float64() * float64(cycleLen),
+		}
+	}
+	return reqs
+}
+
+// drawPoissonRequests is the one-source Poisson generator, drawn
+// literally: exponential gap then page per request. It is the oracle for
+// the Poisson stream's draw order; cfg must be valid.
+func drawPoissonRequests(gs *core.GroupSet, cfg PoissonConfig) []Request {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := gs.Pages()
+	var cdf []float64
+	if cfg.Choice == ZipfPages {
+		theta := cfg.Theta
+		if theta == 0 {
+			theta = 0.8
+		}
+		cdf = zipfCDF(n, theta)
+	}
+	reqs := make([]Request, cfg.Count)
+	now := 0.0
+	for i := range reqs {
+		now += rng.ExpFloat64() / cfg.Rate
+		page := core.PageID(0)
+		if cdf != nil {
+			page = core.PageID(searchCDF(cdf, rng.Float64()))
+		} else {
+			page = core.PageID(rng.Intn(n))
+		}
+		reqs[i] = Request{Page: page, Arrival: now}
+	}
+	return reqs
+}
+
 // TestStreamMatchesGenerateRequests: for counts within one shard, NewStream
-// replays GenerateRequests draw for draw (uniform and Zipf), which is what
-// keeps experiment checksums frozen.
+// and GenerateRequests replay the one-source generator draw for draw
+// (uniform and Zipf), which is what keeps experiment checksums frozen.
 func TestStreamMatchesGenerateRequests(t *testing.T) {
 	gs := streamGS(t)
 	cfgs := []RequestConfig{
@@ -57,10 +113,7 @@ func TestStreamMatchesGenerateRequests(t *testing.T) {
 		{Count: 2500, Seed: 10, Choice: ZipfPages}, // theta defaulting
 	}
 	for _, cfg := range cfgs {
-		want, err := GenerateRequests(gs, 44, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := drawRequests(gs, 44, cfg)
 		stream, err := NewStream(gs, 44, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -69,12 +122,17 @@ func TestStreamMatchesGenerateRequests(t *testing.T) {
 			t.Errorf("cfg %+v: uniform arrivals reported sorted", cfg)
 		}
 		requireSameRequests(t, "stream", collect(t, stream), want)
+		got, err := GenerateRequests(gs, 44, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRequests(t, "generate", got, want)
 	}
 }
 
 // TestStreamShardZeroIsGeneratePrefix: for multi-shard streams, shard 0 is
-// the exact ShardSize-long prefix GenerateRequests produces with the same
-// seed, and later shards decorrelate but stay deterministic.
+// the exact ShardSize-long prefix the one-source generator produces with
+// the same seed, and later shards decorrelate but stay deterministic.
 func TestStreamShardZeroIsGeneratePrefix(t *testing.T) {
 	gs := streamGS(t)
 	cfg := RequestConfig{Count: ShardSize + 5000, Seed: 42}
@@ -88,11 +146,7 @@ func TestStreamShardZeroIsGeneratePrefix(t *testing.T) {
 	all := collect(t, stream)
 	prefixCfg := cfg
 	prefixCfg.Count = ShardSize
-	want, err := GenerateRequests(gs, 44, prefixCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRequests(t, "shard 0", all[:ShardSize], want)
+	requireSameRequests(t, "shard 0", all[:ShardSize], drawRequests(gs, 44, prefixCfg))
 
 	// Re-seeking any shard on a fresh cursor replays it identically.
 	cur := stream.NewCursor()
@@ -117,15 +171,12 @@ func TestStreamShardZeroIsGeneratePrefix(t *testing.T) {
 }
 
 // TestPoissonStreamMatchesGenerate: a single-shard Poisson stream replays
-// GeneratePoissonRequests; multi-shard streams restart each shard's clock
-// at its expected offset and stay sorted within every shard.
+// the one-source Poisson generator; multi-shard streams restart each
+// shard's clock at its expected offset and stay sorted within every shard.
 func TestPoissonStreamMatchesGenerate(t *testing.T) {
 	gs := streamGS(t)
 	cfg := PoissonConfig{RequestConfig: RequestConfig{Count: 4000, Seed: 14}, Rate: 0.5}
-	want, err := GeneratePoissonRequests(gs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drawPoissonRequests(gs, cfg)
 	stream, err := NewPoissonStream(gs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +289,7 @@ func TestPoissonZipfPages(t *testing.T) {
 		RequestConfig: RequestConfig{Count: 4000, Seed: 31, Choice: ZipfPages, Theta: 0.9},
 		Rate:          2,
 	}
-	want, err := GeneratePoissonRequests(gs, zipf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := drawPoissonRequests(gs, zipf)
 	stream, err := NewPoissonStream(gs, zipf)
 	if err != nil {
 		t.Fatal(err)

@@ -27,6 +27,9 @@ if [ -n "$orphans" ]; then
     exit 1
 fi
 
+echo "==> bench module: go vet + go test (it builds against internal/ APIs)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "==> airvet ./... (against lint_baseline.json)"
 go run ./cmd/airvet -baseline lint_baseline.json ./...
 
