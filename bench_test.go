@@ -364,7 +364,7 @@ func BenchmarkHybridRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := hybrid.Config{AbandonAfter: 1.5, Pull: ondemand.Config{ServiceTime: 3}}
+	cfg := hybrid.Config{Air: sim.Config{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

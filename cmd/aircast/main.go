@@ -31,8 +31,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"tcsa"
@@ -140,7 +138,7 @@ func buildPlan(seed int64, loss, corrupt float64, stall, burst string, channels,
 }
 
 func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, channels int, slot, duration time.Duration, mk faultMaker, replanAfter int) error {
-	gs, err := buildInstance(counts, dist, pages, groups, t1, ratio)
+	gs, err := workload.ParseInstance(counts, dist, pages, groups, t1, ratio)
 	if err != nil {
 		return err
 	}
@@ -252,27 +250,4 @@ func runFetch(out io.Writer, addr string, page core.PageID, timeout time.Duratio
 	fmt.Fprintf(out, "received page %d after %d frames (%.1fms)\n",
 		page, frames, float64(time.Since(start).Microseconds())/1000)
 	return nil
-}
-
-func buildInstance(counts, dist string, pages, groups, t1, ratio int) (*core.GroupSet, error) {
-	switch {
-	case counts != "":
-		var cs []int
-		for _, p := range strings.Split(counts, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return nil, err
-			}
-			cs = append(cs, v)
-		}
-		return core.Geometric(t1, ratio, cs)
-	case dist != "":
-		d, err := workload.ParseDistribution(dist)
-		if err != nil {
-			return nil, err
-		}
-		return workload.GroupSet(d, groups, pages, t1, ratio)
-	default:
-		return nil, fmt.Errorf("one of -counts or -dist is required")
-	}
 }

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"tcsa"
 	"tcsa/internal/core"
@@ -121,7 +119,7 @@ func run(args []string, out io.Writer) error {
 func instance(times, counts, dist string, pages, groups, t1, ratio int) (*core.GroupSet, error) {
 	switch {
 	case times != "":
-		ts, err := parseInts(times)
+		ts, err := workload.ParseInts(times)
 		if err != nil {
 			return nil, err
 		}
@@ -130,20 +128,10 @@ func instance(times, counts, dist string, pages, groups, t1, ratio int) (*core.G
 			return nil, err
 		}
 		return r.Set, nil
-	case counts != "":
-		cs, err := parseInts(counts)
-		if err != nil {
-			return nil, err
-		}
-		return core.Geometric(t1, ratio, cs)
-	case dist != "":
-		d, err := workload.ParseDistribution(dist)
-		if err != nil {
-			return nil, err
-		}
-		return workload.GroupSet(d, groups, pages, t1, ratio)
-	default:
+	case counts == "" && dist == "":
 		return nil, fmt.Errorf("one of -times, -counts or -dist is required")
+	default:
+		return workload.ParseInstance(counts, dist, pages, groups, t1, ratio)
 	}
 }
 
@@ -215,17 +203,4 @@ func loadProgram(path string) (*core.Program, error) {
 		return nil, err
 	}
 	return &prog, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -1,7 +1,9 @@
 // Command airsim runs the full discrete-event broadcast simulation: a
 // scheduled program replayed on slotted air channels, single-tuner clients
-// arriving at random instants, optional frame loss, impatient clients
-// abandoning for a modelled on-demand (pull) server.
+// arriving at random instants, optional frame loss from a seed-replayable
+// chaos plan, impatient clients abandoning for a modelled on-demand (pull)
+// server. Clients still waiting chaos.DefaultMaxCycles cycles after the
+// last arrival's cycle are reported unserved.
 //
 //	airsim -counts 3,5,3 -t1 2 -channels 3 -requests 500
 //	airsim -dist uniform -channels 13 -mode scan
@@ -15,9 +17,10 @@
 // -abandon, -loss, -trace and -mode scan.
 //
 // With -abandon > 0, clients give up once their wait exceeds
-// abandon * expected time and their requests are replayed against the
-// on-demand server (service time -service slots), demonstrating the
-// paper's motivating congestion effect.
+// abandon * expected time and hybrid.Run submits their requests, at their
+// defection instants, to the on-demand server (service time -service
+// slots) or, with -online, to the online broadcast tier, demonstrating
+// the paper's motivating congestion effect.
 package main
 
 import (
@@ -25,13 +28,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"tcsa"
-	"tcsa/internal/airwave"
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
-	"tcsa/internal/eventsim"
+	"tcsa/internal/hybrid"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/online"
 	"tcsa/internal/sim"
@@ -63,13 +64,13 @@ func run(args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", 0, "measure with the streaming sharded sampler over N workers instead of the event simulation (0 = event simulation)")
 	seed := fs.Int64("seed", 1, "request seed")
 	traceN := fs.Int("trace", 0, "print the last N simulation events")
-	loss := fs.Float64("loss", 0, "uniform frame-loss probability")
+	loss := fs.Float64("loss", 0, "frame-loss probability per (channel, slot), shared by every tuner")
 	burst := fs.Bool("burst", false, "use a bursty (Gilbert-Elliott) channel at the given -loss rate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	gs, err := buildInstance(*counts, *dist, *pages, *groups, *t1, *ratio)
+	gs, err := workload.ParseInstance(*counts, *dist, *pages, *groups, *t1, *ratio)
 	if err != nil {
 		return err
 	}
@@ -82,16 +83,18 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	var policy online.Policy
+	var split online.Split
 	if *onlinePolicy != "" {
 		if *abandon <= 0 {
 			return fmt.Errorf("-online routes abandoned clients; it requires -abandon > 0")
 		}
 		// Parse eagerly so flag typos fail before the simulation runs, even
 		// when no client ends up defecting.
-		if _, err := online.ParsePolicy(*onlinePolicy); err != nil {
+		if policy, err = online.ParsePolicy(*onlinePolicy); err != nil {
 			return err
 		}
-		if _, err := online.ParseSplit(*splitSpec); err != nil {
+		if split, err = online.ParseSplit(*splitSpec); err != nil {
 			return err
 		}
 	}
@@ -148,19 +151,12 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	var abandoned []workload.Request
-	var defectedAt []float64
-	if *abandon > 0 {
-		cfg.OnAbandon = func(r workload.Request, at float64) {
-			abandoned = append(abandoned, r)
-			defectedAt = append(defectedAt, at)
-		}
-	}
 	if *loss > 0 {
-		cfg.Drop, err = lossModel(*loss, *burst, *seed)
+		plan, err := faultPlan(*loss, *burst, *seed, sched.Program)
 		if err != nil {
 			return err
 		}
+		cfg.Fault = plan
 	}
 	var tracer *sim.RingTracer
 	if *traceN > 0 {
@@ -171,8 +167,20 @@ func run(args []string, out io.Writer) error {
 		cfg.Trace = tracer.Record
 	}
 
-	outcome, err := sim.Run(sched.Program, reqs, cfg)
-	if err != nil {
+	// Impatient clients defect to the pull tier: hybrid.Run couples the
+	// two halves.
+	var rep *hybrid.Report
+	var outcome *sim.Outcome
+	if *abandon > 0 {
+		hcfg := hybrid.Config{Air: cfg, Pull: ondemand.Config{ServiceTime: *service, Discipline: ondemand.EDF}}
+		if *onlinePolicy != "" {
+			hcfg.Online = &online.Config{Policy: policy, Split: split}
+		}
+		if rep, err = hybrid.Run(sched.Program, reqs, hcfg); err != nil {
+			return err
+		}
+		outcome = &rep.Air
+	} else if outcome, err = sim.Run(sched.Program, reqs, cfg); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "instance:        %v\n", gs)
@@ -181,6 +189,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "clients:         %d (%s mode)\n", outcome.Requests, *mode)
 	fmt.Fprintf(out, "served on air:   %d\n", outcome.Served)
 	fmt.Fprintf(out, "abandoned:       %d\n", outcome.Abandoned)
+	fmt.Fprintf(out, "unserved:        %d\n", outcome.Unserved)
 	fmt.Fprintf(out, "avg wait:        %.3f slots\n", outcome.AvgWait)
 	fmt.Fprintf(out, "avg delay:       %.3f slots (AvgD)\n", outcome.AvgDelay)
 	fmt.Fprintf(out, "miss ratio:      %.3f\n", outcome.MissRatio)
@@ -191,26 +200,20 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\ntrace (%d of %d events):\n%s", len(tracer.Events()), tracer.Total(), tracer)
 	}
 
-	if len(abandoned) > 0 {
-		if *onlinePolicy != "" {
-			res, policy, split, err := onlineThrough(sched.Program, abandoned, defectedAt, *onlinePolicy, *splitSpec)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "\nonline tier (%v policy, %v split):\n", policy, split)
-			fmt.Fprintf(out, "  defectors:     %d\n", res.Requests)
-			fmt.Fprintf(out, "  push-served:   %d\n", res.PushServed)
-			fmt.Fprintf(out, "  online-served: %d (%d airings, %d stolen slots)\n",
-				res.OnlineServed, res.OnlineAirings, res.StolenSlots)
-			fmt.Fprintf(out, "  avg flow:      %.3f slots\n", res.AvgFlow)
-			fmt.Fprintf(out, "  max flow:      %.3f slots\n", res.MaxFlow)
-			fmt.Fprintf(out, "  max delay fac: %.3f\n", res.MaxDelayFactor)
-			return nil
-		}
-		m, err := pullThrough(abandoned, gs, *service)
-		if err != nil {
-			return err
-		}
+	switch {
+	case rep == nil || outcome.Abandoned == 0:
+	case rep.Online != nil:
+		res := rep.Online
+		fmt.Fprintf(out, "\nonline tier (%v policy, %v split):\n", policy, split)
+		fmt.Fprintf(out, "  defectors:     %d\n", res.Requests)
+		fmt.Fprintf(out, "  push-served:   %d\n", res.PushServed)
+		fmt.Fprintf(out, "  online-served: %d (%d airings, %d stolen slots)\n",
+			res.OnlineServed, res.OnlineAirings, res.StolenSlots)
+		fmt.Fprintf(out, "  avg flow:      %.3f slots\n", res.AvgFlow)
+		fmt.Fprintf(out, "  max flow:      %.3f slots\n", res.MaxFlow)
+		fmt.Fprintf(out, "  max delay fac: %.3f\n", res.MaxDelayFactor)
+	default:
+		m := rep.Pull
 		fmt.Fprintf(out, "\non-demand channel (service time %.1f slots):\n", *service)
 		fmt.Fprintf(out, "  pull requests: %d\n", m.Submitted)
 		fmt.Fprintf(out, "  avg response:  %.3f slots\n", m.AvgResponse)
@@ -220,94 +223,29 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// onlineThrough replays abandoned clients against the slot-level online
-// broadcast tier: each defector enters the live queue at its defection
-// instant and is served by whichever tier airs its page first.
-func onlineThrough(prog *core.Program, abandoned []workload.Request, defectedAt []float64,
-	policySpec, splitSpec string) (*online.Result, online.Policy, online.Split, error) {
-	policy, err := online.ParsePolicy(policySpec)
-	if err != nil {
-		return nil, 0, online.Split{}, err
+// faultPlan builds the requested channel model as a chaos plan: uniform
+// independent loss, or a Gilbert-Elliott burst channel with the same
+// stationary rate.
+func faultPlan(rate float64, burst bool, seed int64, prog *core.Program) (*chaos.Plan, error) {
+	cfg := chaos.Config{Seed: seed, Loss: rate}
+	if burst {
+		b, err := burstChannel(rate)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Loss, cfg.Burst = 0, b
 	}
-	split, err := online.ParseSplit(splitSpec)
-	if err != nil {
-		return nil, 0, online.Split{}, err
-	}
-	reqs := make([]workload.Request, len(abandoned))
-	for i, r := range abandoned {
-		reqs[i] = workload.Request{Page: r.Page, Arrival: defectedAt[i]}
-	}
-	res, err := online.Run(prog, workload.SliceStream(reqs), online.Config{Policy: policy, Split: split})
-	if err != nil {
-		return nil, 0, online.Split{}, err
-	}
-	return res, policy, split, nil
+	return chaos.NewPlan(cfg, prog.Channels(), prog.Length())
 }
 
-// lossModel builds the requested channel model: uniform independent loss,
-// or a Gilbert-Elliott burst channel with the same stationary rate (fades
-// lose 90% of frames; state dwell ~5 slots).
-func lossModel(rate float64, burst bool, seed int64) (airwave.DropFunc, error) {
-	if !burst {
-		return airwave.UniformLoss(rate, seed)
-	}
+// burstChannel solves for the Gilbert-Elliott chain whose stationary loss
+// rate is rate: fades lose 90% of frames and last ~5 slots.
+func burstChannel(rate float64) (*chaos.BurstConfig, error) {
 	const lossBad, dwell = 0.9, 0.2
 	if rate >= lossBad {
 		return nil, fmt.Errorf("burst loss rate %f must be below the in-fade rate %.1f", rate, lossBad)
 	}
 	// Solve piBad*lossBad = rate with piBad = g2b/(g2b+b2g), b2g = dwell.
 	piBad := rate / lossBad
-	g2b := dwell * piBad / (1 - piBad)
-	return airwave.GilbertElliott{
-		GoodToBad: g2b,
-		BadToGood: dwell,
-		LossBad:   lossBad,
-		Seed:      seed,
-	}.DropFunc()
-}
-
-// pullThrough replays abandoned requests against a single on-demand server,
-// spreading arrivals over one broadcast-cycle-scaled window.
-func pullThrough(abandoned []workload.Request, gs *core.GroupSet, service float64) (ondemand.Metrics, error) {
-	var clock eventsim.Simulator
-	srv, err := ondemand.New(&clock, ondemand.Config{ServiceTime: service, Discipline: ondemand.EDF})
-	if err != nil {
-		return ondemand.Metrics{}, err
-	}
-	for _, r := range abandoned {
-		r := r
-		if err := clock.At(r.Arrival, func() {
-			srv.Submit(ondemand.Request{
-				Page:     r.Page,
-				Deadline: r.Arrival + float64(gs.TimeOf(r.Page)),
-			})
-		}); err != nil {
-			return ondemand.Metrics{}, err
-		}
-	}
-	clock.Run()
-	return srv.Metrics(), nil
-}
-
-func buildInstance(counts, dist string, pages, groups, t1, ratio int) (*core.GroupSet, error) {
-	switch {
-	case counts != "":
-		var cs []int
-		for _, p := range strings.Split(counts, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return nil, err
-			}
-			cs = append(cs, v)
-		}
-		return core.Geometric(t1, ratio, cs)
-	case dist != "":
-		d, err := workload.ParseDistribution(dist)
-		if err != nil {
-			return nil, err
-		}
-		return workload.GroupSet(d, groups, pages, t1, ratio)
-	default:
-		return nil, fmt.Errorf("one of -counts or -dist is required")
-	}
+	return &chaos.BurstConfig{GoodToBad: dwell * piBad / (1 - piBad), BadToGood: dwell, LossBad: lossBad}, nil
 }

@@ -48,6 +48,25 @@ func TestRunWithImpatienceAndOnDemand(t *testing.T) {
 	}
 }
 
+// TestRunTraceThroughHybrid: with -abandon the run goes through
+// hybrid.Run, and -trace still sees the air's events, defections included.
+func TestRunTraceThroughHybrid(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-counts", "10,10,10", "-t1", "2", "-channels", "2",
+		"-abandon", "1.0", "-requests", "300", "-trace", "20",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{"trace (20 of ", " abandon page=", "on-demand channel"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("missing %q:\n%s", want, s)
+		}
+	}
+}
+
 func TestRunDistWorkload(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-dist", "sskew", "-pages", "100", "-groups", "4", "-channels", "0", "-requests", "100"}, &out)

@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	chanList, err := parseInts(*channels)
+	chanList, err := workload.ParseInts(*channels)
 	if err != nil {
 		return fmt.Errorf("-channels: %w", err)
 	}
@@ -181,18 +181,6 @@ func parseDists(s string) ([]workload.Distribution, error) {
 			return nil, err
 		}
 		out = append(out, d)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }

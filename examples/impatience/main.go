@@ -23,6 +23,7 @@ import (
 	"tcsa/internal/mpb"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/pamad"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -77,8 +78,8 @@ func runHybrid(prog *core.Program, gs *core.GroupSet) *hybrid.Report {
 		log.Fatal(err)
 	}
 	rep, err := hybrid.Run(prog, reqs, hybrid.Config{
-		AbandonAfter: 1.5,
-		Pull:         ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF},
+		Air:  sim.Config{AbandonAfter: 1.5},
+		Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF},
 	})
 	if err != nil {
 		log.Fatal(err)

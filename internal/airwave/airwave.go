@@ -1,6 +1,6 @@
 // Package airwave models the broadcast medium itself: a set of slotted
 // wireless channels driven by a cyclic broadcast program, with tuners that
-// listen to one channel at a time and optional frame-loss injection.
+// listen to one channel at a time and an optional fault source.
 //
 // It is the physical substrate under the client simulator: the scheduling
 // packages decide *what* occupies each (channel, slot) cell; airwave
@@ -26,24 +26,14 @@ type Frame struct {
 	Page    core.PageID
 }
 
-// DropFunc decides whether a frame is lost before reaching a given tuner;
-// it is evaluated per delivery, so loss can be made channel-, slot- or
-// tuner-position dependent.
-type DropFunc func(Frame) bool
-
-// Option configures a Medium.
-type Option func(*Medium)
-
-// WithDropFunc installs a loss model; nil means lossless (the default).
-func WithDropFunc(f DropFunc) Option {
-	return func(m *Medium) { m.drop = f }
-}
-
-// WithSlotJitter delays each slot's transmission by jitter(slot) slots,
-// with values in [0, 0.5] so consecutive slots never reorder. nil keeps
-// the exact fixed-period clock (the default).
-func WithSlotJitter(jitter func(slot int) float64) Option {
-	return func(m *Medium) { m.jitter = jitter }
+// Fault is the medium's fault source, asked once per (channel, slot):
+// whether the frame on channel ch at absolute slot abs is lost, and how
+// many slots late slot abs airs. *chaos.Plan implements it.
+type Fault interface {
+	Lost(ch, abs int) bool
+	// JitterAt returns slot abs's transmission delay in [0, 0.5] slots,
+	// so consecutive slots never reorder.
+	JitterAt(abs int) float64
 }
 
 // Medium is the on-air broadcast system: it replays a program cyclically,
@@ -51,8 +41,7 @@ func WithSlotJitter(jitter func(slot int) float64) Option {
 type Medium struct {
 	sim     *eventsim.Simulator
 	prog    *core.Program
-	drop    DropFunc
-	jitter  func(slot int) float64
+	fault   Fault
 	tuners  []*Tuner // insertion order, for deterministic delivery
 	tuned   []int    // per-slot snapshot of tuner channels (scratch)
 	slot    int
@@ -60,19 +49,16 @@ type Medium struct {
 	stopped bool
 }
 
-// New creates a Medium over prog driven by sim.
-func New(sim *eventsim.Simulator, prog *core.Program, opts ...Option) (*Medium, error) {
+// New creates a Medium over prog driven by sim. A nil fault is a
+// fault-free air with an exact fixed-period clock.
+func New(sim *eventsim.Simulator, prog *core.Program, fault Fault) (*Medium, error) {
 	if sim == nil {
 		return nil, errors.New("airwave: nil simulator")
 	}
 	if prog == nil {
 		return nil, errors.New("airwave: nil program")
 	}
-	m := &Medium{sim: sim, prog: prog}
-	for _, opt := range opts {
-		opt(m)
-	}
-	return m, nil
+	return &Medium{sim: sim, prog: prog, fault: fault}, nil
 }
 
 // Program returns the program being broadcast.
@@ -111,12 +97,12 @@ func (m *Medium) Start() error {
 	// Slot k is transmitted at first + k + offset(k), so the interval
 	// after tick k bridges to the next jittered boundary. Without jitter
 	// the offset is a constant 0 and every interval is exactly 1.
-	// clampJ keeps a misbehaving jitter source from reordering slots.
+	// clampJ keeps a misbehaving fault source from reordering slots.
 	offset := func(k int) float64 {
-		if m.jitter == nil {
+		if m.fault == nil {
 			return 0
 		}
-		return clampJ(m.jitter(k))
+		return clampJ(m.fault.JitterAt(k))
 	}
 	return m.sim.PeriodicVar(first+offset(0), func(k int) float64 {
 		return 1 + offset(k+1) - offset(k)
@@ -124,7 +110,7 @@ func (m *Medium) Start() error {
 }
 
 // clampJ bounds a jitter offset to [0, 0.5] — the contract of
-// WithSlotJitter — so inter-slot intervals stay positive.
+// Fault.JitterAt — so inter-slot intervals stay positive.
 func clampJ(j float64) float64 {
 	if j < 0 || math.IsNaN(j) {
 		return 0
@@ -138,9 +124,11 @@ func clampJ(j float64) float64 {
 // Stop ends transmission after the current slot.
 func (m *Medium) Stop() { m.stopped = true }
 
-// transmit delivers the current column on every channel. Tuner channels are
-// snapshotted at slot start: a single-frequency receiver that retunes while
-// handling a frame hears the new channel only from the next slot on.
+// transmit delivers the current column on every channel whose frame is
+// not lost; every tuner on a channel shares its frame's fate. Tuner
+// channels are snapshotted at slot start: a single-frequency receiver that
+// retunes while handling a frame hears the new channel only from the next
+// slot on.
 func (m *Medium) transmit() {
 	col := m.prog.Column(m.slot)
 	if cap(m.tuned) < len(m.tuners) {
@@ -151,15 +139,14 @@ func (m *Medium) transmit() {
 		m.tuned[i] = t.channel
 	}
 	for ch := 0; ch < m.prog.Channels(); ch++ {
+		if m.fault != nil && m.fault.Lost(ch, m.slot) {
+			continue
+		}
 		f := Frame{Channel: ch, Slot: m.slot, Page: m.prog.At(ch, col)}
 		for i, t := range m.tuners {
-			if m.tuned[i] != ch {
-				continue
+			if m.tuned[i] == ch {
+				t.fn(f)
 			}
-			if m.drop != nil && m.drop(f) {
-				continue
-			}
-			t.fn(f)
 		}
 	}
 	m.slot++

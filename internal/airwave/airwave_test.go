@@ -1,6 +1,7 @@
 package airwave
 
 import (
+	"fmt"
 	"testing"
 
 	"tcsa/internal/core"
@@ -32,13 +33,13 @@ func twoChannelProgram(t *testing.T) *core.Program {
 func TestNewValidation(t *testing.T) {
 	var sim eventsim.Simulator
 	prog := twoChannelProgram(t)
-	if _, err := New(nil, prog); err == nil {
+	if _, err := New(nil, prog, nil); err == nil {
 		t.Error("nil simulator accepted")
 	}
-	if _, err := New(&sim, nil); err == nil {
+	if _, err := New(&sim, nil, nil); err == nil {
 		t.Error("nil program accepted")
 	}
-	m, err := New(&sim, prog)
+	m, err := New(&sim, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestBroadcastDeliversProgramCyclically(t *testing.T) {
 	var sim eventsim.Simulator
-	m, err := New(&sim, twoChannelProgram(t))
+	m, err := New(&sim, twoChannelProgram(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestBroadcastDeliversProgramCyclically(t *testing.T) {
 
 func TestTunerHearsOnlyItsChannel(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	var frames []Frame
 	tuner, _ := m.NewTuner(func(f Frame) { frames = append(frames, f) })
 	_ = tuner.TuneTo(1)
@@ -102,7 +103,7 @@ func TestTunerHearsOnlyItsChannel(t *testing.T) {
 
 func TestRetuneMidBroadcast(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	var got []core.PageID
 	var tuner *Tuner
 	tuner, _ = m.NewTuner(func(f Frame) {
@@ -128,7 +129,7 @@ func TestRetuneMidBroadcast(t *testing.T) {
 
 func TestDetach(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	count := 0
 	var tuner *Tuner
 	tuner, _ = m.NewTuner(func(Frame) {
@@ -150,7 +151,7 @@ func TestDetach(t *testing.T) {
 
 func TestTuneToValidation(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	tuner, _ := m.NewTuner(func(Frame) {})
 	if err := tuner.TuneTo(5); err == nil {
 		t.Error("out-of-range channel accepted")
@@ -160,32 +161,67 @@ func TestTuneToValidation(t *testing.T) {
 	}
 }
 
-func TestDropFunc(t *testing.T) {
+// scriptedFault is a Fault read from two optional scripts; a nil script
+// injects nothing.
+type scriptedFault struct {
+	lost   func(ch, abs int) bool
+	jitter func(abs int) float64
+	asked  map[[2]int]int // Lost calls per (channel, slot)
+}
+
+func (f *scriptedFault) Lost(ch, abs int) bool {
+	if f.asked != nil {
+		f.asked[[2]int{ch, abs}]++
+	}
+	return f.lost != nil && f.lost(ch, abs)
+}
+
+func (f *scriptedFault) JitterAt(abs int) float64 {
+	if f.jitter == nil {
+		return 0
+	}
+	return f.jitter(abs)
+}
+
+// TestLostFramesSkipEveryTuner: a lost (channel, slot) is lost to every
+// tuner on that channel, and the fault source is asked exactly once per
+// (channel, slot) however many tuners listen.
+func TestLostFramesSkipEveryTuner(t *testing.T) {
 	var sim eventsim.Simulator
-	dropOdd := func(f Frame) bool { return f.Slot%2 == 1 }
-	m, err := New(&sim, twoChannelProgram(t), WithDropFunc(dropOdd))
+	fault := &scriptedFault{
+		lost:  func(ch, abs int) bool { return ch == 0 && abs%2 == 1 },
+		asked: map[[2]int]int{},
+	}
+	m, err := New(&sim, twoChannelProgram(t), fault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slots []int
-	tuner, _ := m.NewTuner(func(f Frame) { slots = append(slots, f.Slot) })
-	_ = tuner.TuneTo(0)
+	heard := make([][]int, 3)
+	for i, ch := range []int{0, 0, 1} {
+		i := i
+		tuner, _ := m.NewTuner(func(f Frame) { heard[i] = append(heard[i], f.Slot) })
+		_ = tuner.TuneTo(ch)
+	}
 	_ = m.Start()
 	sim.RunUntil(7.5)
-	want := []int{0, 2, 4, 6}
-	if len(slots) != len(want) {
-		t.Fatalf("slots = %v, want %v", slots, want)
+	for i, want := range [][]int{{0, 2, 4, 6}, {0, 2, 4, 6}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		if fmt.Sprint(heard[i]) != fmt.Sprint(want) {
+			t.Errorf("tuner %d heard slots %v, want %v", i, heard[i], want)
+		}
 	}
-	for i := range want {
-		if slots[i] != want[i] {
-			t.Fatalf("slots = %v, want %v", slots, want)
+	if len(fault.asked) != 16 {
+		t.Errorf("fault asked about %d (channel, slot) cells, want 16", len(fault.asked))
+	}
+	for cell, n := range fault.asked {
+		if n != 1 {
+			t.Errorf("fault asked %d times about %v", n, cell)
 		}
 	}
 }
 
 func TestStartTwiceAndStop(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +246,7 @@ func TestStartAtFractionalTime(t *testing.T) {
 	var sim eventsim.Simulator
 	_ = sim.At(2.3, func() {})
 	sim.Run() // now = 2.3
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	var first float64 = -1
 	tuner, _ := m.NewTuner(func(Frame) {
 		if first < 0 {
@@ -230,7 +266,7 @@ func TestStartAtFractionalTime(t *testing.T) {
 
 func TestPageAt(t *testing.T) {
 	var sim eventsim.Simulator
-	m, _ := New(&sim, twoChannelProgram(t))
+	m, _ := New(&sim, twoChannelProgram(t), nil)
 	if got := m.PageAt(0, 6); got != 0 { // column 6%4=2 on ch0 = page 0
 		t.Errorf("PageAt(0,6) = %d, want 0", got)
 	}
@@ -245,7 +281,7 @@ func TestPageAt(t *testing.T) {
 	}
 }
 
-// TestSlotJitterShiftsDeliveryInstants: with WithSlotJitter, frame k is
+// TestSlotJitterShiftsDeliveryInstants: under a jittering fault, frame k is
 // delivered at first + k + jitter(k) instead of exactly first + k, frames
 // still arrive in slot order, and an out-of-contract jitter value is
 // clamped. Without jitter every frame lands exactly on its integer slot
@@ -253,7 +289,7 @@ func TestPageAt(t *testing.T) {
 func TestSlotJitterShiftsDeliveryInstants(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		jitter func(slot int) float64
+		jitter func(abs int) float64
 		frames int
 	}{
 		{"none", nil, 1000},
@@ -271,7 +307,7 @@ func TestSlotJitterShiftsDeliveryInstants(t *testing.T) {
 			var sim eventsim.Simulator
 			sim.RunUntil(2.5) // start mid-slot: the first frame waits for slot boundary 3
 			const first = 3.0
-			m, err := New(&sim, twoChannelProgram(t), WithSlotJitter(tc.jitter))
+			m, err := New(&sim, twoChannelProgram(t), &scriptedFault{jitter: tc.jitter})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -405,7 +405,8 @@ func TestReplanDegradation(t *testing.T) {
 
 // TestReplayServesClients drives the full DES through the plan: fault-
 // free, every client is served; under loss, every client is either served
-// or abandoned at the give-up bound — none lost by the machinery.
+// or unserved at the give-up bound — none lost by the machinery — and the
+// unserved are exactly the clients the chaos walk gives up on.
 func TestReplayServesClients(t *testing.T) {
 	gs, prog := suscProgram(t)
 	reqs, err := workload.GenerateRequests(gs, prog.Length(), workload.RequestConfig{
@@ -426,13 +427,21 @@ func TestReplayServesClients(t *testing.T) {
 		t.Errorf("fault-free replay MissRatio = %g", out.MissRatio)
 	}
 
-	lossy, _, err := Replay(prog, reqs, Config{Seed: 6, Loss: 0.3, MaxCycles: 8})
+	lossyCfg := Config{Seed: 6, Loss: 0.6, MaxCycles: 2}
+	lossy, _, err := Replay(prog, reqs, lossyCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossy.Served+lossy.Abandoned != len(reqs) {
-		t.Errorf("lossy replay lost clients: served %d + abandoned %d != %d",
-			lossy.Served, lossy.Abandoned, len(reqs))
+	if lossy.Served+lossy.Abandoned+lossy.Unserved != len(reqs) {
+		t.Errorf("lossy replay lost clients: served %d + abandoned %d + unserved %d != %d",
+			lossy.Served, lossy.Abandoned, lossy.Unserved, len(reqs))
+	}
+	walk, err := Run(core.Analyze(prog), workload.SliceStream(reqs), lossyCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lossy.Unserved == 0 || int64(lossy.Unserved) != walk.Unserved {
+		t.Errorf("lossy replay left %d unserved, the walk %d", lossy.Unserved, walk.Unserved)
 	}
 	if lossy.Served > 0 && lossy.AvgWait < out.AvgWait {
 		t.Errorf("loss shortened DES AvgWait: %g < %g", lossy.AvgWait, out.AvgWait)

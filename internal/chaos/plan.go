@@ -20,6 +20,8 @@ package chaos
 import (
 	"fmt"
 	"math"
+
+	"tcsa/internal/sim"
 )
 
 // Fault-kind tags folded into the stateless per-(channel, slot) hashes.
@@ -33,8 +35,14 @@ const (
 )
 
 // BurstConfig parameterises the per-channel Gilbert–Elliott burst-loss
-// chain (the same model as airwave.GilbertElliott, replayed onto a
-// deterministic per-channel tape so it stays seekable).
+// chain: a Good state with low loss and a Bad state (deep fade) with high
+// loss, switching with per-slot transition probabilities, for a
+// stationary loss rate of
+//
+//	GoodToBad/(GoodToBad+BadToGood)*LossBad + BadToGood/(GoodToBad+BadToGood)*LossGood
+//
+// and a mean fade of 1/BadToGood slots. The chain is replayed onto a
+// deterministic per-channel tape so it stays seekable.
 type BurstConfig struct {
 	// GoodToBad and BadToGood are per-slot state transition probabilities.
 	GoodToBad, BadToGood float64
@@ -79,10 +87,9 @@ type Config struct {
 	Replan bool
 }
 
-// DefaultMaxCycles is the give-up bound when Config.MaxCycles is 0: far
-// beyond any plausible wait on a working channel, small enough that a
-// fully stalled channel still terminates.
-const DefaultMaxCycles = 64
+// DefaultMaxCycles is the give-up bound when Config.MaxCycles is 0, the
+// event-driven air's own default.
+const DefaultMaxCycles = sim.DefaultMaxCycles
 
 // DefaultHorizonCap caps the derived burst-tape length (64 Ki-slots per
 // channel ≈ 8 KiB of bitset per channel).
@@ -217,9 +224,8 @@ func (r *burstRNG) float64() float64 {
 }
 
 // burstTape runs the Gilbert–Elliott chain for one channel over horizon
-// slots and records the lost slots as a bitset. One state step and one
-// loss draw per slot, mirroring airwave.GilbertElliott's per-slot
-// behaviour.
+// slots and records the lost slots as a bitset: one state step, then one
+// loss draw in the new state, per slot.
 func burstTape(seed int64, b BurstConfig, channel, horizon int) []uint64 {
 	rng := burstRNG{state: uint64(seed) ^ splitmix64(kindBurst+uint64(channel)*0x9e3779b97f4a7c15)}
 	tape := make([]uint64, (horizon+63)/64)

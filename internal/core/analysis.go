@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -26,7 +25,6 @@ type Analysis struct {
 	perPageDelay []float64
 	perPageWait  []float64
 	perPageMiss  []float64
-	maxDelay     float64
 	// chans is the channel of every appearance, aligned with ix's column
 	// arena, built by the first Channels call rather than by Analyze.
 	chansOnce sync.Once
@@ -56,9 +54,6 @@ func Analyze(p *Program) *Analysis {
 			a.perPageWait[id] = L
 			a.perPageDelay[id] = L
 			a.perPageMiss[id] = 1
-			if L > a.maxDelay {
-				a.maxDelay = L
-			}
 			continue
 		}
 		var wait, delay, miss float64
@@ -73,9 +68,6 @@ func Analyze(p *Program) *Analysis {
 			if d := g - t; d > 0 {
 				delay += d * d / (2 * L)
 				miss += d / L
-				if d > a.maxDelay {
-					a.maxDelay = d
-				}
 			}
 		}
 		a.perPageWait[id] = wait
@@ -137,23 +129,6 @@ func (a *Analysis) AvgWait() float64 { return mean(a.perPageWait) }
 // request misses its expected time.
 func (a *Analysis) MissProbability() float64 { return mean(a.perPageMiss) }
 
-// MaxDelay returns the worst-case delay beyond the expected time over all
-// pages and start instants.
-func (a *Analysis) MaxDelay() float64 { return a.maxDelay }
-
-// WeightedAvgDelay returns AvgD under the supplied per-page access
-// probabilities, which must sum to ~1 and have length n.
-func (a *Analysis) WeightedAvgDelay(prob []float64) (float64, error) {
-	if len(prob) != len(a.perPageDelay) {
-		return 0, fmt.Errorf("%w: %d probabilities for %d pages", ErrPageRange, len(prob), len(a.perPageDelay))
-	}
-	var d float64
-	for i, p := range prob {
-		d += p * a.perPageDelay[i]
-	}
-	return d, nil
-}
-
 // Appearances returns the sorted distinct appearance columns of page id as
 // a freshly allocated slice; Index().Columns(id) is the allocation-free
 // equivalent.
@@ -199,17 +174,6 @@ func (a *Analysis) GroupDelay(i int) float64 {
 	var sum float64
 	for j := 0; j < count; j++ {
 		sum += a.perPageDelay[first+PageID(j)]
-	}
-	return sum / float64(count)
-}
-
-// GroupWait returns the mean expected waiting time of group i's pages.
-func (a *Analysis) GroupWait(i int) float64 {
-	gs := a.program.gs
-	first, count := gs.GroupPages(i)
-	var sum float64
-	for j := 0; j < count; j++ {
-		sum += a.perPageWait[first+PageID(j)]
 	}
 	return sum / float64(count)
 }

@@ -3,9 +3,7 @@ package core
 // AppearanceIndex is the flat CSR-style appearance structure of a program:
 // for every page, its sorted distinct appearance columns, stored in a single
 // shared column arena instead of one heap slice per page. It is the
-// allocation-free backbone of Analyze and Program.Validate; the legacy
-// [][]int AppearanceTable is a thin materialisation of this index kept for
-// compatibility.
+// allocation-free backbone of Analyze and Program.Validate.
 //
 // Layout: page id's columns are cols[offs[id]:offs[id+1]], ascending. Pages
 // that never appear have an empty (not nil) range. Columns fit in int32 by
@@ -88,25 +86,6 @@ func (ix *AppearanceIndex) AppendColumns(dst []int, id PageID) []int {
 		dst = append(dst, int(c))
 	}
 	return dst
-}
-
-// Table materialises the legacy per-page [][]int appearance table from the
-// index: one arena allocation plus the header slice, with nil entries for
-// pages that never appear (the historical AppearanceTable contract).
-func (ix *AppearanceIndex) Table() [][]int {
-	table := make([][]int, ix.Pages())
-	arena := make([]int, len(ix.cols))
-	for i := range ix.cols {
-		arena[i] = int(ix.cols[i])
-	}
-	for id := range table {
-		lo, hi := ix.offs[id], ix.offs[id+1]
-		if lo == hi {
-			continue
-		}
-		table[id] = arena[lo:hi:hi]
-	}
-	return table
 }
 
 // WorstGap returns the largest cyclic inter-appearance gap of page id in

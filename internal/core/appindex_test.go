@@ -42,9 +42,27 @@ func randomProgram(t *testing.T, rng *rand.Rand, groups []Group, channels, lengt
 	return p
 }
 
+// referenceTable is the brute-force appearance table of p: every page's
+// distinct columns in ascending order, nil for pages never broadcast.
+func referenceTable(p *Program) [][]int {
+	table := make([][]int, p.GroupSet().Pages())
+	for slot := 0; slot < p.Length(); slot++ {
+		for ch := 0; ch < p.Channels(); ch++ {
+			id := p.At(ch, slot)
+			if id == None {
+				continue
+			}
+			if cols := table[id]; len(cols) == 0 || cols[len(cols)-1] != slot {
+				table[id] = append(cols, slot)
+			}
+		}
+	}
+	return table
+}
+
 var indexTestGroups = []Group{{Time: 4, Count: 7}, {Time: 8, Count: 9}, {Time: 16, Count: 4}}
 
-// TestAppearanceIndexMatchesTable: the CSR index and the legacy [][]int
+// TestAppearanceIndexMatchesTable: the CSR index and a brute-force [][]int
 // table describe the same appearance structure on random programs,
 // including pages that never appear and multi-channel duplicate columns.
 func TestAppearanceIndexMatchesTable(t *testing.T) {
@@ -52,7 +70,7 @@ func TestAppearanceIndexMatchesTable(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProgram(t, rng, indexTestGroups, 1+rng.Intn(5), 1+rng.Intn(40))
 		ix := p.AppearanceIndex()
-		table := p.AppearanceTable()
+		table := referenceTable(p)
 		if ix.Pages() != len(table) {
 			t.Fatalf("seed %d: index covers %d pages, table %d", seed, ix.Pages(), len(table))
 		}
@@ -76,14 +94,14 @@ func TestAppearanceIndexMatchesTable(t *testing.T) {
 	}
 }
 
-// TestProgramAppearancesMatchesTable pins the satellite contract: the
-// index-routed Program.Appearances(id) equals AppearanceTable()[id] for a
+// TestProgramAppearancesMatchesTable: the index-routed
+// Program.Appearances(id) equals the brute-force table's row for a
 // fuzz-style random program.
 func TestProgramAppearancesMatchesTable(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProgram(t, rng, indexTestGroups, 1+rng.Intn(4), 1+rng.Intn(30))
-		table := p.AppearanceTable()
+		table := referenceTable(p)
 		for id := 0; id < p.GroupSet().Pages(); id++ {
 			got := p.Appearances(PageID(id))
 			if len(got) != len(table[id]) {
@@ -98,8 +116,8 @@ func TestProgramAppearancesMatchesTable(t *testing.T) {
 	}
 }
 
-// TestAppearanceIndexTableContract: Table() keeps the documented legacy
-// shape — nil (not empty) slices for pages never broadcast.
+// TestAppearanceIndexTableContract: the index's contract for a page never
+// broadcast — an empty, non-nil column range and a full-cycle worst gap.
 func TestAppearanceIndexTableContract(t *testing.T) {
 	gs := MustGroupSet([]Group{{Time: 4, Count: 3}})
 	p, err := NewProgram(gs, 1, 4)
@@ -109,14 +127,10 @@ func TestAppearanceIndexTableContract(t *testing.T) {
 	if err := p.Place(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	table := p.AppearanceTable()
-	if table[1] != nil || table[2] != nil {
-		t.Errorf("absent pages should have nil table entries, got %v", table)
-	}
-	if len(table[0]) != 1 || table[0][0] != 1 {
-		t.Errorf("table[0] = %v, want [1]", table[0])
-	}
 	ix := p.AppearanceIndex()
+	if got := ix.Columns(0); len(got) != 1 || got[0] != 1 {
+		t.Errorf("index Columns(0) = %v, want [1]", got)
+	}
 	if got := ix.Columns(1); got == nil || len(got) != 0 {
 		t.Errorf("index Columns for absent page = %v, want empty non-nil", got)
 	}

@@ -172,16 +172,6 @@ func (p *Program) Appearances(id PageID) []int {
 	return p.AppearanceIndex().AppendColumns(nil, id)
 }
 
-// AppearanceTable returns, for every page, its sorted distinct appearance
-// columns. Pages that never appear have a nil slice.
-//
-// It is a compatibility shim over AppearanceIndex, which new code should
-// prefer: the index holds all columns in one arena instead of one heap
-// slice per page.
-func (p *Program) AppearanceTable() [][]int {
-	return p.AppearanceIndex().Table()
-}
-
 // Validate checks the Section 3.1 validity conditions for every page:
 //
 //  1. each page of group i appears at least once within columns [0, t_i);

@@ -86,12 +86,8 @@ func TestAppearancesDeduplicatesColumns(t *testing.T) {
 	if got := p.CountOf(3); got != 3 {
 		t.Errorf("CountOf = %d, want 3 (per-cell)", got)
 	}
-	table := p.AppearanceTable()
-	if len(table[3]) != 2 {
-		t.Errorf("AppearanceTable[3] = %v, want 2 columns", table[3])
-	}
-	if table[0] != nil {
-		t.Errorf("AppearanceTable[0] = %v, want nil for absent page", table[0])
+	if got := p.Appearances(0); len(got) != 0 {
+		t.Errorf("Appearances(0) = %v, want none for an absent page", got)
 	}
 }
 

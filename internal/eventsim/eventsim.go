@@ -35,9 +35,6 @@ type event struct {
 // Now returns the current simulation time in slots.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // At schedules fn to run at absolute time t (>= Now).
 func (s *Simulator) At(t float64, fn func()) error {
 	if t < s.now {

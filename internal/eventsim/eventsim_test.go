@@ -10,7 +10,7 @@ import (
 
 func TestZeroValueReady(t *testing.T) {
 	var s Simulator
-	if s.Now() != 0 || s.Pending() != 0 {
+	if s.Now() != 0 {
 		t.Error("zero value not a fresh simulator")
 	}
 	if s.Step() {
@@ -118,11 +118,11 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3 {
 		t.Errorf("Now = %f, want exactly 3", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", s.Pending())
-	}
 	if n := s.RunUntil(2); n != 0 {
 		t.Errorf("RunUntil into the past ran %d events", n)
+	}
+	if n := s.Run(); n != 1 {
+		t.Errorf("Run after RunUntil(3) ran %d events, want the 1 left", n)
 	}
 }
 

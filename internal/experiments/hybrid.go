@@ -7,6 +7,7 @@ import (
 	"tcsa/internal/hybrid"
 	"tcsa/internal/online"
 	"tcsa/internal/pamad"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -66,8 +67,8 @@ func HybridMatrix(p Params, dist workload.Distribution, rates []float64,
 		for _, split := range splits {
 			for _, policy := range policies {
 				rep, err := hybrid.Run(prog, reqs, hybrid.Config{
-					AbandonAfter: 1.0,
-					Online:       &online.Config{Policy: policy, Split: split},
+					Air:    sim.Config{AbandonAfter: 1.0},
+					Online: &online.Config{Policy: policy, Split: split},
 				})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: hybrid rate %g %v/%v: %w",

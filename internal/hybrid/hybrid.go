@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 
-	"tcsa/internal/airwave"
 	"tcsa/internal/core"
 	"tcsa/internal/eventsim"
 	"tcsa/internal/ondemand"
@@ -33,10 +32,13 @@ import (
 
 // Config parameterises the coupled system.
 type Config struct {
-	// AbandonAfter is the impatience threshold as a multiple of each
-	// page's expected time; must be > 0 (a hybrid system without defection
-	// is just the broadcast simulator).
-	AbandonAfter float64
+	// Air is the broadcast simulation. Air.AbandonAfter is the impatience
+	// threshold as a multiple of each page's expected time and must be
+	// > 0 (a hybrid system without defection is just the broadcast
+	// simulator). Run owns Air.OnAbandon, routing every defection to the
+	// pull tier, and overrides any value set there; Air.Trace, when set,
+	// sees every event after Run's own bookkeeping does.
+	Air sim.Config
 	// Pull configures the on-demand server (service time, workers,
 	// discipline, queue bound). Ignored when Online is set.
 	Pull ondemand.Config
@@ -47,14 +49,10 @@ type Config struct {
 	// Online.RecordFlows is forced on (the per-defector flows feed the
 	// end-to-end statistics).
 	Online *online.Config
-	// Mode selects the broadcast client strategy; default ScheduleAware.
-	Mode sim.ClientMode
-	// Drop optionally injects broadcast frame loss.
-	Drop airwave.DropFunc
 	// DeadlineSlack extends the pull deadline: a defector's response is
 	// counted as a deadline miss if it completes after
-	// arrival + DeadlineSlack * expected time. 0 defaults to 3.
-	// Only meaningful for the on-demand pull tier.
+	// arrival + DeadlineSlack * expected time. 0 defaults to
+	// max(3, Air.AbandonAfter). Only meaningful for the on-demand pull tier.
 	DeadlineSlack float64
 }
 
@@ -82,15 +80,15 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 	if prog == nil {
 		return nil, errors.New("hybrid: nil program")
 	}
-	if cfg.AbandonAfter <= 0 {
-		return nil, fmt.Errorf("hybrid: abandon threshold %f (must be > 0)", cfg.AbandonAfter)
+	if cfg.Air.AbandonAfter <= 0 {
+		return nil, fmt.Errorf("hybrid: abandon threshold %f (must be > 0)", cfg.Air.AbandonAfter)
 	}
 	if cfg.DeadlineSlack == 0 {
-		cfg.DeadlineSlack = 3
+		cfg.DeadlineSlack = max(3, cfg.Air.AbandonAfter)
 	}
-	if cfg.DeadlineSlack < cfg.AbandonAfter {
+	if cfg.DeadlineSlack < cfg.Air.AbandonAfter {
 		return nil, fmt.Errorf("hybrid: deadline slack %f below abandon threshold %f",
-			cfg.DeadlineSlack, cfg.AbandonAfter)
+			cfg.DeadlineSlack, cfg.Air.AbandonAfter)
 	}
 	gs := prog.GroupSet()
 
@@ -104,19 +102,19 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 	// future fault mode) the two disagree, and reconstructing the served
 	// set analytically double-counts clients the simulator defected.
 	endToEnd := make([]float64, 0, len(reqs))
-	air, err := sim.Run(prog, reqs, sim.Config{
-		Mode:         cfg.Mode,
-		AbandonAfter: cfg.AbandonAfter,
-		Drop:         cfg.Drop,
-		OnAbandon: func(r workload.Request, at float64) {
-			defections = append(defections, defection{req: r, at: at})
-		},
-		Trace: func(ev sim.Event) {
-			if ev.Kind == sim.EventServe {
-				endToEnd = append(endToEnd, ev.Time-reqs[ev.Client].Arrival)
-			}
-		},
-	})
+	airCfg := cfg.Air
+	airCfg.OnAbandon = func(r workload.Request, at float64) {
+		defections = append(defections, defection{req: r, at: at})
+	}
+	airCfg.Trace = func(ev sim.Event) {
+		if ev.Kind == sim.EventServe {
+			endToEnd = append(endToEnd, ev.Time-reqs[ev.Client].Arrival)
+		}
+		if cfg.Air.Trace != nil {
+			cfg.Air.Trace(ev)
+		}
+	}
+	air, err := sim.Run(prog, reqs, airCfg)
 	if err != nil {
 		return nil, err
 	}

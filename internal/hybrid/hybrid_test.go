@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"tcsa/internal/airwave"
+	"tcsa/internal/core"
 	"tcsa/internal/mpb"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/online"
 	"tcsa/internal/pamad"
+	"tcsa/internal/sim"
 	"tcsa/internal/susc"
 	"tcsa/internal/workload"
 )
@@ -22,13 +23,13 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, nil, Config{AbandonAfter: 1}); err == nil {
+	if _, err := Run(nil, nil, Config{Air: sim.Config{AbandonAfter: 1}}); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := Run(prog, nil, Config{AbandonAfter: 0}); err == nil {
+	if _, err := Run(prog, nil, Config{Air: sim.Config{AbandonAfter: 0}}); err == nil {
 		t.Error("zero abandon threshold accepted")
 	}
-	if _, err := Run(prog, nil, Config{AbandonAfter: 2, DeadlineSlack: 1}); err == nil {
+	if _, err := Run(prog, nil, Config{Air: sim.Config{AbandonAfter: 2}, DeadlineSlack: 1}); err == nil {
 		t.Error("deadline slack below abandon threshold accepted")
 	}
 }
@@ -49,8 +50,8 @@ func TestValidProgramHasNoDefections(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		AbandonAfter: 1.0,
-		Pull:         ondemand.Config{ServiceTime: 2},
+		Air:  sim.Config{AbandonAfter: 1.0},
+		Pull: ondemand.Config{ServiceTime: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +87,8 @@ func TestDefectorsAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		AbandonAfter: 1.0,
-		Pull:         ondemand.Config{ServiceTime: 1.5, Discipline: ondemand.EDF},
+		Air:  sim.Config{AbandonAfter: 1.0},
+		Pull: ondemand.Config{ServiceTime: 1.5, Discipline: ondemand.EDF},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestPAMADShedsLessThanMPB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{AbandonAfter: 1.5, Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF}}
+	cfg := Config{Air: sim.Config{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF}}
 	pReqs, err := workload.GenerateRequests(gs, pProg.Length(), workload.RequestConfig{Count: 1500, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +157,15 @@ func TestPAMADShedsLessThanMPB(t *testing.T) {
 	}
 }
 
+// pageZeroLoss loses every frame carrying page 0 in the first 64 slots.
+type pageZeroLoss struct{ prog *core.Program }
+
+func (f pageZeroLoss) Lost(ch, abs int) bool { return abs < 64 && f.prog.AtAbs(ch, abs) == 0 }
+func (pageZeroLoss) JitterAt(int) float64    { return 0 }
+func (pageZeroLoss) MaxCycles() int          { return sim.DefaultMaxCycles }
+
 // TestDropAccountingExactlyOnce is the frame-loss accounting regression:
-// with a deterministic drop function, clients whose closed-form wait is
+// with a deterministic fault source, clients whose closed-form wait is
 // within the impatience threshold still defect on the simulated air. The
 // served set must come from the simulator's serve events — reconstructing
 // it from core.Analyze counted those clients twice (once as analytically
@@ -174,7 +182,6 @@ func TestDropAccountingExactlyOnce(t *testing.T) {
 	// Page 0 has t=2: suppressing its frames for the first 64 slots pushes
 	// every page-0 client past arrival + 1.0*2 and forces defection, while
 	// the closed-form wait (loss-blind) stays within the threshold.
-	drop := func(f airwave.Frame) bool { return f.Page == 0 && f.Slot < 64 }
 	reqs := []workload.Request{
 		{Page: 0, Arrival: 0.5},
 		{Page: 0, Arrival: 3},
@@ -183,9 +190,8 @@ func TestDropAccountingExactlyOnce(t *testing.T) {
 		{Page: 20, Arrival: 2.5},
 	}
 	rep, err := Run(prog, reqs, Config{
-		AbandonAfter: 1.0,
-		Drop:         drop,
-		Pull:         ondemand.Config{ServiceTime: 2},
+		Air:  sim.Config{AbandonAfter: 1.0, Fault: pageZeroLoss{prog}},
+		Pull: ondemand.Config{ServiceTime: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +234,7 @@ func TestOnlineTierRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		AbandonAfter: 1.0,
+		Air: sim.Config{AbandonAfter: 1.0},
 		Online: &online.Config{
 			Policy: online.LWF,
 			Split:  online.Split{Mode: online.SplitReserved, OnlineChannels: 1},

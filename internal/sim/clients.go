@@ -26,6 +26,19 @@ const (
 	Scanning
 )
 
+// DefaultMaxCycles is the give-up bound when the air has no fault source
+// naming one: far beyond any plausible wait on a working channel, small
+// enough that a fully stalled channel still terminates.
+const DefaultMaxCycles = 64
+
+// Fault is the event-driven air's fault source: the medium's per-(channel,
+// slot) loss and slot jitter, plus the number of broadcast cycles a client
+// waits before giving up. *chaos.Plan implements it.
+type Fault interface {
+	airwave.Fault
+	MaxCycles() int
+}
+
 // Config parameterises the event-driven simulation.
 type Config struct {
 	// Mode is the client strategy; default ScheduleAware.
@@ -35,30 +48,36 @@ type Config struct {
 	// (counted, reported via OnAbandon, excluded from wait statistics).
 	// 0 means clients never abandon.
 	AbandonAfter float64
-	// Drop optionally injects frame loss into the medium.
-	Drop airwave.DropFunc
-	// Jitter, when non-nil, delays slot k's transmission by Jitter(k)
-	// slots (clamped to [0, 0.5] by the medium): imperfect slot clocking.
-	Jitter func(slot int) float64
+	// Fault, when non-nil, injects frame loss and slot jitter into the
+	// air, and clients still waiting Fault.MaxCycles() cycles after the
+	// last arrival's cycle are Unserved. nil is fault-free air bounded at
+	// DefaultMaxCycles. Limits with a *chaos.Plan: the air asks only Lost
+	// and JitterAt, so the plan's client-side Churn does not apply; its
+	// burst tape covers MaxCycles+2 cycles by default, so slots past that
+	// (arrivals beyond the second cycle, or a Scanning sweep longer than
+	// MaxCycles+1 cycles) see no burst loss; and because the bound counts
+	// from the last arrival, earlier arrivals may wait past MaxCycles,
+	// which the walk never allows.
+	Fault Fault
 	// OnAbandon, when non-nil, is invoked at the simulated instant a client
 	// abandons, with the request and that instant. Hook for coupling to an
 	// on-demand server model.
 	OnAbandon func(req workload.Request, at float64)
-	// MaxSlots bounds the simulation length as a safety net; 0 derives a
-	// bound from the workload (last arrival + a generous number of cycles).
-	MaxSlots int
 	// Trace, when non-nil, receives one Event per client arrival, (re)tune,
 	// service and abandonment — e.g. a *RingTracer's Record method.
 	Trace func(Event)
 }
 
 // Outcome extends Metrics with event-simulation-specific counts.
+// Served + Abandoned + Unserved == Requests.
 type Outcome struct {
 	Metrics
 	// Served is the number of requests satisfied from the air.
 	Served int
 	// Abandoned is the number of clients that gave up waiting.
 	Abandoned int
+	// Unserved is the number of clients still waiting at the slot bound.
+	Unserved int
 	// SlotsSimulated is the number of broadcast slots replayed.
 	SlotsSimulated int
 }
@@ -78,7 +97,9 @@ type client struct {
 // Run replays the program on the airwave substrate and drives one client
 // per request through it. Requests arrive at their Arrival instant within
 // the first broadcast cycle. The simulation ends when every client is
-// served or abandoned (or at the MaxSlots safety bound).
+// served or abandoned, or at the slot bound: MaxCycles cycles after the
+// last arrival's cycle, or channels+1 for a Scanning client's sweep if
+// that is longer.
 func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, error) {
 	if prog == nil {
 		return nil, errors.New("sim: nil program")
@@ -90,14 +111,7 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, err
 	a := core.Analyze(prog)
 
 	var simulator eventsim.Simulator
-	var opts []airwave.Option
-	if cfg.Drop != nil {
-		opts = append(opts, airwave.WithDropFunc(cfg.Drop))
-	}
-	if cfg.Jitter != nil {
-		opts = append(opts, airwave.WithSlotJitter(cfg.Jitter))
-	}
-	medium, err := airwave.New(&simulator, prog, opts...)
+	medium, err := airwave.New(&simulator, prog, cfg.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +160,7 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, err
 		}
 	}
 
+	clients := make([]*client, 0, len(reqs))
 	lastArrival := 0.0
 	for i, r := range reqs {
 		if r.Page < 0 || int(r.Page) >= gs.Pages() {
@@ -158,6 +173,7 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, err
 			lastArrival = r.Arrival
 		}
 		c := &client{idx: i, req: r, want: r.Page, expect: gs.TimeOf(r.Page), arrival: r.Arrival}
+		clients = append(clients, c)
 		tuner, err := medium.NewTuner(func(f airwave.Frame) {
 			if c.done {
 				return
@@ -210,22 +226,28 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, err
 		}
 	}
 
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		// Every page recurs within one cycle, so the last arrival plus a
-		// few cycles is ample even with re-planning; scanning can need N
-		// extra passes.
-		maxSlots = int(lastArrival) + prog.Length()*(3+prog.Channels()) + 4
+	cycles := DefaultMaxCycles
+	if cfg.Fault != nil {
+		cycles = cfg.Fault.MaxCycles()
 	}
+	if cfg.Mode == Scanning && cycles < prog.Channels()+1 {
+		cycles = prog.Channels() + 1
+	}
+	maxSlots := (int(lastArrival)/prog.Length() + cycles) * prog.Length()
 	if err := medium.Start(); err != nil {
 		return nil, err
 	}
 	for slot := 0; slot < maxSlots && remaining > 0; slot++ {
 		simulator.RunUntil(float64(slot) + 0.5)
 	}
-	medium.Stop()
-	simulator.Run()
+	// Clients still waiting at the bound gave up there, as the chaos walk's
+	// do: Unserved, with any later abandonment timer left unfired.
 	out.SlotsSimulated = medium.Slot()
+	for _, c := range clients {
+		if !c.done {
+			out.Unserved++
+		}
+	}
 
 	out.Requests = len(reqs)
 	out.AvgWait = stats.Mean(waits)
@@ -251,7 +273,7 @@ func retuneToNext(medium *airwave.Medium, a *core.Analysis, c *client, from floa
 		}
 	}
 	// Page never broadcast: stay detached; the abandonment timer (if any)
-	// will fire, otherwise the slot bound ends the simulation.
+	// will fire, otherwise the client is Unserved at the slot bound.
 	c.tuner.Detach()
 }
 

@@ -12,8 +12,9 @@
 //     (MeasureStream / MeasureParallel) that holds O(1) sample memory
 //     regardless of the request count; see docs/perf.md.
 //   - Run: a full discrete-event simulation on the airwave substrate, with
-//     schedule-aware or blind-scanning single-tuner clients, optional frame
-//     loss, and an impatience model in which clients abandon the broadcast
+//     schedule-aware or blind-scanning single-tuner clients, an optional
+//     fault source (Fault: frame loss and slot jitter, the same *chaos.Plan
+//     every other engine replays), and an impatience model in which clients abandon the broadcast
 //     channel after a multiple of their expected time (the paper's
 //     Section 1 motivation for bounding waits: abandonments become pull
 //     requests that congest the on-demand channel).

@@ -5,13 +5,30 @@ import (
 	"strings"
 	"testing"
 
-	"tcsa/internal/airwave"
 	"tcsa/internal/core"
 	"tcsa/internal/mpb"
 	"tcsa/internal/pamad"
 	"tcsa/internal/susc"
 	"tcsa/internal/workload"
 )
+
+// scriptedFault is a Fault read from two optional scripts (a nil script
+// injects nothing) with the default give-up bound.
+type scriptedFault struct {
+	lost   func(ch, abs int) bool
+	jitter func(abs int) float64
+}
+
+func (f scriptedFault) Lost(ch, abs int) bool { return f.lost != nil && f.lost(ch, abs) }
+
+func (f scriptedFault) JitterAt(abs int) float64 {
+	if f.jitter == nil {
+		return 0
+	}
+	return f.jitter(abs)
+}
+
+func (scriptedFault) MaxCycles() int { return DefaultMaxCycles }
 
 func fig2() *core.GroupSet {
 	return core.MustGroupSet([]core.Group{{Time: 2, Count: 3}, {Time: 4, Count: 5}, {Time: 8, Count: 3}})
@@ -208,8 +225,8 @@ func TestRunWithFrameLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropEvery5th := func(f airwave.Frame) bool { return f.Slot%5 == 4 }
-	out, err := Run(prog, reqs, Config{Mode: ScheduleAware, Drop: dropEvery5th})
+	dropEvery5th := scriptedFault{lost: func(_, abs int) bool { return abs%5 == 4 }}
+	out, err := Run(prog, reqs, Config{Mode: ScheduleAware, Fault: dropEvery5th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,42 +363,6 @@ func TestRunTracesClients(t *testing.T) {
 	}
 }
 
-// TestRunUnderBurstLoss: schedule-aware clients recover from Gilbert-
-// Elliott fading bursts — everyone is eventually served, and waits degrade
-// monotonically with the fade depth.
-func TestRunUnderBurstLoss(t *testing.T) {
-	gs := fig2()
-	prog, err := susc.BuildMinimal(gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.GenerateRequests(gs, prog.Length(), workload.RequestConfig{Count: 150, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitAt := func(lossBad float64) float64 {
-		drop, err := airwave.GilbertElliott{
-			GoodToBad: 0.4, BadToGood: 0.4, LossGood: 0, LossBad: lossBad, Seed: 6,
-		}.DropFunc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Run(prog, reqs, Config{Mode: ScheduleAware, Drop: drop, MaxSlots: 100000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Served != len(reqs) {
-			t.Fatalf("lossBad=%f: served %d of %d", lossBad, out.Served, len(reqs))
-		}
-		return out.AvgWait
-	}
-	clean := waitAt(0)
-	faded := waitAt(0.9)
-	if faded <= clean {
-		t.Errorf("deep fades did not increase waits: %f vs %f", faded, clean)
-	}
-}
-
 // TestPoissonStreamAcrossCycles: a Poisson arrival stream spanning many
 // cycles runs through both the fast sampler and the event simulation, and
 // the two agree exactly.
@@ -436,8 +417,8 @@ func TestRunWithSlotJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	jit, err := Run(prog, reqs, Config{
-		Mode:   ScheduleAware,
-		Jitter: func(slot int) float64 { return float64(slot%2) * 0.4 },
+		Mode:  ScheduleAware,
+		Fault: scriptedFault{jitter: func(abs int) float64 { return float64(abs%2) * 0.4 }},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -96,38 +96,6 @@ func searchCDF(cdf []float64, u float64) int {
 	return lo
 }
 
-// AccessProbabilities returns the per-page access probability vector the
-// request stream approximates, for use with Analysis.WeightedAvgDelay.
-func AccessProbabilities(gs *core.GroupSet, cfg RequestConfig) ([]float64, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
-	}
-	n := gs.Pages()
-	prob := make([]float64, n)
-	switch cfg.Choice {
-	case UniformPages:
-		for i := range prob {
-			prob[i] = 1 / float64(n)
-		}
-	case ZipfPages:
-		theta := cfg.Theta
-		if theta == 0 {
-			theta = 0.8
-		}
-		var sum float64
-		for k := 1; k <= n; k++ {
-			prob[k-1] = 1 / math.Pow(float64(k), theta)
-			sum += prob[k-1]
-		}
-		for i := range prob {
-			prob[i] /= sum
-		}
-	default:
-		return nil, fmt.Errorf("workload: unknown page choice %d", cfg.Choice)
-	}
-	return prob, nil
-}
-
 // PoissonConfig extends RequestConfig for arrival processes beyond the
 // single-cycle uniform default: a Poisson stream whose exponential
 // inter-arrival gaps accumulate from time 0, spanning as many broadcast

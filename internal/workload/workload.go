@@ -13,9 +13,12 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"tcsa/internal/core"
 )
@@ -67,6 +70,44 @@ func ParseDistribution(s string) (Distribution, error) {
 	default:
 		return 0, fmt.Errorf("workload: unknown distribution %q", s)
 	}
+}
+
+// ParseInstance builds the group set a command line describes: counts, a
+// comma-separated list of per-group page counts over geometric expected
+// times t1, t1*ratio, ...; or else dist, a Distribution name spreading
+// pages over groups. counts wins when both are set.
+func ParseInstance(counts, dist string, pages, groups, t1, ratio int) (*core.GroupSet, error) {
+	switch {
+	case counts != "":
+		cs, err := ParseInts(counts)
+		if err != nil {
+			return nil, fmt.Errorf("counts: %w", err)
+		}
+		return core.Geometric(t1, ratio, cs)
+	case dist != "":
+		d, err := ParseDistribution(dist)
+		if err != nil {
+			return nil, err
+		}
+		return GroupSet(d, groups, pages, t1, ratio)
+	default:
+		return nil, errors.New("one of -counts or -dist is required")
+	}
+}
+
+// ParseInts parses a comma-separated list of integers, as command lines
+// give page counts, expected times and channel budgets.
+func ParseInts(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	out := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("parsing %q: %w", p, err)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // Distributions lists all four shapes in the paper's Figure 5 order.

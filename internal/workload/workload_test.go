@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -262,38 +263,37 @@ func TestGenerateRequestsErrors(t *testing.T) {
 	}
 }
 
-func TestAccessProbabilities(t *testing.T) {
-	gs := core.MustGroupSet([]core.Group{{Time: 2, Count: 4}})
-	uni, err := AccessProbabilities(gs, RequestConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range uni {
-		if p != 0.25 {
-			t.Errorf("uniform probabilities = %v", uni)
-		}
-	}
-	zipf, err := AccessProbabilities(gs, RequestConfig{Choice: ZipfPages, Theta: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for i := 1; i < len(zipf); i++ {
-		if zipf[i] >= zipf[i-1] {
-			t.Errorf("zipf probabilities not decreasing: %v", zipf)
-		}
-	}
-	for _, p := range zipf {
-		sum += p
-	}
-	if absDiff(sum, 1) > 1e-12 {
-		t.Errorf("zipf probabilities sum to %f", sum)
-	}
-	if _, err := AccessProbabilities(nil, RequestConfig{}); err == nil {
-		t.Error("nil group set accepted")
-	}
-	if _, err := AccessProbabilities(gs, RequestConfig{Choice: PageChoice(9)}); err == nil {
-		t.Error("unknown choice accepted")
+// TestParseInstance: the command-line instance parser builds geometric
+// count lists and named distributions, and names what is missing.
+func TestParseInstance(t *testing.T) {
+	for _, tc := range []struct {
+		name, counts, dist string
+		want               []core.Group // nil: an error is expected
+		wantErr            string
+	}{
+		{name: "counts", counts: "3, 5,3", want: []core.Group{{Time: 2, Count: 3}, {Time: 4, Count: 5}, {Time: 8, Count: 3}}},
+		{name: "counts win", counts: "4", dist: "pareto", want: []core.Group{{Time: 2, Count: 4}}},
+		{name: "dist", dist: "uniform", want: []core.Group{{Time: 2, Count: 3}, {Time: 4, Count: 3}}},
+		{name: "bad count", counts: "3,x", wantErr: `counts: parsing "x"`},
+		{name: "zero count", counts: "3,0", wantErr: "count"},
+		{name: "bad dist", dist: "pareto", wantErr: "unknown distribution"},
+		{name: "neither", wantErr: "one of -counts or -dist is required"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gs, err := ParseInstance(tc.counts, tc.dist, 6, 2, 2, 2)
+			if tc.want == nil {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gs.Equal(core.MustGroupSet(tc.want)) {
+				t.Errorf("got %v, want %v", gs, tc.want)
+			}
+		})
 	}
 }
 
