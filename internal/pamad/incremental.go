@@ -2,6 +2,7 @@ package pamad
 
 import (
 	"fmt"
+	"slices"
 
 	"tcsa/internal/core"
 	"tcsa/internal/delaymodel"
@@ -113,7 +114,7 @@ func requireNonIncreasing(s delaymodel.Frequencies) error {
 func (p *Placer) placeFrom(g int) error {
 	p.marks = p.marks[:g]
 	for gi := g; gi < p.gs.Len(); gi++ {
-		p.marks = append(p.marks, p.snapshot())
+		p.mark()
 		if err := placeGroupPages(p.prog, p.gs, p.s, gi, p.tMajor, p.nReal, p.chain, p.freeInCol, &p.stats, &p.cells); err != nil {
 			return err
 		}
@@ -122,14 +123,18 @@ func (p *Placer) placeFrom(g int) error {
 	return nil
 }
 
-// snapshot copies the live placement state.
-func (p *Placer) snapshot() checkpoint {
-	return checkpoint{
-		chain:     append(colChain(nil), p.chain...),
-		freeInCol: append([]int(nil), p.freeInCol...),
-		spills:    p.stats.Spills,
-		cells:     len(p.cells),
-	}
+// mark appends a copy of the live placement state to marks. A mark
+// slot a replay truncated away keeps its buffers, and the copy reuses
+// them: t_major is fixed for the Placer's lifetime, so a suffix replay
+// allocates no checkpoint memory.
+func (p *Placer) mark() {
+	n := len(p.marks)
+	p.marks = slices.Grow(p.marks, 1)[:n+1]
+	m := &p.marks[n]
+	m.chain = append(m.chain[:0], p.chain...)
+	m.freeInCol = append(m.freeInCol[:0], p.freeInCol...)
+	m.spills = p.stats.Spills
+	m.cells = len(p.cells)
 }
 
 // Program returns the live program. The replan engine clones it before

@@ -135,9 +135,10 @@ func placeGroupPages(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequen
 func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, j, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
 	si := s[gi]
 	id := gs.PageAt(gi, j)
+	end := 0 // window k starts where window k-1 ended
 	for k := 0; k < si; k++ {
-		start := core.CeilDiv(tMajor*k, si)
-		end := core.CeilDiv(tMajor*(k+1), si)
+		start := end
+		end = core.CeilDiv(tMajor*(k+1), si)
 		col := chain.find(start)
 		if col >= end {
 			// Nothing free inside the window: spill cyclically from

@@ -12,12 +12,16 @@ import (
 // through one live engine, and after every edit the live program must be
 // bit-identical to pamad placement rerun from scratch on the edited
 // instance, with the engine's derived frequencies and accounting matching
-// the scratch run exactly.
+// the scratch run exactly, and the Delta's cell counters matching the
+// remapped pre-edit grid diffed against the post-edit one.
 func FuzzReplanEquivalence(f *testing.F) {
 	f.Add(2, 2, uint8(3), uint8(5), uint8(3), 3, []byte{0x00, 0x41, 0x82, 0xc3})
 	f.Add(4, 2, uint8(20), uint8(30), uint8(40), 5, []byte{0x01, 0x01, 0x41, 0x41, 0x85})
 	f.Add(1, 3, uint8(1), uint8(0), uint8(9), 1, []byte{0xff, 0x00, 0x7f})
 	f.Add(8, 4, uint8(60), uint8(60), uint8(60), 9, []byte{0x02, 0x42, 0x82, 0xc2, 0x03})
+	// Halving t_1 replays from group 0 and lands page 0 on cells that were
+	// empty before the edit: none of those placements is Unchanged.
+	f.Add(50, 3, uint8(1), uint8(0), uint8(1), 14, []byte{0xd4})
 	f.Fuzz(func(t *testing.T, t1, c int, p1, p2, p3 uint8, nReal int, script []byte) {
 		if t1 > 64 || c > 8 || nReal < 1 || nReal > 16 || len(script) > 24 {
 			return
@@ -44,6 +48,7 @@ func FuzzReplanEquivalence(f *testing.F) {
 		for step, op := range script {
 			// Top two bits pick the event, the rest parameterise it.
 			arg := int(op & 0x3f)
+			before := eng.Snapshot()
 			var d *Delta
 			var evErr error
 			switch op >> 6 {
@@ -103,6 +108,7 @@ func FuzzReplanEquivalence(f *testing.F) {
 			if eng.Stats() != wantStats {
 				t.Fatalf("step %d (kind %v): stats %+v, scratch %+v", step, d.Kind, eng.Stats(), wantStats)
 			}
+			checkExactAccounting(t, step, before, got, d)
 		}
 	})
 }

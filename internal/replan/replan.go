@@ -73,8 +73,8 @@ func (k Kind) String() string {
 // CellRef is one grid-cell change: the cell and the page involved. Pages
 // in Delta.Cleared carry pre-edit IDs, pages in Delta.Placed post-edit IDs.
 type CellRef struct {
-	Channel int
-	Column  int
+	Channel int32
+	Column  int32
 	Page    core.PageID
 }
 
@@ -87,9 +87,13 @@ type Delta struct {
 	// FromGroup is the earliest replayed group (KindAppend/KindSuffix).
 	FromGroup int
 	// Cleared lists the cells the edit vacated (pre-edit page IDs), in
-	// placement order. Nil for KindNone and KindRebuild (a rebuild swaps
-	// the whole grid; per-cell diffs would cost the O(n) the engine
-	// avoids).
+	// placement order. Nil for KindNone, KindAppend and KindRebuild (a
+	// rebuild swaps the whole grid; per-cell diffs would cost the O(n) the
+	// engine avoids).
+	//
+	// Cleared and Placed live in arenas the engine reuses: they are valid
+	// until the engine's next edit, which overwrites them. Copy them to
+	// keep them longer.
 	Cleared []CellRef
 	// Placed lists the cells the edit wrote (post-edit page IDs), in
 	// placement order. Nil for KindNone and KindRebuild.
@@ -148,6 +152,13 @@ type Engine struct {
 	nReal  int
 	placer *pamad.Placer
 	seq    int
+
+	// Arenas reused across edits: the backing arrays of Delta.Cleared and
+	// Delta.Placed, and account's per-cell scratch (channel-major, one
+	// entry per grid cell), which is core.None everywhere between edits.
+	cleared []CellRef
+	placed  []CellRef
+	prev    []core.PageID
 }
 
 // New derives Algorithm 3 frequencies for gs at nReal channels and builds
@@ -337,10 +348,11 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		e.seq++
 		d.Kind = KindAppend
 		d.FromGroup = g
-		d.Placed = make([]CellRef, len(placed))
-		for i, c := range placed {
-			d.Placed[i] = CellRef{Channel: int(c.Channel), Column: int(c.Column), Page: ed.added}
+		e.placed = e.placed[:0]
+		for _, c := range placed {
+			e.placed = append(e.placed, CellRef{Channel: c.Channel, Column: c.Column, Page: ed.added})
 		}
+		d.Placed = e.placed
 		d.PlacedCells = len(d.Placed)
 		d.Added = len(d.Placed)
 		return d, nil
@@ -348,7 +360,7 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 
 	// Suffix replay. Annotate the doomed cells with their pre-edit pages
 	// before the replay rewrites the log.
-	d.Cleared = annotate(old.SuffixCells(g), gsOld, sOld, g)
+	e.cleared = annotate(e.cleared[:0], old.SuffixCells(g), gsOld, sOld, g)
 	placed, err := old.ReplayFrom(g, gsNew, sNew)
 	if err != nil {
 		return nil, err
@@ -356,18 +368,18 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 	e.seq++
 	d.Kind = KindSuffix
 	d.FromGroup = g
-	d.Placed = annotate(placed, gsNew, sNew, g)
+	e.placed = annotate(e.placed[:0], placed, gsNew, sNew, g)
+	d.Cleared, d.Placed = e.cleared, e.placed
 	d.ClearedCells = len(d.Cleared)
 	d.PlacedCells = len(d.Placed)
-	d.account(ed)
+	e.account(d, ed)
 	return d, nil
 }
 
-// annotate pairs raw placement-log cells with the pages that occupy them:
-// the log order is groups ascending from `from`, pages ascending within a
-// group, k=0..S_i-1 appearances per page.
-func annotate(cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int) []CellRef {
-	refs := make([]CellRef, len(cells))
+// annotate appends to dst the raw placement-log cells paired with the
+// pages that occupy them: the log order is groups ascending from `from`,
+// pages ascending within a group, k=0..S_i-1 appearances per page.
+func annotate(dst []CellRef, cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int) []CellRef {
 	i := 0
 	for gi := from; gi < gs.Len(); gi++ {
 		first, count := gs.GroupPages(gi)
@@ -375,34 +387,49 @@ func annotate(cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, f
 			id := first + core.PageID(j)
 			for k := 0; k < s[gi]; k++ {
 				c := cells[i]
-				refs[i] = CellRef{Channel: int(c.Channel), Column: int(c.Column), Page: id}
+				dst = append(dst, CellRef{Channel: c.Channel, Column: c.Column, Page: id})
 				i++
 			}
 		}
 	}
-	return refs
+	return dst
 }
 
-// account fills the unchanged/moved/added/evicted counters from the
-// cleared and placed cell lists, in O(Δ): lookups only, no map iteration.
-func (d *Delta) account(ed edit) {
-	key := func(ch, col int) int64 { return int64(ch)<<32 | int64(col) }
-	prev := make(map[int64]core.PageID, len(d.Cleared))
+// account fills d's unchanged/moved/added/evicted counters from its
+// cleared and placed cell lists in O(Δ). The engine's per-cell scratch
+// records each cleared cell's remapped pre-edit page, is read at the
+// placed cells, and is reset at the cleared cells, so it is all core.None
+// again when account returns; a placed cell the edit did not clear was
+// empty before the edit and reads core.None.
+func (e *Engine) account(d *Delta, ed edit) {
+	L := e.placer.MajorCycle()
+	cells := e.nReal * L
+	if cap(e.prev) < cells {
+		e.prev = make([]core.PageID, cells)
+		for i := range e.prev {
+			e.prev[i] = core.None
+		}
+	}
+	e.prev = e.prev[:cells] // every entry up to cap is core.None
+	at := func(c CellRef) *core.PageID { return &e.prev[int(c.Channel)*L+int(c.Column)] }
 	for _, c := range d.Cleared {
 		nid := d.RemapPage(c.Page)
 		if nid == core.None {
 			d.Evicted++
 		}
-		prev[key(c.Channel, c.Column)] = nid
+		*at(c) = nid
 	}
 	for _, c := range d.Placed {
 		switch {
-		case prev[key(c.Channel, c.Column)] == c.Page:
+		case *at(c) == c.Page:
 			d.Unchanged++
 		case ed.added != core.None && c.Page == ed.added:
 			d.Added++
 		default:
 			d.Moved++
 		}
+	}
+	for _, c := range d.Cleared {
+		*at(c) = core.None
 	}
 }

@@ -50,12 +50,12 @@ func gridsEqual(t *testing.T, step int, got, want *core.Program) {
 // patch live state instead of diffing two grids.
 func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.Program) {
 	t.Helper()
-	type cell struct{ ch, col int }
+	type cell struct{ ch, col int32 }
 	grid := make(map[cell]core.PageID, old.Filled())
 	for ch := 0; ch < old.Channels(); ch++ {
 		for col := 0; col < old.Length(); col++ {
 			if id := old.At(ch, col); id != core.None {
-				grid[cell{ch, col}] = id
+				grid[cell{int32(ch), int32(col)}] = id
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 	for ch := 0; ch < want.Channels(); ch++ {
 		for col := 0; col < want.Length(); col++ {
 			wantID := want.At(ch, col)
-			gotID, ok := grid[cell{ch, col}]
+			gotID, ok := grid[cell{int32(ch), int32(col)}]
 			if !ok {
 				gotID = core.None
 			}
@@ -116,6 +116,53 @@ func checkAccounting(t *testing.T, step int, d *Delta) {
 		if d.Evicted > d.ClearedCells {
 			t.Fatalf("step %d: evicted %d > cleared %d", step, d.Evicted, d.ClearedCells)
 		}
+	}
+}
+
+// checkExactAccounting pins the Delta's Unchanged/Moved/Added/Evicted
+// counters against an oracle that never looks at the engine's bookkeeping:
+// the pre-edit grid, remapped through RemapPage, diffed against the
+// post-edit grid at every placed and cleared cell. A placed cell is
+// unchanged when it holds the remapped page it held before, added when
+// its page has no pre-edit identity, and moved otherwise; a cleared cell
+// is evicted when its pre-edit page was retired.
+func checkExactAccounting(t *testing.T, step int, before, after *core.Program, d *Delta) {
+	t.Helper()
+	born := make([]bool, d.NewPages()) // post-edit IDs with no pre-edit page
+	for i := range born {
+		born[i] = true
+	}
+	for id := 0; id < d.OldPages(); id++ {
+		if nid := d.RemapPage(core.PageID(id)); nid != core.None {
+			born[nid] = false
+		}
+	}
+	remapped := func(c CellRef) core.PageID {
+		id := before.At(int(c.Channel), int(c.Column))
+		if id == core.None {
+			return core.None
+		}
+		return d.RemapPage(id)
+	}
+	var unchanged, moved, added, evicted int
+	for _, c := range d.Placed {
+		switch page := after.At(int(c.Channel), int(c.Column)); {
+		case remapped(c) == page:
+			unchanged++
+		case born[page]:
+			added++
+		default:
+			moved++
+		}
+	}
+	for _, c := range d.Cleared {
+		if remapped(c) == core.None {
+			evicted++
+		}
+	}
+	if d.Unchanged != unchanged || d.Moved != moved || d.Added != added || d.Evicted != evicted {
+		t.Fatalf("step %d (%v): unchanged/moved/added/evicted = %d/%d/%d/%d, oracle %d/%d/%d/%d",
+			step, d.Kind, d.Unchanged, d.Moved, d.Added, d.Evicted, unchanged, moved, added, evicted)
 	}
 }
 
@@ -183,6 +230,7 @@ func TestEngineMatchesScratchUnderEditSequences(t *testing.T) {
 			want := scratch(t, eng.GroupSet(), eng.Channels())
 			gridsEqual(t, step, eng.Program(), want)
 			checkAccounting(t, step, d)
+			checkExactAccounting(t, step, before, eng.Program(), d)
 			if d.Kind == KindSuffix || d.Kind == KindAppend {
 				applyDelta(t, step, before, d, want)
 			}
