@@ -19,7 +19,13 @@ type Program struct {
 	filled   int
 }
 
+// MaxCells caps the cells of one channels × slots grid allocated from
+// caller input: a Program (1 GiB of PageIDs) or a netcast broadcast ring.
+// The ×1000 paper instance needs 5.4·10⁶.
+const MaxCells = 1 << 28
+
 // NewProgram allocates an empty program of the given dimensions over gs.
+// It fails when channels × length exceeds MaxCells.
 func NewProgram(gs *GroupSet, channels, length int) (*Program, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil group set", ErrInvalidGroupSet)
@@ -29,6 +35,10 @@ func NewProgram(gs *GroupSet, channels, length int) (*Program, error) {
 	}
 	if length < 1 {
 		return nil, fmt.Errorf("%w: length %d", ErrSlotRange, length)
+	}
+	// Checked by division, so the product cannot overflow.
+	if channels > MaxCells/length {
+		return nil, fmt.Errorf("%w: %d channels x %d slots exceeds %d cells", ErrSlotRange, channels, length, MaxCells)
 	}
 	p := &Program{
 		gs:       gs,

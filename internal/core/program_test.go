@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,18 @@ func TestNewProgramValidation(t *testing.T) {
 	}
 	if _, err := NewProgram(gs, 2, 0); err == nil {
 		t.Error("0 length accepted")
+	}
+	// A grid past MaxCells is refused before it is allocated, whether
+	// its cell count overflows int or merely exceeds the cap.
+	for _, c := range []struct{ channels, length int }{
+		{1 << 32, 1 << 32},
+		{math.MaxInt, 2},
+		{MaxCells/1024 + 1, 1024},
+		{1, MaxCells + 1},
+	} {
+		if _, err := NewProgram(gs, c.channels, c.length); !errors.Is(err, ErrSlotRange) {
+			t.Errorf("NewProgram(%d, %d) = %v, want ErrSlotRange", c.channels, c.length, err)
+		}
 	}
 	p, err := NewProgram(gs, 3, 9)
 	if err != nil {

@@ -30,10 +30,14 @@ const (
 	frameVersionV1 byte = 1
 	// FrameSize is the fixed encoded size of a Frame in bytes.
 	FrameSize = 16
+	// maxFrameChannels is how many channels a frame can name: the channel
+	// field is 16 bits, so a 65,537th channel would alias channel 0 on the
+	// wire. The ring, the caster and the UDP transport refuse more.
+	maxFrameChannels = 1 << 16
 )
 
 // Field offsets of the encoded frame; parseFrame indexes through these.
-// appendFrame and frameFromWords handle the same layout as two big-endian
+// frameEncoder and frameFromWords handle the same layout as two big-endian
 // words: w0 holds bytes 0-7 (magic to checksum), w1 bytes 8-15.
 const (
 	frameMagicOff   = 0  // magic(2)
@@ -108,17 +112,6 @@ var crcTable = func() (t [8][256]uint16) {
 	return t
 }()
 
-// appendFrame encodes f onto buf. It assembles the two big-endian words
-// frameFromWords reads, so the checksum is computed on registers rather
-// than re-read from bytes just written.
-func appendFrame(buf []byte, f Frame) []byte {
-	w0 := uint64(frameMagic)<<48 | uint64(frameVersion)<<40 | uint64(uint16(f.Channel))<<16
-	w1 := uint64(f.Slot)<<32 | uint64(uint32(f.Page))
-	w0 |= uint64(frameSumWords(w0, w1))
-	buf = binary.BigEndian.AppendUint64(buf, w0)
-	return binary.BigEndian.AppendUint64(buf, w1)
-}
-
 // parseFrame decodes one datagram.
 func parseFrame(b []byte) (Frame, error) {
 	if len(b) != FrameSize {
@@ -153,9 +146,15 @@ func packFrameWords(b []byte) (w0, w1 uint64) {
 	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
 }
 
-// frameFromWords is parseFrame over the ring's packed representation: the
-// same validation rules, no byte slice, no allocation on any path (the
-// ring's subscriber hot loop calls this once per poll).
+// putFrameWords writes the two words back as the frame's 16 wire bytes.
+func putFrameWords(b *[FrameSize]byte, w0, w1 uint64) {
+	binary.BigEndian.PutUint64(b[0:8], w0)
+	binary.BigEndian.PutUint64(b[8:16], w1)
+}
+
+// frameFromWords is parseFrame over the packed words the ring rebuilds
+// from a cell: the same validation rules, no byte slice, no allocation on
+// any path (the ring's subscriber hot loop calls this once per poll).
 func frameFromWords(w0, w1 uint64) (Frame, bool) {
 	if uint16(w0>>48) != frameMagic {
 		return Frame{}, false
@@ -183,7 +182,8 @@ func frameFromWords(w0, w1 uint64) (Frame, bool) {
 // frameSumWords is frameSum over the packed words. The checksum field is
 // the low two bytes of w0, so the CRC takes w0's top six bytes in one step
 // and w1's eight in a second, each step a tree of independent table
-// lookups — cheap enough for the per-slot publish and poll hot paths.
+// lookups — cheap enough for the poll hot path. The publish path encodes
+// through frameEncoder instead, which reuses the parts shared by a slot.
 func frameSumWords(w0, w1 uint64) uint16 {
 	t := &crcTable
 	x := w0 ^ crcInit<<48
@@ -192,6 +192,60 @@ func frameSumWords(w0, w1 uint64) uint16 {
 	x = w1 ^ uint64(crc)<<48
 	return t[7][byte(x>>56)] ^ t[6][byte(x>>48)] ^ t[5][byte(x>>40)] ^ t[4][byte(x>>32)] ^
 		t[3][byte(x>>24)] ^ t[2][byte(x>>16)] ^ t[1][byte(x>>8)] ^ t[0][byte(x)]
+}
+
+// frameEncoder is the one frame encoder. The second step of frameSumWords
+// is linear in w1 (an XOR of one table lookup per byte), so a frame's
+// checksum is the XOR of three terms:
+//
+//	channel term  frameSumWords(header, 0): magic, version, flags and the
+//	              channel, with the register's initial value folded in —
+//	              one per channel, tabulated once;
+//	slot term     the slot's four bytes: shared by every channel of a slot,
+//	              computed once per slot (slotSum);
+//	page term     the page's four bytes: four lookups per frame (pageSum).
+//
+// The encoded words are exactly those of the direct CRC over the whole
+// frame.
+type frameEncoder struct {
+	channelSums []uint16 // channelSums[ch] is channel ch's channel term
+}
+
+// newFrameEncoder tabulates the channel terms of channels 0..channels-1
+// (at most maxFrameChannels).
+func newFrameEncoder(channels int) frameEncoder {
+	sums := make([]uint16, channels)
+	for ch := range sums {
+		sums[ch] = frameSumWords(frameHeader(ch), 0)
+	}
+	return frameEncoder{channelSums: sums}
+}
+
+// frameHeader is w0 of a current-version frame on channel ch, with no
+// flags and the checksum field zero.
+func frameHeader(ch int) uint64 {
+	return uint64(frameMagic)<<48 | uint64(frameVersion)<<40 | uint64(uint16(ch))<<16
+}
+
+// slotSum is the slot term of the frame checksum: w1's top four bytes.
+func slotSum(slot uint32) uint16 {
+	t := &crcTable
+	return t[7][byte(slot>>24)] ^ t[6][byte(slot>>16)] ^ t[5][byte(slot>>8)] ^ t[4][byte(slot)]
+}
+
+// pageSum is the page term of the frame checksum: w1's low four bytes.
+func pageSum(page core.PageID) uint16 {
+	t := &crcTable
+	p := uint32(page)
+	return t[3][byte(p>>24)] ^ t[2][byte(p>>16)] ^ t[1][byte(p>>8)] ^ t[0][byte(p)]
+}
+
+// words encodes channel ch's frame carrying page in slot, whose slot term
+// the caller computed once for the whole slot as slotSum(slot).
+func (e frameEncoder) words(ch int, slot uint32, slotTerm uint16, page core.PageID) (w0, w1 uint64) {
+	w1 = uint64(slot)<<32 | uint64(uint32(page))
+	w0 = frameHeader(ch) | uint64(e.channelSums[ch]^slotTerm^pageSum(page))
+	return w0, w1
 }
 
 // Control datagrams.

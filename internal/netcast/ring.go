@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+
+	"tcsa/internal/core"
 )
 
 // PollStatus classifies the outcome of reading one slot from a
@@ -19,33 +21,67 @@ const (
 	// a stall, an injected drop, or a channel the engine silenced.
 	RingSkipped
 	// RingCorrupt: a frame was transmitted but fails frame validation
-	// (bad checksum): the wire-level corruption the chaos plan injects.
+	// (bad checksum, the wire-level corruption the chaos plan injects) or
+	// names another channel or slot than the cell it was published to.
 	RingCorrupt
 	// RingLost: the slot has already been overwritten — the reader fell
 	// more than one ring length behind the writer.
 	RingLost
 )
 
-// ringCell is one channel's frame in one slot, as the two packed
-// big-endian words of the encoding, so readers snapshot it with plain
-// atomic loads — no lock, no copy of a byte slice, and no race-detector
-// report, because every access is an atomic operation. A w0 of
-// skipMarker records that the channel transmitted nothing in the slot.
+// ringCell is one channel's frame in one slot, packed into one word so
+// the writer publishes it with a single atomic store and readers snapshot
+// it with a single atomic load — no lock, no copy of a byte slice, and no
+// race-detector report, because every access is an atomic operation.
+//
+// The word keeps the frame bytes its position does not imply:
+//
+//	bits 63-56  version
+//	bits 55-48  flags
+//	bits 47-32  checksum
+//	bits 31-0   page
+//
+// The magic, the channel and the slot are not stored: the channel is the
+// cell's column in its row and the slot is the abs the row's stamp
+// carries, so Poll rebuilds the two wire words from (ch, abs, word) and
+// validates them, checksum included, exactly as a received datagram.
 type ringCell struct {
-	w0 atomic.Uint64
-	w1 atomic.Uint64
+	word atomic.Uint64
 }
 
-// skipMarker is the w0 a skipped channel writes into its cell. A real
-// frame never has it: every encoded frame carries frameMagic in w0's top
-// two bytes.
-const skipMarker = 0
+// Two cell words no valid frame produces, since both carry version 0:
+// skipCell records that the channel transmitted nothing in the slot, and
+// corruptCell stands for a published frame whose magic, channel or slot
+// disagrees with its cell (or that would otherwise read as skipCell), so
+// it polls RingCorrupt like any frame that fails validation.
+const (
+	skipCell    uint64 = 0
+	corruptCell uint64 = 1
+)
 
-// maxRingCells caps a ring's channels × depth cells (4 GiB of frames):
-// the grid is one allocation sized from caller input. The depth alone is
-// checked against it before rounding up, so the rounding cannot overflow,
-// and the product is checked by division, so it cannot overflow either.
-const maxRingCells = 1 << 28
+// cellHeaderMask selects the magic and channel fields of a frame's w0.
+const cellHeaderMask = 0xFFFF_0000_FFFF_0000
+
+// cellWord packs the frame (w0, w1) published on channel ch at slot abs
+// into its cell word.
+func cellWord(ch, abs int, w0, w1 uint64) uint64 {
+	if w0&cellHeaderMask != uint64(frameMagic)<<48|uint64(uint16(ch))<<16 || uint32(w1>>32) != uint32(abs) {
+		return corruptCell
+	}
+	w := (w0>>32&0xFFFF)<<48 | (w0&0xFFFF)<<32 | w1&0xFFFF_FFFF
+	if w == skipCell {
+		return corruptCell
+	}
+	return w
+}
+
+// cellFrameWords rebuilds the two wire words of the frame channel ch's
+// cell word w holds for slot abs.
+func cellFrameWords(ch int, abs int64, w uint64) (w0, w1 uint64) {
+	w0 = uint64(frameMagic)<<48 | (w>>48)<<32 | uint64(uint16(ch))<<16 | w>>32&0xFFFF
+	w1 = uint64(uint32(abs))<<32 | w&0xFFFF_FFFF
+	return w0, w1
+}
 
 // BroadcastRing is the in-process Transport: the program's channels ×
 // slots grid kept slot-major, one row per aired slot, exactly as the air
@@ -54,9 +90,10 @@ const maxRingCells = 1 << 28
 // allocations per poll — so one server saturates millions of in-process
 // clients.
 //
-// Row abs&mask holds every channel's cell for slot abs side by side, so
-// a cast writes one contiguous row. The row is guarded by one seqlock
-// stamp carrying the absolute slot number:
+// Row abs&mask holds every channel's 8-byte cell for slot abs side by
+// side, so a cast writes one contiguous row at one atomic store per
+// frame. The row is guarded by one seqlock stamp carrying the absolute
+// slot number:
 //
 //	2*abs+1  row being written for slot abs
 //	2*abs+2  row stable for slot abs (readable)
@@ -64,12 +101,12 @@ const maxRingCells = 1 << 28
 // and the ring-wide head (slots aired) is stored after the stable stamp.
 // A reader that sees head > abs therefore finds row abs stable or
 // already lapped, never mid-write for abs itself; folding abs into the
-// stamp makes the lap check free. The reader loads the stamp, the two
-// cell words, then the stamp again, and trusts the words only when the
-// same even stamp brackets both loads — so it either gets the exact frame
+// stamp makes the lap check free. The reader loads the stamp, the cell
+// word, then the stamp again, and trusts the word only when the same
+// even stamp brackets both loads — so it either gets the exact frame
 // for the slot it asked for, or a definite RingLost, never a torn read.
 //
-// A skipped channel writes skipMarker, so a row never exposes the frame
+// A skipped channel writes skipCell, so a row never exposes the frame
 // its cell held one ring length earlier.
 type BroadcastRing struct {
 	cells    []ringCell      // slot-major: row i is cells[i*channels:][:channels]
@@ -85,26 +122,33 @@ type BroadcastRing struct {
 // slots behind before losing data.
 const DefaultRingSlots = 1024
 
-// NewBroadcastRing builds a ring transport with the given channel count.
-// slots (rounded up to a power of two; DefaultRingSlots if <= 0) is how
-// many consecutive slots stay readable. It fails when channels × depth
-// exceeds 2^28 cells.
+// NewBroadcastRing builds a ring transport with the given channel count
+// (at most 65,536, what a frame's channel field can name). slots (rounded
+// up to a power of two; DefaultRingSlots if <= 0) is how many consecutive
+// slots stay readable. The grid is one allocation sized from caller
+// input, so channels × depth is capped at core.MaxCells cells (2 GiB of
+// 8-byte cells): the depth alone is checked before rounding up, so the
+// rounding cannot overflow, and the product is checked by division, so
+// it cannot overflow either.
 func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	if channels <= 0 {
 		return nil, errors.New("netcast: ring needs at least one channel")
 	}
+	if channels > maxFrameChannels {
+		return nil, fmt.Errorf("netcast: ring of %d channels exceeds the frame's %d", channels, maxFrameChannels)
+	}
 	if slots <= 0 {
 		slots = DefaultRingSlots
 	}
-	if slots > maxRingCells {
-		return nil, fmt.Errorf("netcast: ring depth %d exceeds %d slots", slots, maxRingCells)
+	if slots > core.MaxCells {
+		return nil, fmt.Errorf("netcast: ring depth %d exceeds %d slots", slots, core.MaxCells)
 	}
 	n := 1
 	for n < slots {
 		n <<= 1
 	}
-	if channels > maxRingCells/n {
-		return nil, fmt.Errorf("netcast: ring of %d channels x %d slots exceeds %d cells", channels, n, maxRingCells)
+	if channels > core.MaxCells/n {
+		return nil, fmt.Errorf("netcast: ring of %d channels x %d slots exceeds %d cells", channels, n, core.MaxCells)
 	}
 	return &BroadcastRing{
 		cells:    make([]ringCell, channels*n),
@@ -142,20 +186,20 @@ func (r *BroadcastRing) cell(ch, abs int) *ringCell {
 	return &r.row(int64(abs))[ch]
 }
 
-// Publish implements Transport. The ring has a single writer: one
-// goroutine publishes or skips every channel of a slot, then ends it.
+// Publish implements Transport with one atomic store. The ring has a
+// single writer: one goroutine publishes or skips every channel of a
+// slot, then ends it. A frame whose magic, channel or slot disagrees with
+// (ch, abs) is stored as corrupt.
 func (r *BroadcastRing) Publish(ch, abs int, frame []byte) {
 	w0, w1 := packFrameWords(frame)
-	c := r.cell(ch, abs)
-	c.w0.Store(w0)
-	c.w1.Store(w1)
+	r.cell(ch, abs).word.Store(cellWord(ch, abs, w0, w1))
 }
 
 // Skip implements Transport: the slot airs with nothing on channel ch.
-// The cell gets the skip marker in place of the frame it held one ring
-// length ago, which Poll reports as RingSkipped.
+// The cell gets skipCell in place of the frame it held one ring length
+// ago, which Poll reports as RingSkipped.
 func (r *BroadcastRing) Skip(ch, abs int) {
-	r.cell(ch, abs).w0.Store(skipMarker)
+	r.cell(ch, abs).word.Store(skipCell)
 }
 
 // EndSlot implements Transport: slot abs's row is complete. Its stamp
@@ -187,17 +231,16 @@ func (r *BroadcastRing) Poll(ch int, abs int64) (Frame, PollStatus) {
 	if stamp.Load() != want {
 		return Frame{}, RingLost
 	}
-	w0 := cell.w0.Load()
-	w1 := cell.w1.Load()
+	w := cell.word.Load()
 	if stamp.Load() != want {
-		// A writer lapped us between the stamp check and the word loads:
-		// the words may be torn, discard them.
+		// A writer lapped us between the stamp check and the word load:
+		// the word may belong to a newer slot, discard it.
 		return Frame{}, RingLost
 	}
-	if w0 == skipMarker {
+	if w == skipCell {
 		return Frame{}, RingSkipped
 	}
-	f, ok := frameFromWords(w0, w1)
+	f, ok := frameFromWords(cellFrameWords(ch, abs, w))
 	if !ok {
 		return Frame{}, RingCorrupt
 	}

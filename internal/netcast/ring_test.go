@@ -1,10 +1,12 @@
 package netcast
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tcsa/internal/chaos"
 	"tcsa/internal/core"
@@ -48,9 +50,9 @@ func TestRingValidation(t *testing.T) {
 	}{
 		{"zero channels", 0, 8},
 		{"depth rounding overflows", 1, math.MaxInt/2 + 2},
-		{"depth over the cell limit", 1, maxRingCells + 1},
+		{"depth over the cell limit", 1, core.MaxCells + 1},
 		{"product overflows", math.MaxInt / 2, 1 << 20},
-		{"product over the cell limit", maxRingCells/DefaultRingSlots + 1, 0},
+		{"product over the cell limit", core.MaxCells/(1<<14) + 1, 1 << 14},
 	} {
 		if _, err := NewBroadcastRing(c.channels, c.slots); err == nil {
 			t.Errorf("%s: NewBroadcastRing(%d, %d) succeeded, want an error", c.name, c.channels, c.slots)
@@ -69,6 +71,159 @@ func TestRingValidation(t *testing.T) {
 	}
 	if got := ring.Slots(); got != 8 {
 		t.Errorf("slots rounded to %d, want 8", got)
+	}
+}
+
+// TestRingCellSize pins the one-word cell: a frame is one atomic store.
+func TestRingCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(ringCell{}); got != 8 {
+		t.Fatalf("ringCell is %d bytes, want 8", got)
+	}
+}
+
+// channelsOnly is a Transport that only reports a channel count, for
+// checking NewCaster's limits without building a ring of that size.
+type channelsOnly int
+
+func (c channelsOnly) Channels() int                   { return int(c) }
+func (channelsOnly) NeedsFrame(ch int) bool            { return true }
+func (channelsOnly) Publish(ch, abs int, frame []byte) {}
+func (channelsOnly) Skip(ch, abs int)                  {}
+func (channelsOnly) EndSlot(abs int)                   {}
+func (channelsOnly) Close() error                      { return nil }
+
+// TestChannelLimit pins the 16-bit channel field's limit: 65,536 channels
+// air, the last one polling as itself, and 65,537 are refused by the
+// ring, the caster and the UDP transport (whose check runs before any
+// socket is bound, so this opens none).
+func TestChannelLimit(t *testing.T) {
+	gs := core.MustGroupSet([]core.Group{{Time: 1, Count: 1}})
+	prog, err := core.NewProgram(gs, maxFrameChannels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := maxFrameChannels - 1
+	if err := prog.Place(last, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	ring, caster := ringCaster(t, prog, 1, nil)
+	caster.CastSlot(3)
+	if f, st := ring.Poll(last, 3); st != RingOK || f != (Frame{Channel: last, Slot: 3, Page: 0}) {
+		t.Errorf("Poll(%d, 3) = %+v/%v, want page 0 on channel %d", last, f, st, last)
+	}
+
+	if _, err := NewBroadcastRing(maxFrameChannels+1, 1); err == nil {
+		t.Errorf("NewBroadcastRing(%d, 1) succeeded", maxFrameChannels+1)
+	}
+	wide, err := core.NewProgram(gs, maxFrameChannels+1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCaster(wide, channelsOnly(maxFrameChannels+1), nil); err == nil {
+		t.Errorf("NewCaster over %d channels succeeded", maxFrameChannels+1)
+	}
+	if tr, err := NewUDPTransport(maxFrameChannels+1, ""); err == nil {
+		tr.Close()
+		t.Errorf("NewUDPTransport(%d) succeeded", maxFrameChannels+1)
+	}
+}
+
+// pollPublished publishes frame on channel ch at slot abs of a depth-1
+// ring, ends the slot and polls it back.
+func pollPublished(r *BroadcastRing, ch, abs int, frame []byte) (Frame, PollStatus) {
+	r.Publish(ch, abs, frame)
+	r.EndSlot(abs)
+	return r.Poll(ch, int64(abs))
+}
+
+// TestRingCellCatchesEverySingleByteFlip is the frame flip test through
+// the ring: every single-byte flip of a published frame polls
+// RingCorrupt — flips of the magic, channel and slot because the frame no
+// longer matches its cell, the rest by checksum — except the one flip the
+// wire format cannot reject (TestFrameChecksumCatchesEverySingleByteFlip),
+// which must poll RingOK as exactly the frame that was sent.
+func TestRingCellCatchesEverySingleByteFlip(t *testing.T) {
+	ring, err := NewBroadcastRing(maxFrameChannels, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sampleFrames(128) {
+		clean := appendFrame(nil, f)
+		if got, st := pollPublished(ring, f.Channel, int(f.Slot), clean); st != RingOK || got != f {
+			t.Fatalf("%+v: clean frame polled %+v/%v", f, got, st)
+		}
+		b := make([]byte, FrameSize)
+		for i := 0; i < FrameSize; i++ {
+			if i == frameSumOff || i == frameSumOff+1 {
+				continue
+			}
+			for mask := 1; mask < 256; mask++ {
+				copy(b, clean)
+				b[i] ^= byte(mask)
+				harmless := i == frameVersionOff && b[i] == frameVersionV1 &&
+					binary.BigEndian.Uint16(b[frameSumOff:]) == 0
+				got, st := pollPublished(ring, f.Channel, int(f.Slot), b)
+				if st != RingCorrupt && !(harmless && st == RingOK && got == f) {
+					t.Fatalf("%+v: flip %#02x at byte %d polled %+v/%v", f, mask, i, got, st)
+				}
+			}
+		}
+	}
+}
+
+// TestRingCellMismatchPollsCorrupt pins that a frame the cell cannot hold
+// polls RingCorrupt even with a valid checksum: one naming another
+// channel or slot, or carrying another magic, and one whose stored word
+// would read as a skipped channel.
+func TestRingCellMismatchPollsCorrupt(t *testing.T) {
+	ring, err := NewBroadcastRing(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appendFrame(nil, Frame{Channel: 3, Slot: 7, Page: 5})
+	if got, st := pollPublished(ring, 3, 7, frame); st != RingOK || got != (Frame{Channel: 3, Slot: 7, Page: 5}) {
+		t.Fatalf("matching cell polled %+v/%v", got, st)
+	}
+	if _, st := pollPublished(ring, 2, 7, frame); st != RingCorrupt {
+		t.Errorf("frame for channel 3 on channel 2 polled %v, want RingCorrupt", st)
+	}
+	if _, st := pollPublished(ring, 3, 8, frame); st != RingCorrupt {
+		t.Errorf("frame for slot 7 at slot 8 polled %v, want RingCorrupt", st)
+	}
+	// Slot 7 at abs 2^32+7 matches in the low 32 bits the wire carries.
+	if _, st := pollPublished(ring, 3, 1<<32+7, frame); st != RingOK {
+		t.Errorf("frame for slot 7 at abs 2^32+7 polled %v, want RingOK", st)
+	}
+	w0, w1 := packFrameWords(frame)
+	w0 = w0&^(0xFFFF<<48|0xFFFF) | 0x1234<<48
+	w0 |= uint64(frameSumWords(w0, w1))
+	var other [FrameSize]byte
+	putFrameWords(&other, w0, w1)
+	if _, st := pollPublished(ring, 3, 7, other[:]); st != RingCorrupt {
+		t.Errorf("frame with magic 0x1234 polled %v, want RingCorrupt", st)
+	}
+	// Version 0, no flags, checksum 0, page 0: every stored bit zero.
+	putFrameWords(&other, uint64(frameMagic)<<48|3<<16, 7<<32)
+	if _, st := pollPublished(ring, 3, 7, other[:]); st != RingCorrupt {
+		t.Errorf("all-zero cell word polled %v, want RingCorrupt", st)
+	}
+}
+
+// TestRingCellVersion1 pins that a checksum-less version-1 frame, which
+// parseFrame accepts, polls RingOK through the ring too.
+func TestRingCellVersion1(t *testing.T) {
+	ring, err := NewBroadcastRing(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 [FrameSize]byte
+	putFrameWords(&v1, uint64(frameMagic)<<48|uint64(frameVersionV1)<<40|2<<16, 9<<32|0x0102)
+	want := Frame{Channel: 2, Slot: 9, Page: 0x0102}
+	if f, err := parseFrame(v1[:]); err != nil || f != want {
+		t.Fatalf("parseFrame(v1) = %+v, %v", f, err)
+	}
+	if got, st := pollPublished(ring, 2, 9, v1[:]); st != RingOK || got != want {
+		t.Errorf("version-1 frame polled %+v/%v, want %+v/RingOK", got, st, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"tcsa/internal/core"
@@ -88,7 +89,8 @@ type Caster struct {
 	staged    atomic.Pointer[core.Program]
 	tr        Transport
 	fault     FaultInjector
-	frame     []byte
+	enc       frameEncoder
+	frame     [FrameSize]byte
 
 	stalledSlots  atomic.Int64
 	droppedFrames atomic.Int64
@@ -96,7 +98,8 @@ type Caster struct {
 }
 
 // NewCaster builds a slot engine for prog over tr. fault may be nil
-// (fault-free air).
+// (fault-free air). The program may have at most 65,536 channels, what a
+// frame's channel field can name.
 func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, error) {
 	if prog == nil {
 		return nil, errors.New("netcast: nil program")
@@ -107,11 +110,14 @@ func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, 
 	if tr.Channels() != prog.Channels() {
 		return nil, errors.New("netcast: transport/program channel count mismatch")
 	}
+	if prog.Channels() > maxFrameChannels {
+		return nil, fmt.Errorf("netcast: program of %d channels exceeds the frame's %d", prog.Channels(), maxFrameChannels)
+	}
 	c := &Caster{
 		epoch: &EpochInfo{Seq: 0, Base: 0, Program: prog},
 		tr:    tr,
 		fault: fault,
-		frame: make([]byte, 0, FrameSize),
+		enc:   newFrameEncoder(prog.Channels()),
 	}
 	c.published.Store(c.epoch)
 	return c, nil
@@ -142,7 +148,8 @@ func (c *Caster) StageProgram(next *core.Program) error {
 func (c *Caster) Epoch() EpochInfo { return *c.published.Load() }
 
 // CastSlot encodes and publishes absolute slot abs on every channel, then
-// ends the slot on the transport.
+// ends the slot on the transport. The checksum's slot term is computed
+// once for the slot, so each frame adds only its page term (frameEncoder).
 func (c *Caster) CastSlot(abs int) {
 	if st := c.staged.Load(); st != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
 		// Start of an old-epoch cycle: flip. The CAS tolerates a racing
@@ -165,6 +172,8 @@ func (c *Caster) CastSlot(abs int) {
 		return
 	}
 	col := prog.Column(abs - c.epoch.Base)
+	slot := uint32(abs)
+	slotTerm := slotSum(slot)
 	for ch := 0; ch < prog.Channels(); ch++ {
 		if !c.tr.NeedsFrame(ch) {
 			// Nobody is listening and the transport pays per subscriber:
@@ -180,15 +189,15 @@ func (c *Caster) CastSlot(abs int) {
 			c.tr.Skip(ch, abs)
 			continue
 		}
-		f := Frame{Channel: ch, Slot: uint32(abs), Page: prog.At(ch, col)}
-		c.frame = appendFrame(c.frame[:0], f)
+		w0, w1 := c.enc.words(ch, slot, slotTerm, prog.At(ch, col))
+		putFrameWords(&c.frame, w0, w1)
 		if c.fault != nil && c.fault.Corrupt(ch, abs) {
 			// Flip a page byte after the checksum was computed: the frame
 			// goes out damaged and every receiver's checksum rejects it.
 			c.frame[corruptFlipOffset] ^= corruptFlipMask
 			c.corruptFrames.Add(1)
 		}
-		c.tr.Publish(ch, abs, c.frame)
+		c.tr.Publish(ch, abs, c.frame[:])
 	}
 	c.tr.EndSlot(abs)
 }

@@ -57,10 +57,15 @@ type UDPTransport struct {
 
 // NewUDPTransport binds one socket per channel on host (default
 // "127.0.0.1") and starts the control readers and transmit workers.
-// Close releases everything.
+// channels may be at most 65,536, what a frame's channel field can name;
+// a larger count is refused before any socket is bound. Close releases
+// everything.
 func NewUDPTransport(channels int, host string) (*UDPTransport, error) {
 	if channels <= 0 {
 		return nil, errors.New("netcast: UDP transport needs at least one channel")
+	}
+	if channels > maxFrameChannels {
+		return nil, fmt.Errorf("netcast: UDP transport of %d channels exceeds the frame's %d", channels, maxFrameChannels)
 	}
 	if host == "" {
 		host = "127.0.0.1"
