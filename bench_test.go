@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tcsa/internal/bdisk"
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/experiments"
 	"tcsa/internal/hybrid"
@@ -290,9 +291,9 @@ func BenchmarkMeasureParallel1M(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSimClients measures the full discrete-event client
-// simulation (airwave + eventsim) for 200 schedule-aware clients.
-func BenchmarkEventSimClients(b *testing.B) {
+// BenchmarkReplayClients measures the per-client air (chaos.Replay) for
+// 200 schedule-aware clients.
+func BenchmarkReplayClients(b *testing.B) {
 	gs, err := workload.GroupSet(workload.Uniform, 6, 300, 4, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -308,7 +309,7 @@ func BenchmarkEventSimClients(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(prog, reqs, sim.Config{Mode: sim.ScheduleAware}); err != nil {
+		if _, err := chaos.Replay(prog, reqs, chaos.ReplayConfig{Mode: chaos.ScheduleAware}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +365,7 @@ func BenchmarkHybridRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := hybrid.Config{Air: sim.Config{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3}}
+	cfg := hybrid.Config{Air: chaos.ReplayConfig{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

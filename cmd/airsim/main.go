@@ -1,16 +1,16 @@
-// Command airsim runs the full discrete-event broadcast simulation: a
-// scheduled program replayed on slotted air channels, single-tuner clients
-// arriving at random instants, optional frame loss from a seed-replayable
-// chaos plan, impatient clients abandoning for a modelled on-demand (pull)
-// server. Clients still waiting chaos.DefaultMaxCycles cycles after the
-// last arrival's cycle are reported unserved.
+// Command airsim replays a scheduled broadcast program client by client
+// (chaos.Replay): single-tuner clients arriving at random instants,
+// optional frame loss from a seed-replayable chaos plan, impatient clients
+// abandoning for a modelled on-demand (pull) server. Clients still waiting
+// chaos.DefaultMaxCycles cycles after their own arrival's cycle (a
+// scanning client: a full sweep, if that is longer) are reported unserved.
 //
 //	airsim -counts 3,5,3 -t1 2 -channels 3 -requests 500
 //	airsim -dist uniform -channels 13 -mode scan
 //	airsim -dist lskew -channels 5 -abandon 1.0 -service 2 -requests 3000
 //	airsim -dist uniform -channels 13 -requests 2000000 -parallel 8
 //
-// With -parallel N > 0, the event simulation is replaced by the streaming
+// With -parallel N > 0, the per-client replay is replaced by the streaming
 // sharded sampler (sim.MeasureParallel): requests are generated on the fly
 // and measured with O(1) sample memory, so -requests can reach tens of
 // millions. The sampler is schedule-aware and lossless, so it rejects
@@ -61,9 +61,9 @@ func run(args []string, out io.Writer) error {
 	onlinePolicy := fs.String("online", "", "route abandoned clients through the slot-level online broadcast tier under this policy: lwf|mrf|edf|fcfs (requires -abandon)")
 	splitSpec := fs.String("split", "reserved:1", "online-tier pull/push split for -online: pure|reserved[:K]|steal[:T]")
 	requests := fs.Int("requests", 1000, "number of client requests")
-	parallel := fs.Int("parallel", 0, "measure with the streaming sharded sampler over N workers instead of the event simulation (0 = event simulation)")
+	parallel := fs.Int("parallel", 0, "measure with the streaming sharded sampler over N workers instead of the per-client replay (0 = per-client replay)")
 	seed := fs.Int64("seed", 1, "request seed")
-	traceN := fs.Int("trace", 0, "print the last N simulation events")
+	traceN := fs.Int("trace", 0, "print the last N client events")
 	loss := fs.Float64("loss", 0, "frame-loss probability per (channel, slot), shared by every tuner")
 	burst := fs.Bool("burst", false, "use a bursty (Gilbert-Elliott) channel at the given -loss rate")
 	if err := fs.Parse(args); err != nil {
@@ -101,16 +101,16 @@ func run(args []string, out io.Writer) error {
 
 	if *parallel > 0 {
 		// The streaming sampler measures waits against the schedule
-		// directly; the event-simulation-only knobs don't apply to it.
+		// directly; the per-client replay's knobs don't apply to it.
 		switch {
 		case *abandon > 0:
-			return fmt.Errorf("-parallel is the streaming sampler; -abandon needs the event simulation")
+			return fmt.Errorf("-parallel is the streaming sampler; -abandon needs the per-client replay")
 		case *loss > 0:
-			return fmt.Errorf("-parallel is the streaming sampler; -loss needs the event simulation")
+			return fmt.Errorf("-parallel is the streaming sampler; -loss needs the per-client replay")
 		case *traceN > 0:
-			return fmt.Errorf("-parallel is the streaming sampler; -trace needs the event simulation")
+			return fmt.Errorf("-parallel is the streaming sampler; -trace needs the per-client replay")
 		case *mode != "aware":
-			return fmt.Errorf("-parallel is the streaming sampler; -mode %s needs the event simulation", *mode)
+			return fmt.Errorf("-parallel is the streaming sampler; -mode %s needs the per-client replay", *mode)
 		}
 		stream, err := workload.NewStream(gs, sched.Program.Length(), workload.RequestConfig{
 			Count: *requests,
@@ -142,21 +142,19 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := sim.Config{AbandonAfter: *abandon}
+	cfg := chaos.ReplayConfig{AbandonAfter: *abandon}
 	switch *mode {
 	case "aware":
-		cfg.Mode = sim.ScheduleAware
+		cfg.Mode = chaos.ScheduleAware
 	case "scan":
-		cfg.Mode = sim.Scanning
+		cfg.Mode = chaos.Scanning
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	if *loss > 0 {
-		plan, err := faultPlan(*loss, *burst, *seed, sched.Program)
-		if err != nil {
+		if cfg.Plan, err = faultPlan(*loss, *burst, *seed, sched.Program, cfg.Mode); err != nil {
 			return err
 		}
-		cfg.Fault = plan
 	}
 	var tracer *sim.RingTracer
 	if *traceN > 0 {
@@ -170,7 +168,7 @@ func run(args []string, out io.Writer) error {
 	// Impatient clients defect to the pull tier: hybrid.Run couples the
 	// two halves.
 	var rep *hybrid.Report
-	var outcome *sim.Outcome
+	var outcome *chaos.Outcome
 	if *abandon > 0 {
 		hcfg := hybrid.Config{Air: cfg, Pull: ondemand.Config{ServiceTime: *service, Discipline: ondemand.EDF}}
 		if *onlinePolicy != "" {
@@ -180,7 +178,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		outcome = &rep.Air
-	} else if outcome, err = sim.Run(sched.Program, reqs, cfg); err != nil {
+	} else if outcome, err = chaos.Replay(sched.Program, reqs, cfg); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "instance:        %v\n", gs)
@@ -225,8 +223,8 @@ func run(args []string, out io.Writer) error {
 
 // faultPlan builds the requested channel model as a chaos plan: uniform
 // independent loss, or a Gilbert-Elliott burst channel with the same
-// stationary rate.
-func faultPlan(rate float64, burst bool, seed int64, prog *core.Program) (*chaos.Plan, error) {
+// stationary rate, whose tape covers a scanning client's whole sweep.
+func faultPlan(rate float64, burst bool, seed int64, prog *core.Program, mode chaos.ClientMode) (*chaos.Plan, error) {
 	cfg := chaos.Config{Seed: seed, Loss: rate}
 	if burst {
 		b, err := burstChannel(rate)
@@ -234,6 +232,9 @@ func faultPlan(rate float64, burst bool, seed int64, prog *core.Program) (*chaos
 			return nil, err
 		}
 		cfg.Loss, cfg.Burst = 0, b
+		if mode == chaos.Scanning {
+			cfg.Horizon = chaos.SweepCycles(cfg, prog.Channels()) * prog.Length()
+		}
 	}
 	return chaos.NewPlan(cfg, prog.Channels(), prog.Length())
 }

@@ -3,6 +3,10 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"tcsa/internal/chaos"
+	"tcsa/internal/core"
+	"tcsa/internal/pamad"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -190,5 +194,33 @@ func TestRunOnlineTierErrors(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestScanBurstPlanCoversSweep: a scanning run's burst tape covers its
+// whole sweep (channels+1 cycles on a wide program), not only the
+// default MaxCycles+2 cycles, and an aware run keeps the default tape.
+func TestScanBurstPlanCoversSweep(t *testing.T) {
+	gs, err := core.Geometric(2, 2, []int{40, 40, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := pamad.Build(gs, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := faultPlan(0.3, true, 1, prog, chaos.Scanning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := scan.Config().Horizon, (prog.Channels()+1)*prog.Length(); got != want {
+		t.Errorf("scan horizon %d slots, want the %d-slot sweep", got, want)
+	}
+	aware, err := faultPlan(0.3, true, 1, prog, chaos.ScheduleAware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := aware.Config().Horizon; h != 0 {
+		t.Errorf("aware horizon %d, want the derived default", h)
 	}
 }

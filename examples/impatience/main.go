@@ -18,12 +18,12 @@ import (
 	"fmt"
 	"log"
 
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/hybrid"
 	"tcsa/internal/mpb"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/pamad"
-	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -78,7 +78,7 @@ func runHybrid(prog *core.Program, gs *core.GroupSet) *hybrid.Report {
 		log.Fatal(err)
 	}
 	rep, err := hybrid.Run(prog, reqs, hybrid.Config{
-		Air:  sim.Config{AbandonAfter: 1.5},
+		Air:  chaos.ReplayConfig{AbandonAfter: 1.5},
 		Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF},
 	})
 	if err != nil {

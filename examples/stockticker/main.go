@@ -25,9 +25,9 @@ import (
 	"math/rand"
 
 	"tcsa"
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/estimator"
-	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -85,7 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcome, err := sim.Run(sched.Program, reqs, sim.Config{Mode: sim.ScheduleAware})
+	outcome, err := chaos.Replay(sched.Program, reqs, chaos.ReplayConfig{Mode: chaos.ScheduleAware})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -403,10 +403,10 @@ func TestReplanDegradation(t *testing.T) {
 	}
 }
 
-// TestReplayServesClients drives the full DES through the plan: fault-
-// free, every client is served; under loss, every client is either served
-// or unserved at the give-up bound — none lost by the machinery — and the
-// unserved are exactly the clients the chaos walk gives up on.
+// TestReplayServesClients drives the per-client replay through the plan:
+// fault-free, every client is served; under loss, every client is either
+// served or unserved at the give-up bound — none lost by the machinery —
+// and the unserved are exactly the clients RunParallel gives up on.
 func TestReplayServesClients(t *testing.T) {
 	gs, prog := suscProgram(t)
 	reqs, err := workload.GenerateRequests(gs, prog.Length(), workload.RequestConfig{
@@ -415,10 +415,7 @@ func TestReplayServesClients(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateRequests: %v", err)
 	}
-	out, _, err := Replay(prog, reqs, Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := replayUnder(t, prog, reqs, Config{Seed: 6})
 	if out.Served != len(reqs) || out.Abandoned != 0 {
 		t.Errorf("fault-free replay: served %d, abandoned %d of %d",
 			out.Served, out.Abandoned, len(reqs))
@@ -428,10 +425,7 @@ func TestReplayServesClients(t *testing.T) {
 	}
 
 	lossyCfg := Config{Seed: 6, Loss: 0.6, MaxCycles: 2}
-	lossy, _, err := Replay(prog, reqs, lossyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lossy, _ := replayUnder(t, prog, reqs, lossyCfg)
 	if lossy.Served+lossy.Abandoned+lossy.Unserved != len(reqs) {
 		t.Errorf("lossy replay lost clients: served %d + abandoned %d + unserved %d != %d",
 			lossy.Served, lossy.Abandoned, lossy.Unserved, len(reqs))
@@ -444,7 +438,7 @@ func TestReplayServesClients(t *testing.T) {
 		t.Errorf("lossy replay left %d unserved, the walk %d", lossy.Unserved, walk.Unserved)
 	}
 	if lossy.Served > 0 && lossy.AvgWait < out.AvgWait {
-		t.Errorf("loss shortened DES AvgWait: %g < %g", lossy.AvgWait, out.AvgWait)
+		t.Errorf("loss shortened the replay's AvgWait: %g < %g", lossy.AvgWait, out.AvgWait)
 	}
 }
 

@@ -7,8 +7,10 @@
 // Everything is a pure function of (Config.Seed, channel, slot) — or, for
 // the sequential burst chain, of a per-channel tape precomputed at Plan
 // construction — so a failing run replays bit-for-bit from its seed at
-// any worker count. Every client, in RunParallel and in loadgen's ring
-// harness alike, is one Walk through its page's appearances. With every
+// any worker count. Every schedule-aware client, in RunParallel, in
+// Replay's per-client air and in loadgen's ring harness alike, is one
+// Walk through its page's appearances; Replay adds the impatient client
+// (a walk cut off at its deadline) and the blind channel sweep. With every
 // fault probability zero and the default MaxCycles the walk reproduces
 // sim.MeasureStream's closed form, and the package tests pin that
 // equality bit-for-bit; conformance.MissFreeLaw then turns "zero faults
@@ -20,8 +22,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-
-	"tcsa/internal/sim"
 )
 
 // Fault-kind tags folded into the stateless per-(channel, slot) hashes.
@@ -79,7 +79,8 @@ type Config struct {
 	MaxCycles int
 	// Horizon bounds the burst-tape length in slots; beyond it the burst
 	// chain is treated as fault-free. 0 derives (MaxCycles+2)*length,
-	// capped at DefaultHorizonCap.
+	// capped at DefaultHorizonCap, which covers every walk; a Scanning
+	// Replay listens for SweepCycles cycles, so size it from those.
 	Horizon int
 	// Replan enables the graceful-degradation path: the engine re-runs
 	// PAMAD against the effective channel capacity observed under the
@@ -87,9 +88,10 @@ type Config struct {
 	Replan bool
 }
 
-// DefaultMaxCycles is the give-up bound when Config.MaxCycles is 0, the
-// event-driven air's own default.
-const DefaultMaxCycles = sim.DefaultMaxCycles
+// DefaultMaxCycles is the give-up bound when Config.MaxCycles is 0: far
+// beyond any plausible wait on a working channel, small enough that a
+// fully stalled channel still terminates.
+const DefaultMaxCycles = 64
 
 // DefaultHorizonCap caps the derived burst-tape length (64 Ki-slots per
 // channel ≈ 8 KiB of bitset per channel).

@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/hybrid"
 	"tcsa/internal/online"
 	"tcsa/internal/pamad"
-	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -67,7 +67,7 @@ func HybridMatrix(p Params, dist workload.Distribution, rates []float64,
 		for _, split := range splits {
 			for _, policy := range policies {
 				rep, err := hybrid.Run(prog, reqs, hybrid.Config{
-					Air:    sim.Config{AbandonAfter: 1.0},
+					Air:    chaos.ReplayConfig{AbandonAfter: 1.0},
 					Online: &online.Config{Policy: policy, Split: split},
 				})
 				if err != nil {

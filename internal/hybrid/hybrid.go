@@ -6,10 +6,10 @@
 // channel ... Too often and too many such actions could seriously congest
 // the on-demand channels."
 //
-// Run drives a request population through the broadcast simulator; clients
-// whose wait exceeds their patience defect at their defection instants
-// into the pull tier. Two pull tiers are available: the default queueing
-// model of the on-demand uplink (internal/ondemand), and — when
+// Run replays a request population on the broadcast air (chaos.Replay);
+// clients whose wait exceeds their patience defect at their defection
+// instants into the pull tier. Two pull tiers are available: the default
+// queueing model of the on-demand uplink (internal/ondemand), and — when
 // Config.Online is set — the slot-level online broadcast scheduler
 // (internal/online), where defectors join a live request queue whose
 // policy competes with the push program for actual broadcast slots. The
@@ -21,8 +21,8 @@ import (
 	"errors"
 	"fmt"
 
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
-	"tcsa/internal/eventsim"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/online"
 	"tcsa/internal/sim"
@@ -32,13 +32,13 @@ import (
 
 // Config parameterises the coupled system.
 type Config struct {
-	// Air is the broadcast simulation. Air.AbandonAfter is the impatience
+	// Air is the broadcast replay. Air.AbandonAfter is the impatience
 	// threshold as a multiple of each page's expected time and must be
-	// > 0 (a hybrid system without defection is just the broadcast
-	// simulator). Run owns Air.OnAbandon, routing every defection to the
-	// pull tier, and overrides any value set there; Air.Trace, when set,
-	// sees every event after Run's own bookkeeping does.
-	Air sim.Config
+	// > 0 (a hybrid system without defection is just chaos.Replay). Run
+	// owns Air.OnAbandon, routing every defection to the pull tier, and
+	// overrides any value set there; Air.Trace, when set, sees every event
+	// after Run's own bookkeeping does.
+	Air chaos.ReplayConfig
 	// Pull configures the on-demand server (service time, workers,
 	// discipline, queue bound). Ignored when Online is set.
 	Pull ondemand.Config
@@ -60,7 +60,7 @@ type Config struct {
 type Report struct {
 	// Air is the broadcast side: served/abandoned counts and wait/delay
 	// statistics for the clients the air satisfied.
-	Air sim.Outcome
+	Air chaos.Outcome
 	// Pull is the on-demand side: queueing statistics for the defectors
 	// (zero when Config.Online routed them to the online tier instead).
 	Pull ondemand.Metrics
@@ -97,10 +97,10 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 		at  float64
 	}
 	var defections []defection
-	// Served-client waits come from the simulator's own serve events, not
+	// Served-client waits come from the replay's own serve events, not
 	// from the closed-form appearance structure: under frame loss (or any
 	// future fault mode) the two disagree, and reconstructing the served
-	// set analytically double-counts clients the simulator defected.
+	// set analytically double-counts clients the replay defected.
 	endToEnd := make([]float64, 0, len(reqs))
 	airCfg := cfg.Air
 	airCfg.OnAbandon = func(r workload.Request, at float64) {
@@ -114,7 +114,7 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 			cfg.Air.Trace(ev)
 		}
 	}
-	air, err := sim.Run(prog, reqs, airCfg)
+	air, err := chaos.Replay(prog, reqs, airCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -146,30 +146,24 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 			endToEnd = append(endToEnd, (d.at-d.req.Arrival)+res.Flows[i])
 		}
 	default:
-		var clock eventsim.Simulator
+		// Defections arrive in time order, so they feed the pull queue as
+		// they are.
+		subs := make([]ondemand.Submission, len(defections))
+		for i, d := range defections {
+			subs[i] = ondemand.Submission{At: d.at, Request: ondemand.Request{
+				Page:     d.req.Page,
+				Deadline: d.req.Arrival + cfg.DeadlineSlack*float64(gs.TimeOf(d.req.Page)),
+				Tag:      uint64(i),
+			}}
+		}
 		pullCfg := cfg.Pull
 		pullCfg.OnComplete = func(req ondemand.Request, submitted, completed float64) {
 			d := defections[req.Tag]
 			endToEnd = append(endToEnd, (d.at-d.req.Arrival)+(completed-submitted))
 		}
-		srv, err := ondemand.New(&clock, pullCfg)
-		if err != nil {
+		if report.Pull, err = ondemand.Serve(subs, pullCfg); err != nil {
 			return nil, err
 		}
-		for i, d := range defections {
-			i, d := i, d
-			if err := clock.At(d.at, func() {
-				srv.Submit(ondemand.Request{
-					Page:     d.req.Page,
-					Deadline: d.req.Arrival + cfg.DeadlineSlack*float64(gs.TimeOf(d.req.Page)),
-					Tag:      uint64(i),
-				})
-			}); err != nil {
-				return nil, err
-			}
-		}
-		clock.Run()
-		report.Pull = srv.Metrics()
 	}
 	report.EndToEnd = stats.Summarize(endToEnd)
 	return report, nil

@@ -4,12 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"tcsa/internal/core"
+	"tcsa/internal/chaos"
 	"tcsa/internal/mpb"
 	"tcsa/internal/ondemand"
 	"tcsa/internal/online"
 	"tcsa/internal/pamad"
-	"tcsa/internal/sim"
 	"tcsa/internal/susc"
 	"tcsa/internal/workload"
 )
@@ -23,13 +22,13 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, nil, Config{Air: sim.Config{AbandonAfter: 1}}); err == nil {
+	if _, err := Run(nil, nil, Config{Air: chaos.ReplayConfig{AbandonAfter: 1}}); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := Run(prog, nil, Config{Air: sim.Config{AbandonAfter: 0}}); err == nil {
+	if _, err := Run(prog, nil, Config{Air: chaos.ReplayConfig{AbandonAfter: 0}}); err == nil {
 		t.Error("zero abandon threshold accepted")
 	}
-	if _, err := Run(prog, nil, Config{Air: sim.Config{AbandonAfter: 2}, DeadlineSlack: 1}); err == nil {
+	if _, err := Run(prog, nil, Config{Air: chaos.ReplayConfig{AbandonAfter: 2}, DeadlineSlack: 1}); err == nil {
 		t.Error("deadline slack below abandon threshold accepted")
 	}
 }
@@ -50,7 +49,7 @@ func TestValidProgramHasNoDefections(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		Air:  sim.Config{AbandonAfter: 1.0},
+		Air:  chaos.ReplayConfig{AbandonAfter: 1.0},
 		Pull: ondemand.Config{ServiceTime: 2},
 	})
 	if err != nil {
@@ -87,7 +86,7 @@ func TestDefectorsAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		Air:  sim.Config{AbandonAfter: 1.0},
+		Air:  chaos.ReplayConfig{AbandonAfter: 1.0},
 		Pull: ondemand.Config{ServiceTime: 1.5, Discipline: ondemand.EDF},
 	})
 	if err != nil {
@@ -132,7 +131,7 @@ func TestPAMADShedsLessThanMPB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Air: sim.Config{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF}}
+	cfg := Config{Air: chaos.ReplayConfig{AbandonAfter: 1.5}, Pull: ondemand.Config{ServiceTime: 3, Discipline: ondemand.EDF}}
 	pReqs, err := workload.GenerateRequests(gs, pProg.Length(), workload.RequestConfig{Count: 1500, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -157,18 +156,11 @@ func TestPAMADShedsLessThanMPB(t *testing.T) {
 	}
 }
 
-// pageZeroLoss loses every frame carrying page 0 in the first 64 slots.
-type pageZeroLoss struct{ prog *core.Program }
-
-func (f pageZeroLoss) Lost(ch, abs int) bool { return abs < 64 && f.prog.AtAbs(ch, abs) == 0 }
-func (pageZeroLoss) JitterAt(int) float64    { return 0 }
-func (pageZeroLoss) MaxCycles() int          { return sim.DefaultMaxCycles }
-
 // TestDropAccountingExactlyOnce is the frame-loss accounting regression:
-// with a deterministic fault source, clients whose closed-form wait is
-// within the impatience threshold still defect on the simulated air. The
-// served set must come from the simulator's serve events — reconstructing
-// it from core.Analyze counted those clients twice (once as analytically
+// under a deterministic fault plan, clients whose closed-form wait is
+// within the impatience threshold still defect on the replayed air. The
+// served set must come from the replay's serve events — reconstructing it
+// from core.Analyze counted those clients twice (once as analytically
 // "served", once as defectors).
 func TestDropAccountingExactlyOnce(t *testing.T) {
 	gs, err := workload.GroupSet(workload.Uniform, 3, 30, 2, 2)
@@ -179,18 +171,28 @@ func TestDropAccountingExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Page 0 has t=2: suppressing its frames for the first 64 slots pushes
-	// every page-0 client past arrival + 1.0*2 and forces defection, while
-	// the closed-form wait (loss-blind) stays within the threshold.
+	// The server stalls every even slot. Page 0 (t=2) airs only on even
+	// slots, so every page-0 client passes arrival + 1.0*2 and defects,
+	// while the closed-form wait (fault-blind) stays within the threshold.
+	// Pages 11 and 21 air on odd slots and are served.
+	plan, err := chaos.NewPlan(chaos.Config{StallEvery: 2, StallFor: 1}, prog.Channels(), prog.Length())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < prog.Length(); s += 2 {
+		if prog.At(0, s) != 0 {
+			t.Fatalf("page 0 does not air on even slot %d", s)
+		}
+	}
 	reqs := []workload.Request{
 		{Page: 0, Arrival: 0.5},
 		{Page: 0, Arrival: 3},
 		{Page: 0, Arrival: 7.25},
-		{Page: 10, Arrival: 1},
-		{Page: 20, Arrival: 2.5},
+		{Page: 11, Arrival: 1},
+		{Page: 21, Arrival: 2.5},
 	}
 	rep, err := Run(prog, reqs, Config{
-		Air:  sim.Config{AbandonAfter: 1.0, Fault: pageZeroLoss{prog}},
+		Air:  chaos.ReplayConfig{AbandonAfter: 1.0, Plan: plan},
 		Pull: ondemand.Config{ServiceTime: 2},
 	})
 	if err != nil {
@@ -209,8 +211,8 @@ func TestDropAccountingExactlyOnce(t *testing.T) {
 		t.Fatalf("pull completed %d, want 3", rep.Pull.Completed)
 	}
 	// Defector latency = wait-until-defection (>= 2 slots) + pull response
-	// (>= 2 slots service): the max must reflect the loss, not the
-	// loss-blind closed form (<= 2 slots on this program).
+	// (>= 2 slots service): the max must reflect the stalls, not the
+	// fault-blind closed form (<= 2 slots on this program).
 	if rep.EndToEnd.Max < 4 {
 		t.Fatalf("end-to-end max %f too small for a defected client", rep.EndToEnd.Max)
 	}
@@ -234,7 +236,7 @@ func TestOnlineTierRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(prog, reqs, Config{
-		Air: sim.Config{AbandonAfter: 1.0},
+		Air: chaos.ReplayConfig{AbandonAfter: 1.0},
 		Online: &online.Config{
 			Policy: online.LWF,
 			Split:  online.Split{Mode: online.SplitReserved, OnlineChannels: 1},

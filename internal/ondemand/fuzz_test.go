@@ -5,16 +5,14 @@ import (
 	"sort"
 	"testing"
 
-	"tcsa/internal/eventsim"
 	"tcsa/internal/stats"
 )
 
 // modelRun replays a submission schedule through a deliberately naive
 // reference model of the server: a plain slice instead of a heap, linear
-// scans instead of sift-ups, and the eventsim tie rule made explicit —
-// upfront-scheduled submissions carry smaller sequence numbers than any
-// completion scheduled during the run, so at equal times submissions win;
-// among completions, scheduling order wins. It returns the completion log
+// scans instead of sift-ups, and the tie rule made explicit — every
+// submission carries a smaller sequence number than any completion, so at
+// equal times submissions win; among completions, scheduling order wins. It returns the completion log
 // (tag, submitted, completed) and the reference metrics counters.
 type modelCompletion struct {
 	tag                  uint64
@@ -117,7 +115,7 @@ func modelRun(subs []modelSub, cfg Config) modelOutcome {
 }
 
 // FuzzOndemandQueue drives random submit/complete interleavings through the
-// server and checks three contracts against the linear-scan model: the
+// server and checks its contracts against the linear-scan model: the
 // completion log matches event for event (which pins EDF's (deadline, seq)
 // order and FCFS's seq order, including tie-breaks at simultaneous
 // completions), the counters conserve requests, and the time-weighted queue
@@ -150,50 +148,29 @@ func FuzzOndemandQueue(f *testing.F) {
 				tag:      uint64(i),
 			}
 		}
-		// eventsim dispatches by (time, seq): pre-sorting keeps the model's
-		// "next submission" scan trivial without changing dispatch order.
+		// Serve takes submissions in time order, ties in slice order.
 		sort.SliceStable(subs, func(i, j int) bool { return subs[i].at < subs[j].at })
 
-		var sim eventsim.Simulator
 		var got []modelCompletion
 		cfg.OnComplete = func(req Request, submitted, completed float64) {
 			got = append(got, modelCompletion{req.Tag, submitted, completed})
 		}
-		srv, err := New(&sim, cfg)
+		in := make([]Submission, n)
+		for i, s := range subs {
+			in[i] = Submission{At: s.at, Request: Request{Page: 0, Deadline: s.deadline, Tag: s.tag}}
+		}
+		m, err := Serve(in, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range subs {
-			s := s
-			if err := sim.At(s.at, func() {
-				srv.Submit(Request{Page: 0, Deadline: s.deadline, Tag: s.tag})
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Mid-run probes: conservation must hold at arbitrary instants, not
-		// just after the queue drains.
-		for i := 0; i < 4; i++ {
-			if err := sim.At(float64(rng.Intn(90))/2, func() {
-				m := srv.Metrics()
-				if m.Submitted != m.Completed+m.Rejected+srv.QueueLen()+srv.Busy() {
-					t.Errorf("mid-run conservation: %d != %d+%d+%d+%d",
-						m.Submitted, m.Completed, m.Rejected, srv.QueueLen(), srv.Busy())
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sim.Run()
 
 		want := modelRun(subs, cfg)
-		m := srv.Metrics()
 		if m.Submitted != n || m.Completed != len(want.log) || m.Rejected != want.rejected {
 			t.Fatalf("counters: %+v, want completed %d rejected %d of %d",
 				m, len(want.log), want.rejected, n)
 		}
-		if m.Submitted != m.Completed+m.Rejected || srv.QueueLen() != 0 || srv.Busy() != 0 {
-			t.Fatalf("post-run conservation: %+v (queue %d busy %d)", m, srv.QueueLen(), srv.Busy())
+		if m.Submitted != m.Completed+m.Rejected {
+			t.Fatalf("conservation: %+v", m)
 		}
 		if len(got) != len(want.log) {
 			t.Fatalf("completion log length %d, want %d", len(got), len(want.log))

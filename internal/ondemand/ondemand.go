@@ -6,20 +6,18 @@
 // channel", and too many such switches congest the on-demand channel. This
 // package makes that congestion measurable.
 //
-// The server is a multi-worker queueing station on the shared eventsim
-// clock: requests arrive via Submit, wait in a FCFS or earliest-deadline-
-// first queue (optionally bounded), occupy a worker for a fixed service
-// time, and leave response-time and deadline-miss statistics behind.
+// The server is a multi-worker queueing station: Serve takes the
+// requests in arrival order, queues them FCFS or earliest-deadline-first
+// (optionally bounded), occupies a worker for a fixed service time per
+// request, and leaves response-time and deadline-miss statistics behind.
 package ondemand
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 
 	"tcsa/internal/core"
-	"tcsa/internal/eventsim"
 	"tcsa/internal/stats"
 )
 
@@ -74,138 +72,120 @@ type Metrics struct {
 	AvgQueueLen    float64 // time-weighted mean queue length
 }
 
-// Server is the on-demand station. Create with New; methods are not
-// goroutine-safe (the simulation is single-threaded by design).
-type Server struct {
-	sim  *eventsim.Simulator
-	cfg  Config
-	q    requestQueue
-	busy int
-	seq  uint64
-
-	submitted  int
-	completed  int
-	rejected   int
-	misses     int
-	responses  []float64
-	maxQ       int
-	qArea      float64 // integral of queue length over time
-	lastChange float64
+// Submission is a request reaching the server at instant At.
+type Submission struct {
+	Request
+	At float64
 }
 
-// New creates a server on the shared simulator clock.
-func New(sim *eventsim.Simulator, cfg Config) (*Server, error) {
-	if sim == nil {
-		return nil, errors.New("ondemand: nil simulator")
+// Serve runs submissions, ordered by At, through the server: each waits
+// in the FCFS or EDF queue (when bounded, a full queue rejects it) until
+// a worker frees, then occupies it for ServiceTime. At equal instants,
+// submissions go before completions. Every service lasts ServiceTime, so
+// services complete in the order they started, simultaneous ones too.
+func Serve(subs []Submission, cfg Config) (Metrics, error) {
+	if err := cfg.validate(); err != nil {
+		return Metrics{}, err
 	}
-	if cfg.ServiceTime <= 0 {
-		return nil, fmt.Errorf("ondemand: service time %f", cfg.ServiceTime)
+	for i, sub := range subs {
+		if math.IsNaN(sub.At) || (i > 0 && sub.At < subs[i-1].At) {
+			return Metrics{}, fmt.Errorf("ondemand: submission %d at %g out of time order", i, sub.At)
+		}
+	}
+	var (
+		q          = requestQueue{byDeadline: cfg.Discipline == EDF}
+		busy       []job // in start order, which is completion order
+		m          Metrics
+		responses  []float64
+		now        float64
+		qArea      float64 // integral of queue length over time
+		lastChange float64
+	)
+	// accountQueue integrates queue length up to now for AvgQueueLen.
+	accountQueue := func() {
+		qArea += float64(q.Len()) * (now - lastChange)
+		lastChange = now
+	}
+	start := func(j job) {
+		j.done = now + cfg.ServiceTime
+		busy = append(busy, j)
+	}
+	for next := 0; next < len(subs) || len(busy) > 0; {
+		if next < len(subs) && (len(busy) == 0 || subs[next].At <= busy[0].done) {
+			now = subs[next].At
+			j := job{req: subs[next].Request, at: now, seq: uint64(next)}
+			next++
+			m.Submitted++
+			switch {
+			case len(busy) < cfg.Workers:
+				start(j)
+			case cfg.QueueLimit > 0 && q.Len() >= cfg.QueueLimit:
+				m.Rejected++
+			default:
+				accountQueue()
+				heap.Push(&q, j)
+				m.MaxQueueLen = max(m.MaxQueueLen, q.Len())
+			}
+			continue
+		}
+		j := busy[0]
+		busy = busy[1:]
+		now = j.done
+		m.Completed++
+		responses = append(responses, now-j.at)
+		if now > j.req.Deadline {
+			m.DeadlineMisses++
+		}
+		if cfg.OnComplete != nil {
+			cfg.OnComplete(j.req, j.at, now)
+		}
+		if q.Len() > 0 {
+			accountQueue()
+			start(heap.Pop(&q).(job))
+		}
+	}
+	m.AvgResponse = stats.Mean(responses)
+	m.Response = stats.Summarize(responses)
+	if now > 0 {
+		m.AvgQueueLen = qArea / now
+	}
+	return m, nil
+}
+
+// validate reports the first malformed field and defaults Workers to 1.
+func (cfg *Config) validate() error {
+	if !(cfg.ServiceTime > 0) {
+		return fmt.Errorf("ondemand: service time %f", cfg.ServiceTime)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("ondemand: %d workers", cfg.Workers)
+		return fmt.Errorf("ondemand: %d workers", cfg.Workers)
 	}
 	if cfg.Discipline != FCFS && cfg.Discipline != EDF {
-		return nil, fmt.Errorf("ondemand: unknown discipline %d", cfg.Discipline)
+		return fmt.Errorf("ondemand: unknown discipline %d", cfg.Discipline)
 	}
 	if cfg.QueueLimit < 0 {
-		return nil, fmt.Errorf("ondemand: queue limit %d", cfg.QueueLimit)
+		return fmt.Errorf("ondemand: queue limit %d", cfg.QueueLimit)
 	}
-	s := &Server{sim: sim, cfg: cfg}
-	s.q.byDeadline = cfg.Discipline == EDF
-	return s, nil
-}
-
-// Submit hands a request to the server at the current simulation time.
-// It returns false if the queue bound rejected the request.
-func (s *Server) Submit(req Request) bool {
-	s.submitted++
-	if s.busy < s.cfg.Workers {
-		s.busy++
-		s.startService(req, s.sim.Now())
-		return true
-	}
-	if s.cfg.QueueLimit > 0 && s.q.Len() >= s.cfg.QueueLimit {
-		s.rejected++
-		return false
-	}
-	s.accountQueue()
-	s.seq++
-	heap.Push(&s.q, queued{req: req, at: s.sim.Now(), seq: s.seq})
-	if s.q.Len() > s.maxQ {
-		s.maxQ = s.q.Len()
-	}
-	return true
-}
-
-// startService occupies a worker for one request submitted at submitTime.
-func (s *Server) startService(req Request, submitTime float64) {
-	// Scheduling service completion never fails: the delay is positive.
-	_ = s.sim.After(s.cfg.ServiceTime, func() {
-		now := s.sim.Now()
-		s.completed++
-		s.responses = append(s.responses, now-submitTime)
-		if now > req.Deadline {
-			s.misses++
-		}
-		if s.cfg.OnComplete != nil {
-			s.cfg.OnComplete(req, submitTime, now)
-		}
-		if s.q.Len() > 0 {
-			s.accountQueue()
-			next := heap.Pop(&s.q).(queued)
-			s.startService(next.req, next.at)
-		} else {
-			s.busy--
-		}
-	})
-}
-
-// accountQueue integrates queue length over time for AvgQueueLen.
-func (s *Server) accountQueue() {
-	now := s.sim.Now()
-	s.qArea += float64(s.q.Len()) * (now - s.lastChange)
-	s.lastChange = now
-}
-
-// QueueLen returns the current number of waiting (not in-service) requests.
-func (s *Server) QueueLen() int { return s.q.Len() }
-
-// Busy returns the number of occupied workers.
-func (s *Server) Busy() int { return s.busy }
-
-// Metrics snapshots the server's statistics at the current simulation time.
-func (s *Server) Metrics() Metrics {
-	m := Metrics{
-		Submitted:      s.submitted,
-		Completed:      s.completed,
-		Rejected:       s.rejected,
-		DeadlineMisses: s.misses,
-		AvgResponse:    stats.Mean(s.responses),
-		Response:       stats.Summarize(s.responses),
-		MaxQueueLen:    s.maxQ,
-	}
-	if now := s.sim.Now(); now > 0 {
-		m.AvgQueueLen = (s.qArea + float64(s.q.Len())*(now-s.lastChange)) / now
-	}
-	return m
+	return nil
 }
 
 // NoDeadline is a convenience deadline for requests without one.
 const NoDeadline = math.MaxFloat64
 
-// queued is a waiting request.
-type queued struct {
-	req Request
-	at  float64
-	seq uint64
+// job is one request from its submission at at: in service until done,
+// or waiting in the queue in submission order seq.
+type job struct {
+	req      Request
+	at, done float64
+	seq      uint64
 }
 
 // requestQueue is a heap ordered FCFS (seq) or EDF (deadline, then seq).
 type requestQueue struct {
-	items      []queued
+	items      []job
 	byDeadline bool
 }
 
@@ -221,7 +201,7 @@ func (q *requestQueue) Less(i, j int) bool {
 
 func (q *requestQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
 
-func (q *requestQueue) Push(x any) { q.items = append(q.items, x.(queued)) }
+func (q *requestQueue) Push(x any) { q.items = append(q.items, x.(job)) }
 
 func (q *requestQueue) Pop() any {
 	old := q.items

@@ -3,44 +3,55 @@ package ondemand
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
-
-	"tcsa/internal/eventsim"
 )
 
-func TestNewValidation(t *testing.T) {
-	var sim eventsim.Simulator
-	if _, err := New(nil, Config{ServiceTime: 1}); err == nil {
-		t.Error("nil simulator accepted")
+// at builds n submissions at instant t with no deadline.
+func at(t float64, n int) []Submission {
+	subs := make([]Submission, n)
+	for i := range subs {
+		subs[i] = Submission{At: t, Request: Request{Deadline: NoDeadline, Tag: uint64(i)}}
 	}
-	if _, err := New(&sim, Config{ServiceTime: 0}); err == nil {
-		t.Error("zero service time accepted")
+	return subs
+}
+
+// serve runs subs through a server configured by cfg.
+func serve(t *testing.T, subs []Submission, cfg Config) Metrics {
+	t.Helper()
+	m, err := Serve(subs, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(&sim, Config{ServiceTime: 1, Workers: -1}); err == nil {
-		t.Error("negative workers accepted")
+	return m
+}
+
+func TestServeValidation(t *testing.T) {
+	for _, cfg := range []Config{
+		{ServiceTime: 0},
+		{ServiceTime: math.NaN()},
+		{ServiceTime: 1, Workers: -1},
+		{ServiceTime: 1, Discipline: Discipline(9)},
+		{ServiceTime: 1, QueueLimit: -1},
+	} {
+		if _, err := Serve(nil, cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
 	}
-	if _, err := New(&sim, Config{ServiceTime: 1, Discipline: Discipline(9)}); err == nil {
-		t.Error("unknown discipline accepted")
-	}
-	if _, err := New(&sim, Config{ServiceTime: 1, QueueLimit: -1}); err == nil {
-		t.Error("negative queue limit accepted")
+	for _, subs := range [][]Submission{
+		{{At: 2}, {At: 1}},
+		{{At: math.NaN()}},
+	} {
+		if _, err := Serve(subs, Config{ServiceTime: 1}); err == nil {
+			t.Errorf("submissions %+v accepted", subs)
+		}
 	}
 }
 
 func TestSingleWorkerFCFS(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, err := New(&sim, Config{ServiceTime: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Three requests at t=0: responses complete at 2, 4, 6.
-	_ = sim.At(0, func() {
-		srv.Submit(Request{Page: 0, Deadline: NoDeadline})
-		srv.Submit(Request{Page: 1, Deadline: NoDeadline})
-		srv.Submit(Request{Page: 2, Deadline: NoDeadline})
-	})
-	sim.Run()
-	m := srv.Metrics()
+	var last float64
+	m := serve(t, at(0, 3), Config{ServiceTime: 2, OnComplete: func(_ Request, _, completed float64) { last = completed }})
 	if m.Submitted != 3 || m.Completed != 3 || m.Rejected != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -50,21 +61,13 @@ func TestSingleWorkerFCFS(t *testing.T) {
 	if m.MaxQueueLen != 2 {
 		t.Errorf("MaxQueueLen = %d, want 2", m.MaxQueueLen)
 	}
-	if sim.Now() != 6 {
-		t.Errorf("finished at %f, want 6", sim.Now())
+	if last != 6 {
+		t.Errorf("finished at %f, want 6", last)
 	}
 }
 
 func TestParallelWorkers(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, _ := New(&sim, Config{ServiceTime: 2, Workers: 3})
-	_ = sim.At(0, func() {
-		for i := 0; i < 3; i++ {
-			srv.Submit(Request{Deadline: NoDeadline})
-		}
-	})
-	sim.Run()
-	m := srv.Metrics()
+	m := serve(t, at(0, 3), Config{ServiceTime: 2, Workers: 3})
 	if m.AvgResponse != 2 {
 		t.Errorf("AvgResponse = %f, want 2 (all parallel)", m.AvgResponse)
 	}
@@ -74,44 +77,37 @@ func TestParallelWorkers(t *testing.T) {
 }
 
 func TestEDFOrdering(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, _ := New(&sim, Config{ServiceTime: 1, Discipline: EDF})
-	var completions []float64 // deadlines in completion order
-	_ = sim.At(0, func() {
-		// First occupies the worker; the rest queue with shuffled deadlines.
-		srv.Submit(Request{Deadline: NoDeadline})
-		for _, d := range []float64{50, 10, 30, 20, 40} {
-			srv.Submit(Request{Deadline: d})
-		}
-	})
-	// Track completion order by sampling the queue's head effect: the
-	// completion times are 1,2,3,4,5,6 and EDF serves 10,20,30,40,50 after
-	// the first.
-	sim.Run()
-	m := srv.Metrics()
+	// The first occupies the worker; the rest queue with shuffled
+	// deadlines, and EDF serves them 10, 20, 30, 40, 50 after it.
+	subs := at(0, 6)
+	for i, d := range []float64{50, 10, 30, 20, 40} {
+		subs[i+1].Deadline = d
+	}
+	var order []float64
+	m := serve(t, subs, Config{ServiceTime: 1, Discipline: EDF, OnComplete: func(req Request, _, _ float64) {
+		order = append(order, req.Deadline)
+	}})
 	if m.Completed != 6 {
 		t.Fatalf("completed %d", m.Completed)
 	}
-	// With EDF, deadline-10 request finishes at t=2 (only miss candidates
-	// are the late ones): misses are completions after deadline — none here
-	// since deadlines are generous.
+	want := []float64{NoDeadline, 10, 20, 30, 40, 50}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completion deadlines %v, want %v", order, want)
+		}
+	}
+	// Completions at 1..6 all meet their generous deadlines.
 	if m.DeadlineMisses != 0 {
 		t.Errorf("misses = %d, want 0", m.DeadlineMisses)
 	}
-	_ = completions
 }
 
 func TestEDFBeatsFCFSOnMisses(t *testing.T) {
 	run := func(d Discipline) Metrics {
-		var sim eventsim.Simulator
-		srv, _ := New(&sim, Config{ServiceTime: 2, Discipline: d})
-		_ = sim.At(0, func() {
-			srv.Submit(Request{Deadline: NoDeadline}) // occupies worker until 2
-			srv.Submit(Request{Deadline: 100})        // loose
-			srv.Submit(Request{Deadline: 4.5})        // tight: must be next
-		})
-		sim.Run()
-		return srv.Metrics()
+		subs := at(0, 3)
+		subs[1].Deadline = 100 // loose
+		subs[2].Deadline = 4.5 // tight: must be next
+		return serve(t, subs, Config{ServiceTime: 2, Discipline: d})
 	}
 	fcfs := run(FCFS)
 	edf := run(EDF)
@@ -126,21 +122,8 @@ func TestEDFBeatsFCFSOnMisses(t *testing.T) {
 }
 
 func TestQueueLimitRejects(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, _ := New(&sim, Config{ServiceTime: 1, QueueLimit: 2})
-	accepted := 0
-	_ = sim.At(0, func() {
-		for i := 0; i < 5; i++ {
-			if srv.Submit(Request{Deadline: NoDeadline}) {
-				accepted++
-			}
-		}
-	})
-	sim.Run()
-	m := srv.Metrics()
-	if accepted != 3 { // 1 in service + 2 queued
-		t.Errorf("accepted = %d, want 3", accepted)
-	}
+	m := serve(t, at(0, 5), Config{ServiceTime: 1, QueueLimit: 2})
+	// 1 in service + 2 queued are accepted.
 	if m.Rejected != 2 || m.Completed != 3 || m.Submitted != 5 {
 		t.Errorf("metrics = %+v", m)
 	}
@@ -150,15 +133,11 @@ func TestQueueLimitRejects(t *testing.T) {
 // pushing the arrival rate past service capacity blows response times up.
 func TestCongestionGrowsWithLoad(t *testing.T) {
 	response := func(interval float64) float64 {
-		var sim eventsim.Simulator
-		srv, _ := New(&sim, Config{ServiceTime: 1})
-		for i := 0; i < 200; i++ {
-			_ = sim.At(float64(i)*interval, func() {
-				srv.Submit(Request{Deadline: NoDeadline})
-			})
+		subs := make([]Submission, 200)
+		for i := range subs {
+			subs[i] = Submission{At: float64(i) * interval, Request: Request{Deadline: NoDeadline}}
 		}
-		sim.Run()
-		return srv.Metrics().AvgResponse
+		return serve(t, subs, Config{ServiceTime: 1}).AvgResponse
 	}
 	light := response(2.0) // utilisation 0.5
 	heavy := response(0.5) // utilisation 2.0: overload
@@ -171,20 +150,13 @@ func TestCongestionGrowsWithLoad(t *testing.T) {
 }
 
 func TestQueueLengthAccounting(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, _ := New(&sim, Config{ServiceTime: 2})
-	_ = sim.At(0, func() {
-		srv.Submit(Request{Deadline: NoDeadline})
-		srv.Submit(Request{Deadline: NoDeadline})
-	})
-	sim.Run()
 	// Queue holds 1 request during [0,2), 0 during [2,4): avg = 0.5.
-	m := srv.Metrics()
+	m := serve(t, at(0, 2), Config{ServiceTime: 2})
 	if math.Abs(m.AvgQueueLen-0.5) > 1e-12 {
 		t.Errorf("AvgQueueLen = %f, want 0.5", m.AvgQueueLen)
 	}
-	if srv.QueueLen() != 0 || srv.Busy() != 0 {
-		t.Error("server not drained")
+	if m.Submitted != m.Completed {
+		t.Errorf("server not drained: %+v", m)
 	}
 }
 
@@ -193,47 +165,36 @@ func TestQueueLengthAccounting(t *testing.T) {
 func TestWorkConservationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
-		var sim eventsim.Simulator
-		workers := 1 + rng.Intn(3)
-		srv, _ := New(&sim, Config{ServiceTime: 0.5 + rng.Float64(), Workers: workers, Discipline: Discipline(rng.Intn(2))})
-		n := 1 + rng.Intn(100)
-		for i := 0; i < n; i++ {
-			_ = sim.At(rng.Float64()*50, func() {
-				srv.Submit(Request{Deadline: rng.Float64() * 100})
-			})
+		cfg := Config{ServiceTime: 0.5 + rng.Float64(), Workers: 1 + rng.Intn(3), Discipline: Discipline(rng.Intn(2))}
+		subs := make([]Submission, 1+rng.Intn(100))
+		for i := range subs {
+			subs[i] = Submission{At: rng.Float64() * 50, Request: Request{Deadline: rng.Float64() * 100}}
 		}
-		sim.Run()
-		m := srv.Metrics()
-		if m.Completed != n || m.Rejected != 0 {
-			t.Fatalf("trial %d: completed %d of %d", trial, m.Completed, n)
+		sort.SliceStable(subs, func(i, j int) bool { return subs[i].At < subs[j].At })
+		m := serve(t, subs, cfg)
+		if m.Completed != len(subs) || m.Rejected != 0 {
+			t.Fatalf("trial %d: completed %d of %d", trial, m.Completed, len(subs))
 		}
-		if m.Response.Min < srv.cfg.ServiceTime-1e-9 {
+		if m.Response.Min < cfg.ServiceTime-1e-9 {
 			t.Fatalf("trial %d: response %f below service time", trial, m.Response.Min)
 		}
 	}
 }
 
 func TestOnCompleteHook(t *testing.T) {
-	var sim eventsim.Simulator
 	type completion struct {
 		tag                  uint64
 		submitted, completed float64
 	}
 	var got []completion
-	srv, err := New(&sim, Config{
+	subs := at(0, 2)
+	subs[0].Tag, subs[1].Tag = 7, 8
+	serve(t, subs, Config{
 		ServiceTime: 2,
 		OnComplete: func(req Request, submitted, completed float64) {
 			got = append(got, completion{req.Tag, submitted, completed})
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sim.At(0, func() {
-		srv.Submit(Request{Tag: 7, Deadline: NoDeadline})
-		srv.Submit(Request{Tag: 8, Deadline: NoDeadline})
-	})
-	sim.Run()
 	if len(got) != 2 {
 		t.Fatalf("OnComplete fired %d times, want 2", len(got))
 	}
@@ -248,13 +209,7 @@ func TestOnCompleteHook(t *testing.T) {
 // TestZeroRequestMetrics: a server that never saw a request must report a
 // well-defined all-zero snapshot, not NaNs from empty-slice means.
 func TestZeroRequestMetrics(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, err := New(&sim, Config{ServiceTime: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	m := srv.Metrics()
+	m := serve(t, nil, Config{ServiceTime: 1})
 	if m != (Metrics{}) {
 		t.Fatalf("zero-request metrics = %+v, want zero value", m)
 	}
@@ -268,13 +223,7 @@ func TestZeroRequestMetrics(t *testing.T) {
 // below the completion instant misses.
 func TestDeadlineMissBoundary(t *testing.T) {
 	run := func(deadline float64) Metrics {
-		var sim eventsim.Simulator
-		srv, _ := New(&sim, Config{ServiceTime: 2})
-		_ = sim.At(0, func() {
-			srv.Submit(Request{Deadline: deadline})
-		})
-		sim.Run()
-		return srv.Metrics()
+		return serve(t, []Submission{{Request: Request{Deadline: deadline}}}, Config{ServiceTime: 2})
 	}
 	if m := run(2); m.DeadlineMisses != 0 {
 		t.Errorf("completion exactly at deadline counted as miss: %+v", m)
@@ -284,36 +233,17 @@ func TestDeadlineMissBoundary(t *testing.T) {
 	}
 }
 
-// TestRejectionAccounting: Submit counts a rejected request as submitted
-// (the uplink saw it), returns false, and leaves the queue untouched, so
-// conservation holds through and after the rejection burst.
+// TestRejectionAccounting: a rejected request counts as submitted (the
+// uplink saw it) and never enters the queue, so conservation holds, and
+// once the backlog drains the bound no longer binds.
 func TestRejectionAccounting(t *testing.T) {
-	var sim eventsim.Simulator
-	srv, _ := New(&sim, Config{ServiceTime: 1, QueueLimit: 1})
-	var rejectedAt0 int
-	_ = sim.At(0, func() {
-		for i := 0; i < 4; i++ { // 1 in service, 1 queued, 2 rejected
-			if !srv.Submit(Request{Deadline: NoDeadline}) {
-				rejectedAt0++
-			}
-		}
-		m := srv.Metrics()
-		if m.Submitted != m.Completed+m.Rejected+srv.QueueLen()+srv.Busy() {
-			t.Errorf("conservation inside burst: %+v", m)
-		}
-	})
-	// After the backlog drains the bound no longer binds.
-	_ = sim.At(10, func() {
-		if !srv.Submit(Request{Deadline: NoDeadline}) {
-			t.Error("post-drain submission rejected")
-		}
-	})
-	sim.Run()
-	m := srv.Metrics()
-	if rejectedAt0 != 2 || m.Rejected != 2 {
-		t.Errorf("rejected %d/%d, want 2", rejectedAt0, m.Rejected)
+	subs := append(at(0, 4), Submission{At: 10, Request: Request{Deadline: NoDeadline}})
+	m := serve(t, subs, Config{ServiceTime: 1, QueueLimit: 1})
+	// At t=0: 1 in service, 1 queued, 2 rejected; the t=10 one is served.
+	if m.Rejected != 2 {
+		t.Errorf("rejected %d, want 2", m.Rejected)
 	}
-	if m.Submitted != 5 || m.Completed != 3 {
+	if m.Submitted != 5 || m.Completed != 3 || m.Submitted != m.Completed+m.Rejected {
 		t.Errorf("metrics = %+v, want 5 submitted / 3 completed", m)
 	}
 	if m.MaxQueueLen != 1 {
@@ -322,12 +252,14 @@ func TestRejectionAccounting(t *testing.T) {
 }
 
 // TestSimultaneousCompletionOrder: workers finishing at the same instant
-// fire OnComplete in service-start order — the eventsim (time, seq) rule,
-// not map or heap accidents.
+// fire OnComplete in service-start order, not in heap accident order.
 func TestSimultaneousCompletionOrder(t *testing.T) {
-	var sim eventsim.Simulator
 	var order []uint64
-	srv, _ := New(&sim, Config{
+	subs := at(0, 3)
+	for i, tag := range []uint64{11, 22, 33} {
+		subs[i].Tag = tag
+	}
+	serve(t, subs, Config{
 		ServiceTime: 2,
 		Workers:     3,
 		OnComplete: func(req Request, _, completed float64) {
@@ -337,12 +269,6 @@ func TestSimultaneousCompletionOrder(t *testing.T) {
 			order = append(order, req.Tag)
 		},
 	})
-	_ = sim.At(0, func() {
-		for _, tag := range []uint64{11, 22, 33} {
-			srv.Submit(Request{Tag: tag, Deadline: NoDeadline})
-		}
-	})
-	sim.Run()
 	if len(order) != 3 || order[0] != 11 || order[1] != 22 || order[2] != 33 {
 		t.Fatalf("completion order %v, want [11 22 33]", order)
 	}

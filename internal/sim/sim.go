@@ -2,22 +2,19 @@
 // program: waiting time, delay beyond the expected time (the paper's AvgD
 // metric), deadline-miss ratio and abandonment.
 //
-// Two measurement modes are provided:
+// Measure is a fast sampler that evaluates a request stream directly
+// against the program's appearance structure (core.Analysis). This is
+// what the Figure 5 reproduction uses — the paper's "3000 requests"
+// evaluation — and it agrees with the closed-form expectation by
+// construction. It runs on a streaming, worker-sharded engine
+// (MeasureStream / MeasureParallel) that holds O(1) sample memory
+// regardless of the request count; see docs/perf.md. FoldShards, the
+// kernel under it, also carries chaos's fault walk, the online tier and
+// loadgen's replay.
 //
-//   - Measure: a fast sampler that evaluates a request stream directly
-//     against the program's appearance structure (core.Analysis). This is
-//     what the Figure 5 reproduction uses — the paper's "3000 requests"
-//     evaluation — and it agrees with the closed-form expectation by
-//     construction. It runs on a streaming, worker-sharded engine
-//     (MeasureStream / MeasureParallel) that holds O(1) sample memory
-//     regardless of the request count; see docs/perf.md.
-//   - Run: a full discrete-event simulation on the airwave substrate, with
-//     schedule-aware or blind-scanning single-tuner clients, an optional
-//     fault source (Fault: frame loss and slot jitter, the same *chaos.Plan
-//     every other engine replays), and an impatience model in which clients abandon the broadcast
-//     channel after a multiple of their expected time (the paper's
-//     Section 1 motivation for bounding waits: abandonments become pull
-//     requests that congest the on-demand channel).
+// Per-client replays with frame loss, blind scanning and impatient
+// clients live above this package, in chaos.Replay; Event and RingTracer
+// here are the trace vocabulary of such client runs.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package sim
@@ -34,7 +31,7 @@ import (
 // AvgDelay, MissRatio and the Summary moment fields (N, Mean, StdDev, Min,
 // Max) are exact; the Summary quantiles (P50/P95/P99) from the streaming
 // sampler are stats.Sketch estimates within ~1% of the exact order
-// statistic (the full simulation in Run still reports exact quantiles).
+// statistic (chaos.Replay still reports exact quantiles).
 type Metrics struct {
 	Requests  int
 	AvgWait   float64 // mean slots from tune-in to reception

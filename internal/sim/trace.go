@@ -53,7 +53,8 @@ func (e Event) String() string {
 }
 
 // RingTracer keeps the most recent events in a bounded buffer; use it as
-// Config.Trace. The zero value is unusable; construct with NewRingTracer.
+// chaos.ReplayConfig.Trace. The zero value is unusable; construct with
+// NewRingTracer.
 type RingTracer struct {
 	buf     []Event
 	next    int

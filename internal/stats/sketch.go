@@ -76,9 +76,6 @@ func (s *Sketch) N() int64 { return s.moments.N() }
 // Moments returns a copy of the exact moment accumulator.
 func (s *Sketch) Moments() Online { return s.moments }
 
-// Bins returns the bucket count (the sketch's fixed memory footprint).
-func (s *Sketch) Bins() int { return len(s.bins) }
-
 // Merge folds other into s. Both sketches must share a bucket layout
 // (same lo, gamma and bucket count). Bucket counts merge exactly; moments
 // merge via Online.Merge, which is order-insensitive up to rounding.
