@@ -12,37 +12,26 @@ vet:
 	$(GO) vet ./...
 
 # The repo must stay clean against the committed (empty) baseline; see
-# docs/airvet.md for the ratchet workflow.
+# docs/airvet.md for the ratchet workflow. From bench/, tcsa/... loads
+# both modules, so testonly sees every non-test reference.
 airvet lint:
-	$(GO) run ./cmd/airvet -baseline lint_baseline.json ./...
+	cd bench && $(GO) run tcsa/cmd/airvet -baseline ../lint_baseline.json tcsa/...
 
 # Rewrite the baseline from current findings (blessing new debt — use
 # sparingly, the goal is an empty file).
 lint-baseline:
-	$(GO) run ./cmd/airvet -baseline lint_baseline.json -update ./...
+	cd bench && $(GO) run tcsa/cmd/airvet -baseline ../lint_baseline.json -update tcsa/...
 
 test:
 	$(GO) test -shuffle=on ./...
 
+# The race and fuzz stages of scripts/check.sh, which holds their package
+# and target lists; fuzz runs every Fuzz* target `go test -list` finds.
 race:
-	$(GO) test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
+	scripts/check.sh race
 
 fuzz:
-	$(GO) test -fuzz='FuzzRearrange$$'         -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz='FuzzRearrangeMonotone$$' -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz='FuzzProgramJSON$$'       -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz='FuzzGroupSetJSON$$'      -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz='FuzzParseFrame$$'        -fuzztime=$(FUZZTIME) ./internal/netcast/
-	$(GO) test -fuzz='FuzzRingCell$$'          -fuzztime=$(FUZZTIME) ./internal/netcast/
-	$(GO) test -fuzz='FuzzPAMADPlacement$$'    -fuzztime=$(FUZZTIME) ./internal/pamad/
-	$(GO) test -fuzz='FuzzSUSCEquivalence$$'   -fuzztime=$(FUZZTIME) ./internal/susc/
-	$(GO) test -fuzz='FuzzSketchQuantile$$'    -fuzztime=$(FUZZTIME) ./internal/stats/
-	$(GO) test -fuzz='FuzzChaosDeterminism$$'  -fuzztime=$(FUZZTIME) ./internal/chaos/
-	$(GO) test -fuzz='FuzzPTASEquivalence$$'   -fuzztime=$(FUZZTIME) ./internal/opt/
-	$(GO) test -fuzz='FuzzReplanEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/replan/
-	$(GO) test -fuzz='FuzzOndemandQueue$$'     -fuzztime=$(FUZZTIME) ./internal/ondemand/
-	$(GO) test -fuzz='FuzzOnlineEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/online/
-	$(GO) test -fuzz='FuzzLoadgenEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/loadgen/
+	FUZZTIME=$(FUZZTIME) scripts/check.sh fuzz
 
 # Smoke the hot-path benchmarks (see docs/perf.md).
 bench:

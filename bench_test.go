@@ -39,7 +39,7 @@ func benchFigure5(b *testing.B, dist workload.Distribution) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Figure5(ctx, p, dist)
+		s, err := experiments.Figure5(ctx, p, dist, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

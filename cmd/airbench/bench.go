@@ -86,7 +86,7 @@ func runSweep(rec *recorder) error {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, err := experiments.Figure5(context.Background(), p, workload.SSkewed)
+			s, err := experiments.Figure5(context.Background(), p, workload.SSkewed, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -94,13 +94,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, experiments.RenderFigure4(p))
 		case "fig5":
 			for _, d := range dists {
-				var s *experiments.Fig5Series
-				var err error
-				if *workers > 0 {
-					s, err = experiments.Figure5Parallel(ctx, p, d, *workers)
-				} else {
-					s, err = experiments.Figure5(ctx, p, d)
-				}
+				s, err := experiments.Figure5(ctx, p, d, *workers)
 				if err != nil {
 					return err
 				}
@@ -116,7 +110,7 @@ func run(args []string, out io.Writer) error {
 		case "knee":
 			var results []*experiments.KneeResult
 			for _, d := range dists {
-				s, err := experiments.Figure5(ctx, p, d)
+				s, err := experiments.Figure5(ctx, p, d, 0)
 				if err != nil {
 					return err
 				}

@@ -226,6 +226,7 @@ func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, chan
 		fmt.Fprintf(out, "faults injected: %d stalled slots, %d dropped frames, %d corrupted frames\n",
 			f.StalledSlots, f.DroppedFrames, f.CorruptFrames)
 	}
+	fmt.Fprintf(out, "schedule sends failed: %d\n", ss.SendErrors())
 	return nil
 }
 

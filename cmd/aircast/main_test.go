@@ -36,8 +36,10 @@ func TestServeAndFetchEndToEnd(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not stop at -duration")
 	}
-	if !strings.Contains(serveOut.String(), "stopped after") {
-		t.Errorf("server output = %q", serveOut.String())
+	for _, want := range []string{"stopped after", "schedule sends failed: 0"} {
+		if !strings.Contains(serveOut.String(), want) {
+			t.Errorf("server output = %q, want %q in it", serveOut.String(), want)
+		}
 	}
 }
 

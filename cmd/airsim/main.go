@@ -152,7 +152,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	if *loss > 0 {
-		if cfg.Plan, err = faultPlan(*loss, *burst, *seed, sched.Program, cfg.Mode); err != nil {
+		fault, err := faultConfig(*loss, *burst, *seed, sched.Program, cfg.Mode)
+		if err != nil {
+			return err
+		}
+		if cfg.Plan, err = chaos.NewPlan(fault, sched.Program.Channels(), sched.Program.Length()); err != nil {
 			return err
 		}
 	}
@@ -221,22 +225,22 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// faultPlan builds the requested channel model as a chaos plan: uniform
-// independent loss, or a Gilbert-Elliott burst channel with the same
-// stationary rate, whose tape covers a scanning client's whole sweep.
-func faultPlan(rate float64, burst bool, seed int64, prog *core.Program, mode chaos.ClientMode) (*chaos.Plan, error) {
+// faultConfig describes the requested channel model as a chaos plan:
+// uniform independent loss, or a Gilbert-Elliott burst channel with the
+// same stationary rate, whose tape covers a scanning client's whole sweep.
+func faultConfig(rate float64, burst bool, seed int64, prog *core.Program, mode chaos.ClientMode) (chaos.Config, error) {
 	cfg := chaos.Config{Seed: seed, Loss: rate}
 	if burst {
 		b, err := burstChannel(rate)
 		if err != nil {
-			return nil, err
+			return chaos.Config{}, err
 		}
 		cfg.Loss, cfg.Burst = 0, b
 		if mode == chaos.Scanning {
 			cfg.Horizon = chaos.SweepCycles(cfg, prog.Channels()) * prog.Length()
 		}
 	}
-	return chaos.NewPlan(cfg, prog.Channels(), prog.Length())
+	return cfg, nil
 }
 
 // burstChannel solves for the Gilbert-Elliott chain whose stationary loss

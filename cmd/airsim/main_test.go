@@ -209,18 +209,18 @@ func TestScanBurstPlanCoversSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := faultPlan(0.3, true, 1, prog, chaos.Scanning)
+	scan, err := faultConfig(0.3, true, 1, prog, chaos.Scanning)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := scan.Config().Horizon, (prog.Channels()+1)*prog.Length(); got != want {
+	if got, want := scan.Horizon, (prog.Channels()+1)*prog.Length(); got != want {
 		t.Errorf("scan horizon %d slots, want the %d-slot sweep", got, want)
 	}
-	aware, err := faultPlan(0.3, true, 1, prog, chaos.ScheduleAware)
+	aware, err := faultConfig(0.3, true, 1, prog, chaos.ScheduleAware)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := aware.Config().Horizon; h != 0 {
+	if h := aware.Horizon; h != 0 {
 		t.Errorf("aware horizon %d, want the derived default", h)
 	}
 }

@@ -1,17 +1,22 @@
-// Command airvet runs this repository's static-analysis suite: eleven
+// Command airvet runs this repository's static-analysis suite: twelve
 // type-aware analyzers enforcing the structural invariants behind the
 // paper's validity theorems — six intraprocedural checks (slotmath,
-// checkerr, floateq, copylock, exhaustenum, nopanic) plus five built on
-// the cross-package facts engine (detmap, wallclock, ctxflow, atomicmix,
-// lockbal). It is part of the scripts/check.sh gate and must exit 0 on
-// the repo against the committed (empty) lint_baseline.json at all
-// times; see docs/airvet.md.
+// checkerr, floateq, copylock, exhaustenum, nopanic), five built on the
+// cross-package facts engine (detmap, wallclock, ctxflow, atomicmix,
+// lockbal) and testonly, which flags internal/ code only tests reach. It
+// is part of the scripts/check.sh gate and must exit 0 on the repo
+// against the committed (empty) lint_baseline.json at all times; the gate
+// runs it from bench/ over `tcsa/...`, which loads both modules. See
+// docs/airvet.md.
 //
 // Usage:
 //
 //	airvet [-list] [-only analyzer,...] [-json] [-baseline file [-update]] [packages]
 //
-// Packages default to ./... resolved from the current directory.
+// Packages default to ./... resolved from the current directory. File
+// names in -json output and the baseline are relative to the
+// outermost enclosing module's root, so a run from bench/ and one from
+// the repository root name files alike.
 // -baseline filters findings already blessed in the given file (CI fails
 // only on new debt); -update rewrites that file from the current
 // findings instead of failing. -json emits machine-readable findings for
@@ -90,7 +95,7 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "airvet:", err)
 		return 2
 	}
-	root, err := os.Getwd()
+	root, err := lint.RootDir(".")
 	if err != nil {
 		fmt.Fprintln(errw, "airvet:", err)
 		return 2

@@ -15,7 +15,7 @@ func TestListFlag(t *testing.T) {
 	}
 	for _, name := range []string{
 		"slotmath", "checkerr", "floateq", "copylock", "exhaustenum", "nopanic",
-		"detmap", "wallclock", "ctxflow", "atomicmix", "lockbal",
+		"detmap", "wallclock", "ctxflow", "atomicmix", "lockbal", "testonly",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())

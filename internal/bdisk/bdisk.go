@@ -22,8 +22,6 @@ package bdisk
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"tcsa/internal/core"
 )
@@ -37,7 +35,10 @@ type Disk struct {
 
 // DeadlineDisks builds one disk per expected-time group with the
 // deadline-proportional frequency t_h/t_i — the broadcast-disk analogue of
-// the m-PB frequency assignment.
+// the m-PB frequency assignment. Only tests call it; it stays exported
+// because the root package's BenchmarkBDiskBuild builds its disks with it.
+//
+//lint:ignore testonly disk layout shared by the bdisk tests and the root benchmarks
 func DeadlineDisks(gs *core.GroupSet) []Disk {
 	th := gs.MaxTime()
 	disks := make([]Disk, gs.Len())
@@ -61,47 +62,6 @@ func FlatDisks(gs *core.GroupSet) []Disk {
 		pages[i] = core.PageID(i)
 	}
 	return []Disk{{Pages: pages, Freq: 1}}
-}
-
-// SqrtRuleDisks partitions pages into `levels` disks by the square-root
-// rule (broadcast frequency proportional to sqrt of access probability —
-// optimal for mean access time): pages are ranked by probability and split
-// into equal-population levels with frequencies 2^(levels-1-k).
-func SqrtRuleDisks(gs *core.GroupSet, prob []float64, levels int) ([]Disk, error) {
-	n := gs.Pages()
-	if len(prob) != n {
-		return nil, fmt.Errorf("%w: %d probabilities for %d pages", core.ErrPageRange, len(prob), n)
-	}
-	if levels < 1 || levels > n {
-		return nil, fmt.Errorf("bdisk: %d levels for %d pages", levels, n)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		// Rank by sqrt(p); ties by index for determinism.
-		return math.Sqrt(prob[order[a]]) > math.Sqrt(prob[order[b]])
-	})
-	disks := make([]Disk, levels)
-	per := (n + levels - 1) / levels
-	for k := 0; k < levels; k++ {
-		lo := k * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			disks = disks[:k]
-			break
-		}
-		pages := make([]core.PageID, 0, hi-lo)
-		for _, idx := range order[lo:hi] {
-			pages = append(pages, core.PageID(idx))
-		}
-		disks[k] = Disk{Pages: pages, Freq: 1 << (levels - 1 - k)}
-	}
-	return disks, nil
 }
 
 // Build generates the broadcast-disk program over the given channels.

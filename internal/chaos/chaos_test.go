@@ -178,11 +178,11 @@ func TestSeedReplay(t *testing.T) {
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 4000, 3)
 	cfg := Config{Seed: 99, Loss: 0.25}
-	r1, err := Run(a, stream, cfg)
+	r1, err := RunParallel(a, stream, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(a, stream, cfg)
+	r2, err := RunParallel(a, stream, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSeedReplay(t *testing.T) {
 	eqMetrics(t, &r2.Metrics, &r1.Metrics)
 
 	cfg.Seed = 100
-	r3, err := Run(a, stream, cfg)
+	r3, err := RunParallel(a, stream, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestZeroLossValidProgramMissFree(t *testing.T) {
 	gs, prog := suscProgram(t)
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 20000, 5)
-	res, err := Run(a, stream, Config{Seed: 1})
+	res, err := RunParallel(a, stream, Config{Seed: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestZeroFaultMaxCyclesBound(t *testing.T) {
 	gs, prog := suscProgram(t)
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 5000, 8)
-	res, err := Run(a, stream, Config{Seed: 1, MaxCycles: 1})
+	res, err := RunParallel(a, stream, Config{Seed: 1, MaxCycles: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFaultClassesLedger(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(a, stream, tc.cfg)
+			res, err := RunParallel(a, stream, tc.cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,11 +299,11 @@ func TestLossDegradesWaits(t *testing.T) {
 	gs, prog := suscProgram(t)
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 5000, 23)
-	base, err := Run(a, stream, Config{Seed: 3})
+	base, err := RunParallel(a, stream, Config{Seed: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := Run(a, stream, Config{Seed: 3, Loss: 0.4})
+	lossy, err := RunParallel(a, stream, Config{Seed: 3, Loss: 0.4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestLossDegradesWaits(t *testing.T) {
 		t.Error("40% loss on a minimum-channel program caused no deadline misses")
 	}
 
-	dead, err := Run(a, stream, Config{Seed: 3, Loss: 1, MaxCycles: 4})
+	dead, err := RunParallel(a, stream, Config{Seed: 3, Loss: 1, MaxCycles: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ func TestJitterBoundsWait(t *testing.T) {
 	gs, prog := suscProgram(t)
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 5000, 29)
-	base, err := Run(a, stream, Config{Seed: 4})
+	base, err := RunParallel(a, stream, Config{Seed: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jit, err := Run(a, stream, Config{Seed: 4, Jitter: 0.5})
+	jit, err := RunParallel(a, stream, Config{Seed: 4, Jitter: 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestReplanDegradation(t *testing.T) {
 	gs, prog := suscProgram(t)
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 1000, 31)
-	res, err := Run(a, stream, Config{Seed: 5, Loss: 0.5, Replan: true})
+	res, err := RunParallel(a, stream, Config{Seed: 5, Loss: 0.5, Replan: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestReplanDegradation(t *testing.T) {
 		t.Errorf("PlacedCells = %d, want degraded F=%d", res.Replan.PlacedCells, want)
 	}
 
-	clean, err := Run(a, stream, Config{Seed: 5, Replan: true})
+	clean, err := RunParallel(a, stream, Config{Seed: 5, Replan: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestReplayServesClients(t *testing.T) {
 		t.Errorf("lossy replay lost clients: served %d + abandoned %d + unserved %d != %d",
 			lossy.Served, lossy.Abandoned, lossy.Unserved, len(reqs))
 	}
-	walk, err := Run(core.Analyze(prog), workload.SliceStream(reqs), lossyCfg)
+	walk, err := RunParallel(core.Analyze(prog), workload.SliceStream(reqs), lossyCfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +471,28 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateNamesFirstField: with several bad fields, Validate
+// names the first in declaration order on every call, for the top-level
+// probabilities and for the burst chain alike.
+func TestConfigValidateNamesFirstField(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Loss: 2, Corrupt: 2, Churn: 2}, "chaos: Loss probability 2 outside [0, 1]"},
+		{Config{Corrupt: 2, Churn: 2}, "chaos: Corrupt probability 2 outside [0, 1]"},
+		{Config{Burst: &BurstConfig{GoodToBad: 2, BadToGood: 2, LossGood: 2, LossBad: 2}},
+			"chaos: burst GoodToBad probability 2 outside [0, 1]"},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 200; i++ {
+			if err := tc.cfg.Validate(); err == nil || err.Error() != tc.want {
+				t.Fatalf("call %d: Validate() = %v, want %q", i, err, tc.want)
+			}
+		}
+	}
+}
+
 // TestDegradationTransitionBound closes the loop between the chaos
 // degradation path and the live-transition machinery: flipping from the
 // nominal PAMAD schedule to the loss-degraded one must keep every page's
@@ -486,7 +508,7 @@ func TestDegradationTransitionBound(t *testing.T) {
 	nominal := eng.Snapshot()
 	a := core.Analyze(prog)
 	stream := uniformStream(t, gs, prog.Length(), 1000, 31)
-	res, err := Run(a, stream, Config{Seed: 5, Loss: 0.5, Replan: true})
+	res, err := RunParallel(a, stream, Config{Seed: 5, Loss: 0.5, Replan: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

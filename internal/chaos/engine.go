@@ -85,12 +85,6 @@ func (l *Ledger) Add(o *Ledger) {
 	l.Unserved += o.Unserved
 }
 
-// Run measures stream against the analysed program under the faults cfg
-// describes, serially. It is RunParallel at one worker.
-func Run(a *core.Analysis, stream workload.Stream, cfg Config) (*Result, error) {
-	return RunParallel(a, stream, cfg, 1)
-}
-
 // RunParallel walks every request through the fault plan on the
 // sim.FoldShards kernel, with per-shard ledgers summed afterwards, so the
 // Result (metrics, ledger and trace digest alike) is bit-for-bit identical

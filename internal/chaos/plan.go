@@ -97,11 +97,15 @@ const DefaultMaxCycles = 64
 // channel ≈ 8 KiB of bitset per channel).
 const DefaultHorizonCap = 1 << 21
 
-// Validate reports the first malformed field.
+// Validate reports the first malformed field, in declaration order.
 func (c Config) Validate() error {
-	for name, p := range map[string]float64{"Loss": c.Loss, "Corrupt": c.Corrupt, "Churn": c.Churn} {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return fmt.Errorf("chaos: %s probability %g outside [0, 1]", name, p)
+	type probField struct {
+		name string
+		p    float64
+	}
+	for _, f := range []probField{{"Loss", c.Loss}, {"Corrupt", c.Corrupt}, {"Churn", c.Churn}} {
+		if f.p < 0 || f.p > 1 || math.IsNaN(f.p) {
+			return fmt.Errorf("chaos: %s probability %g outside [0, 1]", f.name, f.p)
 		}
 	}
 	if c.Jitter < 0 || c.Jitter > 0.5 || math.IsNaN(c.Jitter) {
@@ -120,12 +124,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chaos: negative Horizon %d", c.Horizon)
 	}
 	if b := c.Burst; b != nil {
-		for name, p := range map[string]float64{
-			"GoodToBad": b.GoodToBad, "BadToGood": b.BadToGood,
-			"LossGood": b.LossGood, "LossBad": b.LossBad,
+		for _, f := range []probField{
+			{"GoodToBad", b.GoodToBad}, {"BadToGood", b.BadToGood},
+			{"LossGood", b.LossGood}, {"LossBad", b.LossBad},
 		} {
-			if p < 0 || p > 1 || math.IsNaN(p) {
-				return fmt.Errorf("chaos: burst %s probability %g outside [0, 1]", name, p)
+			if f.p < 0 || f.p > 1 || math.IsNaN(f.p) {
+				return fmt.Errorf("chaos: burst %s probability %g outside [0, 1]", f.name, f.p)
 			}
 		}
 		if b.BadToGood == 0 && b.GoodToBad > 0 {
@@ -190,9 +194,6 @@ func NewPlan(cfg Config, channels, length int) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
 
 // MaxCycles returns the give-up bound, Config.MaxCycles resolved.
 func (p *Plan) MaxCycles() int { return p.maxCycles }

@@ -130,6 +130,8 @@ func DivisorChainFamily(gs *core.GroupSet, s delaymodel.Frequencies) error {
 // is valid from every start instant must use at least MinChannelLaw
 // channels. It is vacuously satisfied by invalid programs (they prove
 // nothing about the bound).
+//
+//lint:ignore testonly oracle shared by the conformance and susc suites
 func ChannelLaw(prog *core.Program) error {
 	if err := ValidFromAnyStart(prog); err != nil {
 		return nil // invalid programs carry no Theorem 3.1 obligation
@@ -146,6 +148,8 @@ func ChannelLaw(prog *core.Program) error {
 // (SUSC-style) programs: every page of group i appears exactly t_h/t_i
 // times per cycle, consecutive appearances are exactly t_i slots apart,
 // and all appearances of a page sit on a single channel.
+//
+//lint:ignore testonly oracle shared by the conformance and susc suites
 func PeriodicSpacing(prog *core.Program) error {
 	gs := prog.GroupSet()
 	th := gs.MaxTime()
@@ -195,6 +199,8 @@ func PeriodicSpacing(prog *core.Program) error {
 // a completed sufficient-channel build placed every one of the
 // sum_i P_i * t_h/t_i transmissions the frequencies demand — no page lost
 // a slot the theorem proves must exist.
+//
+//lint:ignore testonly oracle shared by the conformance and susc suites
 func SlotOccupancy(prog *core.Program) error {
 	gs := prog.GroupSet()
 	th := gs.MaxTime()
@@ -224,6 +230,8 @@ type PlacementCounts struct {
 // Frequencies.MajorCycle law, and EmptySlots accounts for every cell the
 // grid has beyond the transmissions (spills relocate transmissions, they
 // never create or destroy them).
+//
+//lint:ignore testonly oracle shared by the chaos, conformance, mpb, opt and pamad suites
 func SpillAccounting(prog *core.Program, s delaymodel.Frequencies, counts PlacementCounts) error {
 	gs := prog.GroupSet()
 	if err := s.Validate(gs); err != nil {

@@ -233,7 +233,7 @@ func TestExactAvgDelayZeroOnValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("susc.Build: %v", err)
 	}
-	if d := conformance.ExactAvgDelay(prog); d.Sign() != 0 {
+	if d := exactAvgDelay(prog); d.Sign() != 0 {
 		t.Errorf("valid SUSC program has exact delay %s, want 0", d.RatString())
 	}
 }
@@ -251,7 +251,7 @@ func TestExactAvgDelayHandComputed(t *testing.T) {
 		t.Fatalf("Place: %v", err)
 	}
 	want := big.NewRat(1, 2)
-	if d := conformance.ExactAvgDelay(prog); d.Cmp(want) != 0 {
-		t.Errorf("ExactAvgDelay = %s, want %s", d.RatString(), want.RatString())
+	if d := exactAvgDelay(prog); d.Cmp(want) != 0 {
+		t.Errorf("exactAvgDelay = %s, want %s", d.RatString(), want.RatString())
 	}
 }

@@ -1,4 +1,4 @@
-package conformance
+package conformance_test
 
 import (
 	"math/big"
@@ -6,7 +6,7 @@ import (
 	"tcsa/internal/core"
 )
 
-// ExactAvgDelay computes the expected delay of a uniform request (page and
+// exactAvgDelay computes the expected delay of a uniform request (page and
 // arrival instant both uniform) against a finished program, as an exact
 // rational — no floating point anywhere, so cross-scheduler comparisons
 // (OPT vs PAMAD vs m-PB) are tolerance-free even when the programs have
@@ -23,7 +23,7 @@ import (
 //
 // which mirrors the continuous-arrival model used by core.Analyze and
 // delaymodel while staying independent of both implementations.
-func ExactAvgDelay(prog *core.Program) *big.Rat {
+func exactAvgDelay(prog *core.Program) *big.Rat {
 	gs := prog.GroupSet()
 	L := prog.Length()
 	n := gs.Pages()

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tcsa/internal/conformance"
 	"tcsa/internal/core"
 	"tcsa/internal/mpb"
 	"tcsa/internal/opt"
@@ -67,9 +66,9 @@ func TestDifferentialDelayOrdering(t *testing.T) {
 			t.Fatalf("seed %d (%v N=%d): mpb: %v", seed, gs, nReal, err)
 		}
 
-		od := conformance.ExactAvgDelay(oProg)
-		pd := conformance.ExactAvgDelay(pProg)
-		md := conformance.ExactAvgDelay(mProg)
+		od := exactAvgDelay(oProg)
+		pd := exactAvgDelay(pProg)
+		md := exactAvgDelay(mProg)
 		if od.Cmp(pd) > 0 {
 			of, _ := od.Float64()
 			pf, _ := pd.Float64()

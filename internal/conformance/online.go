@@ -128,6 +128,8 @@ func PushIntegrity(prog *core.Program, pushRows int, airings []SlotAiring) error
 // comparison: on instances built to punish arrival-order and deadline-order
 // policies (see SingleChannelBacklog), LWF's total flow time must not
 // exceed the rival policy's. rival names the policy for the error message.
+//
+//lint:ignore testonly oracle shared by the conformance and online suites
 func LWFDominance(lwfTotal float64, rival string, rivalTotal float64) error {
 	if lwfTotal > rivalTotal {
 		return fmt.Errorf("conformance: LWF total flow %g exceeds %s total flow %g on an adversarial instance",
@@ -146,6 +148,8 @@ func LWFDominance(lwfTotal float64, rival string, rivalTotal float64) error {
 // first. Returned as parallel page/arrival slices ready for
 // workload.SliceStream-style wrapping; requires hot >= 2 and decoys >= 1
 // to be adversarial.
+//
+//lint:ignore testonly adversarial fixture shared by the conformance and online suites
 func SingleChannelBacklog(hot, decoys int) (pages []core.PageID, arrivals []float64) {
 	pages = make([]core.PageID, 0, decoys+hot)
 	arrivals = make([]float64, 0, decoys+hot)

@@ -20,6 +20,8 @@ import (
 // oldIDs and newIDs give each item's page identity in the respective
 // programs (the replan engine's Delta.RemapPage output); bounds[i] is the
 // maximum tolerated wait in slots for item i.
+//
+//lint:ignore testonly oracle shared by the chaos, conformance, netcast and replan suites
 func TransitionBound(old, next *core.Program, oldIDs, newIDs []core.PageID, bounds []float64) error {
 	if old == nil || next == nil {
 		return fmt.Errorf("%w: nil program", core.ErrInvalidProgram)

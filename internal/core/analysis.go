@@ -112,12 +112,6 @@ func (a *Analysis) buildChannels() {
 // PageDelay returns E[delay] (slots beyond the expected time) of page id.
 func (a *Analysis) PageDelay(id PageID) float64 { return a.perPageDelay[id] }
 
-// PageWait returns E[wait] (slots from tune-in to reception) of page id.
-func (a *Analysis) PageWait(id PageID) float64 { return a.perPageWait[id] }
-
-// PageMissProbability returns P[delay > 0] for page id.
-func (a *Analysis) PageMissProbability(id PageID) float64 { return a.perPageMiss[id] }
-
 // AvgDelay returns the paper's AvgD metric under uniform page access:
 // (1/n) * sum_i E[delay of page i].
 func (a *Analysis) AvgDelay() float64 { return mean(a.perPageDelay) }
@@ -128,13 +122,6 @@ func (a *Analysis) AvgWait() float64 { return mean(a.perPageWait) }
 // MissProbability returns the mean probability that a uniformly chosen
 // request misses its expected time.
 func (a *Analysis) MissProbability() float64 { return mean(a.perPageMiss) }
-
-// Appearances returns the sorted distinct appearance columns of page id as
-// a freshly allocated slice; Index().Columns(id) is the allocation-free
-// equivalent.
-func (a *Analysis) Appearances(id PageID) []int {
-	return a.ix.AppendColumns(nil, id)
-}
 
 // NextAfter returns the waiting time from continuous cycle instant u (in
 // [0, cycle length)) until the next appearance of page id, treating the

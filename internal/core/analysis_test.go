@@ -26,7 +26,7 @@ func TestAnalysisSinglePageEveryK(t *testing.T) {
 		}
 		a := Analyze(p)
 		g, tf := float64(tt.g), float64(tt.t)
-		if got, want := a.PageWait(0), g/2; absDiff(got, want) > 1e-12 {
+		if got, want := a.perPageWait[0], g/2; absDiff(got, want) > 1e-12 {
 			t.Errorf("t=%d g=%d: wait = %f, want %f", tt.t, tt.g, got, want)
 		}
 		wantDelay := 0.0
@@ -38,7 +38,7 @@ func TestAnalysisSinglePageEveryK(t *testing.T) {
 		if got := a.PageDelay(0); absDiff(got, wantDelay) > 1e-12 {
 			t.Errorf("t=%d g=%d: delay = %f, want %f", tt.t, tt.g, got, wantDelay)
 		}
-		if got := a.PageMissProbability(0); absDiff(got, wantMiss) > 1e-12 {
+		if got := a.perPageMiss[0]; absDiff(got, wantMiss) > 1e-12 {
 			t.Errorf("t=%d g=%d: miss = %f, want %f", tt.t, tt.g, got, wantMiss)
 		}
 	}
@@ -54,7 +54,7 @@ func TestAnalysisUnevenGaps(t *testing.T) {
 	if got, want := a.PageDelay(0), 10.0/16.0; absDiff(got, want) > 1e-12 {
 		t.Errorf("delay = %f, want %f", got, want)
 	}
-	if got, want := a.PageWait(0), 34.0/16.0; absDiff(got, want) > 1e-12 {
+	if got, want := a.perPageWait[0], 34.0/16.0; absDiff(got, want) > 1e-12 {
 		t.Errorf("wait = %f, want %f", got, want)
 	}
 }
@@ -67,7 +67,7 @@ func TestAnalysisMissingPage(t *testing.T) {
 	if got := a.PageDelay(1); got != 6 {
 		t.Errorf("missing page delay = %f, want cycle length 6", got)
 	}
-	if got := a.PageMissProbability(1); got != 1 {
+	if got := a.perPageMiss[1]; got != 1 {
 		t.Errorf("missing page miss = %f, want 1", got)
 	}
 }
@@ -122,7 +122,7 @@ func TestNextAfterConsistentWithWait(t *testing.T) {
 			sum += a.NextAfter(id, rng.Float64()*12)
 		}
 		got := sum / samples
-		want := a.PageWait(id)
+		want := a.perPageWait[id]
 		if math.Abs(got-want) > 0.03 {
 			t.Errorf("page %d: MC wait %f vs closed form %f", id, got, want)
 		}
@@ -155,18 +155,6 @@ func TestCeilDiv(t *testing.T) {
 		if got := CeilDiv(tt.a, tt.b); got != tt.want {
 			t.Errorf("CeilDiv(%d,%d) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
-	}
-}
-
-func TestGCDLCM(t *testing.T) {
-	if got := gcd(12, 18); got != 6 {
-		t.Errorf("gcd(12,18) = %d, want 6", got)
-	}
-	if got := lcm(4, 6); got != 12 {
-		t.Errorf("lcm(4,6) = %d, want 12", got)
-	}
-	if got := lcm(0, 5); got != 0 {
-		t.Errorf("lcm(0,5) = %d, want 0", got)
 	}
 }
 

@@ -64,9 +64,6 @@ func BuildAppearanceIndex(p *Program) *AppearanceIndex {
 // Pages returns the number of pages the index covers.
 func (ix *AppearanceIndex) Pages() int { return len(ix.offs) - 1 }
 
-// Length returns the cycle length of the indexed program.
-func (ix *AppearanceIndex) Length() int { return ix.length }
-
 // Count returns how many distinct columns page id appears in.
 func (ix *AppearanceIndex) Count(id PageID) int {
 	return int(ix.offs[id+1] - ix.offs[id])

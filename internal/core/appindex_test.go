@@ -74,8 +74,8 @@ func TestAppearanceIndexMatchesTable(t *testing.T) {
 		if ix.Pages() != len(table) {
 			t.Fatalf("seed %d: index covers %d pages, table %d", seed, ix.Pages(), len(table))
 		}
-		if ix.Length() != p.Length() {
-			t.Fatalf("seed %d: index length %d, program %d", seed, ix.Length(), p.Length())
+		if ix.length != p.Length() {
+			t.Fatalf("seed %d: index length %d, program %d", seed, ix.length, p.Length())
 		}
 		for id := 0; id < ix.Pages(); id++ {
 			cols := ix.Columns(PageID(id))

@@ -66,7 +66,10 @@ func NewGroupSet(groups []Group) (*GroupSet, error) {
 }
 
 // MustGroupSet is NewGroupSet for static instances; it panics on invalid
-// input and is intended for tests and examples only.
+// input. Only tests call it; it stays exported because the suites of over
+// a dozen packages build their fixtures with it.
+//
+//lint:ignore testonly fixture builder shared by the tests of over a dozen packages
 func MustGroupSet(groups []Group) *GroupSet {
 	gs, err := NewGroupSet(groups)
 	if err != nil {
@@ -110,43 +113,9 @@ func (gs *GroupSet) Group(i int) Group { return gs.groups[i] }
 // Groups returns a copy of the group slice.
 func (gs *GroupSet) Groups() []Group { return append([]Group(nil), gs.groups...) }
 
-// Times returns the group expected times t_1..t_h.
-func (gs *GroupSet) Times() []int {
-	ts := make([]int, len(gs.groups))
-	for i, g := range gs.groups {
-		ts[i] = g.Time
-	}
-	return ts
-}
-
-// Counts returns the group page counts P_1..P_h.
-func (gs *GroupSet) Counts() []int {
-	ps := make([]int, len(gs.groups))
-	for i, g := range gs.groups {
-		ps[i] = g.Count
-	}
-	return ps
-}
-
 // MaxTime returns t_h, the largest expected time; for a valid sufficient-
 // channel program this is also the broadcast cycle length.
 func (gs *GroupSet) MaxTime() int { return gs.groups[len(gs.groups)-1].Time }
-
-// Ratio returns the common ratio c when the group times form an exact
-// geometric sequence t_{i+1} = c*t_i, and ok=false otherwise (divisibility
-// alone is guaranteed by construction, a single ratio is not).
-func (gs *GroupSet) Ratio() (c int, ok bool) {
-	if len(gs.groups) < 2 {
-		return 1, true
-	}
-	c = gs.groups[1].Time / gs.groups[0].Time
-	for i := 1; i < len(gs.groups); i++ {
-		if gs.groups[i].Time != gs.groups[i-1].Time*c {
-			return 0, false
-		}
-	}
-	return c, true
-}
 
 // GroupOf returns the 0-based group index of page id.
 func (gs *GroupSet) GroupOf(id PageID) int {
@@ -186,16 +155,6 @@ func (gs *GroupSet) GroupPages(i int) (first PageID, count int) {
 	return PageID(gs.prefix[i]), gs.groups[i].Count
 }
 
-// Density returns sum_i P_i/t_i, the aggregate broadcast bandwidth demand in
-// channels. MinChannels is its ceiling.
-func (gs *GroupSet) Density() float64 {
-	var d float64
-	for _, g := range gs.groups {
-		d += float64(g.Count) / float64(g.Time)
-	}
-	return d
-}
-
 // MinChannels returns the Theorem 3.1 lower bound on the number of channels
 // needed for a valid broadcast program: ceil(sum_i P_i/t_i). The computation
 // is exact integer arithmetic (every t_i divides t_h).
@@ -208,10 +167,11 @@ func (gs *GroupSet) MinChannels() int {
 	return CeilDiv(num, th)
 }
 
-// SufficientFor reports whether nReal channels satisfy the Theorem 3.1 bound.
-func (gs *GroupSet) SufficientFor(nReal int) bool { return nReal >= gs.MinChannels() }
-
 // Equal reports whether two group sets describe the same instance.
+//
+// Only tests call it; it stays exported for the core and workload suites.
+//
+//lint:ignore testonly instance comparison shared by the core and workload tests
 func (gs *GroupSet) Equal(other *GroupSet) bool {
 	if gs == nil || other == nil {
 		return gs == other

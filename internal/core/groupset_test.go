@@ -62,9 +62,6 @@ func TestGeometric(t *testing.T) {
 	if gs.Pages() != 60 {
 		t.Errorf("Pages() = %d, want 60", gs.Pages())
 	}
-	if c, ok := gs.Ratio(); !ok || c != 2 {
-		t.Errorf("Ratio() = %d,%v want 2,true", c, ok)
-	}
 }
 
 func TestGeometricRejectsBadInput(t *testing.T) {
@@ -76,13 +73,6 @@ func TestGeometricRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Geometric(2, 2, []int{1, 0}); err == nil {
 		t.Error("zero count accepted")
-	}
-}
-
-func TestRatioNonUniform(t *testing.T) {
-	gs := MustGroupSet([]Group{{2, 1}, {4, 1}, {16, 1}})
-	if _, ok := gs.Ratio(); ok {
-		t.Error("Ratio() reported uniform ratio for 2,4,16")
 	}
 }
 
@@ -126,19 +116,19 @@ func TestMinChannelsTable(t *testing.T) {
 	}
 }
 
-// Property: MinChannels equals ceil(Density) within floating error, and
-// SufficientFor is its exact predicate form.
+// Property: MinChannels equals the ceiling of the density sum_i P_i/t_i
+// within floating error.
 func TestMinChannelsMatchesDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		gs := randomGroupSet(rng)
 		n := gs.MinChannels()
-		d := gs.Density()
+		var d float64
+		for _, g := range gs.Groups() {
+			d += float64(g.Count) / float64(g.Time)
+		}
 		if float64(n) < d-1e-9 || float64(n-1) >= d+1e-9 {
 			t.Fatalf("instance %v: MinChannels=%d inconsistent with density %f", gs, n, d)
-		}
-		if !gs.SufficientFor(n) || gs.SufficientFor(n-1) {
-			t.Fatalf("instance %v: SufficientFor inconsistent at n=%d", gs, n)
 		}
 	}
 }
@@ -182,10 +172,9 @@ func TestGroupSetAccessors(t *testing.T) {
 	if gs.MaxTime() != 8 {
 		t.Errorf("MaxTime() = %d, want 8", gs.MaxTime())
 	}
-	ts, ps := gs.Times(), gs.Counts()
 	for i, g := range groups {
-		if ts[i] != g.Time || ps[i] != g.Count {
-			t.Errorf("Times/Counts[%d] = %d/%d, want %d/%d", i, ts[i], ps[i], g.Time, g.Count)
+		if got := gs.Group(i); got != g {
+			t.Errorf("Group(%d) = %v, want %v", i, got, g)
 		}
 	}
 	gg := gs.Groups()

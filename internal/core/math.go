@@ -27,19 +27,3 @@ func Ceil(x float64) float64 {
 	}
 	return i
 }
-
-// gcd returns the greatest common divisor of two positive ints.
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// lcm returns the least common multiple of two positive ints.
-func lcm(a, b int) int {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return a / gcd(a, b) * b
-}

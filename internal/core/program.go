@@ -218,6 +218,11 @@ func (p *Program) Validate() error {
 
 // CountOf returns how many cells hold page id (appearances counted per
 // channel, unlike Appearances which deduplicates columns).
+//
+// Only tests call it; it stays exported for the bdisk, core and pamad
+// suites.
+//
+//lint:ignore testonly cell-count probe shared by the bdisk, core and pamad tests
 func (p *Program) CountOf(id PageID) int {
 	n := 0
 	for _, v := range p.grid {

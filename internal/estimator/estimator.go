@@ -17,6 +17,7 @@ package estimator
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tcsa/internal/core"
@@ -69,16 +70,15 @@ func NewAggregator(pages int, cfg Config) (*Aggregator, error) {
 	}, nil
 }
 
-// Pages returns the instance size.
-func (a *Aggregator) Pages() int { return len(a.reservoir) }
-
-// Report folds in one client's tolerated wait (in slots, > 0) for page id.
+// Report folds in one client's tolerated wait (in slots, finite and > 0)
+// for page id. A client's report is untrusted input: NaN and infinities
+// are refused rather than folded into the quantile.
 func (a *Aggregator) Report(id core.PageID, tolerance float64) error {
 	if id < 0 || int(id) >= len(a.reservoir) {
 		return fmt.Errorf("%w: %d", core.ErrPageRange, id)
 	}
-	if tolerance <= 0 {
-		return fmt.Errorf("estimator: non-positive tolerance %f", tolerance)
+	if !(tolerance > 0) || math.IsInf(tolerance, 1) {
+		return fmt.Errorf("estimator: tolerance %v is not a positive finite number", tolerance)
 	}
 	a.seen[id]++
 	r := a.reservoir[id]
@@ -94,14 +94,6 @@ func (a *Aggregator) Report(id core.PageID, tolerance float64) error {
 	return nil
 }
 
-// Reports returns how many reports page id has received.
-func (a *Aggregator) Reports(id core.PageID) int {
-	if id < 0 || int(id) >= len(a.seen) {
-		return 0
-	}
-	return a.seen[id]
-}
-
 // Estimate returns the configured low quantile of page id's reported
 // tolerances; ok is false when the page has no reports.
 func (a *Aggregator) Estimate(id core.PageID) (est float64, ok bool) {
@@ -112,8 +104,9 @@ func (a *Aggregator) Estimate(id core.PageID) (est float64, ok bool) {
 }
 
 // ExpectedTimes materialises integer per-page expected times (slots, >= 1),
-// flooring each estimate so the constraint is conservative. Pages without
-// reports get fallback.
+// flooring each estimate so the constraint is conservative; an estimate
+// beyond the int range saturates at math.MaxInt rather than wrapping into
+// the strictest deadline. Pages without reports get fallback.
 func (a *Aggregator) ExpectedTimes(fallback int) ([]int, error) {
 	if fallback < 1 {
 		return nil, fmt.Errorf("estimator: fallback %d < 1", fallback)
@@ -125,11 +118,14 @@ func (a *Aggregator) ExpectedTimes(fallback int) ([]int, error) {
 			times[i] = fallback
 			continue
 		}
-		t := int(est)
-		if t < 1 {
-			t = 1
+		switch {
+		case est >= math.MaxInt: // float64(math.MaxInt) is 2^63, the first value int() cannot hold
+			times[i] = math.MaxInt
+		case est >= 1:
+			times[i] = int(est)
+		default:
+			times[i] = 1
 		}
-		times[i] = t
 	}
 	return times, nil
 }

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,8 +25,8 @@ func TestNewAggregatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Pages() != 3 {
-		t.Errorf("Pages = %d", a.Pages())
+	if len(a.reservoir) != 3 {
+		t.Errorf("pages = %d", len(a.reservoir))
 	}
 }
 
@@ -42,6 +43,41 @@ func TestReportValidation(t *testing.T) {
 	}
 }
 
+// TestUntrustedTolerances: a client that claims it would wait forever
+// must never receive the strictest deadline. NaN and +Inf are refused at
+// Report; a finite but enormous tolerance saturates in ExpectedTimes
+// instead of wrapping through int() to a one-slot expected time.
+func TestUntrustedTolerances(t *testing.T) {
+	tests := []struct {
+		name      string
+		tolerance float64
+		wantErr   bool
+		wantTime  int
+	}{
+		{"NaN", math.NaN(), true, 7},
+		{"+Inf", math.Inf(1), true, 7},
+		{"1e300", 1e300, false, math.MaxInt},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewAggregator(1, Config{Quantile: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Report(0, tc.tolerance); (err != nil) != tc.wantErr {
+				t.Fatalf("Report(%v) error = %v, want error %v", tc.tolerance, err, tc.wantErr)
+			}
+			times, err := a.ExpectedTimes(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if times[0] != tc.wantTime {
+				t.Errorf("expected time %d, want %d", times[0], tc.wantTime)
+			}
+		})
+	}
+}
+
 func TestEstimateQuantile(t *testing.T) {
 	a, _ := NewAggregator(1, Config{Quantile: 0.5})
 	for _, tol := range []float64{10, 20, 30, 40, 50} {
@@ -53,11 +89,8 @@ func TestEstimateQuantile(t *testing.T) {
 	if !ok || est != 30 {
 		t.Errorf("median estimate = %f,%v want 30,true", est, ok)
 	}
-	if a.Reports(0) != 5 {
-		t.Errorf("Reports = %d, want 5", a.Reports(0))
-	}
-	if a.Reports(9) != 0 {
-		t.Error("Reports out of range != 0")
+	if a.seen[0] != 5 {
+		t.Errorf("reports = %d, want 5", a.seen[0])
 	}
 	if _, ok := a.Estimate(9); ok {
 		t.Error("Estimate out of range ok")
@@ -88,8 +121,8 @@ func TestReservoirBoundsMemory(t *testing.T) {
 	if got := len(a.reservoir[0]); got != 16 {
 		t.Errorf("reservoir holds %d, want 16", got)
 	}
-	if a.Reports(0) != 10000 {
-		t.Errorf("Reports = %d", a.Reports(0))
+	if a.seen[0] != 10000 {
+		t.Errorf("reports = %d", a.seen[0])
 	}
 	// Reservoir sampling keeps a uniform sample: its mean should be near
 	// the stream mean (5000), not stuck at the earliest values.

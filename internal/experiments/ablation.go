@@ -170,7 +170,7 @@ type OptGap struct {
 // exhaustive one across the sweep, comparing the exact closed-form delays
 // of the generated programs.
 func AblateOptGap(ctx context.Context, p Params, dist workload.Distribution) (*OptGap, error) {
-	s, err := Figure5(ctx, p, dist)
+	s, err := Figure5(ctx, p, dist, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"tcsa/internal/core"
 	"tcsa/internal/mpb"
@@ -105,16 +104,6 @@ type Fig5Series struct {
 	Points      []Fig5Point
 }
 
-// Figure5 reproduces one subplot of the paper's Figure 5: AvgD of PAMAD,
-// m-PB and OPT as the channel count sweeps from 1 to the Theorem 3.1
-// minimum for the given group-size distribution. Points are computed on a
-// GOMAXPROCS worker pool; because each point derives its own request seed,
-// the series is bit-for-bit identical to the historical serial sweep
-// (Figure5Parallel with 1 worker).
-func Figure5(ctx context.Context, p Params, dist workload.Distribution) (*Fig5Series, error) {
-	return runSweep(ctx, p, dist, defaultWorkers())
-}
-
 func figure5Point(ctx context.Context, p Params, gs *core.GroupSet, n int) (*Fig5Point, error) {
 	pt := &Fig5Point{Channels: n}
 
@@ -181,39 +170,6 @@ func measure(p Params, prog *core.Program, n, alg int) (measured, exact float64,
 		return 0, 0, err
 	}
 	return m.AvgDelay, a.AvgDelay(), nil
-}
-
-// Figure5All runs all four subplots in the paper's order. The
-// distributions sweep concurrently over one shared GOMAXPROCS worker
-// budget, so the whole figure costs barely more wall-clock than its widest
-// subplot; each series is still bit-for-bit what Figure5 returns alone.
-func Figure5All(ctx context.Context, p Params) ([]*Fig5Series, error) {
-	dists := workload.Distributions()
-	out := make([]*Fig5Series, len(dists))
-	errs := make([]error, len(dists))
-	sem := defaultWorkers()
-	var wg sync.WaitGroup
-	for i, dist := range dists {
-		i, dist := i, dist
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], errs[i] = runSweep(ctx, p, dist, sem)
-		}()
-	}
-	wg.Wait()
-	// The sweeps exit promptly on cancellation (runSweep selects on
-	// ctx.Done), so Wait cannot hang; prefer reporting the cancellation
-	// itself over whichever per-series error surfaced first.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Fig3Row is one distribution's group sizes.

@@ -35,7 +35,7 @@ func TestDefaultParamsMatchFigure4(t *testing.T) {
 func TestParamsValidate(t *testing.T) {
 	p := DefaultParams()
 	p.Pages = 3
-	if _, err := Figure5(context.Background(), p, workload.Uniform); err == nil {
+	if _, err := Figure5(context.Background(), p, workload.Uniform, 0); err == nil {
 		t.Error("pages < groups accepted")
 	}
 	p = DefaultParams()
@@ -52,7 +52,7 @@ func TestParamsValidate(t *testing.T) {
 //  3. delay at ~N_min/5 channels is a tiny fraction of the 1-channel delay.
 func TestFigure5PaperObservations(t *testing.T) {
 	p := fastParams()
-	s, err := Figure5(context.Background(), p, workload.Uniform)
+	s, err := Figure5(context.Background(), p, workload.Uniform, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFigure5PaperObservations(t *testing.T) {
 // near the closed-form expectation at every point.
 func TestFigure5MeasurementTracksExact(t *testing.T) {
 	p := fastParams()
-	s, err := Figure5(context.Background(), p, workload.Normal)
+	s, err := Figure5(context.Background(), p, workload.Normal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFigure5SkipOPT(t *testing.T) {
 	p := fastParams()
 	p.SkipOPT = true
 	p.ChannelStride = 20
-	s, err := Figure5(context.Background(), p, workload.SSkewed)
+	s, err := Figure5(context.Background(), p, workload.SSkewed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFigure5SkipOPT(t *testing.T) {
 func TestFigure5EndsAtMinChannels(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 10
-	s, err := Figure5(context.Background(), p, workload.SSkewed)
+	s, err := Figure5(context.Background(), p, workload.SSkewed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFigure5EndsAtMinChannels(t *testing.T) {
 func TestFigure5Cancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Figure5(ctx, fastParams(), workload.Uniform); err == nil {
+	if _, err := Figure5(ctx, fastParams(), workload.Uniform, 0); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestRenderFigure4(t *testing.T) {
 func TestSeriesRenderers(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 30
-	s, err := Figure5(context.Background(), p, workload.Uniform)
+	s, err := Figure5(context.Background(), p, workload.Uniform, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +332,11 @@ func TestFigure2Walkthrough(t *testing.T) {
 func TestFigure5ParallelMatchesSerial(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 10
-	serial, err := Figure5(context.Background(), p, workload.SSkewed)
+	serial, err := Figure5(context.Background(), p, workload.SSkewed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Figure5Parallel(context.Background(), p, workload.SSkewed, 8)
+	parallel, err := Figure5(context.Background(), p, workload.SSkewed, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestFigure5ParallelMatchesSerial(t *testing.T) {
 func TestFigure5ParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Figure5Parallel(ctx, fastParams(), workload.SSkewed, 2); err == nil {
+	if _, err := Figure5(ctx, fastParams(), workload.SSkewed, 2); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }
@@ -361,7 +361,7 @@ func TestFigure5ParallelCancellation(t *testing.T) {
 func TestPlotRenders(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 6
-	s, err := Figure5(context.Background(), p, workload.SSkewed)
+	s, err := Figure5(context.Background(), p, workload.SSkewed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,36 +415,6 @@ func TestFairness(t *testing.T) {
 	}
 }
 
-func TestFigure5All(t *testing.T) {
-	p := fastParams()
-	p.ChannelStride = 25
-	p.SkipOPT = true
-	series, err := Figure5All(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 4 {
-		t.Fatalf("got %d series, want 4", len(series))
-	}
-	seen := map[string]bool{}
-	for _, s := range series {
-		seen[s.Dist.String()] = true
-		if len(s.Points) == 0 {
-			t.Errorf("%v series empty", s.Dist)
-		}
-	}
-	for _, want := range []string{"normal", "L-skewed", "S-skewed", "uniform"} {
-		if !seen[want] {
-			t.Errorf("missing %s series", want)
-		}
-	}
-	bad := p
-	bad.Pages = 1
-	if _, err := Figure5All(context.Background(), bad); err == nil {
-		t.Error("invalid params accepted")
-	}
-}
-
 func TestAblateBaselinesAndRender(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 20
@@ -479,7 +449,7 @@ func TestAblateBaselinesAndRender(t *testing.T) {
 func TestRenderKnee(t *testing.T) {
 	p := fastParams()
 	p.ChannelStride = 4
-	s, err := Figure5(context.Background(), p, workload.SSkewed)
+	s, err := Figure5(context.Background(), p, workload.SSkewed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

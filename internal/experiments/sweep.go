@@ -9,14 +9,6 @@ import (
 	"tcsa/internal/workload"
 )
 
-// This file is the single sweep engine behind every Figure 5 entry point.
-// Figure5, Figure5Parallel and Figure5All all funnel into runSweep; the
-// only difference between them is the size (and sharing) of the worker-slot
-// semaphore. One worker slot reproduces the historical serial loop; the
-// default is GOMAXPROCS slots; Figure5All shares one budget across all four
-// distributions so a machine-wide sweep saturates the cores without
-// oversubscribing them.
-
 // sweepChannelCounts returns the x-axis of one Figure 5 subplot: every
 // stride-th channel count from 1, with the Theorem 3.1 minimum always
 // included as the right endpoint.
@@ -31,23 +23,24 @@ func sweepChannelCounts(minChannels, stride int) []int {
 	return counts
 }
 
-// defaultWorkers returns a fresh worker-slot semaphore sized to the
-// machine.
-func defaultWorkers() chan struct{} {
-	return make(chan struct{}, runtime.GOMAXPROCS(0))
-}
-
-// runSweep evaluates figure5Point at every channel count of dist's series,
-// fanning points over the worker-slot semaphore sem. Every point derives
-// its request seed from (master seed, channel count, algorithm) exactly as
-// the historical serial loop did, so the resulting series is bit-for-bit
-// identical for any semaphore size — see TestSweepMatchesSerialReference.
-// Errors carry the same "experiments: <dist> at <n> channels" context at
-// every point, the right endpoint included.
-func runSweep(ctx context.Context, p Params, dist workload.Distribution, sem chan struct{}) (*Fig5Series, error) {
+// Figure5 reproduces one subplot of the paper's Figure 5: AvgD of PAMAD,
+// m-PB and OPT as the channel count sweeps from 1 to the Theorem 3.1
+// minimum for the given group-size distribution. Points run on workers
+// goroutines at a time (workers <= 0 means GOMAXPROCS). Every point
+// derives its request seed from (master seed, channel count, algorithm)
+// exactly as the historical serial loop did, so the series is bit-for-bit
+// identical at any worker count, 1 being the serial sweep — see
+// TestSweepMatchesSerialReference. Errors carry the same
+// "experiments: <dist> at <n> channels" context at every point, the right
+// endpoint included.
+func Figure5(ctx context.Context, p Params, dist workload.Distribution, workers int) (*Fig5Series, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
 	gs, err := p.Instance(dist)
 	if err != nil {
 		return nil, err
@@ -84,15 +77,4 @@ func runSweep(ctx context.Context, p Params, dist workload.Distribution, sem cha
 		series.Points[i] = *pt
 	}
 	return series, nil
-}
-
-// Figure5Parallel computes one Figure 5 subplot with an explicit worker
-// count: 1 reproduces the serial sweep, workers <= 0 defaults to 4 (the
-// historical behaviour). Results are identical to Figure5 at any worker
-// count; only wall-clock changes.
-func Figure5Parallel(ctx context.Context, p Params, dist workload.Distribution, workers int) (*Fig5Series, error) {
-	if workers <= 0 {
-		workers = 4
-	}
-	return runSweep(ctx, p, dist, make(chan struct{}, workers))
 }

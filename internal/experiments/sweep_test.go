@@ -69,41 +69,16 @@ func TestSweepMatchesSerialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Figure5(ctx, p, workload.SSkewed)
+	got, err := Figure5(ctx, p, workload.SSkewed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameSeries(t, "default workers", want, got)
-	serial, err := Figure5Parallel(ctx, p, workload.SSkewed, 1)
+	serial, err := Figure5(ctx, p, workload.SSkewed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameSeries(t, "1 worker", want, serial)
-}
-
-// TestFigure5AllMatchesFigure5: sweeping all four distributions over the
-// shared worker budget returns exactly the per-distribution results, in
-// the paper's order.
-func TestFigure5AllMatchesFigure5(t *testing.T) {
-	p := fastParams()
-	p.ChannelStride = 25
-	p.SkipOPT = true
-	ctx := context.Background()
-	all, err := Figure5All(ctx, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dists := workload.Distributions()
-	if len(all) != len(dists) {
-		t.Fatalf("got %d series, want %d", len(all), len(dists))
-	}
-	for i, dist := range dists {
-		want, err := Figure5(ctx, p, dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSeries(t, dist.String(), want, all[i])
-	}
 }
 
 func TestSweepChannelCounts(t *testing.T) {
@@ -139,7 +114,7 @@ func TestSweepChannelCounts(t *testing.T) {
 func TestSweepErrorContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Figure5(ctx, fastParams(), workload.SSkewed)
+	_, err := Figure5(ctx, fastParams(), workload.SSkewed, 0)
 	if err == nil {
 		t.Fatal("cancelled context accepted")
 	}

@@ -7,19 +7,21 @@ import (
 
 // DetMap flags map iteration feeding an ordered sink inside a
 // //lint:deterministic package: appending the iteration *values* to a
-// slice, or writing inside the loop to anything with a Write-family
+// slice, writing inside the loop to anything with a Write-family
 // method (io.Writer, hash.Hash, strings.Builder) or the fmt print
-// family. Go randomizes map iteration order per run, so any of these
+// family, or returning a result built from the key or value (the first
+// matching entry is then a random one). Go randomizes map iteration
+// order per run, so any of these
 // turns a replayable computation into a per-process roll of the dice —
 // exactly the class of bug the worker-count-independence tests of
-// sim.MeasureStream and chaos.Run exist to catch, except a map fold can
+// sim.MeasureStream and chaos.RunParallel exist to catch, except a map fold can
 // be order-dependent while still passing a single pinned test seed.
 //
 // Appending only the *key* to a slice is not flagged: collect-keys,
 // sort, then index the map is the canonical deterministic idiom.
 var DetMap = &Analyzer{
 	Name: "detmap",
-	Doc:  "map iteration feeding an ordered sink in a //lint:deterministic package",
+	Doc:  "map iteration feeding an ordered sink or a return in a //lint:deterministic package",
 	Run:  runDetMap,
 }
 
@@ -62,6 +64,13 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt) {
 				}
 			}
 		}
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			if mentions(pass, ret, keyObj, valObj) {
+				pass.Reportf(ret.Pos(),
+					"return of map iteration key or value inside range over map: which entry returns depends on map iteration order; iterate a fixed order instead")
+			}
+			return false
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -98,6 +107,19 @@ func rangeVarObj(pass *Pass, e ast.Expr) types.Object {
 		return obj
 	}
 	return pass.Info.Uses[id]
+}
+
+// mentions reports whether n uses either range variable.
+func mentions(pass *Pass, n ast.Node, keyObj, valObj types.Object) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			obj := pass.Info.Uses[id]
+			found = obj != nil && (obj == keyObj || obj == valObj)
+		}
+		return !found
+	})
+	return found
 }
 
 // exprUsesOnlyKey reports whether arg is exactly the range key variable

@@ -71,6 +71,11 @@ type Facts struct {
 	det     map[string]bool // package path -> annotated deterministic
 	modules map[string]bool // module paths of the loaded packages
 	local   map[string]bool // package paths whose sources were summarized
+	refs    map[string]bool // objKey of every package-level name non-test code uses
+
+	importers map[string][]string // see listImporters; nil for a lone corpus
+	pkgs      []*Package
+	ifaces    map[string][]*types.Interface // by method name, built on first use
 }
 
 // ComputeFacts builds and propagates function summaries over the whole
@@ -81,6 +86,8 @@ func ComputeFacts(pkgs []*Package) *Facts {
 		det:     map[string]bool{},
 		modules: map[string]bool{},
 		local:   map[string]bool{},
+		refs:    map[string]bool{},
+		pkgs:    pkgs,
 	}
 	for _, pkg := range pkgs {
 		if f.fset == nil {
@@ -96,6 +103,11 @@ func ComputeFacts(pkgs []*Package) *Facts {
 	}
 	for _, pkg := range pkgs {
 		f.collectPackage(pkg)
+		for _, obj := range pkg.Info.Uses {
+			if key := objKey(obj); key != "" {
+				f.refs[key] = true
+			}
+		}
 	}
 	f.propagate()
 	return f
@@ -162,6 +174,21 @@ func funcObjKey(obj *types.Func) string {
 		return pkg.Path() + ".(" + named.Obj().Name() + ")." + obj.Name()
 	}
 	return pkg.Path() + "." + obj.Name()
+}
+
+// objKey extends funcObjKey to the other package-level names: a type,
+// const or var is keyed "pkg/path.Name". Fields, locals and names of
+// unnamed receivers key to "".
+func objKey(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return funcObjKey(obj)
+	case *types.TypeName, *types.Const, *types.Var:
+		if pkg := obj.Pkg(); pkg != nil && obj.Parent() == pkg.Scope() {
+			return pkg.Path() + "." + obj.Name()
+		}
+	}
+	return ""
 }
 
 // declKey returns the facts key of a function declaration in pass's

@@ -25,7 +25,7 @@ func parseTestPackage(t *testing.T, name, src string) *Package {
 		for _, imp := range f.Imports {
 			patterns = append(patterns, strings.Trim(imp.Path.Value, `"`))
 		}
-		listed, err := goList(".", patterns)
+		listed, err := goList(".", patterns, "-deps", "-export")
 		if err != nil {
 			t.Fatalf("listing imports of %s: %v", name, err)
 		}

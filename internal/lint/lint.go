@@ -84,12 +84,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All returns the complete airvet analyzer suite in stable order: the
-// six intraprocedural checks from PR 1 plus the five facts-engine
-// analyzers (determinism, context-flow and lock-safety).
+// six intraprocedural checks, the five facts-engine analyzers
+// (determinism, context-flow and lock-safety) and testonly, which reads
+// the references and import graph of the whole load.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SlotMath, CheckErr, FloatEq, CopyLock, ExhaustEnum, NoPanic,
-		DetMap, WallClock, CtxFlow, AtomicMix, LockBal,
+		DetMap, WallClock, CtxFlow, AtomicMix, LockBal, TestOnly,
 	}
 }
 

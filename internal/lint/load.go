@@ -37,6 +37,9 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		return nil, err
 	}
 	facts := ComputeFacts(pkgs)
+	if facts.importers, err = listImporters(dir); err != nil {
+		return nil, err
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		diags = append(diags, analyze(pkg, analyzers, facts)...)
@@ -52,6 +55,7 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
+	Imports    []string
 	Standard   bool
 	DepOnly    bool
 	Module     *struct{ Path string }
@@ -62,7 +66,7 @@ type listedPackage struct {
 // data of every dependency, then parses and type-checks each non-dependency
 // match from source.
 func load(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	listed, err := goList(dir, patterns, "-deps", "-export")
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +103,11 @@ func load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// goList runs `go list -e -deps -export -json` and decodes the package
-// stream.
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-e", "-deps", "-export", "-json", "--"}, patterns...)
+// goList runs `go list -e -json` with the extra flags and decodes the
+// package stream.
+func goList(dir string, patterns []string, flags ...string) ([]*listedPackage, error) {
+	args := append([]string{"list", "-e", "-json"}, flags...)
+	args = append(append(args, "--"), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -196,55 +201,19 @@ func check(fset *token.FileSet, imp types.Importer, path, module string, files [
 	}, nil
 }
 
-// loadDir loads a single directory of Go files (an analyzer test corpus)
-// as though it were package asPath of module "tcsa". Export data for its
-// imports is fetched through the regular go list path, so corpora may
-// import both the standard library and this module's packages.
-func loadDir(dir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// RootDir returns the root of the outermost module enclosing dir: dir's
+// module root, widened to each parent directory with a go.mod of its own.
+// From a nested module such as bench/ it is the repository root.
+func RootDir(dir string) (string, error) {
+	root, err := moduleRoot(dir)
+	for err == nil {
+		parent := filepath.Dir(root)
+		if _, statErr := os.Stat(filepath.Join(parent, "go.mod")); parent == root || statErr != nil {
+			break
+		}
+		root = parent
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			importSet[strings.Trim(imp.Path.Value, `"`)] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		root, err := moduleRoot(dir)
-		if err != nil {
-			return nil, err
-		}
-		var patterns []string
-		for imp := range importSet {
-			patterns = append(patterns, imp)
-		}
-		listed, err := goList(root, patterns)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return check(fset, newExportImporter(fset, exports), asPath, "tcsa", files)
+	return root, err
 }
 
 // moduleRoot locates the enclosing module's root directory.

@@ -59,3 +59,21 @@ func mapToMap(m map[string]int) map[string]int {
 	}
 	return out
 }
+
+func firstBad(m map[string]float64) error {
+	for name, p := range m {
+		if p < 0 {
+			return fmt.Errorf("%s is negative", name) // want "return of map iteration key or value"
+		}
+	}
+	return nil
+}
+
+func anyNegative(m map[string]float64) bool {
+	for _, p := range m {
+		if p < 0 {
+			return true // result names no key or value: clean
+		}
+	}
+	return false
+}

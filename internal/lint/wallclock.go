@@ -8,7 +8,7 @@ import (
 // and global math/rand usage reachable — through any chain of statically
 // resolved module-local calls, across package boundaries — from an
 // exported entry point of a //lint:deterministic package. Those entry
-// points (chaos.Run, sim.MeasureStream, the SUSC/PAMAD/OPT builders) are
+// points (chaos.RunParallel, sim.MeasureStream, the SUSC/PAMAD/OPT builders) are
 // bit-identical-replay contracts: the chaos trace digests and the
 // paper's Theorem 3.1-3.3 oracles all assume two runs with the same seed
 // observe the same values, which a wall-clock read or unseeded RNG

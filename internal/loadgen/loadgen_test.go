@@ -73,7 +73,7 @@ func TestRunStreamZeroFaultMatchesMeasureStream(t *testing.T) {
 	if res.Ledger != (chaos.Ledger{}) {
 		t.Errorf("zero-fault run has non-empty ledger: %+v", res.Ledger)
 	}
-	want, err := chaos.Run(a, stream, chaos.Config{})
+	want, err := chaos.RunParallel(a, stream, chaos.Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunMatchesChaosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := chaos.Run(core.Analyze(prog), stream, cfg.Fault)
+	want, err := chaos.RunParallel(core.Analyze(prog), stream, cfg.Fault, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestServerStallSilencesAir(t *testing.T) {
 	// get through still carry the right schedule column.
 	srv := startFaultyServer(t, prog, time.Millisecond,
 		testPlan(t, prog, chaos.Config{Seed: 1, StallEvery: 4, StallFor: 3}))
-	addr, err := srv.ChannelAddr(0)
+	addr, err := srv.udp.ChannelAddr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestServerCorruptionCaughtByChecksum(t *testing.T) {
 	// count each one.
 	srv := startFaultyServer(t, prog, time.Millisecond,
 		testPlan(t, prog, chaos.Config{Seed: 2, Corrupt: 1}))
-	addr, err := srv.ChannelAddr(0)
+	addr, err := srv.udp.ChannelAddr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestServerDropSuppressesFrames(t *testing.T) {
 	prog := testProgram(t)
 	srv := startFaultyServer(t, prog, time.Millisecond,
 		testPlan(t, prog, chaos.Config{Seed: 3, Loss: 1}))
-	addr, err := srv.ChannelAddr(0)
+	addr, err := srv.udp.ChannelAddr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func churnStorm(t *testing.T, fault FaultInjector) {
 		default:
 			_ = srv.Slot()
 			_ = srv.Faults()
-			_ = srv.Subscribers(0)
+			_ = srv.udp.Subscribers(0)
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -484,7 +484,9 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 			lastSeq = ep.Seq
 			_ = srv.Slot()
 			_ = srv.Faults()
-			_ = srv.Subscribers(0)
+			if srv.udp != nil { // the ring transport tracks no subscribers
+				_ = srv.udp.Subscribers(0)
+			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()

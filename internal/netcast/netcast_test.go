@@ -95,7 +95,7 @@ func TestNewServerValidation(t *testing.T) {
 func TestSubscribeReceiveCyclic(t *testing.T) {
 	prog := testProgram(t)
 	srv := startServer(t, prog, time.Millisecond)
-	addr, err := srv.ChannelAddr(0)
+	addr, err := srv.udp.ChannelAddr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestChannelAddrs(t *testing.T) {
 	if addrs[0].Port == addrs[1].Port {
 		t.Error("channels share a port")
 	}
-	if _, err := srv.ChannelAddr(9); err == nil {
+	if _, err := srv.udp.ChannelAddr(9); err == nil {
 		t.Error("bad channel index accepted")
 	}
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
 	srv := startServer(t, testProgram(t), time.Millisecond)
-	addr, _ := srv.ChannelAddr(0)
+	addr, _ := srv.udp.ChannelAddr(0)
 	tuner, err := NewTuner()
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +171,8 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 func TestRetuneAcrossChannels(t *testing.T) {
 	prog := testProgram(t)
 	srv := startServer(t, prog, time.Millisecond)
-	a0, _ := srv.ChannelAddr(0)
-	a1, _ := srv.ChannelAddr(1)
+	a0, _ := srv.udp.ChannelAddr(0)
+	a1, _ := srv.udp.ChannelAddr(1)
 
 	tuner, err := NewTuner()
 	if err != nil {
@@ -222,7 +222,7 @@ func TestWaitForPageWithinExpectedTime(t *testing.T) {
 			break
 		}
 	}
-	addr, _ := srv.ChannelAddr(channel)
+	addr, _ := srv.udp.ChannelAddr(channel)
 
 	tuner, err := NewTuner()
 	if err != nil {
@@ -301,7 +301,7 @@ func TestRunHonoursContext(t *testing.T) {
 
 func TestMultipleSubscribersSameChannel(t *testing.T) {
 	srv := startServer(t, testProgram(t), time.Millisecond)
-	addr, _ := srv.ChannelAddr(1)
+	addr, _ := srv.udp.ChannelAddr(1)
 	const clients = 3
 	tuners := make([]*Tuner, clients)
 	for i := range tuners {
@@ -329,8 +329,8 @@ func TestMultipleSubscribersSameChannel(t *testing.T) {
 // package). Frames must still flow to a subscriber that stays attached.
 func TestSubscribeDuringTransmission(t *testing.T) {
 	srv := startServer(t, testProgram(t), 100*time.Microsecond)
-	a0, _ := srv.ChannelAddr(0)
-	a1, _ := srv.ChannelAddr(1)
+	a0, _ := srv.udp.ChannelAddr(0)
+	a1, _ := srv.udp.ChannelAddr(1)
 
 	stable, err := NewTuner()
 	if err != nil {
@@ -381,7 +381,7 @@ func TestSubscribeDuringTransmission(t *testing.T) {
 		if _, err := stable.ReadFrame(2 * time.Second); err != nil {
 			t.Fatalf("stable subscriber starved after churn: %v", err)
 		}
-		if srv.Subscribers(0) == 1 && srv.Subscribers(1) == 0 {
+		if srv.udp.Subscribers(0) == 1 && srv.udp.Subscribers(1) == 0 {
 			break
 		}
 	}
@@ -392,9 +392,9 @@ func TestSubscribeDuringTransmission(t *testing.T) {
 func waitForSubs(t *testing.T, srv *Server, ch, want int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Subscribers(ch) != want {
+	for srv.udp.Subscribers(ch) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("channel %d has %d subscribers, want %d", ch, srv.Subscribers(ch), want)
+			t.Fatalf("channel %d has %d subscribers, want %d", ch, srv.udp.Subscribers(ch), want)
 		}
 		time.Sleep(time.Millisecond)
 	}

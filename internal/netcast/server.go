@@ -95,17 +95,6 @@ func NewServer(prog *core.Program, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// errNotUDP reports a socket-only accessor used with a custom transport.
-var errNotUDP = errors.New("netcast: server is not using the UDP transport")
-
-// ChannelAddr returns the UDP address of broadcast channel ch.
-func (s *Server) ChannelAddr(ch int) (*net.UDPAddr, error) {
-	if s.udp == nil {
-		return nil, errNotUDP
-	}
-	return s.udp.ChannelAddr(ch)
-}
-
 // ChannelAddrs returns all channel addresses in channel order, or nil if
 // the server is not using the UDP transport.
 func (s *Server) ChannelAddrs() []*net.UDPAddr {
@@ -113,15 +102,6 @@ func (s *Server) ChannelAddrs() []*net.UDPAddr {
 		return nil
 	}
 	return s.udp.ChannelAddrs()
-}
-
-// Subscribers returns the current subscriber count of channel ch (zero
-// for non-UDP transports, which do not track subscribers).
-func (s *Server) Subscribers(ch int) int {
-	if s.udp == nil {
-		return 0
-	}
-	return s.udp.Subscribers(ch)
 }
 
 // Slot returns the next slot index to transmit.
@@ -136,9 +116,6 @@ func (s *Server) Slot() uint32 {
 func (s *Server) Faults() FaultStats {
 	return s.caster.Faults()
 }
-
-// Transport returns the transport the server broadcasts through.
-func (s *Server) Transport() Transport { return s.tr }
 
 // StageProgram stages the next epoch's program for a zero-pause live
 // transition: the running program keeps airing and the tick loop flips at

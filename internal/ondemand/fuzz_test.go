@@ -1,6 +1,7 @@
 package ondemand
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -138,7 +139,7 @@ func FuzzOndemandQueue(f *testing.F) {
 		n := int(count)
 		subs := make([]modelSub, n)
 		for i := range subs {
-			deadline := NoDeadline
+			deadline := math.MaxFloat64
 			if rng.Intn(4) > 0 {
 				deadline = float64(rng.Intn(8)) * 5 // coarse: EDF ties abound
 			}

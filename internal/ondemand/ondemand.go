@@ -172,9 +172,6 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// NoDeadline is a convenience deadline for requests without one.
-const NoDeadline = math.MaxFloat64
-
 // job is one request from its submission at at: in service until done,
 // or waiting in the queue in submission order seq.
 type job struct {

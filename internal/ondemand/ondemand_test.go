@@ -11,7 +11,7 @@ import (
 func at(t float64, n int) []Submission {
 	subs := make([]Submission, n)
 	for i := range subs {
-		subs[i] = Submission{At: t, Request: Request{Deadline: NoDeadline, Tag: uint64(i)}}
+		subs[i] = Submission{At: t, Request: Request{Deadline: math.MaxFloat64, Tag: uint64(i)}}
 	}
 	return subs
 }
@@ -90,7 +90,7 @@ func TestEDFOrdering(t *testing.T) {
 	if m.Completed != 6 {
 		t.Fatalf("completed %d", m.Completed)
 	}
-	want := []float64{NoDeadline, 10, 20, 30, 40, 50}
+	want := []float64{math.MaxFloat64, 10, 20, 30, 40, 50}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("completion deadlines %v, want %v", order, want)
@@ -135,7 +135,7 @@ func TestCongestionGrowsWithLoad(t *testing.T) {
 	response := func(interval float64) float64 {
 		subs := make([]Submission, 200)
 		for i := range subs {
-			subs[i] = Submission{At: float64(i) * interval, Request: Request{Deadline: NoDeadline}}
+			subs[i] = Submission{At: float64(i) * interval, Request: Request{Deadline: math.MaxFloat64}}
 		}
 		return serve(t, subs, Config{ServiceTime: 1}).AvgResponse
 	}
@@ -237,7 +237,7 @@ func TestDeadlineMissBoundary(t *testing.T) {
 // uplink saw it) and never enters the queue, so conservation holds, and
 // once the backlog drains the bound no longer binds.
 func TestRejectionAccounting(t *testing.T) {
-	subs := append(at(0, 4), Submission{At: 10, Request: Request{Deadline: NoDeadline}})
+	subs := append(at(0, 4), Submission{At: 10, Request: Request{Deadline: math.MaxFloat64}})
 	m := serve(t, subs, Config{ServiceTime: 1, QueueLimit: 1})
 	// At t=0: 1 in service, 1 queued, 2 rejected; the t=10 one is served.
 	if m.Rejected != 2 {

@@ -174,17 +174,17 @@ func TestApproxPreCancelled(t *testing.T) {
 }
 
 // TestBruteForceCancelledMidSearch closes the cancellation-coverage gap the
-// Search countdown test left: BruteForce must also stop at the first Err
+// Search countdown test left: bruteForce must also stop at the first Err
 // and return no partial best.
 func TestBruteForceCancelledMidSearch(t *testing.T) {
 	gs := fig2()
-	full, err := BruteForce(context.Background(), gs, 3, nil)
+	full, err := bruteForce(context.Background(), gs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelledAtLeastOnce := false
 	for calls := int64(1); calls <= 32; calls *= 2 {
-		res, err := BruteForce(newCountdownCtx(calls), gs, 3, nil)
+		res, err := bruteForce(newCountdownCtx(calls), gs, 3, nil)
 		if err == nil {
 			if res.Evaluated != full.Evaluated || res.Delay != full.Delay {
 				t.Fatalf("calls=%d: complete run diverged: %+v vs %+v", calls, res, full)

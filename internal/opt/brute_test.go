@@ -6,17 +6,16 @@ import (
 
 	"tcsa/internal/core"
 	"tcsa/internal/delaymodel"
-	"tcsa/internal/pamad"
 )
 
-// BruteForce enumerates every non-increasing frequency vector with
+// bruteForce enumerates every non-increasing frequency vector with
 // 1 <= S_i <= maxS[i] and S_h = 1 — a strict superset of the divisor-chain
 // family Search explores — and returns the delay-minimal one. Cost is
 // exponential in the group count; intended for small validation instances
 // only (the package tests use it to bound the cost of the divisor-chain
 // restriction). maxS entries < 1 default to t_h/t_i, the zero-delay
 // frequency.
-func BruteForce(ctx context.Context, gs *core.GroupSet, nReal int, maxS []int) (*Result, error) {
+func bruteForce(ctx context.Context, gs *core.GroupSet, nReal int, maxS []int) (*Result, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
 	}
@@ -70,19 +69,4 @@ func BruteForce(ctx context.Context, gs *core.GroupSet, nReal int, maxS []int) (
 		return nil, err
 	}
 	return best, nil
-}
-
-// Build runs Search and materialises the winning frequencies into a
-// broadcast program using the same Algorithm 4 placement as PAMAD and m-PB,
-// keeping the three comparators' placement identical as in the paper.
-func Build(ctx context.Context, gs *core.GroupSet, nReal int, opts Options) (*core.Program, *Result, error) {
-	res, err := Search(ctx, gs, nReal, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, _, err := pamad.PlaceEvenly(gs, res.Frequencies, nReal)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, res, nil
 }

@@ -6,10 +6,10 @@
 // greedily, fixing each r one stage at a time. Search explores the same
 // family exhaustively — the full Cartesian product of repetition factors —
 // so the measured PAMAD-vs-OPT gap is exactly the cost of PAMAD's
-// greediness. For small instances BruteForce additionally enumerates every
-// non-increasing frequency vector (a strict superset of the divisor-chain
-// family), bounding how much the family restriction itself costs; the
-// package tests use it to validate near-optimality claims.
+// greediness. For small instances the package tests additionally
+// enumerate every non-increasing frequency vector (a strict superset of
+// the divisor-chain family, brute_test.go), bounding how much the family
+// restriction itself costs.
 //
 // The paper notes OPT's "searching time is unacceptably high". This
 // implementation keeps the search exact while cutting most of the work:
@@ -562,4 +562,19 @@ func betterResult(gs *core.GroupSet, a, b *Result) bool {
 		}
 	}
 	return false
+}
+
+// Build runs Search and materialises the winning frequencies into a
+// broadcast program using the same Algorithm 4 placement as PAMAD and m-PB,
+// keeping the three comparators' placement identical as in the paper.
+func Build(ctx context.Context, gs *core.GroupSet, nReal int, opts Options) (*core.Program, *Result, error) {
+	res, err := Search(ctx, gs, nReal, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, _, err := pamad.PlaceEvenly(gs, res.Frequencies, nReal)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, res, nil
 }

@@ -39,10 +39,10 @@ func TestSearchErrors(t *testing.T) {
 	if _, err := Search(ctx, fig2(), 0, Options{}); err == nil {
 		t.Error("0 channels accepted")
 	}
-	if _, err := BruteForce(ctx, nil, 3, nil); err == nil {
+	if _, err := bruteForce(ctx, nil, 3, nil); err == nil {
 		t.Error("BruteForce nil group set accepted")
 	}
-	if _, err := BruteForce(ctx, fig2(), 0, nil); err == nil {
+	if _, err := bruteForce(ctx, fig2(), 0, nil); err == nil {
 		t.Error("BruteForce 0 channels accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestBruteForceBoundsChainFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute, err := BruteForce(ctx, gs, nReal, nil)
+		brute, err := bruteForce(ctx, gs, nReal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestBruteForceBoundsChainFamily(t *testing.T) {
 
 func TestBruteForceRespectsMaxS(t *testing.T) {
 	gs := fig2()
-	res, err := BruteForce(context.Background(), gs, 3, []int{1, 1, 1})
+	res, err := bruteForce(context.Background(), gs, 3, []int{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSearchContextCancellation(t *testing.T) {
 func TestBruteForceContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BruteForce(ctx, fig2(), 3, nil); err == nil {
+	if _, err := bruteForce(ctx, fig2(), 3, nil); err == nil {
 		t.Error("BruteForce ignored cancelled context")
 	}
 }

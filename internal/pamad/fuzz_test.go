@@ -81,7 +81,7 @@ func FuzzPAMADPlacement(f *testing.F) {
 				}
 			}
 		}
-		if gs.SufficientFor(nReal) {
+		if nReal >= gs.MinChannels() {
 			sp, err := susc.Build(gs, nReal)
 			if err != nil {
 				t.Fatalf("susc.Build(%v, %d): %v", gs, nReal, err)

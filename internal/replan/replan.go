@@ -119,7 +119,6 @@ type Delta struct {
 	shiftBy  int
 	removed  core.PageID
 	oldPages int
-	newPages int
 }
 
 // RemapPage translates a pre-edit PageID to its post-edit identity, or
@@ -137,12 +136,6 @@ func (d *Delta) RemapPage(id core.PageID) core.PageID {
 	}
 	return id
 }
-
-// OldPages and NewPages report the instance size on each side of the edit.
-func (d *Delta) OldPages() int { return d.oldPages }
-
-// NewPages reports the post-edit page count.
-func (d *Delta) NewPages() int { return d.newPages }
 
 // Engine owns a live PAMAD placement and applies instance edits to it
 // incrementally. Not safe for concurrent use: callers serialise edits and
@@ -191,9 +184,6 @@ func (e *Engine) Frequencies() delaymodel.Frequencies { return e.placer.Frequenc
 
 // Channels returns the live channel budget.
 func (e *Engine) Channels() int { return e.nReal }
-
-// Seq returns the number of edits applied so far.
-func (e *Engine) Seq() int { return e.seq }
 
 // Stats returns the live placement accounting, identical to PlaceEvenly's
 // for the current instance.
@@ -301,7 +291,6 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		shiftBy:  ed.shiftBy,
 		removed:  ed.removed,
 		oldPages: gsOld.Pages(),
-		newPages: gsNew.Pages(),
 	}
 
 	h := gsNew.Len()

@@ -128,11 +128,11 @@ func checkAccounting(t *testing.T, step int, d *Delta) {
 // is evicted when its pre-edit page was retired.
 func checkExactAccounting(t *testing.T, step int, before, after *core.Program, d *Delta) {
 	t.Helper()
-	born := make([]bool, d.NewPages()) // post-edit IDs with no pre-edit page
+	born := make([]bool, after.GroupSet().Pages()) // post-edit IDs with no pre-edit page
 	for i := range born {
 		born[i] = true
 	}
-	for id := 0; id < d.OldPages(); id++ {
+	for id := 0; id < before.GroupSet().Pages(); id++ {
 		if nid := d.RemapPage(core.PageID(id)); nid != core.None {
 			born[nid] = false
 		}
@@ -224,8 +224,8 @@ func TestEngineMatchesScratchUnderEditSequences(t *testing.T) {
 				t.Fatalf("run %d step %d: %v", run, step, evErr)
 			}
 			kinds[d.Kind]++
-			if d.Seq != eng.Seq() {
-				t.Fatalf("run %d step %d: delta seq %d, engine seq %d", run, step, d.Seq, eng.Seq())
+			if d.Seq != eng.seq {
+				t.Fatalf("run %d step %d: delta seq %d, engine seq %d", run, step, d.Seq, eng.seq)
 			}
 			want := scratch(t, eng.GroupSet(), eng.Channels())
 			gridsEqual(t, step, eng.Program(), want)
@@ -355,8 +355,8 @@ func TestEngineRejects(t *testing.T) {
 	}
 	// Failed edits must leave the engine untouched.
 	gridsEqual(t, 0, eng.Program(), scratch(t, gs, 2))
-	if eng.Seq() != 0 {
-		t.Errorf("failed edits advanced Seq to %d", eng.Seq())
+	if eng.seq != 0 {
+		t.Errorf("failed edits advanced Seq to %d", eng.seq)
 	}
 }
 

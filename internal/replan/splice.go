@@ -21,6 +21,11 @@ import (
 // arrivals — conformance.TransitionBound replays every u and checks it —
 // and is what the zero-pause epoch flip promises each client: staging an
 // edit never costs more than SpliceBounds says.
+//
+// Only tests call it; it stays exported because the chaos, netcast and
+// replan suites all check epoch flips against it.
+//
+//lint:ignore testonly bound the chaos, netcast and replan tests share
 func SpliceBounds(old, next *core.Program, oldIDs, newIDs []core.PageID) ([]float64, error) {
 	if old == nil || next == nil {
 		return nil, fmt.Errorf("%w: nil program", core.ErrInvalidProgram)

@@ -73,9 +73,6 @@ func (s *Sketch) Add(x float64) {
 // N returns the observation count.
 func (s *Sketch) N() int64 { return s.moments.N() }
 
-// Moments returns a copy of the exact moment accumulator.
-func (s *Sketch) Moments() Online { return s.moments }
-
 // Merge folds other into s. Both sketches must share a bucket layout
 // (same lo, gamma and bucket count). Bucket counts merge exactly; moments
 // merge via Online.Merge, which is order-insensitive up to rounding.

@@ -64,7 +64,7 @@ func TestSketchZeroHeavyStream(t *testing.T) {
 	if q := s.Quantile(0.99); q < 100/1.03 || q > 100*1.03 {
 		t.Errorf("P99 = %g, want ~100", q)
 	}
-	if mo := s.Moments(); mo.Max() != 100 {
+	if mo := s.moments; mo.Max() != 100 {
 		t.Errorf("Max = %g", mo.Max())
 	}
 }
@@ -99,7 +99,7 @@ func checkQuantiles(t *testing.T, s *Sketch, xs []float64) {
 	// edge is the upper edge of the last bucket; stats beyond it clamp into
 	// that bucket and only promise [cap/gamma, Max].
 	edge := s.lo * math.Pow(s.gamma, float64(len(s.bins)))
-	mo := s.Moments()
+	mo := s.moments
 	for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
 		got := s.Quantile(p)
 		rank := int(math.Round(p * float64(len(sorted)-1)))
@@ -179,7 +179,7 @@ func TestSketchMergeMatchesSequential(t *testing.T) {
 				t.Fatalf("bin %d = %d, want %d", i, m.bins[i], all.bins[i])
 			}
 		}
-		mo, ao := m.Moments(), all.Moments()
+		mo, ao := m.moments, all.moments
 		if mo.N() != ao.N() || mo.Min() != ao.Min() || mo.Max() != ao.Max() {
 			t.Fatalf("moments N/Min/Max drifted: %v vs %v", mo, ao)
 		}
@@ -252,7 +252,7 @@ func FuzzSketchQuantile(f *testing.F) {
 				t.Fatalf("merged bin %d = %d, sequential %d", i, left.bins[i], whole.bins[i])
 			}
 		}
-		lm, wm := left.Moments(), whole.Moments()
+		lm, wm := left.moments, whole.moments
 		if lm.Min() != wm.Min() || lm.Max() != wm.Max() {
 			t.Fatalf("merge drifted min/max")
 		}

@@ -2,6 +2,12 @@
 # check.sh — the full verification pipeline, used locally (`make check`)
 # and by CI. Fails fast on the first broken gate.
 #
+# Usage: scripts/check.sh [race|fuzz]
+#
+# With no argument every stage runs. `race` or `fuzz` runs that one stage,
+# which is how `make race` and `make fuzz` share this file's package and
+# target lists.
+#
 # FUZZTIME (default 10s) bounds each fuzz smoke run; set FUZZTIME=0 to
 # skip the fuzz stage entirely (e.g. on very slow machines).
 set -eu
@@ -10,34 +16,55 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 
+race() {
+    echo "==> go test -race (concurrent packages)"
+    go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
+}
+
+# fuzz smokes every Fuzz* target of the module, found with `go test -list`,
+# so a new target cannot be left out.
+fuzz() {
+    if [ "$FUZZTIME" = "0" ]; then
+        echo "==> fuzz smoke skipped (FUZZTIME=0)"
+        return
+    fi
+    echo "==> fuzz smoke (${FUZZTIME} per target)"
+    listed=$(go test -list '^Fuzz' ./...)
+    echo "$listed" | awk '/^Fuzz/ { names = names " " $1; next }
+        /^ok/ { if (names != "") print $2 names; names = "" }' |
+    while read -r pkg targets; do
+        for target in $targets; do
+            go test -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$pkg"
+        done
+    done
+}
+
+case "${1:-all}" in
+race) race; exit ;;
+fuzz) fuzz; exit ;;
+all) ;;
+*) echo "usage: scripts/check.sh [race|fuzz]" >&2; exit 2 ;;
+esac
+
 echo "==> go build ./..."
 go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> orphan-package guard (every internal package reached by a binary, an example or the bench module)"
-reached=$(mktemp)
-{ go list -deps ./cmd/... ./examples/... . && (cd bench && go list -deps .); } | sort -u >"$reached"
-orphans=$(go list ./internal/... | sort | comm -23 - "$reached")
-rm -f "$reached"
-if [ -n "$orphans" ]; then
-    echo "internal packages no binary, example or bench reaches (give each an importer or delete it):"
-    echo "$orphans"
-    exit 1
-fi
-
 echo "==> bench module: go vet + go test (it builds against internal/ APIs)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> airvet ./... (against lint_baseline.json)"
-go run ./cmd/airvet -baseline lint_baseline.json ./...
+# From bench/, tcsa/... names the packages of both modules, so testonly
+# sees every non-test reference (and flags an internal/ package nothing
+# imports).
+echo "==> airvet over both modules (against lint_baseline.json)"
+(cd bench && go run tcsa/cmd/airvet -baseline ../lint_baseline.json tcsa/...)
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "==> go test -race (concurrent packages)"
-go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
+race
 
 echo "==> loadgen smoke (zero-fault scenarios self-verify against sim.MeasureStream)"
 go run ./cmd/loadgen -clients 1000 -dists uniform,sskew -out ""
@@ -45,26 +72,6 @@ go run ./cmd/loadgen -clients 1000 -dists uniform,sskew -out ""
 echo "==> trajectory gates (every airbench gate against its committed BENCH_<name>.json)"
 go run ./cmd/airbench -gate all
 
-if [ "$FUZZTIME" = "0" ]; then
-    echo "==> fuzz smoke skipped (FUZZTIME=0)"
-else
-    echo "==> fuzz smoke (${FUZZTIME} per target)"
-    go test -fuzz=FuzzRearrange'$'          -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzRearrangeMonotone'$'  -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzProgramJSON'$'        -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzGroupSetJSON'$'       -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzParseFrame'$'         -fuzztime="$FUZZTIME" ./internal/netcast/
-    go test -fuzz=FuzzRingCell'$'           -fuzztime="$FUZZTIME" ./internal/netcast/
-    go test -fuzz=FuzzPAMADPlacement'$'     -fuzztime="$FUZZTIME" ./internal/pamad/
-    go test -fuzz=FuzzSUSCEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/susc/
-    go test -fuzz=FuzzSketchQuantile'$'     -fuzztime="$FUZZTIME" ./internal/stats/
-    go test -fuzz=FuzzChaosDeterminism'$'   -fuzztime="$FUZZTIME" ./internal/chaos/
-    go test -fuzz=FuzzReplayMatchesWalk'$'  -fuzztime="$FUZZTIME" ./internal/chaos/
-    go test -fuzz=FuzzPTASEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/opt/
-    go test -fuzz=FuzzReplanEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/replan/
-    go test -fuzz=FuzzOndemandQueue'$'      -fuzztime="$FUZZTIME" ./internal/ondemand/
-    go test -fuzz=FuzzOnlineEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/online/
-    go test -fuzz=FuzzLoadgenEquivalence'$' -fuzztime="$FUZZTIME" ./internal/loadgen/
-fi
+fuzz
 
 echo "==> all checks passed"
