@@ -161,8 +161,17 @@ type engine struct {
 	waits      []float64
 	attempts   []int32
 	ledgers    []chaos.Ledger
-	watermarks []atomic.Int64
+	watermarks []watermark
 	failed     atomic.Bool
+}
+
+// watermark is one worker's drain position on a cache line of its own:
+// each worker stores its watermark once per drained slot, and the
+// broadcaster reads every one while it waits, so watermarks sharing a
+// line would make the workers contend for it.
+type watermark struct {
+	atomic.Int64
+	_ [56]byte
 }
 
 // RunStream measures stream against the analysed program under the fault
@@ -207,7 +216,13 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	if err != nil {
 		return nil, err
 	}
-	caster, err := netcast.NewCaster(prog, ring, plan)
+	// An inactive plan injects nothing, so the caster gets no injector and
+	// its cast loop no fault predicates; the plan still drives every walk.
+	var inject netcast.FaultInjector
+	if fault.Active() {
+		inject = plan
+	}
+	caster, err := netcast.NewCaster(prog, ring, inject)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +238,7 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		waits:      make([]float64, count),
 		attempts:   make([]int32, count),
 		ledgers:    make([]chaos.Ledger, shards),
-		watermarks: make([]atomic.Int64, workers),
+		watermarks: make([]watermark, workers),
 	}
 
 	slotsAired := int64(plan.MaxCycles()) * int64(prog.Length())

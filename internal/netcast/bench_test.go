@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tcsa/internal/chaos"
 	"tcsa/internal/core"
 	"tcsa/internal/pamad"
 	"tcsa/internal/workload"
@@ -21,11 +22,26 @@ func BenchmarkFrameCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkCastSlot measures the publish side of the ring: one fault-free
-// CastSlot per iteration into a default-depth ring, at the paper instance
-// (1000 pages, 8 uniform groups) and its x10 and x100 catalogs, each on
-// PAMAD's knee channel count (13, 125 and 1,246 channels). ns/frame is
-// the cost of one (channel, slot) frame.
+// lossyFaults is the benchmark's canonical all-class fault mix
+// (bench/serve.go): every fault class active, plus the degradation replan.
+var lossyFaults = chaos.Config{
+	Seed:       1,
+	Loss:       0.10,
+	Corrupt:    0.02,
+	Churn:      0.05,
+	Jitter:     0.25,
+	StallEvery: 64,
+	StallFor:   4,
+	Burst:      &chaos.BurstConfig{GoodToBad: 0.05, BadToGood: 0.25, LossBad: 0.8},
+	Replan:     true,
+}
+
+// BenchmarkCastSlot measures the publish side of the ring: one CastSlot
+// per iteration into a default-depth ring, at the paper instance (1000
+// pages, 8 uniform groups) and its x10 and x100 catalogs, each on PAMAD's
+// knee channel count (13, 125 and 1,246 channels), fault-free and under
+// the lossy mix (the faulted cases). ns/frame is the cost of one
+// (channel, slot) frame.
 func BenchmarkCastSlot(b *testing.B) {
 	for _, scale := range []int{1, 10, 100} {
 		gs, err := workload.GroupSet(workload.Uniform, 8, 1000*scale, 4, 2)
@@ -36,14 +52,24 @@ func BenchmarkCastSlot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("x%d/ch=%d", scale, prog.Channels()), func(b *testing.B) {
-			_, caster := ringCaster(b, prog, 0, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				caster.CastSlot(i)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prog.Channels()), "ns/frame")
-		})
+		plan, err := chaos.NewPlan(lossyFaults, prog.Channels(), prog.Length())
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("x%d/ch=%d", scale, prog.Channels())
+		for _, c := range []struct {
+			name  string
+			fault FaultInjector
+		}{{name, nil}, {name + "/faulted", plan}} {
+			b.Run(c.name, func(b *testing.B) {
+				_, caster := ringCaster(b, prog, 0, c.fault)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					caster.CastSlot(i)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(prog.Channels()), "ns/frame")
+			})
+		}
 	}
 }

@@ -54,10 +54,12 @@ const (
 // so a corrupted frame still looks like traffic from this protocol: a
 // version-2 receiver rejects it by checksum, while a checksum-less
 // version-1 receiver decodes a wrong page (the corruption version 2 was
-// introduced to catch).
+// introduced to catch). cellCorruptFlip is the same flip in a frame's
+// ring cell word, whose low four bytes are the page field in wire order.
 const (
 	corruptFlipOffset = framePageOff + 1
 	corruptFlipMask   = 0xA5
+	cellCorruptFlip   = uint64(corruptFlipMask) << (8 * (FrameSize - 1 - corruptFlipOffset))
 )
 
 // ErrBadFrame reports an undecodable datagram.
@@ -194,31 +196,36 @@ func frameSumWords(w0, w1 uint64) uint16 {
 		t[3][byte(x>>24)] ^ t[2][byte(x>>16)] ^ t[1][byte(x>>8)] ^ t[0][byte(x)]
 }
 
-// frameEncoder is the one frame encoder. The second step of frameSumWords
-// is linear in w1 (an XOR of one table lookup per byte), so a frame's
-// checksum is the XOR of three terms:
+// frameEncoder is the one frame encoder. Its output is the frame's ring
+// cell word (ringCell): version, checksum and page, the bytes a frame's
+// channel and slot do not imply. The ring stores the word as is; any
+// other transport rebuilds the wire bytes from it (cellFrameWords).
+//
+// The second step of frameSumWords is linear in w1 (an XOR of one table
+// lookup per byte), so a frame's checksum is the XOR of three terms:
 //
 //	channel term  frameSumWords(header, 0): magic, version, flags and the
 //	              channel, with the register's initial value folded in —
 //	              one per channel, tabulated once;
 //	slot term     the slot's four bytes: shared by every channel of a slot,
-//	              computed once per slot (slotSum);
-//	page term     the page's four bytes: four lookups per frame (pageSum).
+//	              computed once per slot (slotWord);
+//	page term     the page's four bytes: four lookups per frame (pageWord).
 //
-// The encoded words are exactly those of the direct CRC over the whole
-// frame.
+// The checksum is exactly that of the direct CRC over the whole frame.
 type frameEncoder struct {
-	channelSums []uint16 // channelSums[ch] is channel ch's channel term
+	// heads[ch] is channel ch's cell word with page zero and only the
+	// channel term in the checksum field.
+	heads []uint64
 }
 
 // newFrameEncoder tabulates the channel terms of channels 0..channels-1
 // (at most maxFrameChannels).
 func newFrameEncoder(channels int) frameEncoder {
-	sums := make([]uint16, channels)
-	for ch := range sums {
-		sums[ch] = frameSumWords(frameHeader(ch), 0)
+	heads := make([]uint64, channels)
+	for ch := range heads {
+		heads[ch] = uint64(frameVersion)<<56 | uint64(frameSumWords(frameHeader(ch), 0))<<32
 	}
-	return frameEncoder{channelSums: sums}
+	return frameEncoder{heads: heads}
 }
 
 // frameHeader is w0 of a current-version frame on channel ch, with no
@@ -227,25 +234,26 @@ func frameHeader(ch int) uint64 {
 	return uint64(frameMagic)<<48 | uint64(frameVersion)<<40 | uint64(uint16(ch))<<16
 }
 
-// slotSum is the slot term of the frame checksum: w1's top four bytes.
-func slotSum(slot uint32) uint16 {
+// slotWord is the slot term of the frame checksum (w1's top four bytes),
+// placed in the cell word's checksum field.
+func slotWord(slot uint32) uint64 {
 	t := &crcTable
-	return t[7][byte(slot>>24)] ^ t[6][byte(slot>>16)] ^ t[5][byte(slot>>8)] ^ t[4][byte(slot)]
+	return uint64(t[7][byte(slot>>24)]^t[6][byte(slot>>16)]^t[5][byte(slot>>8)]^t[4][byte(slot)]) << 32
 }
 
-// pageSum is the page term of the frame checksum: w1's low four bytes.
-func pageSum(page core.PageID) uint16 {
+// pageWord is the page's share of a cell word: the page term of the
+// checksum (w1's low four bytes) in the checksum field, the page itself
+// in the page field.
+func pageWord(page core.PageID) uint64 {
 	t := &crcTable
 	p := uint32(page)
-	return t[3][byte(p>>24)] ^ t[2][byte(p>>16)] ^ t[1][byte(p>>8)] ^ t[0][byte(p)]
+	return uint64(t[3][byte(p>>24)]^t[2][byte(p>>16)]^t[1][byte(p>>8)]^t[0][byte(p)])<<32 | uint64(p)
 }
 
-// words encodes channel ch's frame carrying page in slot, whose slot term
-// the caller computed once for the whole slot as slotSum(slot).
-func (e frameEncoder) words(ch int, slot uint32, slotTerm uint16, page core.PageID) (w0, w1 uint64) {
-	w1 = uint64(slot)<<32 | uint64(uint32(page))
-	w0 = frameHeader(ch) | uint64(e.channelSums[ch]^slotTerm^pageSum(page))
-	return w0, w1
+// word encodes channel ch's frame carrying page as its cell word, in the
+// slot whose slot term the caller computed once as slotWord(slot).
+func (e frameEncoder) word(ch int, slotTerm uint64, page core.PageID) uint64 {
+	return e.heads[ch] ^ slotTerm ^ pageWord(page)
 }
 
 // Control datagrams.

@@ -39,7 +39,10 @@ func appendFrame(buf []byte, f Frame) []byte {
 
 // TestFrameEncoderMatchesOracle pins the slot-hoisted encoder to the
 // direct CRC on every channel a frame can name, at the corner slots and
-// pages and a few seeded random ones.
+// pages and a few seeded random ones: its cell word must be the one the
+// ring packs from the oracle's wire bytes, and must rebuild exactly those
+// bytes — with and without the corruption flip, whose cell-word form
+// must flip the same wire byte.
 func TestFrameEncoderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	slots := []uint32{0, 1, 1 << 31, 1<<32 - 1, rng.Uint32(), rng.Uint32()}
@@ -48,14 +51,26 @@ func TestFrameEncoderMatchesOracle(t *testing.T) {
 	var got [FrameSize]byte
 	want := make([]byte, 0, FrameSize)
 	for _, slot := range slots {
-		slotTerm := slotSum(slot)
+		slotTerm := slotWord(slot)
+		abs := int(slot)
 		for ch := 0; ch < maxFrameChannels; ch++ {
 			for _, page := range pages {
-				w0, w1 := enc.words(ch, slot, slotTerm, page)
-				putFrameWords(&got, w0, w1)
+				w := enc.word(ch, slotTerm, page)
 				want = appendFrame(want[:0], Frame{Channel: ch, Slot: slot, Page: page})
-				if string(got[:]) != string(want) {
-					t.Fatalf("channel %d slot %d page %d: encoded %x, oracle %x", ch, slot, page, got, want)
+				for _, flip := range []bool{false, true} {
+					if flip {
+						w ^= cellCorruptFlip
+						want[corruptFlipOffset] ^= corruptFlipMask
+					}
+					w0, w1 := packFrameWords(want)
+					if oracle := cellWord(ch, abs, w0, w1); w != oracle {
+						t.Fatalf("channel %d slot %d page %d flip %v: cell word %#016x, oracle %#016x", ch, slot, page, flip, w, oracle)
+					}
+					w0, w1 = cellFrameWords(ch, int64(abs), w)
+					putFrameWords(&got, w0, w1)
+					if string(got[:]) != string(want) {
+						t.Fatalf("channel %d slot %d page %d flip %v: encoded %x, oracle %x", ch, slot, page, flip, got, want)
+					}
 				}
 			}
 		}

@@ -176,12 +176,20 @@ func (r *BroadcastRing) row(abs int64) []ringCell {
 	return r.cells[i : i+r.channels : i+r.channels]
 }
 
+// openRow stamps slot abs's row as being written and returns it. The
+// caster fills every cell of the row itself, then ends the slot.
+func (r *BroadcastRing) openRow(abs int) []ringCell {
+	a := int64(abs)
+	r.open = a
+	r.stamps[a&r.mask].Store(2*uint64(a) + 1)
+	return r.row(a)
+}
+
 // cell returns channel ch's cell in slot abs's row, stamping the row as
 // being written the first time the slot is touched.
 func (r *BroadcastRing) cell(ch, abs int) *ringCell {
-	if a := int64(abs); a != r.open {
-		r.open = a
-		r.stamps[a&r.mask].Store(2*uint64(a) + 1)
+	if int64(abs) != r.open {
+		return &r.openRow(abs)[ch]
 	}
 	return &r.row(int64(abs))[ch]
 }
@@ -219,9 +227,12 @@ func (r *BroadcastRing) Head() int64 { return r.head.Load() }
 
 // Poll reads absolute slot abs from channel ch. It never blocks and
 // never allocates. RingOK returns the decoded frame; every other status
-// returns a zero Frame.
+// returns a zero Frame. A negative slot never airs, so it polls
+// RingPending.
 func (r *BroadcastRing) Poll(ch int, abs int64) (Frame, PollStatus) {
-	if r.head.Load() <= abs {
+	// One unsigned compare: a negative abs reads as at least 2^63, past
+	// any head.
+	if uint64(abs) >= uint64(r.head.Load()) {
 		return Frame{}, RingPending
 	}
 	stamp := &r.stamps[abs&r.mask]

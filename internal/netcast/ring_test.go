@@ -10,6 +10,7 @@ import (
 
 	"tcsa/internal/chaos"
 	"tcsa/internal/core"
+	"tcsa/internal/replan"
 	"tcsa/internal/susc"
 )
 
@@ -277,6 +278,27 @@ func TestRingPollMatchesProgram(t *testing.T) {
 	}
 }
 
+// TestRingPollNegativeSlot pins that a slot before slot 0, which never
+// airs, polls RingPending before the first cast, once the ring is partly
+// filled, and once it has lapped — never a skipped or lost slot read off
+// a row the negative index wraps onto.
+func TestRingPollNegativeSlot(t *testing.T) {
+	prog := testProgram(t)
+	ring, caster := ringCaster(t, prog, 8, nil)
+	for _, head := range []int64{0, 3, 20} {
+		for abs := ring.Head(); abs < head; abs++ {
+			caster.CastSlot(int(abs))
+		}
+		for _, abs := range []int64{-1, -2, -(1 << 40)} {
+			for ch := 0; ch < prog.Channels(); ch++ {
+				if f, st := ring.Poll(ch, abs); st != RingPending || f != (Frame{}) {
+					t.Errorf("head %d: Poll(%d, %d) = %+v/%v, want RingPending", head, ch, abs, f, st)
+				}
+			}
+		}
+	}
+}
+
 // TestRingLapDetection pins that a reader further behind than the ring
 // length gets a definite RingLost, never a stale or torn frame.
 func TestRingLapDetection(t *testing.T) {
@@ -418,12 +440,110 @@ func TestRingClassificationDifferential(t *testing.T) {
 	}
 }
 
+// stallDropCorrupt is a plan over prog that stalls slots and drops and
+// corrupts frames, each often enough to show within a few cycles.
+func stallDropCorrupt(t *testing.T, prog *core.Program) *chaos.Plan {
+	t.Helper()
+	plan, err := chaos.NewPlan(chaos.Config{Seed: 5, Loss: 0.1, Corrupt: 0.1, StallEvery: 13, StallFor: 2},
+		prog.Channels(), prog.Length())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// hiddenRing hides a ring's type from NewCaster, so the caster casts
+// into it frame by frame through Publish and Skip.
+type hiddenRing struct{ Transport }
+
+// TestCastRowMatchesPublish is the differential for the row cast: one
+// program is cast for several cycles across an epoch flip twice, as whole
+// rows into one ring and frame by frame through Publish and Skip into
+// another, and after every slot the slot's cell words, its row stamp and
+// the head must agree, and at the end the fault counters — fault-free,
+// and under a plan that stalls slots and drops and corrupts frames. The
+// rings are shallow, so every row is reused and a cell the cast leaves
+// unwritten shows as the word it held one ring length earlier.
+func TestCastRowMatchesPublish(t *testing.T) {
+	old, next, _, _ := flipFixture(t, func(e *replan.Engine) (*replan.Delta, error) {
+		return e.RetirePage(2)
+	})
+	plan := stallDropCorrupt(t, old)
+	const depth = 8
+	for _, c := range []struct {
+		name  string
+		fault FaultInjector
+	}{{"fault-free", nil}, {"faulted", plan}} {
+		t.Run(c.name, func(t *testing.T) {
+			rowRing, rowCaster := ringCaster(t, old, depth, c.fault)
+			pubRing, err := NewBroadcastRing(old.Channels(), depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pubCaster, err := NewCaster(old, hiddenRing{pubRing}, c.fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rowCaster.ring == nil || pubCaster.ring != nil {
+				t.Fatal("the casters do not take the row and the frame path")
+			}
+			stageAt := old.Length()/2 + 1
+			for abs := 0; abs < 3*old.Length()+2*next.Length(); abs++ {
+				if abs == stageAt {
+					for _, cs := range []*Caster{rowCaster, pubCaster} {
+						if err := cs.StageProgram(next); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rowCaster.CastSlot(abs)
+				pubCaster.CastSlot(abs)
+				a := int64(abs)
+				rows, pubs := rowRing.row(a), pubRing.row(a)
+				for ch := range rows {
+					if r, p := rows[ch].word.Load(), pubs[ch].word.Load(); r != p {
+						t.Fatalf("slot %d channel %d: row cast %#016x, published %#016x", abs, ch, r, p)
+					}
+				}
+				if r, p := rowRing.stamps[a&rowRing.mask].Load(), pubRing.stamps[a&pubRing.mask].Load(); r != p {
+					t.Fatalf("slot %d: stamps %d and %d", abs, r, p)
+				}
+				if rowRing.Head() != pubRing.Head() {
+					t.Fatalf("slot %d: heads %d and %d", abs, rowRing.Head(), pubRing.Head())
+				}
+			}
+			if rowCaster.Epoch() != pubCaster.Epoch() || rowCaster.Epoch().Seq != 1 {
+				t.Fatalf("epochs %+v and %+v, want one flip on both", rowCaster.Epoch(), pubCaster.Epoch())
+			}
+			got, want := rowCaster.Faults(), pubCaster.Faults()
+			if got != want {
+				t.Fatalf("row cast faults %+v, published %+v", got, want)
+			}
+			if c.fault != nil && (got.StalledSlots == 0 || got.DroppedFrames == 0 || got.CorruptFrames == 0) {
+				t.Errorf("faults %+v: the plan misses a fault class", got)
+			}
+		})
+	}
+}
+
 // TestRingZeroAllocs is the acceptance-criteria alloc guard: the ring
-// transport does zero allocations per slot on the publish side and zero
-// per poll on the subscriber side, at any subscriber count — the O(1)
-// server-work claim in allocation form.
+// transport does zero allocations per slot on the publish side, fault-free
+// and under a plan that stalls, drops and corrupts, and zero per poll on
+// the subscriber side, at any subscriber count — the O(1) server-work
+// claim in allocation form.
 func TestRingZeroAllocs(t *testing.T) {
 	prog := testProgram(t)
+	_, faulted := ringCaster(t, prog, 64, stallDropCorrupt(t, prog))
+	fabs := 0
+	if g := testing.AllocsPerRun(1000, func() {
+		faulted.CastSlot(fabs)
+		fabs++
+	}); g != 0 {
+		t.Errorf("faulted CastSlot allocates %v per slot, want 0", g)
+	}
+	if f := faulted.Faults(); f.StalledSlots == 0 || f.DroppedFrames == 0 || f.CorruptFrames == 0 {
+		t.Errorf("faults %+v: the plan misses a fault class", f)
+	}
 	ring, caster := ringCaster(t, prog, 64, nil)
 	abs := 0
 	if g := testing.AllocsPerRun(1000, func() {

@@ -88,6 +88,7 @@ type Caster struct {
 	published atomic.Pointer[EpochInfo] // last flipped epoch, for observers
 	staged    atomic.Pointer[core.Program]
 	tr        Transport
+	ring      *BroadcastRing // tr itself when it is the ring: CastSlot writes whole rows
 	fault     FaultInjector
 	enc       frameEncoder
 	frame     [FrameSize]byte
@@ -113,9 +114,11 @@ func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, 
 	if prog.Channels() > maxFrameChannels {
 		return nil, fmt.Errorf("netcast: program of %d channels exceeds the frame's %d", prog.Channels(), maxFrameChannels)
 	}
+	ring, _ := tr.(*BroadcastRing)
 	c := &Caster{
 		epoch: &EpochInfo{Seq: 0, Base: 0, Program: prog},
 		tr:    tr,
+		ring:  ring,
 		fault: fault,
 		enc:   newFrameEncoder(prog.Channels()),
 	}
@@ -150,6 +153,13 @@ func (c *Caster) Epoch() EpochInfo { return *c.published.Load() }
 // CastSlot encodes and publishes absolute slot abs on every channel, then
 // ends the slot on the transport. The checksum's slot term is computed
 // once for the slot, so each frame adds only its page term (frameEncoder).
+//
+// Into a BroadcastRing the slot is cast as one row: each channel's cell
+// word is stored straight into its cell, with no call through Transport
+// and no wire bytes. A dropped or stalled frame stores skipCell, a
+// corrupted one its word with the page byte flipped, the same flip the
+// wire carries. Every other transport gets the frame's wire bytes through
+// Publish, or a Skip.
 func (c *Caster) CastSlot(abs int) {
 	if st := c.staged.Load(); st != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
 		// Start of an old-epoch cycle: flip. The CAS tolerates a racing
@@ -160,20 +170,40 @@ func (c *Caster) CastSlot(abs int) {
 			c.published.Store(c.epoch)
 		}
 	}
-	prog := c.epoch.Program
 	if c.fault != nil && c.fault.Stalled(abs) {
 		// The slot counter still advances during a stall: broadcast time
 		// is locked to the clock, a stalled server simply wastes the slot.
 		c.stalledSlots.Add(1)
-		for ch := 0; ch < prog.Channels(); ch++ {
-			c.tr.Skip(ch, abs)
+		if c.ring != nil {
+			row := c.ring.openRow(abs)
+			for ch := range row {
+				row[ch].word.Store(skipCell)
+			}
+		} else {
+			for ch := 0; ch < c.tr.Channels(); ch++ {
+				c.tr.Skip(ch, abs)
+			}
 		}
 		c.tr.EndSlot(abs)
 		return
 	}
+	prog := c.epoch.Program
 	col := prog.Column(abs - c.epoch.Base)
-	slot := uint32(abs)
-	slotTerm := slotSum(slot)
+	slotTerm := slotWord(uint32(abs))
+	if c.ring != nil {
+		row := c.ring.openRow(abs)
+		if c.fault == nil {
+			for ch := range row {
+				row[ch].word.Store(c.enc.word(ch, slotTerm, prog.At(ch, col)))
+			}
+		} else {
+			for ch := range row {
+				row[ch].word.Store(c.faulted(ch, abs, c.enc.word(ch, slotTerm, prog.At(ch, col))))
+			}
+		}
+		c.ring.EndSlot(abs)
+		return
+	}
 	for ch := 0; ch < prog.Channels(); ch++ {
 		if !c.tr.NeedsFrame(ch) {
 			// Nobody is listening and the transport pays per subscriber:
@@ -184,22 +214,35 @@ func (c *Caster) CastSlot(abs int) {
 			c.tr.Skip(ch, abs)
 			continue
 		}
-		if c.fault != nil && c.fault.Drop(ch, abs) {
-			c.droppedFrames.Add(1)
+		w := c.enc.word(ch, slotTerm, prog.At(ch, col))
+		if c.fault != nil {
+			w = c.faulted(ch, abs, w)
+		}
+		if w == skipCell {
 			c.tr.Skip(ch, abs)
 			continue
 		}
-		w0, w1 := c.enc.words(ch, slot, slotTerm, prog.At(ch, col))
+		w0, w1 := cellFrameWords(ch, int64(abs), w)
 		putFrameWords(&c.frame, w0, w1)
-		if c.fault != nil && c.fault.Corrupt(ch, abs) {
-			// Flip a page byte after the checksum was computed: the frame
-			// goes out damaged and every receiver's checksum rejects it.
-			c.frame[corruptFlipOffset] ^= corruptFlipMask
-			c.corruptFrames.Add(1)
-		}
 		c.tr.Publish(ch, abs, c.frame[:])
 	}
 	c.tr.EndSlot(abs)
+}
+
+// faulted applies the injector's per-frame faults to channel ch's cell
+// word w at slot abs, drop before corruption, and counts them: a dropped
+// frame becomes skipCell, a corrupted one has a page byte flipped after
+// the checksum was computed, so every receiver's checksum rejects it.
+func (c *Caster) faulted(ch, abs int, w uint64) uint64 {
+	if c.fault.Drop(ch, abs) {
+		c.droppedFrames.Add(1)
+		return skipCell
+	}
+	if c.fault.Corrupt(ch, abs) {
+		c.corruptFrames.Add(1)
+		return w ^ cellCorruptFlip
+	}
+	return w
 }
 
 // Faults reports the faults injected so far. Safe to call concurrently

@@ -22,7 +22,9 @@ race() {
 }
 
 # fuzz smokes every Fuzz* target of the module, found with `go test -list`,
-# so a new target cannot be left out.
+# so a new target cannot be left out. `-run` names the target too, so the
+# package's unit tests are not rerun once per target; the target's seed
+# corpus still runs.
 fuzz() {
     if [ "$FUZZTIME" = "0" ]; then
         echo "==> fuzz smoke skipped (FUZZTIME=0)"
@@ -34,7 +36,7 @@ fuzz() {
         /^ok/ { if (names != "") print $2 names; names = "" }' |
     while read -r pkg targets; do
         for target in $targets; do
-            go test -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$pkg"
+            go test -run="^${target}\$" -fuzz="^${target}\$" -fuzztime="$FUZZTIME" "$pkg"
         done
     done
 }
