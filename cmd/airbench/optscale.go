@@ -10,7 +10,6 @@ import (
 	"tcsa/internal/core"
 	"tcsa/internal/opt"
 	"tcsa/internal/perf"
-	"tcsa/internal/ptas"
 )
 
 // frontierFamilyFloor is the family size beyond which an instance counts as
@@ -98,7 +97,7 @@ func runOptscale(rec *recorder, cases []optscaleCase) error {
 			return fmt.Errorf("%s: %w", tc.name, err)
 		}
 		nReal := tc.nReal(gs)
-		family := ptas.FamilySize(gs, nil)
+		family := opt.FamilySize(gs)
 
 		t0 := time.Now()
 		ares, err := opt.Approx(ctx, gs, nReal, opt.ApproxOptions{Eps: optscaleEps})

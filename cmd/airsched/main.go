@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	ratio := fs.Int("ratio", 2, "geometric ratio c")
 	channels := fs.Int("channels", 0, "channel budget (0 = Theorem 3.1 minimum)")
 	alg := fs.String("alg", "auto", "scheduler: auto|susc|pamad|mpb|opt|approx")
-	eps := fs.Float64("eps", 0, "approximation slack for -alg approx (0 = default)")
+	eps := fs.Float64("eps", 0, "approximation slack for -alg approx, at least 0.01 (0 = default 0.1)")
 	grid := fs.Bool("grid", false, "print the full program grid")
 	save := fs.String("save", "", "write the program (with its instance) to this JSON file")
 	load := fs.String("load", "", "load a program from this JSON file instead of scheduling")

@@ -88,6 +88,17 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunApproxEpsFloor: a slack below 0.01 is refused before any search.
+// At ε = 1e-4 the 16-group family (4^15 members) would sit under the
+// exact-scan limit and be materialised in memory.
+func TestRunApproxEpsFloor(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-alg", "approx", "-eps", "0.0001", "-dist", "uniform", "-groups", "16", "-pages", "1000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "eps") {
+		t.Fatalf("err = %v, want the eps range refused", err)
+	}
+}
+
 func TestSaveAndLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/prog.json"

@@ -4,24 +4,20 @@
 // checkerr, floateq, copylock, exhaustenum, nopanic), five built on the
 // cross-package facts engine (detmap, wallclock, ctxflow, atomicmix,
 // lockbal) and testonly, which flags internal/ code only tests reach. It
-// is part of the scripts/check.sh gate and must exit 0 on the repo
-// against the committed (empty) lint_baseline.json at all times; the gate
-// runs it from bench/ over `tcsa/...`, which loads both modules. See
-// docs/airvet.md.
+// is part of the scripts/check.sh gate and must exit 0 on the repo at all
+// times — a site that must break a rule carries a justified
+// //lint:ignore instead; the gate runs it from bench/ over `tcsa/...`,
+// which loads both modules. See docs/airvet.md.
 //
 // Usage:
 //
-//	airvet [-list] [-only analyzer,...] [-json] [-baseline file [-update]] [packages]
+//	airvet [-list] [-only analyzer,...] [-json] [packages]
 //
 // Packages default to ./... resolved from the current directory. File
-// names in -json output and the baseline are relative to the
-// outermost enclosing module's root, so a run from bench/ and one from
-// the repository root name files alike.
-// -baseline filters findings already blessed in the given file (CI fails
-// only on new debt); -update rewrites that file from the current
-// findings instead of failing. -json emits machine-readable findings for
-// the CI artifact. Exit status: 0 clean, 1 findings, 2 usage or load
-// error.
+// names in -json output are relative to the outermost enclosing module's
+// root, so a run from bench/ and one from the repository root name files
+// alike. -json emits machine-readable findings for the CI artifact. Exit
+// status: 0 clean, 1 findings, 2 usage or load error.
 package main
 
 import (
@@ -54,10 +50,8 @@ func run(args []string, out, errw io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	baseline := fs.String("baseline", "", "baseline file of blessed findings; only new findings fail")
-	update := fs.Bool("update", false, "rewrite the -baseline file from the current findings and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintln(errw, "usage: airvet [-list] [-only analyzer,...] [-json] [-baseline file [-update]] [packages]")
+		fmt.Fprintln(errw, "usage: airvet [-list] [-only analyzer,...] [-json] [packages]")
 		fs.PrintDefaults()
 		fmt.Fprintln(errw, "\nanalyzers:")
 		for _, a := range lint.All() {
@@ -72,10 +66,6 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *update && *baseline == "" {
-		fmt.Fprintln(errw, "airvet: -update requires -baseline")
-		return 2
 	}
 	analyzers := lint.All()
 	if *only != "" {
@@ -95,28 +85,12 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "airvet:", err)
 		return 2
 	}
-	root, err := lint.RootDir(".")
-	if err != nil {
-		fmt.Fprintln(errw, "airvet:", err)
-		return 2
-	}
-	if *baseline != "" {
-		if *update {
-			if err := lint.WriteBaseline(*baseline, root, diags); err != nil {
-				fmt.Fprintln(errw, "airvet:", err)
-				return 2
-			}
-			fmt.Fprintf(errw, "airvet: wrote %d finding(s) to %s\n", len(diags), *baseline)
-			return 0
-		}
-		b, err := lint.LoadBaseline(*baseline)
+	if *asJSON {
+		root, err := lint.RootDir(".")
 		if err != nil {
 			fmt.Fprintln(errw, "airvet:", err)
 			return 2
 		}
-		diags = b.Filter(diags, root)
-	}
-	if *asJSON {
 		report := []jsonDiagnostic{}
 		for _, d := range diags {
 			file := d.Pos.Filename

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,16 +28,6 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 	if !strings.Contains(errw.String(), "nosuchcheck") {
 		t.Errorf("stderr %q does not name the bad analyzer", errw.String())
-	}
-}
-
-func TestUpdateRequiresBaseline(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-update"}, &out, &errw); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errw.String(), "-baseline") {
-		t.Errorf("stderr %q does not explain the missing -baseline", errw.String())
 	}
 }
 
@@ -70,48 +58,5 @@ func TestJSONOutputCleanPackage(t *testing.T) {
 	}
 	if len(report) != 0 {
 		t.Errorf("unexpected findings on a clean package: %v", report)
-	}
-}
-
-func TestBaselineFlagCleanPackage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(`{"version":1,"diagnostics":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errw strings.Builder
-	if code := run([]string{"-baseline", path, "tcsa/internal/core"}, &out, &errw); code != 0 {
-		t.Fatalf("exit %d against an empty baseline on a clean package\nstderr: %s", code, errw.String())
-	}
-}
-
-func TestBaselineMissingFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	var out, errw strings.Builder
-	code := run([]string{"-baseline", filepath.Join(t.TempDir(), "nope.json"), "tcsa/internal/core"}, &out, &errw)
-	if code != 2 {
-		t.Fatalf("exit %d with a missing baseline file, want 2", code)
-	}
-}
-
-func TestUpdateWritesBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to the go tool")
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	var out, errw strings.Builder
-	if code := run([]string{"-baseline", path, "-update", "tcsa/internal/core"}, &out, &errw); code != 0 {
-		t.Fatalf("exit %d from -update\nstderr: %s", code, errw.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("-update did not write the baseline: %v", err)
-	}
-	if !strings.Contains(string(data), `"version": 1`) {
-		t.Errorf("written baseline missing version field:\n%s", data)
 	}
 }

@@ -48,19 +48,19 @@ func testPlan(t *testing.T, prog *core.Program, cfg chaos.Config) FaultInjector 
 	return plan
 }
 
+// TestFrameV1Compat pins that the checksum-less version-1 wire format is
+// refused: a frame carrying version 1 is ErrBadFrame even with the zeros
+// a version-1 sender wrote in the checksum bytes, so a version byte
+// corrupted to 1 is caught like any other flip.
 func TestFrameV1Compat(t *testing.T) {
-	// A version-1 sender wrote zeros where version 2 keeps the checksum;
-	// its frames must still decode.
-	f := Frame{Channel: 1, Slot: 77, Page: 5}
-	buf := appendFrame(nil, f)
-	buf[2] = frameVersionV1
-	binary.BigEndian.PutUint16(buf[6:8], 0)
-	got, err := parseFrame(buf)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
+	b := appendFrame(nil, Frame{Channel: 1, Slot: 77, Page: 5})
+	b[frameVersionOff] = 1
+	binary.BigEndian.PutUint16(b[frameSumOff:], 0)
+	if f, err := parseFrame(b); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("version-1 frame decoded as %+v, %v", f, err)
 	}
-	if got != f {
-		t.Errorf("v1 round trip %+v -> %+v", f, got)
+	if f, ok := frameFromWords(packFrameWords(b)); ok {
+		t.Errorf("frameFromWords decoded a version-1 frame as %+v", f)
 	}
 }
 

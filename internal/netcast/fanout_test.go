@@ -2,7 +2,6 @@ package netcast
 
 import (
 	"context"
-	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -160,38 +159,19 @@ func TestUDPSkipsSilentChannels(t *testing.T) {
 }
 
 // TestCorruptFlipLandsInPayload pins the named corruption constant to the
-// frame layout: the flipped byte sits inside the page field, so a v2
-// receiver rejects the frame by checksum while a checksum-less v1 frame
-// decodes to a different page — corrupted payload, intact framing.
+// frame layout: the flipped byte sits inside the page field — corrupted
+// payload, intact framing — and the receiver rejects the frame by
+// checksum.
 func TestCorruptFlipLandsInPayload(t *testing.T) {
 	if corruptFlipOffset < framePageOff || corruptFlipOffset >= framePageOff+4 {
 		t.Fatalf("corruptFlipOffset %d outside the page field [%d, %d)",
 			corruptFlipOffset, framePageOff, framePageOff+4)
 	}
 
-	v2 := appendFrame(nil, Frame{Channel: 1, Slot: 9, Page: 0x0102})
-	v2[corruptFlipOffset] ^= corruptFlipMask
-	if _, err := parseFrame(v2); err == nil {
-		t.Error("v2 checksum accepted a corrupted payload byte")
-	}
-
-	v1 := appendFrame(nil, Frame{Channel: 1, Slot: 9, Page: 0x0102})
-	v1[frameVersionOff] = frameVersionV1
-	binary.BigEndian.PutUint16(v1[frameSumOff:], 0) // v1 reserved the field
-	clean, err := parseFrame(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1[corruptFlipOffset] ^= corruptFlipMask
-	dirty, err := parseFrame(v1)
-	if err != nil {
-		t.Fatalf("v1 frame must parse uncheckedly: %v", err)
-	}
-	if dirty.Page == clean.Page {
-		t.Errorf("flip at offset %d did not change the decoded page %d", corruptFlipOffset, clean.Page)
-	}
-	if dirty.Channel != clean.Channel || dirty.Slot != clean.Slot {
-		t.Errorf("flip leaked outside the page field: %+v vs %+v", dirty, clean)
+	b := appendFrame(nil, Frame{Channel: 1, Slot: 9, Page: 0x0102})
+	b[corruptFlipOffset] ^= corruptFlipMask
+	if _, err := parseFrame(b); err == nil {
+		t.Error("checksum accepted a corrupted payload byte")
 	}
 }
 

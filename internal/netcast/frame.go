@@ -15,7 +15,6 @@ package netcast
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"tcsa/internal/core"
 )
@@ -23,11 +22,9 @@ import (
 // Wire format constants.
 const (
 	frameMagic uint16 = 0x7C5A // "tcsa"
-	// frameVersion 2 adds a 16-bit payload checksum in the bytes version 1
-	// reserved; parseFrame still accepts checksum-less version-1 frames
-	// from older senders.
-	frameVersion   byte = 2
-	frameVersionV1 byte = 1
+	// frameVersion is the one wire version: it carries a 16-bit checksum,
+	// and receivers reject every other version.
+	frameVersion byte = 2
 	// FrameSize is the fixed encoded size of a Frame in bytes.
 	FrameSize = 16
 	// maxFrameChannels is how many channels a frame can name: the channel
@@ -36,26 +33,21 @@ const (
 	maxFrameChannels = 1 << 16
 )
 
-// Field offsets of the encoded frame; parseFrame indexes through these.
-// frameEncoder and frameFromWords handle the same layout as two big-endian
-// words: w0 holds bytes 0-7 (magic to checksum), w1 bytes 8-15.
+// Field offsets of the encoded frame. frameEncoder and frameFromWords
+// handle the same layout as two big-endian words: w0 holds bytes 0-7
+// (magic to checksum), w1 bytes 8-15.
 const (
-	frameMagicOff   = 0  // magic(2)
 	frameVersionOff = 2  // version(1)
-	frameFlagsOff   = 3  // flags(1)
-	frameChannelOff = 4  // channel(2)
 	frameSumOff     = 6  // checksum(2)
-	frameSlotOff    = 8  // slot(4)
 	framePageOff    = 12 // page(4)
 )
 
 // Fault injection flips exactly one payload byte after the checksum is
 // computed. The probe sits inside the page field — payload, not framing —
-// so a corrupted frame still looks like traffic from this protocol: a
-// version-2 receiver rejects it by checksum, while a checksum-less
-// version-1 receiver decodes a wrong page (the corruption version 2 was
-// introduced to catch). cellCorruptFlip is the same flip in a frame's
-// ring cell word, whose low four bytes are the page field in wire order.
+// so a corrupted frame still looks like traffic from this protocol and
+// only the checksum rejects it. cellCorruptFlip is the same flip in a
+// frame's ring cell word, whose low four bytes are the page field in wire
+// order.
 const (
 	corruptFlipOffset = framePageOff + 1
 	corruptFlipMask   = 0xA5
@@ -69,21 +61,13 @@ var ErrBadFrame = errors.New("netcast: bad frame")
 //
 // Encoding (big endian): magic(2) version(1) flags(1) channel(2)
 // checksum(2) slot(4) page(4). Page -1 (empty slot) is carried as the
-// two's-complement pattern. The checksum is frameSum over the other 14
-// bytes; version-1 frames carried zeros there and are accepted unchecked
-// when those bytes are still zero.
+// two's-complement pattern. The checksum is frameSumWords over the other
+// 14 bytes.
 type Frame struct {
 	Channel int
 	Slot    uint32
 	Page    core.PageID
 }
-
-// frameSum is a CRC-16/CCITT (polynomial 0x1021, initial value 0xFFFF)
-// over the frame bytes outside the checksum field. A CRC whose generator
-// has both end terms detects every error burst of up to 16 bits, so every
-// single-byte corruption of the other 14 bytes is caught. b must hold a
-// whole frame; the CRC runs over its packed words (frameSumWords).
-func frameSum(b []byte) uint16 { return frameSumWords(packFrameWords(b)) }
 
 const (
 	crcPoly = 0x1021
@@ -114,32 +98,17 @@ var crcTable = func() (t [8][256]uint16) {
 	return t
 }()
 
-// parseFrame decodes one datagram.
+// parseFrame decodes one datagram: any other length than FrameSize, and
+// any frame frameFromWords rejects, is ErrBadFrame.
 func parseFrame(b []byte) (Frame, error) {
 	if len(b) != FrameSize {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrBadFrame, len(b))
+		return Frame{}, ErrBadFrame
 	}
-	if binary.BigEndian.Uint16(b[frameMagicOff:]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrBadFrame, b[frameMagicOff:frameMagicOff+2])
+	f, ok := frameFromWords(packFrameWords(b))
+	if !ok {
+		return Frame{}, ErrBadFrame
 	}
-	switch b[frameVersionOff] {
-	case frameVersion:
-		if got, want := binary.BigEndian.Uint16(b[frameSumOff:]), frameSum(b); got != want {
-			return Frame{}, fmt.Errorf("%w: checksum %#04x, computed %#04x", ErrBadFrame, got, want)
-		}
-	case frameVersionV1:
-		// Pre-checksum wire format: the checksum bytes were reserved zeros.
-		if sum := binary.BigEndian.Uint16(b[frameSumOff:]); sum != 0 {
-			return Frame{}, fmt.Errorf("%w: version-1 reserved bytes %#04x", ErrBadFrame, sum)
-		}
-	default:
-		return Frame{}, fmt.Errorf("%w: version %d", ErrBadFrame, b[frameVersionOff])
-	}
-	return Frame{
-		Channel: int(binary.BigEndian.Uint16(b[frameChannelOff:])),
-		Slot:    binary.BigEndian.Uint32(b[frameSlotOff:]),
-		Page:    core.PageID(int32(binary.BigEndian.Uint32(b[framePageOff:]))),
-	}, nil
+	return f, nil
 }
 
 // packFrameWords splits an encoded frame into the two big-endian machine
@@ -154,24 +123,12 @@ func putFrameWords(b *[FrameSize]byte, w0, w1 uint64) {
 	binary.BigEndian.PutUint64(b[8:16], w1)
 }
 
-// frameFromWords is parseFrame over the packed words the ring rebuilds
-// from a cell: the same validation rules, no byte slice, no allocation on
-// any path (the ring's subscriber hot loop calls this once per poll).
+// frameFromWords is the one frame decoder, over the two packed words of a
+// datagram or of a ring cell: it checks the magic, the version and the
+// checksum, with no byte slice and no allocation on any path (the ring's
+// subscriber hot loop calls this once per poll).
 func frameFromWords(w0, w1 uint64) (Frame, bool) {
-	if uint16(w0>>48) != frameMagic {
-		return Frame{}, false
-	}
-	switch byte(w0 >> 40) {
-	case frameVersion:
-		if uint16(w0) != frameSumWords(w0, w1) {
-			return Frame{}, false
-		}
-	case frameVersionV1:
-		// Pre-checksum wire format: the checksum bytes were reserved zeros.
-		if uint16(w0) != 0 {
-			return Frame{}, false
-		}
-	default:
+	if uint16(w0>>48) != frameMagic || byte(w0>>40) != frameVersion || uint16(w0) != frameSumWords(w0, w1) {
 		return Frame{}, false
 	}
 	return Frame{
@@ -181,8 +138,11 @@ func frameFromWords(w0, w1 uint64) (Frame, bool) {
 	}, true
 }
 
-// frameSumWords is frameSum over the packed words. The checksum field is
-// the low two bytes of w0, so the CRC takes w0's top six bytes in one step
+// frameSumWords is a CRC-16/CCITT (polynomial 0x1021, initial value
+// 0xFFFF) over the frame bytes outside the checksum field, taken from the
+// packed words. A CRC whose generator has both end terms detects every
+// error burst of up to 16 bits, so every single-byte corruption of the
+// other 14 bytes is caught. The checksum field is the low two bytes of w0, so the CRC takes w0's top six bytes in one step
 // and w1's eight in a second, each step a tree of independent table
 // lookups — cheap enough for the poll hot path. The publish path encodes
 // through frameEncoder instead, which reuses the parts shared by a slot.

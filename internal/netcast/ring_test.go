@@ -1,7 +1,7 @@
 package netcast
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -140,9 +140,7 @@ func pollPublished(r *BroadcastRing, ch, abs int, frame []byte) (Frame, PollStat
 // TestRingCellCatchesEverySingleByteFlip is the frame flip test through
 // the ring: every single-byte flip of a published frame polls
 // RingCorrupt — flips of the magic, channel and slot because the frame no
-// longer matches its cell, the rest by checksum — except the one flip the
-// wire format cannot reject (TestFrameChecksumCatchesEverySingleByteFlip),
-// which must poll RingOK as exactly the frame that was sent.
+// longer matches its cell, the rest by version or checksum.
 func TestRingCellCatchesEverySingleByteFlip(t *testing.T) {
 	ring, err := NewBroadcastRing(maxFrameChannels, 1)
 	if err != nil {
@@ -161,10 +159,8 @@ func TestRingCellCatchesEverySingleByteFlip(t *testing.T) {
 			for mask := 1; mask < 256; mask++ {
 				copy(b, clean)
 				b[i] ^= byte(mask)
-				harmless := i == frameVersionOff && b[i] == frameVersionV1 &&
-					binary.BigEndian.Uint16(b[frameSumOff:]) == 0
 				got, st := pollPublished(ring, f.Channel, int(f.Slot), b)
-				if st != RingCorrupt && !(harmless && st == RingOK && got == f) {
+				if st != RingCorrupt {
 					t.Fatalf("%+v: flip %#02x at byte %d polled %+v/%v", f, mask, i, got, st)
 				}
 			}
@@ -211,20 +207,19 @@ func TestRingCellMismatchPollsCorrupt(t *testing.T) {
 }
 
 // TestRingCellVersion1 pins that a checksum-less version-1 frame, which
-// parseFrame accepts, polls RingOK through the ring too.
+// parseFrame refuses, polls RingCorrupt through the ring too.
 func TestRingCellVersion1(t *testing.T) {
 	ring, err := NewBroadcastRing(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var v1 [FrameSize]byte
-	putFrameWords(&v1, uint64(frameMagic)<<48|uint64(frameVersionV1)<<40|2<<16, 9<<32|0x0102)
-	want := Frame{Channel: 2, Slot: 9, Page: 0x0102}
-	if f, err := parseFrame(v1[:]); err != nil || f != want {
-		t.Fatalf("parseFrame(v1) = %+v, %v", f, err)
+	putFrameWords(&v1, uint64(frameMagic)<<48|1<<40|2<<16, 9<<32|0x0102)
+	if f, err := parseFrame(v1[:]); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("parseFrame(v1) = %+v, %v, want ErrBadFrame", f, err)
 	}
-	if got, st := pollPublished(ring, 2, 9, v1[:]); st != RingOK || got != want {
-		t.Errorf("version-1 frame polled %+v/%v, want %+v/RingOK", got, st, want)
+	if got, st := pollPublished(ring, 2, 9, v1[:]); st != RingCorrupt {
+		t.Errorf("version-1 frame polled %+v/%v, want RingCorrupt", got, st)
 	}
 }
 

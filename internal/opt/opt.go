@@ -37,6 +37,11 @@
 // against each other. docs/perf.md derives the bound's admissibility and
 // reports the measured evaluated-node reduction.
 //
+// Approx (approx.go) searches the same family for the large-h frontier
+// where branch-and-bound is infeasible: a (1+ε) geometric-grid dynamic
+// program sharing Search's factor caps, family projection, seeds and
+// tie-break.
+//
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package opt
 
@@ -44,6 +49,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -391,17 +397,9 @@ func (w *worker) exact(f int) {
 // as a complete one. Result.Evaluated counts exact evaluations and is only
 // deterministic at Parallelism 1 (incumbent timing varies across workers).
 func Search(ctx context.Context, gs *core.GroupSet, nReal int, opts Options) (*Result, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
+	if res, err := trivial(gs, nReal); res != nil || err != nil {
+		return res, err
 	}
-	if nReal < 1 {
-		return nil, fmt.Errorf("%w: %d channels", core.ErrInsufficientChannels, nReal)
-	}
-	h := gs.Len()
-	if h == 1 {
-		return &Result{Frequencies: delaymodel.Frequencies{1}, Delay: delaymodel.GroupDelay(gs, delaymodel.Frequencies{1}, nReal), Evaluated: 1}, nil
-	}
-
 	caps := factorCaps(gs, opts.MaxFactor)
 	e := newEngine(gs, nReal, caps, opts.Exhaustive)
 
@@ -446,21 +444,12 @@ func Search(ctx context.Context, gs *core.GroupSet, nReal int, opts Options) (*R
 	}
 
 	best := &Result{Delay: -1}
-	consider := func(cand *Result) {
-		if cand.Delay < 0 {
-			return
-		}
-		if best.Delay < 0 || betterResult(gs, cand, best) {
-			best.Frequencies = cand.Frequencies
-			best.Delay = cand.Delay
-		}
-	}
 	for i := range seeds {
-		consider(&seeds[i])
+		keepBetter(gs, best, &seeds[i])
 		best.Evaluated++
 	}
 	for _, w := range ws {
-		consider(&w.best)
+		keepBetter(gs, best, &w.best)
 		best.Evaluated += w.evaluated
 	}
 	if best.Delay < 0 {
@@ -479,25 +468,10 @@ func seedVectors(gs *core.GroupSet, nReal int, caps []int) []delaymodel.Frequenc
 		seeds = append(seeds, clampToFamily(ps, caps))
 	}
 	suf := clampToFamily(delaymodel.SufficientFrequencies(gs), caps)
-	for _, s := range seeds {
-		if equalFrequencies(s, suf) {
-			return seeds
-		}
+	if slices.ContainsFunc(seeds, func(s delaymodel.Frequencies) bool { return slices.Equal(s, suf) }) {
+		return seeds
 	}
 	return append(seeds, suf)
-}
-
-// equalFrequencies reports element-wise equality of two same-family vectors.
-func equalFrequencies(a, b delaymodel.Frequencies) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // clampToFamily projects a divisor-chain vector onto the searched family:
@@ -523,6 +497,19 @@ func clampToFamily(s delaymodel.Frequencies, caps []int) delaymodel.Frequencies 
 		out[i] = r * out[i+1]
 	}
 	return out
+}
+
+// FamilySize returns the number of divisor-chain members Search and Approx
+// explore under the automatic factor caps — the leaf count ∏ caps[i] an
+// exact enumeration must visit. The count is a float64 because frontier
+// instances overflow int64 (h=20 at cap 4 is already ~2.7e11); callers use
+// it as the Search-infeasibility witness, not for exact arithmetic.
+func FamilySize(gs *core.GroupSet) float64 {
+	family := 1.0
+	for _, c := range factorCaps(gs, 0) {
+		family *= float64(c)
+	}
+	return family
 }
 
 // factorCaps derives the per-position candidate cap for r_i.
@@ -556,12 +543,33 @@ func betterResult(gs *core.GroupSet, a, b *Result) bool {
 	if fa != fb {
 		return fa < fb
 	}
-	for i := range a.Frequencies {
-		if a.Frequencies[i] != b.Frequencies[i] {
-			return a.Frequencies[i] < b.Frequencies[i]
-		}
+	return slices.Compare(a.Frequencies, b.Frequencies) < 0
+}
+
+// keepBetter folds cand into best under betterResult; a negative Delay
+// marks either as empty. Only the vector and delay move, so the caller
+// keeps ownership of best.Evaluated.
+func keepBetter(gs *core.GroupSet, best, cand *Result) {
+	if cand.Delay >= 0 && (best.Delay < 0 || betterResult(gs, cand, best)) {
+		best.Frequencies, best.Delay = cand.Frequencies, cand.Delay
 	}
-	return false
+}
+
+// trivial answers the inputs both searches share without searching: an
+// error for a nil set or fewer than one channel, and the family's only
+// member for a single group. It returns (nil, nil) for every other input.
+func trivial(gs *core.GroupSet, nReal int) (*Result, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)
+	}
+	if nReal < 1 {
+		return nil, fmt.Errorf("%w: %d channels", core.ErrInsufficientChannels, nReal)
+	}
+	if gs.Len() > 1 {
+		return nil, nil
+	}
+	one := delaymodel.Frequencies{1}
+	return &Result{Frequencies: one, Delay: delaymodel.GroupDelay(gs, one, nReal), Evaluated: 1}, nil
 }
 
 // Build runs Search and materialises the winning frequencies into a

@@ -55,7 +55,7 @@ func TestSearchMatchesExhaustive(t *testing.T) {
 // exhaustive scan while returning the identical result. Parallelism 1 makes
 // Evaluated deterministic.
 func TestSearchEvaluatedReduction(t *testing.T) {
-	gs := paperUniform(125)
+	gs := paperUniform(125, 8)
 	ctx := context.Background()
 	for _, nReal := range []int{10, 20, 40} {
 		pruned, err := Search(ctx, gs, nReal, Options{Parallelism: 1})
@@ -109,7 +109,7 @@ func (c *countdownCtx) Err() error {
 // result must never be mistaken for a complete one. (This is the regression
 // test for the old behaviour of silently returning the partial best.)
 func TestSearchCancelledMidSearch(t *testing.T) {
-	gs := paperUniform(5)
+	gs := paperUniform(5, 8)
 	full, err := Search(context.Background(), gs, 10, Options{Parallelism: 1, Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestSearchPreCancelled(t *testing.T) {
 // race gate for the work-stealing paths, and the result must still match
 // the serial scan bit for bit.
 func TestSearchWorkStealingRace(t *testing.T) {
-	gs := paperUniform(25)
+	gs := paperUniform(25, 8)
 	ctx := context.Background()
 	serial, err := Search(ctx, gs, 15, Options{Parallelism: 1})
 	if err != nil {
@@ -181,10 +181,10 @@ func TestSearchWorkStealingRace(t *testing.T) {
 	t.Logf("parallel sweeps in %v", time.Since(start))
 }
 
-// paperUniform is the paper's uniform workload shape: h=8 groups, t=4..512,
-// per pages each.
-func paperUniform(per int) *core.GroupSet {
-	groups := make([]core.Group, 8)
+// paperUniform is the paper's uniform workload shape widened to h groups:
+// t=4·2^i, per pages each.
+func paperUniform(per, h int) *core.GroupSet {
+	groups := make([]core.Group, h)
 	tt := 4
 	for i := range groups {
 		groups[i] = core.Group{Time: tt, Count: per}
