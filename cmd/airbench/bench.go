@@ -141,7 +141,7 @@ func runBuild(rec *recorder) error {
 	rec.add("OPTSearch", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := opt.Search(ctx, gs, n, opt.Options{MaxFactor: p.OptMaxFactor})
+			res, err := opt.Search(ctx, gs, n, opt.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

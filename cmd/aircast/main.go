@@ -11,9 +11,10 @@
 //	aircast -fetch 127.0.0.1:41234 -page 4 -timeout 3s
 //
 // Serve through a deterministic fault injector (chaos): frame loss, burst
-// erasures, server stalls and corruption, all replayable from -chaosseed:
+// erasures, server stalls and corruption, all replayable from -chaosseed.
+// Any fault flag that injects a fault turns the injector on:
 //
-//	aircast -serve -counts 3,5,3 -chaos -loss 0.1 -burst 0.05,0.25,0,0.8 \
+//	aircast -serve -counts 3,5,3 -loss 0.1 -burst 0.05,0.25,0,0.8 \
 //	        -stall 64/4 -corrupt 0.02 -chaosseed 7
 //
 // Demonstrate a zero-pause live replan: after ~N slots on air the server
@@ -64,19 +65,29 @@ func run(args []string, out io.Writer) error {
 	t1 := fs.Int("t1", 4, "smallest expected time")
 	ratio := fs.Int("ratio", 2, "geometric ratio c")
 	channels := fs.Int("channels", 0, "channel budget (0 = minimum)")
-	chaosOn := fs.Bool("chaos", false, "serve through a deterministic fault injector")
-	loss := fs.Float64("loss", 0, "per-(channel,slot) i.i.d. frame-loss probability (with -chaos)")
-	corrupt := fs.Float64("corrupt", 0, "per-(channel,slot) frame-corruption probability (with -chaos)")
-	stall := fs.String("stall", "", "server stall window as every/for slots, e.g. 64/4 (with -chaos)")
-	burst := fs.String("burst", "", "Gilbert-Elliott burst loss as g2b,b2g,lossgood,lossbad (with -chaos)")
-	chaosSeed := fs.Int64("chaosseed", 1, "fault-injector seed; same seed replays the same faults")
+	loss := fs.Float64("loss", 0, "per-(channel,slot) i.i.d. frame-loss probability (with -serve)")
+	corrupt := fs.Float64("corrupt", 0, "per-(channel,slot) frame-corruption probability (with -serve)")
+	stall := fs.String("stall", "", "server stall window as every/for slots, e.g. 64/4 (with -serve)")
+	burst := fs.String("burst", "", "Gilbert-Elliott burst loss as g2b,b2g,lossgood,lossbad (with -serve)")
+	chaosSeed := fs.Int64("chaosseed", 1, "fault-injector seed; same seed replays the same faults (with -serve)")
 	replanAfter := fs.Int("replanafter", 0, "retire a page via the incremental replan engine after ~N slots and flip the program live (with -serve)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *chaosOn && !*serve {
-		return fmt.Errorf("-chaos requires -serve")
+	faultFlags := false
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "loss", "corrupt", "stall", "burst", "chaosseed":
+			faultFlags = true
+		}
+	})
+	if faultFlags && !*serve {
+		return fmt.Errorf("-loss, -corrupt, -stall, -burst and -chaosseed require -serve")
+	}
+	fault, err := parseFault(*chaosSeed, *loss, *corrupt, *stall, *burst)
+	if err != nil {
+		return err
 	}
 	if *replanAfter < 0 || (*replanAfter > 0 && !*serve) {
 		return fmt.Errorf("-replanafter requires -serve and a positive slot count")
@@ -84,13 +95,7 @@ func run(args []string, out io.Writer) error {
 
 	switch {
 	case *serve:
-		var mk faultMaker
-		if *chaosOn {
-			mk = func(channels, length int) (netcast.FaultInjector, error) {
-				return buildPlan(*chaosSeed, *loss, *corrupt, *stall, *burst, channels, length)
-			}
-		}
-		return runServe(out, *counts, *dist, *pages, *groups, *t1, *ratio, *channels, *slot, *duration, mk, *replanAfter)
+		return runServe(out, *counts, *dist, *pages, *groups, *t1, *ratio, *channels, *slot, *duration, fault, *replanAfter)
 	case *fetch != "":
 		return runFetch(out, *fetch, core.PageID(*page), *timeout)
 	case *smart != "":
@@ -115,29 +120,27 @@ func runSmart(out io.Writer, scheduleAddr string, page core.PageID, timeout time
 	return nil
 }
 
-// faultMaker builds a fault injector once the program's shape is known.
-type faultMaker func(channels, length int) (netcast.FaultInjector, error)
-
-// buildPlan assembles the chaos plan the -chaos flag family describes.
-func buildPlan(seed int64, loss, corrupt float64, stall, burst string, channels, length int) (netcast.FaultInjector, error) {
+// parseFault assembles and validates the fault config the fault flags
+// describe; it injects nothing unless Active.
+func parseFault(seed int64, loss, corrupt float64, stall, burst string) (chaos.Config, error) {
 	cfg := chaos.Config{Seed: seed, Loss: loss, Corrupt: corrupt}
 	if stall != "" {
 		if _, err := fmt.Sscanf(stall, "%d/%d", &cfg.StallEvery, &cfg.StallFor); err != nil {
-			return nil, fmt.Errorf("parsing -stall %q (want every/for): %w", stall, err)
+			return cfg, fmt.Errorf("parsing -stall %q (want every/for): %w", stall, err)
 		}
 	}
 	if burst != "" {
 		b := &chaos.BurstConfig{}
 		if _, err := fmt.Sscanf(burst, "%g,%g,%g,%g",
 			&b.GoodToBad, &b.BadToGood, &b.LossGood, &b.LossBad); err != nil {
-			return nil, fmt.Errorf("parsing -burst %q (want g2b,b2g,lossgood,lossbad): %w", burst, err)
+			return cfg, fmt.Errorf("parsing -burst %q (want g2b,b2g,lossgood,lossbad): %w", burst, err)
 		}
 		cfg.Burst = b
 	}
-	return chaos.NewPlan(cfg, channels, length)
+	return cfg, cfg.Validate()
 }
 
-func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, channels int, slot, duration time.Duration, mk faultMaker, replanAfter int) error {
+func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, channels int, slot, duration time.Duration, fault chaos.Config, replanAfter int) error {
 	gs, err := workload.ParseInstance(counts, dist, pages, groups, t1, ratio)
 	if err != nil {
 		return err
@@ -165,12 +168,10 @@ func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, chan
 		prog, algo = sched.Program, string(sched.Algorithm)
 	}
 	srvCfg := netcast.ServerConfig{SlotDuration: slot}
-	if mk != nil {
-		fault, err := mk(prog.Channels(), prog.Length())
-		if err != nil {
+	if fault.Active() {
+		if srvCfg.Fault, err = chaos.NewPlan(fault, prog.Channels(), prog.Length()); err != nil {
 			return err
 		}
-		srvCfg.Fault = fault
 	}
 	srv, err := netcast.NewServer(prog, srvCfg)
 	if err != nil {

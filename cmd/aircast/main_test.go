@@ -151,7 +151,7 @@ func TestServeChaosEndToEnd(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-serve", "-counts", "2,3", "-t1", "2", "-slot", "2ms", "-duration", "1500ms",
-			"-chaos", "-loss", "0.2", "-corrupt", "0.05", "-stall", "16/2",
+			"-loss", "0.2", "-corrupt", "0.05", "-stall", "16/2",
 			"-burst", "0.05,0.25,0,0.8", "-chaosseed", "7",
 		}, &serveOut)
 	}()
@@ -217,10 +217,12 @@ func TestServeLiveReplanEndToEnd(t *testing.T) {
 
 func TestChaosFlagErrors(t *testing.T) {
 	tests := [][]string{
-		{"-chaos"}, // without -serve
-		{"-serve", "-counts", "2,3", "-t1", "2", "-chaos", "-stall", "bogus"},
-		{"-serve", "-counts", "2,3", "-t1", "2", "-chaos", "-burst", "0.1"},
-		{"-serve", "-counts", "2,3", "-t1", "2", "-chaos", "-loss", "1.5"},
+		{"-loss", "0.1"},                            // without -serve
+		{"-chaosseed", "7"},                         // without -serve
+		{"-fetch", "127.0.0.1:1", "-stall", "64/4"}, // without -serve
+		{"-serve", "-counts", "2,3", "-t1", "2", "-stall", "bogus"},
+		{"-serve", "-counts", "2,3", "-t1", "2", "-burst", "0.1"},
+		{"-serve", "-counts", "2,3", "-t1", "2", "-loss", "1.5"},
 	}
 	for _, args := range tests {
 		var out strings.Builder

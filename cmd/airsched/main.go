@@ -24,6 +24,7 @@ import (
 
 	"tcsa"
 	"tcsa/internal/core"
+	"tcsa/internal/delaymodel"
 	"tcsa/internal/mpb"
 	"tcsa/internal/opt"
 	"tcsa/internal/pamad"
@@ -148,12 +149,7 @@ func build(gs *core.GroupSet, n int, alg string, eps float64) (*core.Program, st
 		if err != nil {
 			return nil, "", nil, err
 		}
-		th := gs.MaxTime()
-		var freqs []int
-		for i := 0; i < gs.Len(); i++ {
-			freqs = append(freqs, th/gs.Group(i).Time)
-		}
-		return prog, "SUSC", freqs, nil
+		return prog, "SUSC", delaymodel.SufficientFrequencies(gs), nil
 	case "pamad":
 		prog, res, err := pamad.Build(gs, n)
 		if err != nil {

@@ -56,7 +56,6 @@ func run(args []string, out io.Writer) error {
 	theta := fs.Float64("theta", 0, "zipf skew for -pagechoice zipf")
 	seed := fs.Int64("seed", 1, "master seed (stream and fault plan)")
 	workers := fs.Int("workers", 0, "client shard workers (0 = GOMAXPROCS)")
-	ringSlots := fs.Int("ringslots", 0, "broadcast-ring depth in slots (0 = default)")
 	outDir := fs.String("out", "results", "base directory for result artifacts (empty = don't write)")
 	stamp := fs.String("stamp", "", "results subdirectory name (default: UTC timestamp)")
 	verify := fs.Bool("verify", true, "cross-check fault-free scenarios against sim.MeasureStream")
@@ -106,13 +105,11 @@ func run(args []string, out io.Writer) error {
 				for _, cu := range churnList {
 					cfg := loadgen.Config{
 						Clients:    *clients,
-						Workers:    *workers,
 						Dist:       d,
 						Channels:   ch,
 						Seed:       *seed,
 						PageChoice: choice,
 						Theta:      *theta,
-						RingSlots:  *ringSlots,
 						Fault: chaos.Config{
 							Seed:       *seed,
 							Loss:       ls,
@@ -123,7 +120,7 @@ func run(args []string, out io.Writer) error {
 							StallFor:   *stallFor,
 						},
 					}
-					if err := runScenario(cfg, dir, *verify, out); err != nil {
+					if err := runScenario(cfg, *workers, dir, *verify, out); err != nil {
 						return err
 					}
 				}
@@ -138,15 +135,12 @@ func run(args []string, out io.Writer) error {
 
 // runScenario measures one matrix cell, prints its table row, verifies
 // the fault-free identity when asked, and persists the result artifacts.
-func runScenario(cfg loadgen.Config, dir string, verify bool, out io.Writer) error {
+func runScenario(cfg loadgen.Config, workers int, dir string, verify bool, out io.Writer) error {
 	a, stream, err := loadgen.Materialize(cfg)
 	if err != nil {
 		return err
 	}
-	res, err := loadgen.RunStream(context.Background(), a, stream, cfg.Fault, loadgen.Options{
-		Workers:   cfg.Workers,
-		RingSlots: cfg.RingSlots,
-	})
+	res, err := loadgen.RunStream(context.Background(), a, stream, cfg.Fault, loadgen.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

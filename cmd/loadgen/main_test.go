@@ -2,10 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,9 +77,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-channels", "x"},
 		{"-loss", "many"},
 		{"-pagechoice", "powerlaw"},
-		// A ring depth whose power-of-two rounding would overflow: refused,
-		// not a hang or a channels x depth allocation.
-		{"-clients", "1000", "-ringslots", strconv.Itoa(math.MaxInt/2 + 2)},
 	}
 	for _, args := range cases {
 		var buf strings.Builder

@@ -76,6 +76,7 @@ type Config struct {
 	Churn float64
 	// MaxCycles bounds how many broadcast cycles a client waits before
 	// giving up (ledgered as Unserved). 0 means DefaultMaxCycles.
+	//lint:ignore testonly tests shorten the give-up bound to reach Unserved clients and short burst horizons
 	MaxCycles int
 	// Horizon bounds the burst-tape length in slots; beyond it the burst
 	// chain is treated as fault-free. 0 derives (MaxCycles+2)*length,
@@ -93,8 +94,8 @@ type Config struct {
 // fully stalled channel still terminates.
 const DefaultMaxCycles = 64
 
-// DefaultHorizonCap caps the derived burst-tape length (64 Ki-slots per
-// channel ≈ 8 KiB of bitset per channel).
+// DefaultHorizonCap caps the derived burst-tape length: 2 Mi slots per
+// channel, 256 KiB of bitset per channel.
 const DefaultHorizonCap = 1 << 21
 
 // Validate reports the first malformed field, in declaration order.

@@ -36,7 +36,7 @@ type ReplayConfig struct {
 	Mode ClientMode
 	// AbandonAfter makes a client give up once its wait reaches
 	// AbandonAfter * t_i slots and leave for the on-demand channel
-	// (counted, reported via OnAbandon, excluded from wait statistics).
+	// (counted, traced as sim.EventAbandon, excluded from wait statistics).
 	// A client whose page airs exactly at that instant abandons. 0 means
 	// clients never abandon.
 	AbandonAfter float64
@@ -46,10 +46,6 @@ type ReplayConfig struct {
 	// MaxCycles cycles after that cycle (SweepCycles for a Scanning
 	// client), Unserved.
 	Plan *Plan
-	// OnAbandon, when non-nil, is invoked once per abandoning client, in
-	// the order of (instant, request index), with the request and the
-	// instant it abandoned. Hook for coupling to an on-demand server model.
-	OnAbandon func(req workload.Request, at float64)
 	// Trace, when non-nil, receives one sim.Event per client arrival,
 	// (re)tune, service and abandonment in time order — e.g. a
 	// *sim.RingTracer's Record method.
@@ -113,11 +109,8 @@ func Replay(prog *core.Program, reqs []workload.Request, cfg ReplayConfig) (*Out
 	}
 	out := &Outcome{}
 	for i, r := range reqs {
-		if r.Page < 0 || int(r.Page) >= gs.Pages() {
-			return nil, fmt.Errorf("%w: request %d page %d", core.ErrPageRange, i, r.Page)
-		}
-		if !(r.Arrival >= 0) || math.IsInf(r.Arrival, 1) {
-			return nil, fmt.Errorf("%w: request %d arrival %f", core.ErrSlotRange, i, r.Arrival)
+		if err := sim.CheckRequest(&r, int64(i), gs.Pages()); err != nil {
+			return nil, err
 		}
 		out.SlotsSimulated = max(out.SlotsSimulated, client(i, r))
 	}
@@ -150,9 +143,6 @@ func Replay(prog *core.Program, reqs []workload.Request, cfg ReplayConfig) (*Out
 			delays = append(delays, delay)
 		case sim.EventAbandon:
 			out.Abandoned++
-			if cfg.OnAbandon != nil {
-				cfg.OnAbandon(r, st.Time)
-			}
 		case sim.EventArrive, sim.EventTune:
 		}
 	}

@@ -261,7 +261,11 @@ func TestReplayImpatience(t *testing.T) {
 	out, err := Replay(prog, reqs, ReplayConfig{
 		Mode:         ScheduleAware,
 		AbandonAfter: 1.0,
-		OnAbandon:    func(_ workload.Request, at float64) { abandonedAt = append(abandonedAt, at) },
+		Trace: func(ev sim.Event) {
+			if ev.Kind == sim.EventAbandon {
+				abandonedAt = append(abandonedAt, ev.Time)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +278,7 @@ func TestReplayImpatience(t *testing.T) {
 		t.Errorf("abandoned %d, want %d (the deadline-missing requests)", out.Abandoned, wantAbandoned)
 	}
 	if len(abandonedAt) != out.Abandoned {
-		t.Errorf("OnAbandon fired %d times for %d abandonments", len(abandonedAt), out.Abandoned)
+		t.Errorf("traced %d abandon events for %d abandonments", len(abandonedAt), out.Abandoned)
 	}
 	for i := 1; i < len(abandonedAt); i++ {
 		if abandonedAt[i] < abandonedAt[i-1] {
@@ -301,7 +305,11 @@ func TestReplayAbandonsAtTie(t *testing.T) {
 	var at []float64
 	out, err := Replay(prog, []workload.Request{{Page: page, Arrival: 0.5}}, ReplayConfig{
 		AbandonAfter: wait / expect,
-		OnAbandon:    func(_ workload.Request, t float64) { at = append(at, t) },
+		Trace: func(ev sim.Event) {
+			if ev.Kind == sim.EventAbandon {
+				at = append(at, ev.Time)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

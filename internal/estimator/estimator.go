@@ -30,9 +30,11 @@ type Config struct {
 	// lower is more conservative. The zero value means the minimum reported
 	// tolerance — the most conservative choice, and the right default for
 	// deadline scheduling: no sampled client's constraint is violated.
+	//lint:ignore testonly tests pick a non-minimum quantile, the estimator's less conservative mode
 	Quantile float64
 	// ReservoirSize bounds per-page memory; 0 defaults to 256. Reservoir
 	// sampling keeps the retained sample uniform over all reports.
+	//lint:ignore testonly tests shrink the reservoir to exercise replacement on few reports
 	ReservoirSize int
 	// Seed drives reservoir replacement; fixed seed = reproducible
 	// estimates.

@@ -202,7 +202,7 @@ func AblateOptPruning(ctx context.Context, p Params, dist workload.Distribution)
 	if err != nil {
 		return nil, err
 	}
-	serial := opt.Options{MaxFactor: p.OptMaxFactor, Parallelism: 1}
+	serial := opt.Options{Parallelism: 1}
 	exhaustive := serial
 	exhaustive.Exhaustive = true
 	var out []OptPruneStat

@@ -24,20 +24,17 @@ import (
 )
 
 // Params mirrors the paper's Figure 4 parameter table, plus reproduction
-// knobs the paper leaves implicit.
+// knobs the paper leaves implicit. The expected times are always the
+// paper's t_i = 4, 8, ... (workload.PaperBaseTime, workload.PaperRatio).
 type Params struct {
 	Pages    int   // n - total number of data pages (paper: 1000)
 	Groups   int   // h - number of expected-time groups (paper: 8)
-	BaseTime int   // t_1 (paper: 4)
-	Ratio    int   // c, so t_i = 4,8,...,512 (paper: 2)
 	Requests int   // requests per measured point (paper: 3000)
 	Seed     int64 // master seed; everything downstream derives from it
 
 	// ChannelStride samples every k-th channel count in sweeps; 1 = every
 	// count (the paper's plots). Benchmarks use larger strides.
 	ChannelStride int
-	// OptMaxFactor caps OPT's per-position repetition factors (0 = auto).
-	OptMaxFactor int
 	// SkipOPT drops the OPT series (it dominates sweep cost on wide
 	// instances).
 	SkipOPT bool
@@ -46,10 +43,8 @@ type Params struct {
 // DefaultParams returns the paper's Figure 4 settings.
 func DefaultParams() Params {
 	return Params{
-		Pages:         1000,
-		Groups:        8,
-		BaseTime:      4,
-		Ratio:         2,
+		Pages:         workload.PaperPages,
+		Groups:        workload.PaperGroups,
 		Requests:      3000,
 		Seed:          1,
 		ChannelStride: 1,
@@ -58,7 +53,7 @@ func DefaultParams() Params {
 
 // Instance materialises the group set for one distribution under p.
 func (p Params) Instance(dist workload.Distribution) (*core.GroupSet, error) {
-	return workload.GroupSet(dist, p.Groups, p.Pages, p.BaseTime, p.Ratio)
+	return workload.GroupSet(dist, p.Groups, p.Pages, workload.PaperBaseTime, workload.PaperRatio)
 }
 
 // ScaledInstance materialises the instance with the page count multiplied
@@ -69,7 +64,7 @@ func (p Params) ScaledInstance(dist workload.Distribution, factor int) (*core.Gr
 	if factor < 1 {
 		return nil, fmt.Errorf("experiments: scale factor %d", factor)
 	}
-	return workload.GroupSet(dist, p.Groups, p.Pages*factor, p.BaseTime, p.Ratio)
+	return workload.GroupSet(dist, p.Groups, p.Pages*factor, workload.PaperBaseTime, workload.PaperRatio)
 }
 
 // validate normalises and sanity-checks p.
@@ -138,7 +133,7 @@ func figure5Point(ctx context.Context, p Params, gs *core.GroupSet, n int) (*Fig
 	if p.SkipOPT {
 		return pt, nil
 	}
-	optProg, _, err := opt.Build(ctx, gs, n, opt.Options{MaxFactor: p.OptMaxFactor})
+	optProg, _, err := opt.Build(ctx, gs, n, opt.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("opt: %w", err)
 	}

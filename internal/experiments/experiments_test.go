@@ -20,7 +20,7 @@ func fastParams() Params {
 
 func TestDefaultParamsMatchFigure4(t *testing.T) {
 	p := DefaultParams()
-	if p.Pages != 1000 || p.Groups != 8 || p.BaseTime != 4 || p.Ratio != 2 || p.Requests != 3000 {
+	if p.Pages != 1000 || p.Groups != 8 || p.Requests != 3000 {
 		t.Errorf("DefaultParams = %+v does not match the paper's Figure 4", p)
 	}
 	gs, err := p.Instance(workload.Uniform)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"text/tabwriter"
+
+	"tcsa/internal/workload"
 )
 
 // Table renders a Figure 5 series as an aligned text table, one row per
@@ -64,10 +66,10 @@ func RenderFigure4(p Params) string {
 	fmt.Fprintf(w, "n - total number\t%d\n", p.Pages)
 	fmt.Fprintf(w, "h - number of groups\t%d\n", p.Groups)
 	times := make([]string, p.Groups)
-	t := p.BaseTime
+	t := workload.PaperBaseTime
 	for i := range times {
 		times[i] = fmt.Sprint(t)
-		t *= p.Ratio
+		t *= workload.PaperRatio
 	}
 	fmt.Fprintf(w, "t_i - expected time\t%s\n", strings.Join(times, ", "))
 	fmt.Fprintf(w, "group size distributions\t{normal, L-skewed, S-skewed, uniform}\n")

@@ -35,9 +35,8 @@ type Config struct {
 	// Air is the broadcast replay. Air.AbandonAfter is the impatience
 	// threshold as a multiple of each page's expected time and must be
 	// > 0 (a hybrid system without defection is just chaos.Replay). Run
-	// owns Air.OnAbandon, routing every defection to the pull tier, and
-	// overrides any value set there; Air.Trace, when set, sees every event
-	// after Run's own bookkeeping does.
+	// routes every sim.EventAbandon to the pull tier; Air.Trace, when set,
+	// sees every event after Run's own bookkeeping does.
 	Air chaos.ReplayConfig
 	// Pull configures the on-demand server (service time, workers,
 	// discipline, queue bound). Ignored when Online is set.
@@ -49,11 +48,6 @@ type Config struct {
 	// Online.RecordFlows is forced on (the per-defector flows feed the
 	// end-to-end statistics).
 	Online *online.Config
-	// DeadlineSlack extends the pull deadline: a defector's response is
-	// counted as a deadline miss if it completes after
-	// arrival + DeadlineSlack * expected time. 0 defaults to
-	// max(3, Air.AbandonAfter). Only meaningful for the on-demand pull tier.
-	DeadlineSlack float64
 }
 
 // Report is the outcome of one hybrid run.
@@ -83,13 +77,6 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 	if cfg.Air.AbandonAfter <= 0 {
 		return nil, fmt.Errorf("hybrid: abandon threshold %f (must be > 0)", cfg.Air.AbandonAfter)
 	}
-	if cfg.DeadlineSlack == 0 {
-		cfg.DeadlineSlack = max(3, cfg.Air.AbandonAfter)
-	}
-	if cfg.DeadlineSlack < cfg.Air.AbandonAfter {
-		return nil, fmt.Errorf("hybrid: deadline slack %f below abandon threshold %f",
-			cfg.DeadlineSlack, cfg.Air.AbandonAfter)
-	}
 	gs := prog.GroupSet()
 
 	type defection struct {
@@ -103,12 +90,13 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 	// set analytically double-counts clients the replay defected.
 	endToEnd := make([]float64, 0, len(reqs))
 	airCfg := cfg.Air
-	airCfg.OnAbandon = func(r workload.Request, at float64) {
-		defections = append(defections, defection{req: r, at: at})
-	}
 	airCfg.Trace = func(ev sim.Event) {
-		if ev.Kind == sim.EventServe {
+		switch ev.Kind {
+		case sim.EventServe:
 			endToEnd = append(endToEnd, ev.Time-reqs[ev.Client].Arrival)
+		case sim.EventAbandon:
+			defections = append(defections, defection{req: reqs[ev.Client], at: ev.Time})
+		case sim.EventArrive, sim.EventTune:
 		}
 		if cfg.Air.Trace != nil {
 			cfg.Air.Trace(ev)
@@ -147,12 +135,14 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Report, erro
 		}
 	default:
 		// Defections arrive in time order, so they feed the pull queue as
-		// they are.
+		// they are. A defector's response misses its deadline if it
+		// completes after arrival + slack * expected time.
+		slack := max(3, cfg.Air.AbandonAfter)
 		subs := make([]ondemand.Submission, len(defections))
 		for i, d := range defections {
 			subs[i] = ondemand.Submission{At: d.at, Request: ondemand.Request{
 				Page:     d.req.Page,
-				Deadline: d.req.Arrival + cfg.DeadlineSlack*float64(gs.TimeOf(d.req.Page)),
+				Deadline: d.req.Arrival + slack*float64(gs.TimeOf(d.req.Page)),
 				Tag:      uint64(i),
 			}}
 		}

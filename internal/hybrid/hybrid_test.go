@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tcsa/internal/chaos"
@@ -9,6 +10,8 @@ import (
 	"tcsa/internal/ondemand"
 	"tcsa/internal/online"
 	"tcsa/internal/pamad"
+	"tcsa/internal/sim"
+	"tcsa/internal/stats"
 	"tcsa/internal/susc"
 	"tcsa/internal/workload"
 )
@@ -27,9 +30,6 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(prog, nil, Config{Air: chaos.ReplayConfig{AbandonAfter: 0}}); err == nil {
 		t.Error("zero abandon threshold accepted")
-	}
-	if _, err := Run(prog, nil, Config{Air: chaos.ReplayConfig{AbandonAfter: 2}, DeadlineSlack: 1}); err == nil {
-		t.Error("deadline slack below abandon threshold accepted")
 	}
 }
 
@@ -267,5 +267,86 @@ func TestOnlineTierRouting(t *testing.T) {
 	// end-to-end max must be at least the online tier's max flow.
 	if rep.EndToEnd.Max < rep.Online.MaxFlow {
 		t.Fatalf("end-to-end max %f below online max flow %f", rep.EndToEnd.Max, rep.Online.MaxFlow)
+	}
+}
+
+// TestDefectionsFollowTrace: Run collects its defections from the replay's
+// sim.EventAbandon events. A caller's Air.Trace still sees the plain
+// replay's event sequence, and the pull tier gets one submission per
+// abandon event, in event order: on one FCFS worker the end-to-end
+// profile, response mean and deadline misses recomputed from the traced
+// events match the report exactly. Whole-slot arrivals make many clients
+// of different groups abandon at one instant, so the order among tied
+// events shows in the end-to-end profile.
+func TestDefectionsFollowTrace(t *testing.T) {
+	gs, err := workload.GroupSet(workload.Uniform, 4, 80, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := pamad.Build(gs, 3) // scarce: defections guaranteed
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.GenerateRequests(gs, prog.Length(), workload.RequestConfig{Count: 800, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reqs {
+		reqs[i].Arrival = math.Floor(reqs[i].Arrival)
+	}
+	const abandonAfter, service = 1.0, 1.5
+	var seen []sim.Event
+	rep, err := Run(prog, reqs, Config{
+		Air:  chaos.ReplayConfig{AbandonAfter: abandonAfter, Trace: func(ev sim.Event) { seen = append(seen, ev) }},
+		Pull: ondemand.Config{ServiceTime: service},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain []sim.Event
+	if _, err := chaos.Replay(prog, reqs, chaos.ReplayConfig{AbandonAfter: abandonAfter, Trace: func(ev sim.Event) { plain = append(plain, ev) }}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seen, plain) {
+		t.Fatalf("caller's trace saw %d events, the plain replay %d (or they differ)", len(seen), len(plain))
+	}
+
+	var endToEnd, responses []float64
+	var defectors []sim.Event
+	for _, ev := range seen {
+		switch ev.Kind {
+		case sim.EventServe:
+			endToEnd = append(endToEnd, ev.Time-reqs[ev.Client].Arrival)
+		case sim.EventAbandon:
+			defectors = append(defectors, ev)
+		case sim.EventArrive, sim.EventTune:
+		}
+	}
+	if len(defectors) == 0 {
+		t.Fatal("expected defections on a scarce program")
+	}
+	free, misses := 0.0, 0
+	for _, ev := range defectors {
+		r := reqs[ev.Client]
+		done := max(ev.Time, free) + service
+		free = done
+		if done > r.Arrival+max(3, abandonAfter)*float64(gs.TimeOf(r.Page)) {
+			misses++
+		}
+		responses = append(responses, done-ev.Time)
+		endToEnd = append(endToEnd, (ev.Time-r.Arrival)+(done-ev.Time))
+	}
+	if rep.Pull.Submitted != len(defectors) || rep.Air.Abandoned != len(defectors) {
+		t.Fatalf("pull saw %d submissions, air %d abandonments, trace %d abandon events",
+			rep.Pull.Submitted, rep.Air.Abandoned, len(defectors))
+	}
+	if rep.Pull.DeadlineMisses != misses {
+		t.Errorf("pull deadline misses %d, want %d", rep.Pull.DeadlineMisses, misses)
+	}
+	if want := stats.Mean(responses); math.Abs(rep.Pull.AvgResponse-want) > 1e-9 {
+		t.Errorf("pull mean response %f, want %f", rep.Pull.AvgResponse, want)
+	}
+	if want := stats.Summarize(endToEnd); rep.EndToEnd != want {
+		t.Errorf("end-to-end %#v, want %#v", rep.EndToEnd, want)
 	}
 }

@@ -72,6 +72,7 @@ type Facts struct {
 	modules map[string]bool // module paths of the loaded packages
 	local   map[string]bool // package paths whose sources were summarized
 	refs    map[string]bool // objKey of every package-level name non-test code uses
+	writes  map[string]bool // fieldKey of every option field set from another package
 
 	importers map[string][]string // see listImporters; nil for a lone corpus
 	pkgs      []*Package
@@ -87,6 +88,7 @@ func ComputeFacts(pkgs []*Package) *Facts {
 		modules: map[string]bool{},
 		local:   map[string]bool{},
 		refs:    map[string]bool{},
+		writes:  map[string]bool{},
 		pkgs:    pkgs,
 	}
 	for _, pkg := range pkgs {
@@ -103,6 +105,7 @@ func ComputeFacts(pkgs []*Package) *Facts {
 	}
 	for _, pkg := range pkgs {
 		f.collectPackage(pkg)
+		f.collectWrites(pkg)
 		for _, obj := range pkg.Info.Uses {
 			if key := objKey(obj); key != "" {
 				f.refs[key] = true

@@ -3,4 +3,7 @@ package ext
 
 import "onlymod/internal/lib"
 
-func Run() { lib.ExtOnly() }
+func Run() {
+	lib.ExtOnly()
+	_ = lib.Config{ExtSet: 1}
+}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"path/filepath"
@@ -10,14 +11,17 @@ import (
 
 // TestOnly flags code under internal/ that only tests reach: an exported
 // package-level func, method, type, const or var of a non-main package
-// that no non-test file references, and a package nothing outside itself
-// imports. References match by qualified name (objKey), because an
-// importer sees a name through export data while its own package is
-// type-checked from source. A name is judged only when its package and
-// every package importing it, directly or not, are loaded, so a run over
-// part of the tree stays silent rather than wrong. A method that
-// implements an interface declaring it (heap.Interface, fmt.Stringer,
-// json.Marshaler, netcast.Transport) is called through it and is exempt.
+// that no non-test file references; an exported field of an exported
+// option struct (a type named *Config, *Options or *Params) that no
+// non-test file outside the package sets; and a package nothing outside
+// itself imports. References match by qualified name (objKey, fieldKey),
+// because an importer sees a name through export data while its own
+// package is type-checked from source. A name is judged only when its
+// package and every package importing it, directly or not, are loaded,
+// so a run over part of the tree stays silent rather than wrong. A
+// method that implements an interface declaring it (heap.Interface,
+// fmt.Stringer, json.Marshaler, netcast.Transport) is called through it
+// and is exempt.
 var TestOnly = &Analyzer{
 	Name: "testonly",
 	Doc:  "exported internal/ name, or internal/ package, that only tests reach",
@@ -60,6 +64,7 @@ func runTestOnly(pass *Pass) {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						report(spec.Name, "type")
+						reportOptionFields(pass, spec)
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
 							report(id, decl.Tok.String())
@@ -69,6 +74,123 @@ func runTestOnly(pass *Pass) {
 			}
 		}
 	}
+}
+
+// reportOptionFields flags each exported field of an exported option
+// struct that no non-test code outside its package sets: a knob with one
+// value in use is a constant.
+func reportOptionFields(pass *Pass, spec *ast.TypeSpec) {
+	st, ok := spec.Type.(*ast.StructType)
+	if !ok || !spec.Name.IsExported() || !isOptionStruct(spec.Name.Name) {
+		return
+	}
+	owner, ok := pass.Info.Defs[spec.Name].(*types.TypeName)
+	if !ok {
+		return
+	}
+	for _, field := range st.Fields.List {
+		for _, id := range field.Names {
+			if id.IsExported() && !pass.Facts.writes[fieldKey(owner, id.Name)] {
+				pass.Reportf(id.Pos(),
+					"exported field %s.%s is set by no non-test code outside its package: make it a constant, delete it, or give it a caller",
+					spec.Name.Name, id.Name)
+			}
+		}
+	}
+}
+
+// isOptionStruct reports whether a type name marks an option struct.
+func isOptionStruct(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Params")
+}
+
+// fieldKey keys a field by the named struct declaring it:
+// "pkg/path.(Owner).Field".
+func fieldKey(owner *types.TypeName, field string) string {
+	return owner.Pkg().Path() + ".(" + owner.Name() + ")." + field
+}
+
+// collectWrites records every field of another package's named struct
+// that pkg's code sets: a key in a composite literal, a position in an
+// unkeyed one, the target of an assignment or of ++/--, or the operand of
+// & (as flag.IntVar(&cfg.N, ...) takes it).
+func (f *Facts) collectWrites(pkg *Package) {
+	record := func(owner *types.TypeName, field string) {
+		if owner != nil && owner.Pkg().Path() != pkg.Path {
+			f.writes[fieldKey(owner, field)] = true
+		}
+	}
+	selected := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			record(fieldOwner(s.Recv(), s.Index()), sel.Sel.Name)
+		}
+	}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					selected(lhs)
+				}
+			case *ast.IncDecStmt:
+				selected(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					selected(n.X)
+				}
+			case *ast.CompositeLit:
+				named, ok := deref(pkg.Info.TypeOf(n)).(*types.Named)
+				if !ok {
+					break
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							record(named.Obj(), id.Name)
+						}
+					} else if i < st.NumFields() {
+						record(named.Obj(), st.Field(i).Name())
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// fieldOwner returns the named struct that declares the field a selection
+// with receiver type recv and embedding path index reaches, or nil when
+// that struct is unnamed.
+func fieldOwner(recv types.Type, index []int) *types.TypeName {
+	t := recv
+	for _, i := range index[:len(index)-1] {
+		st, ok := deref(t).Underlying().(*types.Struct)
+		if !ok {
+			return nil
+		}
+		t = st.Field(i).Type()
+	}
+	if named, ok := deref(t).(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
+}
+
+// deref strips aliases and one pointer.
+func deref(t types.Type) types.Type {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		return types.Unalias(p.Elem())
+	}
+	return t
 }
 
 // listImporters maps each package path to the packages whose non-test

@@ -35,22 +35,17 @@ import (
 	"tcsa/internal/workload"
 )
 
-// Config describes one load-generation scenario: the paper instance, the
+// Config describes one load-generation scenario over the paper's Figure 4
+// instance (workload.Paper*): the group-size shape, the channel count, the
 // client population, and the fault plan.
 type Config struct {
 	// Clients is the simulated client population (one request each).
 	Clients int
-	// Workers shards the clients; 0 = GOMAXPROCS. The Result is
-	// bit-identical at any worker count.
-	Workers int
 	// Dist shapes the group-size distribution (paper Figure 3).
 	Dist workload.Distribution
 	// Channels is the broadcast channel count; 0 = the paper's knee,
 	// ceil(MinChannels/5), the operating point the sweep PRs pinned.
 	Channels int
-	// Pages/Groups/BaseTime/Ratio parameterise the instance; zero values
-	// take the paper's Figure 4 defaults (1000, 8, 4, 2).
-	Pages, Groups, BaseTime, Ratio int
 	// Seed drives the request stream (page choices and arrivals).
 	Seed int64
 	// PageChoice selects uniform or Zipf page popularity; Theta is the
@@ -60,25 +55,6 @@ type Config struct {
 	// Fault is the chaos plan driven through the transport. The zero
 	// value is fault-free air.
 	Fault chaos.Config
-	// RingSlots is the broadcast-ring depth in slots; 0 = the netcast
-	// default. Depth only affects scheduling slack, never results.
-	RingSlots int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Pages == 0 {
-		c.Pages = 1000
-	}
-	if c.Groups == 0 {
-		c.Groups = 8
-	}
-	if c.BaseTime == 0 {
-		c.BaseTime = 4
-	}
-	if c.Ratio == 0 {
-		c.Ratio = 2
-	}
-	return c
 }
 
 // Result is a loadgen measurement: the full chaos.Result (bit-identical
@@ -102,19 +78,20 @@ type Result struct {
 
 // Options tunes RunStream independently of scenario construction.
 type Options struct {
-	Workers   int // 0 = GOMAXPROCS
+	Workers int // 0 = GOMAXPROCS
+	//lint:ignore testonly tests force a tiny ring to keep the flow control under constant pressure
 	RingSlots int // 0 = netcast.DefaultRingSlots
 }
 
-// Materialize builds the scenario cfg describes: the group-set instance,
-// its PAMAD program (at the knee channel count when cfg.Channels is 0)
-// analysed for appearance lookup, and the request stream over it.
+// Materialize builds the scenario cfg describes: the Figure 4 instance
+// under cfg.Dist, its PAMAD program (at the knee channel count when
+// cfg.Channels is 0) analysed for appearance lookup, and the request
+// stream over it.
 func Materialize(cfg Config) (*core.Analysis, workload.Stream, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Clients < 0 {
 		return nil, nil, fmt.Errorf("loadgen: negative client count %d", cfg.Clients)
 	}
-	gs, err := workload.GroupSet(cfg.Dist, cfg.Groups, cfg.Pages, cfg.BaseTime, cfg.Ratio)
+	gs, err := workload.GroupSet(cfg.Dist, workload.PaperGroups, workload.PaperPages, workload.PaperBaseTime, workload.PaperRatio)
 	if err != nil {
 		return nil, nil, err
 	}

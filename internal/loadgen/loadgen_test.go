@@ -158,10 +158,7 @@ func TestRunStreamWorkerDeterminism(t *testing.T) {
 func TestRunMatchesChaosEndToEnd(t *testing.T) {
 	cfg := Config{
 		Clients: 5000,
-		Workers: 2,
 		Dist:    workload.SSkewed,
-		Pages:   200,
-		Groups:  5,
 		Seed:    21,
 		Fault:   chaos.Config{Seed: 21, Loss: 0.2, Jitter: 0.2},
 	}
@@ -169,11 +166,11 @@ func TestRunMatchesChaosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunStream(context.Background(), ma, mstream, cfg.Fault, Options{Workers: cfg.Workers})
+	res, err := RunStream(context.Background(), ma, mstream, cfg.Fault, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := workload.GroupSet(workload.SSkewed, 5, 200, 4, 2)
+	gs, err := workload.GroupSet(workload.SSkewed, 8, 1000, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestRunValidation(t *testing.T) {
 	if _, _, err := Materialize(Config{Clients: -1}); err == nil {
 		t.Error("expected error for negative client count")
 	}
-	a, stream, err := Materialize(Config{Clients: 0, Pages: 100, Groups: 4, Seed: 1})
+	a, stream, err := Materialize(Config{Clients: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

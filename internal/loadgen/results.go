@@ -9,6 +9,7 @@ import (
 	"tcsa/internal/chaos"
 	"tcsa/internal/netcast"
 	"tcsa/internal/sim"
+	"tcsa/internal/workload"
 )
 
 // ConfigLabel is the filesystem-safe scenario label used as the result
@@ -24,7 +25,6 @@ func ConfigLabel(cfg Config) string {
 // its own metadata.
 type configView struct {
 	Clients    int          `json:"clients"`
-	Workers    int          `json:"workers"`
 	Dist       string       `json:"dist"`
 	Channels   int          `json:"channels"`
 	Pages      int          `json:"pages"`
@@ -34,7 +34,6 @@ type configView struct {
 	Seed       int64        `json:"seed"`
 	PageChoice string       `json:"page_choice"`
 	Theta      float64      `json:"theta,omitempty"`
-	RingSlots  int          `json:"ring_slots"`
 	Fault      chaos.Config `json:"fault"`
 }
 
@@ -62,7 +61,6 @@ func WriteResult(dir string, cfg Config, res *Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	cfg = cfg.withDefaults()
 	pageChoice := "uniform"
 	if cfg.PageChoice != 0 {
 		pageChoice = "zipf"
@@ -70,17 +68,15 @@ func WriteResult(dir string, cfg Config, res *Result) error {
 	files := map[string]any{
 		"config.json": configView{
 			Clients:    cfg.Clients,
-			Workers:    cfg.Workers,
 			Dist:       cfg.Dist.String(),
 			Channels:   cfg.Channels,
-			Pages:      cfg.Pages,
-			Groups:     cfg.Groups,
-			BaseTime:   cfg.BaseTime,
-			Ratio:      cfg.Ratio,
+			Pages:      workload.PaperPages,
+			Groups:     workload.PaperGroups,
+			BaseTime:   workload.PaperBaseTime,
+			Ratio:      workload.PaperRatio,
 			Seed:       cfg.Seed,
 			PageChoice: pageChoice,
 			Theta:      cfg.Theta,
-			RingSlots:  cfg.RingSlots,
 			Fault:      cfg.Fault,
 		},
 		"summary.json": summaryView{

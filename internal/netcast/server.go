@@ -32,6 +32,7 @@ type ServerConfig struct {
 	// Host is the interface to bind, default "127.0.0.1". One UDP socket is
 	// opened per broadcast channel on an ephemeral port. Ignored when
 	// Transport is set.
+	//lint:ignore testonly deployment setting: the interface a real server binds
 	Host string
 	// Fault, when non-nil, injects transmission faults per slot. The slot
 	// counter still advances during a stall: broadcast time is locked to

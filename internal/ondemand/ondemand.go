@@ -47,11 +47,13 @@ type Config struct {
 	// ServiceTime is the slots one request occupies a worker; must be > 0.
 	ServiceTime float64
 	// Workers is the number of parallel servers; 0 defaults to 1.
+	//lint:ignore testonly tests run several servers, a queueing regime the one-server default never reaches
 	Workers int
 	// Discipline selects the queue order; default FCFS.
 	Discipline Discipline
 	// QueueLimit bounds the waiting queue; 0 means unbounded. Submissions
 	// beyond the bound are rejected (counted, not served).
+	//lint:ignore testonly tests bound the queue to reach rejections, which the unbounded default never makes
 	QueueLimit int
 	// OnComplete, when non-nil, is invoked at each request's completion
 	// instant with the request and its submit/complete times — the hook

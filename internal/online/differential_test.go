@@ -93,7 +93,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	for name, stream := range streams {
 		for _, policy := range Policies() {
 			for _, split := range splits {
-				cfg := Config{Policy: policy, Split: split, RecordFlows: true, MaxSlots: 100000}
+				cfg := Config{Policy: policy, Split: split, RecordFlows: true}
 				ref, err := RunSerial(prog, stream, cfg)
 				if err != nil {
 					t.Fatalf("%s/%v/%v: reference: %v", name, policy, split, err)

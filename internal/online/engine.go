@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tcsa/internal/core"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -50,11 +51,8 @@ func admit(stream workload.Stream, pages int) (*admitted, error) {
 	for k := 0; k < stream.Shards(); k++ {
 		cur.Seek(k)
 		for cur.Next(&r) {
-			if r.Page < 0 || int(r.Page) >= pages {
-				return nil, fmt.Errorf("%w: request %d page %d", core.ErrPageRange, idx, r.Page)
-			}
-			if r.Arrival < 0 || math.IsInf(r.Arrival, 0) || math.IsNaN(r.Arrival) {
-				return nil, fmt.Errorf("%w: request %d arrival %f", core.ErrSlotRange, idx, r.Arrival)
+			if err := sim.CheckRequest(&r, int64(idx), pages); err != nil {
+				return nil, err
 			}
 			if b := bucketOf(r.Arrival); b > ad.max {
 				ad.max = b
@@ -218,6 +216,21 @@ func (q *queue) pick(policy Policy, now float64) (core.PageID, bool) {
 	return best, true
 }
 
+// slotBound is the decision pass's safety net, not a tight bound: the last
+// admission bucket plus full drain slack. Reserved and pure-online splits
+// clear at least one waiting page per slot, so requests+pages+2L covers
+// them; steal mode additionally waits out its threshold, capped so that a
+// practically infinite threshold fails fast instead of crawling. Requests
+// the split can never serve (a page outside the push grid under an
+// infinite steal threshold) make the pass fail at this bound.
+func slotBound(lastBucket, L, requests, pages int, split Split) int {
+	slack := float64(lastBucket) + 2*float64(L) + float64(requests) + float64(pages) + 16
+	if split.Mode == SplitSteal {
+		slack += min(split.StealThreshold, 1<<20)
+	}
+	return int(slack)
+}
+
 // schedule is the decision pass: it replays the slot clock, admits each
 // arrival bucket, lets scheduled push airings clear their waiters first
 // (push owns its grid under every split — filled cells are never
@@ -238,23 +251,7 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 		// No static online rows: steals are decided per slot below.
 	}
 
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		// Safety net, not a tight bound: last admission plus full drain
-		// slack. Reserved/pure modes clear at least one waiting page per
-		// slot, so pages+2L covers them; steal mode additionally waits out
-		// its threshold (capped — a practically-infinite threshold should
-		// fail fast, not crawl).
-		slack := float64(ad.max) + 2*float64(L) + float64(len(ad.page)) + float64(prog.GroupSet().Pages()) + 16
-		if cfg.Split.Mode == SplitSteal {
-			t := cfg.Split.StealThreshold
-			if t > 1<<20 {
-				t = 1 << 20
-			}
-			slack += t
-		}
-		maxSlots = int(slack)
-	}
+	maxSlots := slotBound(ad.max, L, len(ad.page), prog.GroupSet().Pages(), cfg.Split)
 
 	q := newQueue(prog.GroupSet())
 	pending := len(ad.page)

@@ -51,7 +51,7 @@ func FuzzOnlineEquivalence(f *testing.F) {
 			reqs[i] = workload.Request{Page: pages[i], Arrival: arrivals[i]}
 		}
 		stream := workload.SliceStream(reqs)
-		cfg := Config{Policy: policy, Split: split, RecordFlows: true, MaxSlots: 20000}
+		cfg := Config{Policy: policy, Split: split, RecordFlows: true}
 		ref, refErr := RunSerial(prog, stream, cfg)
 		cfg.Workers = 1 + int(workersB)%8
 		got, gotErr := Run(prog, stream, cfg)

@@ -205,17 +205,12 @@ func (s Split) validate() error {
 type Config struct {
 	// Policy selects the slot-competition policy; default LWF.
 	Policy Policy
-	// Split selects the pull/push slot split; default reserved with one
-	// online channel.
+	// Split selects the pull/push slot split. Its zero Mode is the
+	// reserved split, which still needs OnlineChannels >= 1.
 	Split Split
 	// Workers shards the measurement pass; <= 0 uses GOMAXPROCS. The
 	// result is bit-identical at any worker count.
 	Workers int
-	// MaxSlots bounds the decision pass as a safety net; 0 derives a bound
-	// from the workload (last arrival + drain slack). Requests the split
-	// can never serve (e.g. a spilled page under an infinite steal
-	// threshold) make Run fail at this bound instead of looping.
-	MaxSlots int
 	// RecordFlows retains the per-request flow times (and serving tier) in
 	// the Result, indexed by request position in the stream. Off by
 	// default: the sketches make the result O(1) in the request count.

@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tcsa/internal/conformance"
@@ -231,7 +232,7 @@ func TestConservationAllPoliciesAndSplits(t *testing.T) {
 	}
 	for _, policy := range Policies() {
 		for _, split := range splits {
-			res, err := Run(prog, stream, Config{Policy: policy, Split: split, RecordFlows: true, MaxSlots: 50000})
+			res, err := Run(prog, stream, Config{Policy: policy, Split: split, RecordFlows: true})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", policy, split, err)
 			}
@@ -282,7 +283,6 @@ func TestStealRespectsThreshold(t *testing.T) {
 	never, err := Run(prog, stream, Config{
 		Policy:      LWF,
 		Split:       Split{Mode: SplitSteal, StealThreshold: math.Inf(1)},
-		MaxSlots:    64,
 		RecordFlows: true,
 	})
 	if err != nil {
@@ -332,12 +332,12 @@ func TestUnservableRequestFails(t *testing.T) {
 		}
 	}
 	stream := sliceStream([]core.PageID{3}, []float64{0})
-	cfg := Config{Policy: LWF, Split: Split{Mode: SplitSteal, StealThreshold: math.Inf(1)}, MaxSlots: 32}
-	if _, err := Run(prog, stream, cfg); err == nil {
-		t.Fatal("unservable request did not fail")
+	cfg := Config{Policy: LWF, Split: Split{Mode: SplitSteal, StealThreshold: math.Inf(1)}}
+	if _, err := Run(prog, stream, cfg); err == nil || !strings.Contains(err.Error(), "slot bound") {
+		t.Fatalf("unservable request: err = %v, want a failure at the slot bound", err)
 	}
-	if _, err := RunSerial(prog, stream, cfg); err == nil {
-		t.Fatal("unservable request did not fail in the reference")
+	if _, err := RunSerial(prog, stream, cfg); err == nil || !strings.Contains(err.Error(), "slot bound") {
+		t.Fatalf("unservable request in the reference: err = %v, want a failure at the slot bound", err)
 	}
 }
 

@@ -85,18 +85,7 @@ func RunSerial(prog *core.Program, stream workload.Stream, cfg Config) (*Result,
 		// No static online rows: steals are decided per slot below.
 	}
 
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		slack := float64(maxBucket) + 2*float64(L) + float64(n) + float64(pages) + 16
-		if cfg.Split.Mode == SplitSteal {
-			t := cfg.Split.StealThreshold
-			if t > 1<<20 {
-				t = 1 << 20
-			}
-			slack += t
-		}
-		maxSlots = int(slack)
-	}
+	maxSlots := slotBound(maxBucket, L, n, pages, cfg.Split)
 
 	// waiting[p] is page p's live request list, insertion-ordered.
 	waiting := make([][]sreq, pages)

@@ -135,7 +135,7 @@ func approx(ctx context.Context, gs *core.GroupSet, nReal int, opts ApproxOption
 		return res, approxStats{exact: true}, err
 	}
 	h := gs.Len()
-	caps := factorCaps(gs, 0)
+	caps := factorCaps(gs)
 	delta := grid(eps, h)
 	stats := approxStats{exact: FamilySize(gs) <= exactLimit(eps)}
 

@@ -388,7 +388,7 @@ func TestSeedVectorsDedup(t *testing.T) {
 	// At ample channels PAMAD picks the sufficient frequencies themselves,
 	// so the two seeds coincide.
 	gs := fig2()
-	caps := factorCaps(gs, 0)
+	caps := factorCaps(gs)
 	seeds := seedVectors(gs, gs.MinChannels(), caps)
 	if len(seeds) != 1 {
 		t.Fatalf("seedVectors returned %d seeds %v, want the coinciding pair deduplicated to 1",

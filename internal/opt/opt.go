@@ -60,10 +60,6 @@ import (
 
 // Options tunes the search.
 type Options struct {
-	// MaxFactor caps each repetition factor r_i. 0 means automatic: twice
-	// the group-time ratio t_{i+1}/t_i (the zero-delay factor), at least 4.
-	// Raising it widens the searched family at exponential cost.
-	MaxFactor int
 	// Parallelism bounds concurrent workers; 0 means GOMAXPROCS.
 	Parallelism int
 	// Exhaustive disables branch-and-bound pruning, leaf screening and
@@ -400,7 +396,7 @@ func Search(ctx context.Context, gs *core.GroupSet, nReal int, opts Options) (*R
 	if res, err := trivial(gs, nReal); res != nil || err != nil {
 		return res, err
 	}
-	caps := factorCaps(gs, opts.MaxFactor)
+	caps := factorCaps(gs)
 	e := newEngine(gs, nReal, caps, opts.Exhaustive)
 
 	// Seed the incumbent with cheap family members so pruning bites from
@@ -506,29 +502,18 @@ func clampToFamily(s delaymodel.Frequencies, caps []int) delaymodel.Frequencies 
 // it as the Search-infeasibility witness, not for exact arithmetic.
 func FamilySize(gs *core.GroupSet) float64 {
 	family := 1.0
-	for _, c := range factorCaps(gs, 0) {
+	for _, c := range factorCaps(gs) {
 		family *= float64(c)
 	}
 	return family
 }
 
-// factorCaps derives the per-position candidate cap for r_i.
-func factorCaps(gs *core.GroupSet, maxFactor int) []int {
-	h := gs.Len()
-	caps := make([]int, h-1)
+// factorCaps derives the per-position candidate cap for r_i: twice the
+// group-time ratio t_{i+1}/t_i (the zero-delay factor), at least 4.
+func factorCaps(gs *core.GroupSet) []int {
+	caps := make([]int, gs.Len()-1)
 	for i := range caps {
-		ratio := gs.Group(i+1).Time / gs.Group(i).Time
-		c := 2 * ratio
-		if c < 4 {
-			c = 4
-		}
-		if maxFactor > 0 && c > maxFactor {
-			c = maxFactor
-		}
-		if c < 1 {
-			c = 1
-		}
-		caps[i] = c
+		caps[i] = max(4, 2*(gs.Group(i+1).Time/gs.Group(i).Time))
 	}
 	return caps
 }

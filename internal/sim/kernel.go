@@ -236,15 +236,16 @@ func FoldShards(stream workload.Stream, workers int, value, derived Span, newVis
 	return f, nil
 }
 
-// CheckRequest rejects a request the measurement engines cannot place: a
-// page outside [0, pages) or a negative arrival. idx is the request's
-// position in its stream.
+// CheckRequest rejects a request the engines cannot place: a page outside
+// [0, pages) or an arrival that is not a finite instant >= 0 (NaN fails
+// both compares of the range check). idx is the request's position in its
+// stream.
 func CheckRequest(r *workload.Request, idx int64, pages int) error {
 	if r.Page < 0 || int(r.Page) >= pages {
 		return fmt.Errorf("%w: request %d page %d", core.ErrPageRange, idx, r.Page)
 	}
-	if r.Arrival < 0 {
-		return fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, idx, r.Arrival)
+	if !(r.Arrival >= 0 && r.Arrival <= math.MaxFloat64) {
+		return fmt.Errorf("%w: request %d arrival %v outside [0, +Inf)", core.ErrSlotRange, idx, r.Arrival)
 	}
 	return nil
 }

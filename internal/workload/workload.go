@@ -161,6 +161,15 @@ func GroupCounts(d Distribution, h, n int) ([]int, error) {
 	return apportion(weights, n)
 }
 
+// The paper's Figure 4 instance: n pages in h groups with expected times
+// t_i = t_1 * c^(i-1) = 4, 8, ..., 512.
+const (
+	PaperPages    = 1000 // n
+	PaperGroups   = 8    // h
+	PaperBaseTime = 4    // t_1
+	PaperRatio    = 2    // c
+)
+
 // GroupSet builds the complete instance: counts from GroupCounts attached
 // to geometric expected times t_i = t1 * c^(i-1).
 func GroupSet(d Distribution, h, n, t1, c int) (*core.GroupSet, error) {

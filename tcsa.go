@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"tcsa/internal/core"
+	"tcsa/internal/delaymodel"
 	"tcsa/internal/pamad"
 	"tcsa/internal/susc"
 )
@@ -132,10 +133,7 @@ func Build(gs *GroupSet, channels int) (*Schedule, error) {
 		}
 		sched.Program = prog
 		sched.Algorithm = AlgorithmSUSC
-		th := gs.MaxTime()
-		for i := 0; i < gs.Len(); i++ {
-			sched.Frequencies = append(sched.Frequencies, th/gs.Group(i).Time)
-		}
+		sched.Frequencies = delaymodel.SufficientFrequencies(gs)
 	} else {
 		prog, res, err := pamad.Build(gs, channels)
 		if err != nil {
