@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet airvet lint test race fuzz bench gates loadgen check
+.PHONY: build vet airvet lint test race fuzz bench loadgen check
 
 build:
 	$(GO) build ./...
@@ -35,13 +35,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'Fanout|CastSlot|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 	$(GO) test -run '^$$' -bench 'ReplanLiveEdits' -benchtime=1x -benchmem ./internal/replan/
-
-# Every benchmark-trajectory gate in airbench's registry: each writes
-# BENCH_<name>_new.json and fails on any regression against the committed
-# BENCH_<name>.json. One gate: `go run ./cmd/airbench -gate chaos`. See
-# docs/perf.md.
-gates:
-	$(GO) run ./cmd/airbench -gate all
 
 # Quick scenario sweep through the broadcast transport; fault-free cells
 # self-verify against sim.MeasureStream. Artifacts land under results/.

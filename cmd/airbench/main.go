@@ -12,16 +12,13 @@
 //	airbench -experiment optgap -dist all          # PAMAD-vs-OPT gap
 //	airbench -experiment optprune -dist uniform    # OPT pruning ablation
 //	airbench -experiment all                       # everything above
-//	airbench -gate chaos                           # one trajectory gate
-//	airbench -gate all                             # every trajectory gate
 //
 // -csv switches Figure 5 output to CSV for plotting; -stride k samples
 // every k-th channel count to trade resolution for speed.
 //
-// -gate runs a benchmark-trajectory gate from the registry in gate.go in
-// the current directory: it writes BENCH_<name>_new.json and fails on any
-// regression against the committed BENCH_<name>.json, which it never
-// writes. Gates take no other flags; each pins its own inputs.
+// The package's golden test (golden_test.go) pins the checksums and
+// allocation counts of the committed samples; `go test ./cmd/airbench`
+// runs it.
 package main
 
 import (
@@ -53,15 +50,8 @@ func run(args []string, out io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of tables (fig5 only)")
 	plot := fs.Bool("plot", false, "append an ASCII chart per fig5 subplot")
 	workers := fs.Int("parallel", 0, "fan fig5 channel counts over this many workers (0 = GOMAXPROCS)")
-	gateName := fs.String("gate", "", "run one benchmark-trajectory gate, or all, against its committed baseline: "+gateNames())
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *gateName != "" {
-		if fs.NFlag() > 1 {
-			return fmt.Errorf("-gate takes no other flags; each gate pins its own inputs")
-		}
-		return runGates(*gateName, ".", out)
 	}
 
 	p := experiments.DefaultParams()

@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"tcsa/internal/perf"
 )
 
 func TestRunFig3(t *testing.T) {
@@ -80,8 +78,6 @@ func TestRunErrors(t *testing.T) {
 	tests := [][]string{
 		{"-experiment", "nope"},
 		{"-dist", "pareto"},
-		{"-gate", "nope"},
-		{"-gate", "chaos", "-seed", "7"},
 	}
 	for _, args := range tests {
 		var out strings.Builder
@@ -131,50 +127,6 @@ func TestRunFig5Parallel(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Figure 5") {
 		t.Errorf("parallel fig5 output:\n%s", out.String())
-	}
-}
-
-// TestRunBench: the sweep gate records well-formed samples whose sweep
-// sample carries a series checksum and whose serial and parallel
-// measurements fingerprint alike, and the build gate records every
-// scheduler's build.
-func TestRunBench(t *testing.T) {
-	var out strings.Builder
-	rec := newRecorder(&out)
-	if err := runSweep(rec); err != nil {
-		t.Fatal(err)
-	}
-	rep := &rec.rep
-	if rep.Schema != perf.SchemaVersion || rep.MaxProcs < 1 || rep.GOOS == "" {
-		t.Errorf("malformed report header: %+v", rep)
-	}
-	for _, name := range []string{"AppearanceIndex", "Analyze", "Measure", "MeasureParallel", "Figure5/S-skewed"} {
-		s := rep.Find(name)
-		if s == nil {
-			t.Fatalf("report missing sample %q", name)
-		}
-		if s.Iterations < 1 || s.NsPerOp <= 0 {
-			t.Errorf("%s: implausible sample %+v", name, s)
-		}
-	}
-	if sweep := rep.Find("Figure5/S-skewed"); len(sweep.Checksum) != 16 {
-		t.Errorf("sweep sample missing series checksum: %+v", sweep)
-	}
-	// Serial and parallel measurement fingerprint the same stream: by the
-	// engine's determinism contract the checksums must match exactly.
-	serial, par := rep.Find("Measure"), rep.Find("MeasureParallel")
-	if serial.Checksum == "" || serial.Checksum != par.Checksum {
-		t.Errorf("Measure checksum %q != MeasureParallel checksum %q", serial.Checksum, par.Checksum)
-	}
-
-	rec = newRecorder(&out)
-	if err := runBuild(rec); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"SUSCBuild", "PAMADBuild", "OPTSearch", "ApproxQualityX100"} {
-		if s := rec.rep.Find(name); s == nil || len(s.Checksum) != 16 {
-			t.Errorf("build report sample %q missing or unchecksummed: %+v", name, s)
-		}
 	}
 }
 

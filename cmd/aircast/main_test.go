@@ -179,6 +179,22 @@ func TestServeChaosEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeFaultLineWithoutListener serves a lossy broadcast nobody
+// tunes in to. No frame goes out, so none can be dropped, and the fault
+// line must say its frame counts cover only channels with a listener.
+func TestServeFaultLineWithoutListener(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{
+		"-serve", "-counts", "3,5,3", "-t1", "2", "-loss", "0.5", "-slot", "2ms", "-duration", "300ms",
+	}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "faults injected: 0 stalled slots; on channels with a listener: 0 dropped frames, 0 corrupted frames"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("server output = %q, want %q in it", out.String(), want)
+	}
+}
+
 func TestServeLiveReplanEndToEnd(t *testing.T) {
 	// Serve with a live replan scheduled mid-run: the engine retires a
 	// page, stages the delta, and the broadcast must flip epochs at a

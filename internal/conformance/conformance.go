@@ -11,12 +11,13 @@
 // its analysis therefore cannot silently cancel out in the tests.
 //
 // Oracles return an error describing the first violation (nil means the
-// invariant holds), so they compose both with *testing.T in test suites
-// and with runtime self-checks such as the chaos engine's zero-fault gate.
+// invariant holds), so they compose with *testing.T in any test suite.
 // The package imports only core and delaymodel, which keeps it importable
 // from every scheduler package's internal tests without import cycles.
+// Only tests import it.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
+//lint:ignore testonly oracle package the tests of a dozen packages and cmd/airbench import
 package conformance
 
 import (

@@ -27,7 +27,9 @@ import (
 // knobs the paper leaves implicit. The expected times are always the
 // paper's t_i = 4, 8, ... (workload.PaperBaseTime, workload.PaperRatio).
 type Params struct {
-	Pages    int   // n - total number of data pages (paper: 1000)
+	//lint:ignore testonly tests shrink the instance to keep the experiment suites fast
+	Pages int // n - total number of data pages (paper: 1000)
+	//lint:ignore testonly tests shrink the instance to keep the experiment suites fast
 	Groups   int   // h - number of expected-time groups (paper: 8)
 	Requests int   // requests per measured point (paper: 3000)
 	Seed     int64 // master seed; everything downstream derives from it
@@ -54,17 +56,6 @@ func DefaultParams() Params {
 // Instance materialises the group set for one distribution under p.
 func (p Params) Instance(dist workload.Distribution) (*core.GroupSet, error) {
 	return workload.GroupSet(dist, p.Groups, p.Pages, workload.PaperBaseTime, workload.PaperRatio)
-}
-
-// ScaledInstance materialises the instance with the page count multiplied
-// by factor, keeping every other paper parameter. Scale sweeps and the
-// paper-scale OPT-quality benchmarks use it to stress the engines beyond
-// Figure 4's 1000 pages without inventing a second parameter set.
-func (p Params) ScaledInstance(dist workload.Distribution, factor int) (*core.GroupSet, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("experiments: scale factor %d", factor)
-	}
-	return workload.GroupSet(dist, p.Groups, p.Pages*factor, workload.PaperBaseTime, workload.PaperRatio)
 }
 
 // validate normalises and sanity-checks p.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"tcsa/internal/online"
 	"tcsa/internal/workload"
 )
 
@@ -462,48 +461,5 @@ func TestRenderKnee(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("knee table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestHybridMatrixShape(t *testing.T) {
-	p := DefaultParams()
-	p.Pages, p.Groups, p.Requests = 80, 4, 400
-	rates := []float64{2, 8}
-	splits := []online.Split{
-		{Mode: online.SplitReserved, OnlineChannels: 1},
-		{Mode: online.SplitPureOnline},
-	}
-	policies := []online.Policy{online.LWF, online.FCFS}
-	pts, err := HybridMatrix(p, workload.Uniform, rates, splits, policies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(rates)*len(splits)*len(policies) {
-		t.Fatalf("matrix has %d cells, want %d", len(pts), len(rates)*len(splits)*len(policies))
-	}
-	for _, pt := range pts {
-		if pt.PullShare < 0 || pt.PullShare > 1 {
-			t.Fatalf("pull share %g outside [0,1]: %+v", pt.PullShare, pt)
-		}
-		if pt.EndToEndMean <= 0 || pt.EndToEndMax < pt.EndToEndMean {
-			t.Fatalf("end-to-end stats inconsistent: %+v", pt)
-		}
-		if pt.PullShare > 0 && pt.OnlineMaxDF < 1 {
-			t.Fatalf("delay factor below 1 with defectors present: %+v", pt)
-		}
-	}
-	// Determinism: the same matrix twice is bit-identical.
-	again, err := HybridMatrix(p, workload.Uniform, rates, splits, policies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := HybridSeries(pts), HybridSeries(again)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("series value %d drifted: %g vs %g", i, a[i], b[i])
-		}
-	}
-	if _, err := HybridMatrix(p, workload.Uniform, nil, splits, policies); err == nil {
-		t.Fatal("empty axis accepted")
 	}
 }

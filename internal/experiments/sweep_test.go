@@ -128,7 +128,7 @@ func TestSweepErrorContext(t *testing.T) {
 
 // TestMeasurePinsLegacyPipeline: the streaming measure() reproduces the
 // historical GenerateRequests + materialised-sampler AvgD bit for bit at
-// the same derived seed — the invariant that keeps BENCH_sweep.json series
+// the same derived seed — the invariant that keeps the Figure 5 series
 // checksums frozen across the engine swap.
 func TestMeasurePinsLegacyPipeline(t *testing.T) {
 	p := fastParams()

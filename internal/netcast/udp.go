@@ -269,9 +269,6 @@ func NewDestSet(addrs []*net.UDPAddr) *DestSet {
 	return &DestSet{addrs: addrs, sys: makeDestSys(addrs)}
 }
 
-// Len reports the number of destinations.
-func (d *DestSet) Len() int { return len(d.addrs) }
-
 // Batcher sends one frame to many destinations from a single socket with
 // as few syscalls as the platform allows: sendmmsg batches on Linux, a
 // plain WriteToUDP loop elsewhere (and as the fallback for destinations

@@ -100,6 +100,8 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Policies lists every policy, in declaration order.
+//
+//lint:ignore testonly policy list shared by the airbench and online suites
 func Policies() []Policy { return []Policy{LWF, MRF, EDF, FCFS} }
 
 // SplitMode selects how the online tier obtains broadcast slots.

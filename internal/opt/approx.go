@@ -44,6 +44,7 @@ type ApproxOptions struct {
 	// Parallelism bounds concurrent scoring workers; 0 means GOMAXPROCS.
 	// Unlike Search's Evaluated, Approx's result is bit-identical at any
 	// parallelism including the evaluation count.
+	//lint:ignore testonly tests pin one worker to show the result is worker-count independent
 	Parallelism int
 }
 

@@ -123,6 +123,8 @@ func Build(gs *core.GroupSet, channels int) (*core.Program, error) {
 }
 
 // BuildMinimal is Build with the Theorem 3.1 minimum channel count.
+//
+//lint:ignore testonly fixture builder shared by the tests of over a dozen packages
 func BuildMinimal(gs *core.GroupSet) (*core.Program, error) {
 	if gs == nil {
 		return nil, fmt.Errorf("%w: nil group set", core.ErrInvalidGroupSet)

@@ -111,6 +111,8 @@ type PoissonConfig struct {
 // GenerateRequests). Arrival instants are absolute simulation times (they
 // exceed one cycle for long streams); consumers treat the program as
 // cyclic. It is NewPoissonStream's requests, materialised.
+//
+//lint:ignore testonly fixture shared by the airbench, chaos, sim and workload suites
 func GeneratePoissonRequests(gs *core.GroupSet, cfg PoissonConfig) ([]Request, error) {
 	s, err := NewPoissonStream(gs, cfg)
 	if err != nil {

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # check.sh — the full verification pipeline, used locally (`make check`)
-# and by CI. Fails fast on the first broken gate.
+# and by CI. Fails fast on the first broken stage.
 #
 # Usage: scripts/check.sh [race|fuzz]
 #
@@ -59,10 +59,12 @@ echo "==> bench module: go vet + go test (it builds against internal/ APIs)"
 
 # From bench/, tcsa/... names the packages of both modules, so testonly
 # sees every non-test reference (and flags an internal/ package nothing
-# imports). Any finding fails the gate.
+# imports). Any finding fails the stage.
 echo "==> airvet over both modules"
 (cd bench && go run tcsa/cmd/airvet tcsa/...)
 
+# Includes cmd/airbench's golden test, which pins every committed
+# checksum and allocation base.
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
@@ -70,9 +72,6 @@ race
 
 echo "==> loadgen smoke (zero-fault scenarios self-verify against sim.MeasureStream)"
 go run ./cmd/loadgen -clients 1000 -dists uniform,sskew -out ""
-
-echo "==> trajectory gates (every airbench gate against its committed BENCH_<name>.json)"
-go run ./cmd/airbench -gate all
 
 fuzz
 
