@@ -3,7 +3,9 @@ package loadgen
 import (
 	"context"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -53,42 +55,55 @@ func edgeStream(count int, pages ...core.PageID) workload.Stream {
 	return workload.SliceStream(reqs)
 }
 
-// TestRunStreamCalendarEdges pins the calendar's window edges against the
-// chaos engine, at one and three workers with an eight-slot ring: retries
-// that land exactly L ahead until MaxCycles gives up, a MaxCycles 1 run
-// whose wrapped arrivals are unserved before their first opportunity, and
-// first opportunities in the window's last slot.
+// TestRunStreamCalendarEdges pins the calendar's edges against the chaos
+// engine, at one and three workers with an eight-slot ring: retries that
+// land exactly L ahead until MaxCycles gives up, a MaxCycles 1 run whose
+// wrapped arrivals are unserved before their first opportunity, first
+// opportunities in the window's last slot, and buckets that span chunk
+// boundaries: every client shares one first opportunity, a lost airing
+// retries whole buckets of chunks, and churn retries a share of one.
 func TestRunStreamCalendarEdges(t *testing.T) {
 	a := edgeProgram(t)
 	count := 2*workload.ShardSize + 501
+	shared := make([]workload.Request, count)
+	for i := range shared {
+		shared[i] = workload.Request{Page: 1, Arrival: 0.5}
+	}
 	cases := []struct {
 		name   string
-		pages  []core.PageID
+		stream workload.Stream
 		fault  chaos.Config
 		expect func(chaos.Ledger) bool
 	}{
 		{
 			name:   "once-per-cycle-heavy-loss",
-			pages:  []core.PageID{1, 2},
+			stream: edgeStream(count, 1, 2),
 			fault:  chaos.Config{Seed: 11, Loss: 0.9, MaxCycles: 4},
 			expect: func(l chaos.Ledger) bool { return l.Unserved > 0 && l.Unserved < int64(count) },
 		},
 		{
 			name:   "max-cycles-1-wrapped-arrival",
-			pages:  []core.PageID{0, 1, 2},
+			stream: edgeStream(count, 0, 1, 2),
 			fault:  chaos.Config{Seed: 6, Loss: 0.1, MaxCycles: 1},
 			expect: func(l chaos.Ledger) bool { return l.Unserved > 0 },
 		},
 		{
 			name:   "first-opportunity-last-window-slot",
-			pages:  []core.PageID{2},
+			stream: edgeStream(count, 2),
 			expect: func(l chaos.Ledger) bool { return l == chaos.Ledger{} },
+		},
+		{
+			name:   "shared-first-opportunity-across-chunks",
+			stream: workload.SliceStream(shared),
+			fault:  chaos.Config{Seed: 2, Loss: 0.3, Churn: 0.3, MaxCycles: 4},
+			expect: func(l chaos.Ledger) bool {
+				return l.LostDeliveries >= int64(count) && l.ChurnSkips > 2*chunkLen && l.Unserved > 0 && l.Unserved < int64(count)
+			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			stream := edgeStream(count, tc.pages...)
-			want, err := chaos.RunParallel(a, stream, tc.fault, 2)
+			want, err := chaos.RunParallel(a, tc.stream, tc.fault, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +111,7 @@ func TestRunStreamCalendarEdges(t *testing.T) {
 				t.Fatalf("case does not reach its edge: ledger %+v", want.Ledger)
 			}
 			for _, workers := range []int{1, 3} {
-				res, err := RunStream(context.Background(), a, stream, tc.fault, Options{Workers: workers, RingSlots: 8})
+				res, err := RunStream(context.Background(), a, tc.stream, tc.fault, Options{Workers: workers, RingSlots: 8})
 				if err != nil {
 					t.Fatalf("workers %d: %v", workers, err)
 				}
@@ -143,28 +158,192 @@ func TestRunStreamCorruptionAlwaysCaught(t *testing.T) {
 	}
 }
 
-// TestClientRecordSize pins that the calendar link lives in what was the
-// record's padding: a million clients still take 48 MiB.
+// TestClientRecordSize pins the calendar's memory: a client record is
+// 48 bytes, so a million clients take 48 MiB, and a chunk is its records
+// plus an 8-byte header.
 func TestClientRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(client{}); size != 48 {
 		t.Errorf("client record is %d bytes, want 48", size)
 	}
+	if size, want := unsafe.Sizeof(chunk{}), 8+chunkLen*unsafe.Sizeof(client{}); size != want {
+		t.Errorf("calendar chunk is %d bytes, want %d", size, want)
+	}
 }
 
-// hugeStream claims more requests than int32 calendar links can address;
-// RunStream must refuse it before it allocates or reads a request.
+// hugeStream claims more requests than one worker's calendar can address
+// with int32 chunk indices; RunStream must refuse it before it allocates
+// or reads a request.
 type hugeStream struct{ workload.Stream }
 
-func (hugeStream) Count() int  { return math.MaxInt32 + 1 }
-func (hugeStream) Shards() int { return (math.MaxInt32 + 1) / workload.ShardSize }
+const hugeCount = (math.MaxInt32 + 1) * chunkLen
+
+func (hugeStream) Count() int  { return hugeCount }
+func (hugeStream) Shards() int { return hugeCount / workload.ShardSize }
 
 func TestRunStreamRejectsUnlinkableWorker(t *testing.T) {
 	if math.MaxInt < math.MaxInt64 {
-		t.Skip("int cannot count past the int32 links")
+		t.Skip("int cannot count past the int32 chunk indices")
 	}
 	_, err := RunStream(context.Background(), edgeProgram(t), hugeStream{}, chaos.Config{}, Options{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "int32") {
-		t.Fatalf("err = %v, want an int32 link overflow error", err)
+		t.Fatalf("err = %v, want an int32 chunk index overflow error", err)
+	}
+}
+
+// TestArenaBound pins the arena's size at both of its bounds and the
+// int32 refusal at its edge.
+func TestArenaBound(t *testing.T) {
+	const window = 8
+	for _, tc := range []struct {
+		owned int
+		want  int32
+		ok    bool
+	}{
+		{owned: 0, want: 1, ok: true},
+		{owned: 5, want: 6, ok: true},                         // owned+1
+		{owned: 10 * chunkLen, want: 10 + window, ok: true},   // ⌈owned/chunkLen⌉ + window
+		{owned: 10*chunkLen + 1, want: 11 + window, ok: true}, // a partial chunk rounds up
+		{owned: (math.MaxInt32 - window) * chunkLen, want: math.MaxInt32, ok: true},
+		{owned: (math.MaxInt32-window)*chunkLen + 1, ok: false}, // one chunk past int32
+	} {
+		got, ok := arenaBound(tc.owned, window)
+		if ok != tc.ok || (ok && got != tc.want) {
+			t.Errorf("arenaBound(%d, %d) = %d, %v; want %d, %v", tc.owned, window, got, ok, tc.want, tc.ok)
+		}
+	}
+	if _, ok := arenaBound(1, math.MaxInt32+1); ok {
+		t.Error("a window past int32 was accepted")
+	}
+}
+
+// drainSlot takes slot s's bucket and hands each of its records to
+// visit, as the worker's drain does, releasing every chunk after it; it
+// reports how many chunks the bucket held.
+func drainSlot(cal *calendar, s int64, visit func(*client)) (chunks int) {
+	for k := cal.take(s); k >= 0; k = cal.release(k) {
+		chunks++
+		for j := int32(0); j < cal.chunks[k].n; j++ {
+			visit(&cal.chunks[k].recs[j])
+		}
+	}
+	return chunks
+}
+
+// TestCalendarDrainsInSlotOrder drives the calendar as a worker does:
+// clients pushed at random wake slots of the first window, drained slot
+// by slot, and each retried a random number of times at most half a
+// window ahead. Every slot must drain exactly the multiset of clients
+// queued for it, each record intact, and the arena must never grow past
+// arenaBound.
+func TestCalendarDrainsInSlotOrder(t *testing.T) {
+	const L = 7
+	window := int64(2 * L)
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 5000} {
+		bound, _ := arenaBound(n, window)
+		cal := newCalendar(n, window)
+		queued := map[int64][]int64{} // wake slot → globs queued for it
+		retries := make([]int32, n)
+		for g := int64(0); g < int64(n); g++ {
+			retries[g] = int32(rng.Intn(4))
+			c := client{glob: g, page: core.PageID(g % 97)}
+			c.Next = rng.Int63n(window)
+			cal.push(&c)
+			queued[c.Next] = append(queued[c.Next], g)
+		}
+		pending := n
+		for s := int64(0); pending > 0; s++ {
+			var got []int64
+			drainSlot(&cal, s, func(c *client) {
+				got = append(got, c.glob)
+				if c.Next != s || c.page != core.PageID(c.glob%97) {
+					t.Fatalf("n %d slot %d: drained record %+v", n, s, *c)
+				}
+				if c.Attempts == retries[c.glob] {
+					pending--
+					return
+				}
+				c.Attempts++
+				c.Next = s + 1 + rng.Int63n(L)
+				cal.push(c)
+				queued[c.Next] = append(queued[c.Next], c.glob)
+			})
+			want := queued[s]
+			delete(queued, s)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n %d slot %d: drained %v, want %v", n, s, got, want)
+			}
+		}
+		if len(queued) != 0 {
+			t.Errorf("n %d: slots %v still queued after the last client finished", n, queued)
+		}
+		if len(cal.chunks) > int(bound) || cap(cal.chunks) != int(bound) {
+			t.Errorf("n %d: arena holds %d chunks of capacity %d, bound %d", n, len(cal.chunks), cap(cal.chunks), bound)
+		}
+	}
+}
+
+// TestCalendarChunkBoundary pins buckets of exactly chunkLen and
+// chunkLen+1 records, one and two chunks, and retries that reuse the
+// chunks their drain freed: after the first round of retries the arena
+// stops growing.
+func TestCalendarChunkBoundary(t *testing.T) {
+	const window = 4
+	bound, _ := arenaBound(2*chunkLen+1, window)
+	cal := newCalendar(2*chunkLen+1, window)
+	for g := int64(0); g < 2*chunkLen+1; g++ {
+		c := client{glob: g}
+		c.Next = min(g/chunkLen, 1) // chunkLen clients wake at slot 0, chunkLen+1 at slot 1
+		cal.push(&c)
+	}
+	if len(cal.chunks) != 3 {
+		t.Fatalf("%d chunks hold buckets of %d and %d records, want 3", len(cal.chunks), chunkLen, chunkLen+1)
+	}
+	for s := int64(0); s < 40; s++ {
+		records := 0
+		chunks := drainSlot(&cal, s, func(c *client) {
+			records++
+			c.Next += 2 // every client retries, two slots on
+			cal.push(c)
+		})
+		if want := chunkLen + int(s%2); records != want || chunks != 1+int(s%2) {
+			t.Fatalf("slot %d: %d records in %d chunks, want %d in %d", s, records, chunks, want, 1+s%2)
+		}
+		// Slot 0's retries take a fresh chunk, as the chunk being drained
+		// is not free yet; every later retry reuses a freed one.
+		if len(cal.chunks) != 4 {
+			t.Fatalf("slot %d: arena grew to %d chunks, want 4", s, len(cal.chunks))
+		}
+	}
+	if cap(cal.chunks) != int(bound) {
+		t.Errorf("arena capacity %d, bound %d", cap(cal.chunks), bound)
+	}
+}
+
+// TestRunStreamRetriesAllocateNothing pins that a retry costs no
+// allocation: a retried client moves into a chunk of the arena sized
+// before the drain, so a run at i.i.d. loss 0.5 allocates exactly as
+// often as one at loss 0.05, with twenty times the retries.
+func TestRunStreamRetriesAllocateNothing(t *testing.T) {
+	a, stream, err := Materialize(Config{Clients: 1 << 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(loss float64) float64 {
+		fault := chaos.Config{Seed: 1, Loss: loss}
+		var res *Result
+		n := testing.AllocsPerRun(3, func() {
+			if res, err = RunStream(context.Background(), a, stream, fault, Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("loss %v: %v allocs, %d retries", loss, n, res.Ledger.Retries)
+		return n
+	}
+	if light, heavy := allocs(0.05), allocs(0.5); heavy != light {
+		t.Errorf("loss 0.5 run makes %v allocations, loss 0.05 run %v", heavy, light)
 	}
 }
 
@@ -253,6 +432,24 @@ func BenchmarkRunStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunStream(context.Background(), a, stream, chaos.Config{}, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunStreamLossy serves 2^19 clients of the same operating point
+// under the all-class fault mix with one client worker, so the calendar's
+// retry path carries a share of the drain.
+func BenchmarkRunStreamLossy(b *testing.B) {
+	a, stream, err := Materialize(Config{Clients: 1 << 19, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fault := allFaults(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunStream(context.Background(), a, stream, fault, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,14 +115,12 @@ func Materialize(cfg Config) (*core.Analysis, workload.Stream, error) {
 	return core.Analyze(prog), stream, nil
 }
 
-// client is one pending request's walk plus what the calendar needs. The
-// fields are ordered so the calendar link packs into what would otherwise
-// be padding: the record is 48 bytes.
+// client is the record the calendar queues: one pending request's walk
+// plus its global index and page, 48 bytes.
 type client struct {
 	chaos.Walk
 	glob int64 // global request index (shard*ShardSize + local)
 	page core.PageID
-	link int32 // next client in the same calendar bucket; -1 ends it
 }
 
 // engine carries the shared state of one RunStream measurement.
@@ -186,8 +184,10 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	if workers > shards {
 		workers = shards
 	}
-	if n := ownedClients(count, 0, workers); n > math.MaxInt32 {
-		return nil, fmt.Errorf("loadgen: %d clients on one of %d workers overflow the calendar's int32 links", n, workers)
+	// Worker 0 owns the most clients, so its calendar arena is the largest.
+	n := ownedClients(count, 0, workers)
+	if _, ok := arenaBound(n, 2*int64(prog.Length())); !ok {
+		return nil, fmt.Errorf("loadgen: %d clients on one of %d workers need more calendar chunks than int32 indices address", n, workers)
 	}
 	ring, err := netcast.NewBroadcastRing(prog.Channels(), opts.RingSlots)
 	if err != nil {
@@ -307,22 +307,17 @@ func (e *engine) minWatermark() int64 {
 // advancing it early would let the broadcaster overwrite a slot a
 // still-unbuilt client needs.
 //
-// The calendar is a ring of 2L bucket heads indexed by absolute slot
-// mod 2L, each the head of a list linked through client.link. The program
-// repeats every L slots, so while slot s drains every pending opportunity
-// lies in [s, s+2L): a first opportunity is at most one wrap past the
-// arrival offset, below 2L, and a retry moves to the page's next airing,
-// at most L ahead. No two pending slots therefore share a bucket.
+// The calendar has 2L buckets indexed by absolute slot mod 2L. The
+// program repeats every L slots, so while slot s drains every pending
+// opportunity lies in [s, s+2L): a first opportunity is at most one wrap
+// past the arrival offset, below 2L, and a retry moves to the page's next
+// airing, at most L ahead. No two pending slots therefore share a bucket.
 // Order within a bucket is immaterial: every outcome is a pure function
 // of (request, plan), recorded at its global index.
 func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 	defer e.watermarks[w].Store(math.MaxInt64)
-	clients := make([]client, 0, ownedClients(e.stream.Count(), w, workers))
-	window := 2 * int64(e.cycleLen)
-	heads := make([]int32, window)
-	for i := range heads {
-		heads[i] = -1
-	}
+	cal := newCalendar(ownedClients(e.stream.Count(), w, workers), 2*int64(e.cycleLen))
+	pending := 0
 	cur := e.stream.NewCursor()
 	L := float64(e.cycleLen)
 	var r workload.Request
@@ -340,20 +335,15 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				e.waits[glob] = c.Wait(e.plan, e.a, r.Page)
 				continue
 			}
-			b := c.Next % window
-			c.link = heads[b]
-			clients = append(clients, c)
-			heads[b] = int32(len(clients) - 1)
+			cal.push(&c)
+			pending++
 		}
 	}
-	pending := len(clients)
 	for s := int64(0); pending > 0; s++ {
-		b := s % window
-		i := heads[b]
-		if i < 0 {
+		k := cal.take(s)
+		if k < 0 {
 			continue
 		}
-		heads[b] = -1
 		e.watermarks[w].Store(s)
 		// Every channel of slot s becomes readable at once.
 		for e.ring.Head() <= s {
@@ -366,30 +356,28 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 			}
 			runtime.Gosched()
 		}
-		for i >= 0 {
-			c := &clients[i]
-			link := c.link
-			done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)])
-			if err != nil {
-				e.failed.Store(true)
-				return err
+		for ; k >= 0; k = cal.release(k) {
+			for j := int32(0); j < cal.chunks[k].n; j++ {
+				c := &cal.chunks[k].recs[j]
+				done, err := e.step(c, &e.ledgers[int(c.glob/workload.ShardSize)])
+				if err != nil {
+					e.failed.Store(true)
+					return err
+				}
+				if done {
+					pending--
+				} else {
+					cal.push(c)
+				}
 			}
-			if done {
-				pending--
-			} else {
-				nb := c.Next % window
-				c.link, heads[nb] = heads[nb], i
-			}
-			i = link
 		}
 	}
 	return nil
 }
 
 // ownedClients is how many of count requests worker w of workers owns:
-// the shards w, w+workers, w+2*workers, ... The calendar links clients by
-// int32 index, so RunStream refuses a worker that would own more than
-// math.MaxInt32.
+// the shards w, w+workers, w+2*workers, ... It sizes the worker's
+// calendar arena.
 func ownedClients(count, w, workers int) int {
 	n := 0
 	for start := w * workload.ShardSize; start < count; start += workers * workload.ShardSize {
