@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	pageChoice := fs.String("pagechoice", "uniform", "page popularity model (uniform|zipf)")
 	theta := fs.Float64("theta", 0, "zipf skew for -pagechoice zipf")
 	seed := fs.Int64("seed", 1, "master seed (stream and fault plan)")
-	workers := fs.Int("workers", 0, "client shard workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "client shard workers draining the ring (0 = GOMAXPROCS); the fold after the air uses GOMAXPROCS")
 	outDir := fs.String("out", "results", "base directory for result artifacts (empty = don't write)")
 	stamp := fs.String("stamp", "", "results subdirectory name (default: UTC timestamp)")
 	verify := fs.Bool("verify", true, "cross-check fault-free scenarios against sim.MeasureStream")

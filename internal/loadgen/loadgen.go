@@ -78,7 +78,9 @@ type Result struct {
 
 // Options tunes RunStream independently of scenario construction.
 type Options struct {
-	Workers int // 0 = GOMAXPROCS
+	// Workers is the number of client workers that drain the ring
+	// (0 = GOMAXPROCS). The fold after the air always uses GOMAXPROCS.
+	Workers int
 	//lint:ignore testonly tests force a tiny ring to keep the flow control under constant pressure
 	RingSlots int // 0 = netcast.DefaultRingSlots
 }
@@ -246,7 +248,7 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		}
 	}
 
-	if err := eng.fold(res, workers); err != nil {
+	if err := eng.fold(res); err != nil {
 		return nil, err
 	}
 	res.SlotsAired = slotsAired
@@ -270,6 +272,13 @@ func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) 
 // are per-worker monotone (a worker drains its calendar in slot order and
 // every retry reschedules later), so a slot that cleared the gate can
 // never be wanted again.
+//
+// A shut gate spins on runtime.Gosched rather than blocking: it is shut
+// for the whole build phase, and a variant that parked on a channel the
+// workers signal after each watermark store was no faster
+// (BenchmarkRunStream, 10 interleaved pairs on a 2-vCPU VM: median 269
+// against the spin's 272 ms, winning 3 of 10 pairs, upper quartile 321
+// against 303 ms), while it adds a send to every drained slot.
 func (e *engine) broadcast(ctx context.Context, caster *netcast.Caster, slots int64) error {
 	ringSlots := int64(e.ring.Slots())
 	for abs := int64(0); abs < slots; abs++ {
@@ -418,17 +427,23 @@ func (e *engine) step(c *client, ledger *chaos.Ledger) (done bool, err error) {
 		return false, nil
 	}
 	e.waits[c.glob] = c.Wait(e.plan, e.a, c.page)
-	e.attempts[c.glob] = c.Attempts
+	// attempts is freshly zeroed: on fault-free air skipping the zero
+	// store leaves one cold line per client instead of two.
+	if c.Attempts != 0 {
+		e.attempts[c.glob] = c.Attempts
+	}
 	return true, nil
 }
 
 // fold replays the recorded per-request outcomes on the measurement
 // kernel — the waits and attempt counts become exactly the values the
 // chaos fault walk folds — so the Result is worker-count-independent and
-// engine-identical.
-func (e *engine) fold(res *Result, workers int) error {
+// engine-identical. The broadcaster and the client workers have exited by
+// now, so the fold runs on GOMAXPROCS workers whatever Options.Workers
+// was; the kernel's Fold is bit-identical at any worker count.
+func (e *engine) fold(res *Result) error {
 	span := sim.CycleSpan(float64(e.cycleLen), 1)
-	fold, err := sim.FoldShards(e.stream, workers, span, span, func() sim.Visit {
+	fold, err := sim.FoldShards(e.stream, runtime.GOMAXPROCS(0), span, span, func() sim.Visit {
 		var r workload.Request
 		return func(shard int, cur workload.Cursor, p *sim.Partial) error {
 			for glob := shard * workload.ShardSize; cur.Next(&r); glob++ {

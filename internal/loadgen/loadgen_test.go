@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tcsa/internal/chaos"
@@ -149,6 +150,38 @@ func TestRunStreamWorkerDeterminism(t *testing.T) {
 	}
 	if base.FaultStats.DroppedFrames == 0 || base.FaultStats.StalledSlots == 0 {
 		t.Errorf("faulted run recorded no server-side faults: %+v", base.FaultStats)
+	}
+}
+
+// TestRunStreamFoldIndependentOfProcs pins that the fold after the air,
+// which runs on GOMAXPROCS workers whatever Options.Workers is, returns
+// the same Result at any GOMAXPROCS, fault-free and under every fault
+// class.
+func TestRunStreamFoldIndependentOfProcs(t *testing.T) {
+	a, stream := scenario(t, 300, 2*workload.ShardSize+777, workload.UniformPages, 0, 13)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name  string
+		fault chaos.Config
+	}{
+		{name: "fault-free"},
+		{name: "all-faults", fault: allFaults(4)},
+	} {
+		var base *Result
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 3} {
+				got, err := RunStream(context.Background(), a, stream, tc.fault, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s procs=%d workers=%d: %v", tc.name, procs, workers, err)
+				}
+				if base == nil {
+					base = got
+				} else if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s procs=%d workers=%d: result diverges from procs=1 workers=1", tc.name, procs, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -67,8 +67,10 @@ func CycleSpan(L, cycles float64) Span {
 
 // Partial is one shard's accumulation: exact moments and left-to-right
 // sums of a value and a derived value, a hit count, the shard's trace
-// digest, and the claiming worker's quantile sketches. Shards are
-// disjoint, so a visit writes its partial without synchronisation.
+// digest, and the claiming worker's quantile sketches. The sketches count
+// bins only (stats.Sketch.AddBin): the fold reads their quantiles against
+// the shard-ordered moments. Shards are disjoint, so a visit writes its
+// partial without synchronisation.
 type Partial struct {
 	value, derived       stats.Online
 	valueSum, derivedSum float64
@@ -88,8 +90,8 @@ func (p *Partial) Add(page core.PageID, value, derived float64, tag uint64, hit 
 	if hit {
 		p.hits++
 	}
-	p.vs.Add(value)
-	p.ds.Add(derived)
+	p.vs.AddBin(value)
+	p.ds.AddBin(derived)
 	d := fnv64(p.digest, uint64(uint32(page)))
 	d = fnv64(d, math.Float64bits(value))
 	p.digest = fnv64(d, tag)

@@ -21,6 +21,12 @@ import (
 // Merging is exact for the bucket counts (integer adds, so any merge order
 // and grouping yields identical quantiles) and order-insensitive up to
 // floating-point rounding for the moments (Online.Merge).
+//
+// A caller that already folds the observations' moments into an Online of
+// its own feeds the sketch with AddBin, which counts the bucket only, and
+// reads it with SummaryOf: the quantiles then take their count and their
+// [Min, Max] clamp from that Online, which are the same whatever order the
+// observations were folded in.
 type Sketch struct {
 	moments Online
 	zero    int64   // observations <= lo
@@ -57,6 +63,12 @@ func NewSketch(lo, hi, alpha float64) (*Sketch, error) {
 // Add folds one observation into the sketch.
 func (s *Sketch) Add(x float64) {
 	s.moments.Add(x)
+	s.AddBin(x)
+}
+
+// AddBin counts one observation into its bucket without folding it into
+// the sketch's moments; read such a sketch with SummaryOf.
+func (s *Sketch) AddBin(x float64) {
 	if x <= s.lo {
 		s.zero++
 		return
@@ -70,7 +82,7 @@ func (s *Sketch) Add(x float64) {
 	s.bins[i]++
 }
 
-// N returns the observation count.
+// N returns the count of observations folded by Add (AddBin counts none).
 func (s *Sketch) N() int64 { return s.moments.N() }
 
 // Merge folds other into s. Both sketches must share a bucket layout
@@ -102,7 +114,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 // observed [Min, Max]. The estimate is within a factor of gamma of the
 // exact order statistic; observations at or below lo report as 0.
 func (s *Sketch) Quantile(p float64) float64 {
-	n := s.moments.N()
+	return s.quantile(p, &s.moments)
+}
+
+// quantile is Quantile with the count and the [Min, Max] clamp read from o.
+func (s *Sketch) quantile(p float64, o *Online) float64 {
+	n := o.N()
 	if n == 0 {
 		return 0
 	}
@@ -120,16 +137,16 @@ func (s *Sketch) Quantile(p float64) float64 {
 		cum += c
 		if rank < cum {
 			v := s.lo * math.Pow(s.gamma, float64(i)+0.5)
-			if v < s.moments.Min() {
-				v = s.moments.Min()
+			if v < o.Min() {
+				v = o.Min()
 			}
-			if v > s.moments.Max() {
-				v = s.moments.Max()
+			if v > o.Max() {
+				v = o.Max()
 			}
 			return v
 		}
 	}
-	return s.moments.Max()
+	return o.Max()
 }
 
 // Summary emits the five-number-plus profile without retaining samples:
@@ -139,8 +156,10 @@ func (s *Sketch) Summary() Summary {
 	return s.SummaryOf(s.moments)
 }
 
-// SummaryOf is Summary with the moment fields taken from o, for callers
-// that fold the same observations' moments in an order of their own.
+// SummaryOf is Summary with the moment fields, and the quantiles' count
+// and [Min, Max] clamp, taken from o: for callers that fold the same
+// observations' moments in an order of their own and feed the sketch with
+// AddBin.
 func (s *Sketch) SummaryOf(o Online) Summary {
 	return Summary{
 		N:      int(o.N()),
@@ -148,9 +167,9 @@ func (s *Sketch) SummaryOf(o Online) Summary {
 		StdDev: o.StdDev(),
 		Min:    o.Min(),
 		Max:    o.Max(),
-		P50:    s.Quantile(0.50),
-		P95:    s.Quantile(0.95),
-		P99:    s.Quantile(0.99),
+		P50:    s.quantile(0.50, &o),
+		P95:    s.quantile(0.95, &o),
+		P99:    s.quantile(0.99, &o),
 	}
 }
 

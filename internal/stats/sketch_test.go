@@ -85,6 +85,50 @@ func TestSketchClampsAboveRange(t *testing.T) {
 	}
 }
 
+// TestSketchAddBinMatchesAdd pins the split Partial-style callers rely on:
+// a sketch fed by AddBin and read through SummaryOf(o), with o folding the
+// same values, equals an Add-fed sketch's Summary bit for bit, on values
+// at or below lo, inside the range and above hi. The lone value and the
+// above-hi cluster sit in one bucket whose midpoint lies outside the
+// sample, so they exercise the [Min, Max] clamp.
+func TestSketchAddBinMatchesAdd(t *testing.T) {
+	cases := map[string][]float64{
+		"at-or-below-lo": {0, 1e-3, 5e-4, 0},
+		"lone-in-range":  {3.3},
+		"in-range":       {0.5, 7.25, 7.26, 100, 2048, 1e-3, 0},
+		"above-hi":       {5000, 1e6, 1e9},
+		"mixed":          {0, 1e-4, 42, 4096, 4096.5, 1e7, 0.002},
+	}
+	for name, xs := range cases {
+		added, binned := testSketch(t), testSketch(t)
+		var o Online
+		for _, x := range xs {
+			added.Add(x)
+			binned.AddBin(x)
+			o.Add(x)
+		}
+		if binned.N() != 0 {
+			t.Errorf("%s: AddBin folded moments: N = %d", name, binned.N())
+		}
+		want, got := added.Summary(), binned.SummaryOf(o)
+		if got.N != want.N || !sameBits(
+			[]float64{got.Mean, got.StdDev, got.Min, got.P50, got.P95, got.P99, got.Max},
+			[]float64{want.Mean, want.StdDev, want.Min, want.P50, want.P95, want.P99, want.Max}) {
+			t.Errorf("%s: AddBin+SummaryOf = %+v, Add+Summary = %+v", name, got, want)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
 // checkQuantiles asserts the sketch contract against the exact sample: the
 // estimate lies within one bucket (a factor of gamma) of the exact order
 // statistics surrounding rank p*(n-1), with values <= lo reporting as 0.
