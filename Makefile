@@ -29,11 +29,13 @@ race:
 fuzz:
 	FUZZTIME=$(FUZZTIME) scripts/check.sh fuzz
 
-# Smoke the hot-path benchmarks (see docs/perf.md). The root and loadgen
-# lines run at -cpu 1,2, so the kernel fold runs on one worker and on two.
+# Smoke the hot-path benchmarks (see docs/perf.md). The root, loadgen and
+# online lines run at -cpu 1,2, so the kernel fold runs on one worker and
+# on two.
 bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'Fanout|CastSlot|RunStream' -benchtime=1x -benchmem -cpu 1,2 ./internal/netcast/ ./internal/loadgen/
+	$(GO) test -run '^$$' -bench 'OnlineRun|ZipfStream' -benchtime=1x -benchmem -cpu 1,2 ./internal/online/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 	$(GO) test -run '^$$' -bench 'ReplanLiveEdits' -benchtime=1x -benchmem ./internal/replan/
 

@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"tcsa/internal/core"
 	"tcsa/internal/delaymodel"
@@ -141,7 +140,7 @@ func faultWalk(plan *Plan, a *core.Analysis, sorted bool, ledgers []Ledger) func
 				var w Walk
 				// The program is cyclic, so arrivals beyond the first
 				// cycle (e.g. Poisson streams) fold back into it.
-				pending := w.Start(plan, a, cursors, r.Page, math.Mod(r.Arrival, L), ledger)
+				pending := w.Start(plan, a, cursors, r.Page, core.CycleMod(r.Arrival, L), ledger)
 				for pending {
 					reason := plan.Charge(&w, req)
 					if reason == SkipNone {

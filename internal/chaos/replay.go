@@ -191,7 +191,7 @@ func (rp *replayer) emit(kind sim.EventKind, at float64, i int, page core.PageID
 // base and offset, its abandonment deadline (+Inf for a patient client)
 // and its arrival step.
 func (rp *replayer) start(i int, r workload.Request) (base, u, deadline float64) {
-	u = math.Mod(r.Arrival, float64(rp.plan.length))
+	u = core.CycleMod(r.Arrival, float64(rp.plan.length))
 	deadline = math.Inf(1)
 	if rp.cfg.AbandonAfter > 0 {
 		deadline = r.Arrival + rp.cfg.AbandonAfter*float64(rp.gs.TimeOf(r.Page))

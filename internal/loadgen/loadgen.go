@@ -340,7 +340,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				return err
 			}
 			c := client{glob: glob, page: r.Page}
-			if !c.Start(e.plan, e.a, nil, r.Page, math.Mod(r.Arrival, L), ledger) {
+			if !c.Start(e.plan, e.a, nil, r.Page, core.CycleMod(r.Arrival, L), ledger) {
 				e.waits[glob] = c.Wait(e.plan, e.a, r.Page)
 				continue
 			}

@@ -23,6 +23,13 @@ type admitted struct {
 	max   int // largest non-empty bucket, -1 when the stream is empty
 }
 
+// maxAdmitSlot is the last admission slot a request may claim. admit
+// keeps one int32 per slot up to the last arrival's, so an arrival far
+// out (1e19, or 5e9 from a garbled clock) would allocate gigabytes or
+// overflow the slot conversion; 2^24 slots cap the bucket table at 64 MiB
+// while a 2^28-request stream at 16 arrivals per slot still fits.
+const maxAdmitSlot = 1 << 24
+
 // bucketOf is the admission slot of arrival a: the first integer slot at
 // which an airing can serve it (float64(s) >= a).
 func bucketOf(a float64) int {
@@ -31,22 +38,21 @@ func bucketOf(a float64) int {
 
 // admit drains the stream (serially — the decision pass is sequential
 // anyway) and counting-sorts it by admission bucket, stable in stream
-// order. Validation matches sim.MeasureParallel: pages in range, arrivals
-// non-negative and finite.
+// order, in two passes over the stream. Validation matches
+// sim.MeasureParallel (pages in range, arrivals non-negative and finite),
+// and an arrival past maxAdmitSlot is refused before the bucket table
+// grows to it.
 func admit(stream workload.Stream, pages int) (*admitted, error) {
 	n := stream.Count()
-	ad := &admitted{
-		page: make([]int32, n),
-		arr:  make([]float64, n),
-		max:  -1,
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("online: %d requests overflow the int32 admission table", n)
 	}
-	if n == 0 {
-		ad.start = make([]int32, 2)
-		return ad, nil
-	}
+	ad := &admitted{max: -1}
 	cur := stream.NewCursor()
 	var r workload.Request
-	// Pass 1: validate, find the bucket span.
+	// Pass 1: validate and count per bucket, growing the table to one slot
+	// past the largest bucket seen; counts[b] is bucket b's size.
+	counts := make([]int32, 0, 1024)
 	idx := 0
 	for k := 0; k < stream.Shards(); k++ {
 		cur.Seek(k)
@@ -54,36 +60,55 @@ func admit(stream workload.Stream, pages int) (*admitted, error) {
 			if err := sim.CheckRequest(&r, int64(idx), pages); err != nil {
 				return nil, err
 			}
-			if b := bucketOf(r.Arrival); b > ad.max {
-				ad.max = b
+			if r.Arrival > maxAdmitSlot {
+				return nil, fmt.Errorf("%w: request %d arrival %v past the last admission slot %d",
+					core.ErrSlotRange, idx, r.Arrival, maxAdmitSlot)
 			}
+			b := bucketOf(r.Arrival)
+			if b+1 >= len(counts) {
+				counts = grow(counts, b+2)
+			}
+			counts[b]++
+			ad.max = max(ad.max, b)
 			idx++
 		}
 	}
-	ad.start = make([]int32, ad.max+2)
-	// Pass 2: count per bucket.
-	for k := 0; k < stream.Shards(); k++ {
-		cur.Seek(k)
-		for cur.Next(&r) {
-			ad.start[bucketOf(r.Arrival)+1]++
-		}
+	// Turn counts into bucket starts: counts[b] becomes the first index of
+	// bucket b, and the slot after the last bucket holds n.
+	start := counts[:ad.max+2]
+	var sum int32
+	for b := range start {
+		start[b], sum = sum, sum+start[b]
 	}
-	for b := 1; b < len(ad.start); b++ {
-		ad.start[b] += ad.start[b-1]
-	}
-	// Pass 3: stable fill in stream order.
-	fill := make([]int32, ad.max+1)
-	copy(fill, ad.start[:ad.max+1])
+	// Pass 2: stable fill in stream order. Each fill advances start[b] to
+	// bucket b's end, which is bucket b+1's start, so shifting the table
+	// up one slot restores the starts.
+	ad.page = make([]int32, n)
+	ad.arr = make([]float64, n)
 	for k := 0; k < stream.Shards(); k++ {
 		cur.Seek(k)
 		for cur.Next(&r) {
 			b := bucketOf(r.Arrival)
-			ad.page[fill[b]] = int32(r.Page)
-			ad.arr[fill[b]] = r.Arrival
-			fill[b]++
+			ad.page[start[b]] = int32(r.Page)
+			ad.arr[start[b]] = r.Arrival
+			start[b]++
 		}
 	}
+	copy(start[1:], start[:ad.max+1])
+	start[0] = 0
+	ad.start = start
 	return ad, nil
+}
+
+// grow returns s zero-extended to length n, at least doubling its
+// capacity when it must move.
+func grow(s []int32, n int) []int32 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	t := make([]int32, n, max(n, 2*cap(s)))
+	copy(t, s)
+	return t
 }
 
 // queue is the live per-page request queue of the decision pass. Per-page

@@ -82,9 +82,10 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 				flowPush := math.Inf(1)
 				if cols := ix.Columns(r.Page); !pure && len(cols) != 0 {
 					// Identical arithmetic to the serial reference's
-					// float64(serveSlot) - arrival: math.Mod is exact,
-					// so both subtractions round the same real number.
-					u := math.Mod(r.Arrival, L)
+					// float64(serveSlot) - arrival: the cycle fold is
+					// exact, so both subtractions round the same real
+					// number.
+					u := core.CycleMod(r.Arrival, L)
 					flowPush = sim.WaitAt(cols, sim.NextIndex(push, r.Page, cols, u), u, L)
 				}
 				// Online airings never wrap: the log is a finite

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 
 	"tcsa/internal/core"
 	"tcsa/internal/workload"
@@ -55,7 +54,7 @@ func MeasureFold(a *core.Analysis, stream workload.Stream, workers int) (Fold, e
 				}
 				// The program is cyclic, so arrivals beyond the first
 				// cycle (e.g. Poisson streams) fold back into it.
-				u := math.Mod(r.Arrival, L)
+				u := core.CycleMod(r.Arrival, L)
 				wait := L
 				if cols := ix.Columns(r.Page); len(cols) != 0 {
 					wait = WaitAt(cols, NextIndex(cursors, r.Page, cols, u), u, L)

@@ -82,18 +82,53 @@ func zipfCDF(n int, theta float64) []float64 {
 	return cdf
 }
 
-// searchCDF returns the first index whose cumulative probability covers u.
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// zipfTable draws Zipf ranks from a CDF through a guide table (the
+// cutpoint method): guide[j] is the first rank whose cumulative
+// probability reaches j/m, so a draw u starts at guide[int(u*m)], at or
+// just before its answer, and scans at most a few entries instead of
+// binary-searching all n.
+type zipfTable struct {
+	cdf   []float64
+	guide []int32 // len m+1: int(u*m) may round up to m for u just below 1
+	m     float64
+}
+
+// newZipfTable builds the guide for cdf, which must be non-decreasing and
+// non-empty, with m = len(cdf) cutpoints, in one sweep.
+func newZipfTable(cdf []float64) *zipfTable {
+	m := len(cdf)
+	z := &zipfTable{cdf: cdf, guide: make([]int32, m+1), m: float64(m)}
+	i := 0
+	for j := range z.guide {
+		t := float64(j) / z.m
+		for i < len(cdf)-1 && cdf[i] < t {
+			i++
 		}
+		z.guide[j] = int32(i)
 	}
-	return lo
+	return z
+}
+
+// rank returns the first index whose cumulative probability covers u (the
+// last index when none does), for any u that is not NaN. The guide only
+// picks where the scans start: the forward scan stops at the first entry
+// covering u at or after the start, and the backward scan steps back over
+// entries that also cover it, so the result is the same whatever rounding
+// u*m takes.
+func (z *zipfTable) rank(u float64) int {
+	j := int(u * z.m)
+	if uint(j) >= uint(len(z.guide)) {
+		j = len(z.guide) - 1 // u < 0 or u >= 1: the scans still land exactly
+	}
+	cdf := z.cdf
+	i := int(z.guide[j])
+	for i < len(cdf)-1 && cdf[i] < u {
+		i++
+	}
+	for i > 0 && cdf[i-1] >= u {
+		i--
+	}
+	return i
 }
 
 // PoissonConfig extends RequestConfig for arrival processes beyond the
@@ -121,10 +156,10 @@ func GeneratePoissonRequests(gs *core.GroupSet, cfg PoissonConfig) ([]Request, e
 	return materialize(s), nil
 }
 
-// pageCDF resolves a stream's page-choice model: nil for UniformPages
-// (the rng.Intn draw) or the Zipf CDF for ZipfPages, whose Theta defaults
-// to 0.8 and must lie in (0, 1].
-func pageCDF(n int, cfg RequestConfig) ([]float64, error) {
+// pageTable resolves a stream's page-choice model: nil for UniformPages
+// (the rng.Intn draw) or the Zipf table for ZipfPages, whose Theta
+// defaults to 0.8 and must lie in (0, 1].
+func pageTable(n int, cfg RequestConfig) (*zipfTable, error) {
 	switch cfg.Choice {
 	case UniformPages:
 		return nil, nil
@@ -136,7 +171,7 @@ func pageCDF(n int, cfg RequestConfig) ([]float64, error) {
 		if theta < 0 || theta > 1 {
 			return nil, fmt.Errorf("workload: zipf theta %f outside (0,1]", theta)
 		}
-		return zipfCDF(n, theta), nil
+		return newZipfTable(zipfCDF(n, theta)), nil
 	default:
 		return nil, fmt.Errorf("workload: unknown page choice %d", cfg.Choice)
 	}

@@ -97,9 +97,9 @@ type genStream struct {
 	kind  genKind
 	count int
 	pages int
-	cycle float64   // slot span of one broadcast cycle (uniform/zipf)
-	cdf   []float64 // Zipf CDF (zipf, and poisson with ZipfPages)
-	rate  float64   // arrivals per slot (poisson only)
+	cycle float64    // slot span of one broadcast cycle (uniform/zipf)
+	zipf  *zipfTable // Zipf sampler (zipf, and poisson with ZipfPages)
+	rate  float64    // arrivals per slot (poisson only)
 	seed  int64
 }
 
@@ -116,12 +116,12 @@ func NewStream(gs *core.GroupSet, cycleLen int, cfg RequestConfig) (Stream, erro
 	if cycleLen < 1 {
 		return nil, fmt.Errorf("workload: cycle length %d", cycleLen)
 	}
-	cdf, err := pageCDF(gs.Pages(), cfg)
+	zipf, err := pageTable(gs.Pages(), cfg)
 	if err != nil {
 		return nil, err
 	}
 	kind := genUniform
-	if cdf != nil {
+	if zipf != nil {
 		kind = genZipf
 	}
 	return &genStream{
@@ -129,7 +129,7 @@ func NewStream(gs *core.GroupSet, cycleLen int, cfg RequestConfig) (Stream, erro
 		count: cfg.Count,
 		pages: gs.Pages(),
 		cycle: float64(cycleLen),
-		cdf:   cdf,
+		zipf:  zipf,
 		seed:  cfg.Seed,
 	}, nil
 }
@@ -151,7 +151,7 @@ func NewPoissonStream(gs *core.GroupSet, cfg PoissonConfig) (Stream, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("workload: poisson rate %f", cfg.Rate)
 	}
-	cdf, err := pageCDF(gs.Pages(), cfg.RequestConfig)
+	zipf, err := pageTable(gs.Pages(), cfg.RequestConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func NewPoissonStream(gs *core.GroupSet, cfg PoissonConfig) (Stream, error) {
 		kind:  genPoisson,
 		count: cfg.Count,
 		pages: gs.Pages(),
-		cdf:   cdf,
+		zipf:  zipf,
 		rate:  cfg.Rate,
 		seed:  cfg.Seed,
 	}, nil
@@ -204,12 +204,12 @@ func (c *genCursor) Next(r *Request) bool {
 		r.Page = core.PageID(c.rng.Intn(s.pages))
 		r.Arrival = c.rng.Float64() * s.cycle
 	case genZipf:
-		r.Page = core.PageID(searchCDF(s.cdf, c.rng.Float64()))
+		r.Page = core.PageID(s.zipf.rank(c.rng.Float64()))
 		r.Arrival = c.rng.Float64() * s.cycle
 	default: // genPoisson
 		c.now += c.rng.ExpFloat64() / s.rate
-		if s.cdf != nil {
-			r.Page = core.PageID(searchCDF(s.cdf, c.rng.Float64()))
+		if s.zipf != nil {
+			r.Page = core.PageID(s.zipf.rank(c.rng.Float64()))
 		} else {
 			r.Page = core.PageID(c.rng.Intn(s.pages))
 		}
