@@ -93,3 +93,20 @@ func FuzzPAMADPlacement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWindowEnds pins placeOnePage's division-free window ends to
+// core.CeilDiv(t_major*(k+1), S_i) for every window k of arbitrary
+// (t_major, S_i).
+func FuzzWindowEnds(f *testing.F) {
+	f.Add(uint64(3), uint16(7))
+	f.Add(uint64(12), uint16(4))
+	f.Add(uint64(17), uint16(1))
+	f.Add(uint64(1<<40+12345), uint16(977))
+	f.Fuzz(func(t *testing.T, tMajor uint64, si uint16) {
+		// t_major*S_i must not overflow the reference's int product.
+		if tMajor == 0 || si == 0 || tMajor > 1<<46 {
+			return
+		}
+		checkWindowEnds(t, int(tMajor), int(si))
+	})
+}

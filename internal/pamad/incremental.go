@@ -157,16 +157,6 @@ func (p *Placer) MajorCycle() int { return p.tMajor }
 // Channels returns the channel budget the placement was built for.
 func (p *Placer) Channels() int { return p.nReal }
 
-// SuffixCells returns the placement-log entries of groups g..h-1: the
-// cells a ReplayFrom(g) would clear, in placement order (groups ascending,
-// pages ascending within a group, appearances k=0..S_i-1 per page).
-func (p *Placer) SuffixCells(g int) []Cell {
-	if g < 0 || g >= len(p.marks) {
-		return nil
-	}
-	return p.cells[p.marks[g].cells:]
-}
-
 // ReplayFrom rebinds the placement to the edited instance (gsNew, sNew) by
 // restoring the group-g checkpoint, clearing every cell groups >= g had
 // placed, and re-running the placement loop for groups g..h-1 of the new
@@ -174,26 +164,28 @@ func (p *Placer) SuffixCells(g int) []Cell {
 // frequency prefix S_1..S_g, the channel budget's t_major, and the
 // non-increasing frequency order; ReplayFrom verifies all four and refuses
 // otherwise. On success the live program is bit-identical to
-// PlaceEvenly(gsNew, sNew, nReal), and the returned slice logs the cells
-// the replay wrote (the cleared set is SuffixCells(g) taken before the
-// call).
-func (p *Placer) ReplayFrom(g int, gsNew *core.GroupSet, sNew delaymodel.Frequencies) ([]Cell, error) {
+// PlaceEvenly(gsNew, sNew, nReal). It appends the cells the replay
+// vacated to dst and returns that slice as cleared, and returns the cells
+// it wrote as placed, a view of the placement log valid until the Placer's
+// next edit. Both are in placement order: groups ascending from g, pages
+// ascending within a group, appearances k=0..S_i-1 per page.
+func (p *Placer) ReplayFrom(g int, gsNew *core.GroupSet, sNew delaymodel.Frequencies, dst []Cell) (cleared, placed []Cell, err error) {
 	if err := sNew.Validate(gsNew); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := requireNonIncreasing(sNew); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if g < 0 || g > gsNew.Len() || g > p.gs.Len() {
-		return nil, fmt.Errorf("%w: replay from group %d of %d", core.ErrInvalidGroupSet, g+1, gsNew.Len())
+		return nil, nil, fmt.Errorf("%w: replay from group %d of %d", core.ErrInvalidGroupSet, g+1, gsNew.Len())
 	}
 	for i := 0; i < g; i++ {
 		if p.gs.Group(i) != gsNew.Group(i) || p.s[i] != sNew[i] {
-			return nil, fmt.Errorf("%w: group %d changed below the replay point", core.ErrInvalidGroupSet, i+1)
+			return nil, nil, fmt.Errorf("%w: group %d changed below the replay point", core.ErrInvalidGroupSet, i+1)
 		}
 	}
 	if tm := sNew.MajorCycle(gsNew, p.nReal); tm != p.tMajor {
-		return nil, fmt.Errorf("%w: edit moves t_major %d -> %d; replay requires a full rebuild",
+		return nil, nil, fmt.Errorf("%w: edit moves t_major %d -> %d; replay requires a full rebuild",
 			core.ErrInvalidGroupSet, p.tMajor, tm)
 	}
 	if g == gsNew.Len() && g == p.gs.Len() {
@@ -201,21 +193,23 @@ func (p *Placer) ReplayFrom(g int, gsNew *core.GroupSet, sNew delaymodel.Frequen
 		// no-op for the placement.
 		p.gs, p.s = gsNew, sNew.Clone()
 		if err := p.prog.Rebind(gsNew); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	if g >= len(p.marks) {
-		return nil, fmt.Errorf("%w: no checkpoint for group %d", core.ErrInvalidGroupSet, g+1)
+		return nil, nil, fmt.Errorf("%w: no checkpoint for group %d", core.ErrInvalidGroupSet, g+1)
 	}
 
-	// Restore the boundary state and vacate the suffix cells. The cells
-	// cleared are exactly the ones placed after the checkpoint, so every
-	// column drops back to its checkpointed bottom-up fill.
+	// Restore the boundary state and vacate the suffix cells, copying
+	// them out before the replay rewrites the log. The cells cleared are
+	// exactly the ones placed after the checkpoint, so every column drops
+	// back to its checkpointed bottom-up fill.
 	mark := &p.marks[g]
 	copy(p.chain, mark.chain)
 	copy(p.freeInCol, mark.freeInCol)
 	p.stats.Spills = mark.spills
+	cleared = append(dst, p.cells[mark.cells:]...)
 	for _, c := range p.cells[mark.cells:] {
 		p.prog.Clear(int(c.Channel), int(c.Column))
 	}
@@ -226,13 +220,13 @@ func (p *Placer) ReplayFrom(g int, gsNew *core.GroupSet, sNew delaymodel.Frequen
 	// the grid rebinds verbatim.
 	p.gs, p.s = gsNew, sNew.Clone()
 	if err := p.prog.Rebind(gsNew); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := len(p.cells)
 	if err := p.placeFrom(g); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.cells[start:], nil
+	return cleared, p.cells[start:], nil
 }
 
 // AppendLast is the O(S_h) fast path for appending one page to the last
@@ -264,7 +258,8 @@ func (p *Placer) AppendLast(gsNew *core.GroupSet) ([]Cell, error) {
 	}
 	p.gs = gsNew
 	start := len(p.cells)
-	if err := placeOnePage(p.prog, gsNew, p.s, h-1, lastNew.Count-1, p.tMajor, p.nReal, p.chain, p.freeInCol, &p.stats, &p.cells); err != nil {
+	w := newWindowStep(p.tMajor, p.s[h-1])
+	if err := placeOnePage(p.prog, gsNew, p.s, h-1, lastNew.Count-1, w, p.tMajor, p.nReal, p.chain, p.freeInCol, &p.stats, &p.cells); err != nil {
 		return nil, err
 	}
 	p.stats.EmptySlots = p.nReal*p.tMajor - p.prog.Filled()

@@ -2,6 +2,7 @@ package pamad
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tcsa/internal/core"
@@ -49,6 +50,15 @@ func mutateGroups(rng *rand.Rand, gs *core.GroupSet) *core.GroupSet {
 	return gsNew
 }
 
+// suffixCells returns the placement-log entries of groups g..h-1: the
+// cells a ReplayFrom(g) clears, in placement order.
+func suffixCells(p *Placer, g int) []Cell {
+	if g < 0 || g >= len(p.marks) {
+		return nil
+	}
+	return p.cells[p.marks[g].cells:]
+}
+
 // TestPlacerMatchesPlaceEvenly: the checkpointed Placer's from-scratch build
 // must be bit-identical (grid and stats) to PlaceEvenly for the same input.
 func TestPlacerMatchesPlaceEvenly(t *testing.T) {
@@ -72,7 +82,7 @@ func TestPlacerMatchesPlaceEvenly(t *testing.T) {
 		if p.Stats() != wantStats {
 			t.Fatalf("stats = %+v, want %+v", p.Stats(), wantStats)
 		}
-		if got := len(p.SuffixCells(0)); got != want.Filled() {
+		if got := len(suffixCells(p, 0)); got != want.Filled() {
 			t.Fatalf("placement log holds %d cells, want %d", got, want.Filled())
 		}
 	}
@@ -105,7 +115,8 @@ func TestPlacerReplayFromMatchesScratch(t *testing.T) {
 			continue
 		}
 		g := earliestChangedGroup(gs, gsNew, s, sNew)
-		placed, err := p.ReplayFrom(g, gsNew, sNew)
+		wantCleared := slices.Clone(suffixCells(p, g))
+		cleared, placed, err := p.ReplayFrom(g, gsNew, sNew, nil)
 		if sNew.MajorCycle(gsNew, nReal) != s.MajorCycle(gs, nReal) {
 			if err == nil {
 				t.Fatalf("trial %d: ReplayFrom accepted a t_major change", trial)
@@ -124,9 +135,13 @@ func TestPlacerReplayFromMatchesScratch(t *testing.T) {
 		if p.Stats() != wantStats {
 			t.Fatalf("trial %d: stats = %+v, want %+v", trial, p.Stats(), wantStats)
 		}
-		if len(placed) != len(p.SuffixCells(g)) {
-			t.Fatalf("trial %d: ReplayFrom returned %d cells, suffix log holds %d",
-				trial, len(placed), len(p.SuffixCells(g)))
+		if !slices.Equal(placed, suffixCells(p, g)) {
+			t.Fatalf("trial %d: ReplayFrom returned %d placed cells, not the %d of the suffix log",
+				trial, len(placed), len(suffixCells(p, g)))
+		}
+		if !slices.Equal(cleared, wantCleared) {
+			t.Fatalf("trial %d: ReplayFrom returned %d cleared cells, not the %d the suffix log held",
+				trial, len(cleared), len(wantCleared))
 		}
 	}
 	if replays < 100 {
@@ -161,7 +176,7 @@ func TestPlacerReplaySequence(t *testing.T) {
 			continue
 		}
 		g := earliestChangedGroup(gs, gsNew, s, sNew)
-		if _, err := p.ReplayFrom(g, gsNew, sNew); err != nil {
+		if _, _, err := p.ReplayFrom(g, gsNew, sNew, nil); err != nil {
 			t.Fatalf("step %d: ReplayFrom(%d): %v", steps, g, err)
 		}
 		want, _, err := PlaceEvenly(gsNew, sNew, nReal)
@@ -247,13 +262,13 @@ func TestPlacerRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ReplayFrom(1, gsNew, sNew); err == nil {
+	if _, _, err := p.ReplayFrom(1, gsNew, sNew, nil); err == nil {
 		t.Fatal("ReplayFrom(1) accepted a group-0 change")
 	}
-	if _, err := p.ReplayFrom(-1, gs, s); err == nil {
+	if _, _, err := p.ReplayFrom(-1, gs, s, nil); err == nil {
 		t.Fatal("ReplayFrom(-1) accepted")
 	}
-	if _, err := p.ReplayFrom(3, gs, s); err == nil {
+	if _, _, err := p.ReplayFrom(3, gs, s, nil); err == nil {
 		t.Fatal("ReplayFrom past the group count accepted")
 	}
 }

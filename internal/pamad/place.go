@@ -122,8 +122,9 @@ func PlaceEvenly(gs *core.GroupSet, s delaymodel.Frequencies, nReal int) (*core.
 // its per-page step is the Placer's append fast path — the bit-identity of
 // incremental rebuilds rests on all four walking exactly this code.
 func placeGroupPages(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
+	w := newWindowStep(tMajor, s[gi])
 	for j := 0; j < gs.Group(gi).Count; j++ {
-		if err := placeOnePage(prog, gs, s, gi, j, tMajor, nReal, chain, freeInCol, stats, cells); err != nil {
+		if err := placeOnePage(prog, gs, s, gi, j, w, tMajor, nReal, chain, freeInCol, stats, cells); err != nil {
 			return err
 		}
 	}
@@ -132,13 +133,14 @@ func placeGroupPages(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequen
 
 // placeOnePage places the j-th page of group gi: its S_i appearances, one
 // per window of the major cycle, spilling cyclically past a full window.
-func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, j, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
-	si := s[gi]
+// w is t_major split by S_i.
+func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencies, gi, j int, w windowStep, tMajor, nReal int, chain colChain, freeInCol []int, stats *PlacementStats, cells *[]Cell) error {
+	si := w.si
 	id := gs.PageAt(gi, j)
-	end := 0 // window k starts where window k-1 ended
+	end, def := 0, 0 // window k starts where window k-1 ended
 	for k := 0; k < si; k++ {
 		start := end
-		end = core.CeilDiv(tMajor*(k+1), si)
+		end, def = w.next(end, def)
 		col := chain.find(start)
 		if col >= end {
 			// Nothing free inside the window: spill cyclically from
@@ -172,4 +174,26 @@ func placeOnePage(prog *core.Program, gs *core.GroupSet, s delaymodel.Frequencie
 		}
 	}
 	return nil
+}
+
+// windowStep steps a page's window ends ceil(t_major*(k+1)/S_i),
+// k = 0..S_i-1, without dividing per appearance: it holds t_major split
+// by S_i once for a whole group, t_major = q*si + r with 0 <= r < si.
+type windowStep struct{ q, r, si int }
+
+func newWindowStep(tMajor, si int) windowStep {
+	return windowStep{q: tMajor / si, r: tMajor % si, si: si}
+}
+
+// next takes window k-1's end, held as t_major*k = end*si - def with
+// 0 <= def < si, and returns window k's end ceil(t_major*(k+1)/si) and
+// its def. Window 0 starts from end = def = 0.
+func (w windowStep) next(end, def int) (int, int) {
+	end += w.q
+	def -= w.r
+	if def < 0 {
+		def += w.si
+		end++
+	}
+	return end, def
 }

@@ -82,6 +82,35 @@ func TestColChainFind(t *testing.T) {
 	}
 }
 
+// checkWindowEnds pins windowStep to the division it replaces: window k
+// of a page ends at core.CeilDiv(tMajor*(k+1), si), for every k.
+func checkWindowEnds(t *testing.T, tMajor, si int) {
+	t.Helper()
+	w := newWindowStep(tMajor, si)
+	end, def := 0, 0
+	for k := 0; k < si; k++ {
+		end, def = w.next(end, def)
+		if got, want := end, core.CeilDiv(tMajor*(k+1), si); got != want {
+			t.Fatalf("t_major=%d S=%d: window %d ends at %d, want ceil(%d*%d/%d) = %d",
+				tMajor, si, k, got, tMajor, k+1, si, want)
+		}
+	}
+}
+
+// TestWindowEnds covers the shapes of t_major against S_i: a cycle
+// shorter than the page's appearance count (empty windows), an exact
+// multiple, S_i = 1, and a t_major whose products dwarf S_i.
+func TestWindowEnds(t *testing.T) {
+	for _, tc := range []struct{ tMajor, si int }{
+		{3, 7}, {1, 5}, {6, 7},
+		{12, 4}, {24, 24}, {1 << 20, 1 << 10},
+		{1, 1}, {17, 1}, {1 << 40, 1},
+		{1<<40 + 12345, 977}, {1<<33 - 1, 4096}, {999_983, 1000},
+	} {
+		checkWindowEnds(t, tc.tMajor, tc.si)
+	}
+}
+
 // TestFindFreeColumnCyclicWrap covers the wrap path of the overflow-reset
 // scan: starting at or past the last column must continue from column 0.
 func TestFindFreeColumnCyclicWrap(t *testing.T) {

@@ -12,8 +12,9 @@ import (
 // through one live engine, and after every edit the live program must be
 // bit-identical to pamad placement rerun from scratch on the edited
 // instance, with the engine's derived frequencies and accounting matching
-// the scratch run exactly, and the Delta's cell counters matching the
-// remapped pre-edit grid diffed against the post-edit one.
+// the scratch run exactly, and the counts annotateEdit derives from the
+// Delta's cells matching the remapped pre-edit grid diffed against the
+// post-edit one.
 func FuzzReplanEquivalence(f *testing.F) {
 	f.Add(2, 2, uint8(3), uint8(5), uint8(3), 3, []byte{0x00, 0x41, 0x82, 0xc3})
 	f.Add(4, 2, uint8(20), uint8(30), uint8(40), 5, []byte{0x01, 0x01, 0x41, 0x41, 0x85})
@@ -49,6 +50,7 @@ func FuzzReplanEquivalence(f *testing.F) {
 			// Top two bits pick the event, the rest parameterise it.
 			arg := int(op & 0x3f)
 			before := eng.Snapshot()
+			gsOld, sOld := eng.GroupSet(), eng.Frequencies()
 			var d *Delta
 			var evErr error
 			switch op >> 6 {
@@ -108,7 +110,7 @@ func FuzzReplanEquivalence(f *testing.F) {
 			if eng.Stats() != wantStats {
 				t.Fatalf("step %d (kind %v): stats %+v, scratch %+v", step, d.Kind, eng.Stats(), wantStats)
 			}
-			checkExactAccounting(t, step, before, got, d)
+			checkExactAccounting(t, step, before, got, d, annotateEdit(d, gsOld, sOld, eng))
 		}
 	})
 }

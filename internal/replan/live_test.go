@@ -58,10 +58,17 @@ func (m *liveMix) next(tb testing.TB) *Delta {
 	return d
 }
 
+// gridBytes is one grid of PageIDs of eng's live program: channels ×
+// t_major × 4 B, the allocation bound of a suffix edit.
+func gridBytes(eng *Engine) uint64 {
+	prog := eng.Program()
+	return uint64(prog.Channels() * prog.Length() * 4)
+}
+
 // TestSuffixEditBytes guards the allocation-free suffix replay: once the
 // engine's arenas are warm, a suffix edit allocates less than one grid of
-// PageIDs (channels × t_major × 4 B) — the Delta and the edited instance's
-// small vectors, not per-cell state. Snapshot is not called.
+// PageIDs — the Delta and the edited instance's small vectors, not
+// per-cell state. Snapshot is not called.
 func TestSuffixEditBytes(t *testing.T) {
 	m := newLiveMix(t, 1)
 	for i := 0; i < 200; i++ {
@@ -79,11 +86,30 @@ func TestSuffixEditBytes(t *testing.T) {
 			suffix++
 		}
 	}
-	prog := m.eng.Program()
-	grid := uint64(prog.Channels() * prog.Length() * 4)
-	if per := bytes / uint64(suffix); per >= grid {
-		t.Fatalf("a suffix edit allocates %d B on average over %d edits; want < one %d×%d grid of PageIDs (%d B)",
-			per, suffix, prog.Channels(), prog.Length(), grid)
+	if per, grid := bytes/uint64(suffix), gridBytes(m.eng); per >= grid {
+		t.Fatalf("a suffix edit allocates %d B on average over %d edits; want < one grid of PageIDs (%d B)",
+			per, suffix, grid)
+	}
+}
+
+// TestFirstSuffixEditBytes holds the first edit after New to the same
+// bound with no warm-up: New sizes every buffer a replay uses, so even a
+// replay of the whole placement (a page retired from group 1) grows
+// nothing.
+func TestFirstSuffixEditBytes(t *testing.T) {
+	m := newLiveMix(t, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := m.eng.RetirePage(0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Kind != KindSuffix || d.FromGroup != 0 {
+		t.Fatalf("RetirePage(0) after New was a %v edit from group %d, want a suffix replay from group 0", d.Kind, d.FromGroup)
+	}
+	if bytes, grid := after.TotalAlloc-before.TotalAlloc, gridBytes(m.eng); bytes >= grid {
+		t.Fatalf("the first suffix edit allocates %d B; want < one grid of PageIDs (%d B)", bytes, grid)
 	}
 }
 

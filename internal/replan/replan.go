@@ -18,12 +18,14 @@
 // collapses to placing that one page against the live chain: O(S_h)
 // amortized.
 //
-// Every edit yields a Delta — the cleared and written cells with page
-// identities on both sides of the edit, plus moved/placed/evicted
-// accounting and an O(1) old-ID→new-ID remap — and the post-edit program
-// is bit-identical to pamad.PlaceEvenly rerun from scratch on the edited
-// instance (differential- and fuzz-gated; see the package tests and
-// FuzzReplanEquivalence).
+// Every edit yields a Delta — the positions of the cleared and written
+// cells, their counts, and an O(1) old-ID→new-ID remap — and the
+// post-edit program is bit-identical to pamad.PlaceEvenly rerun from
+// scratch on the edited instance (differential- and fuzz-gated; see the
+// package tests and FuzzReplanEquivalence). A Delta carries no pages and
+// no per-cell accounting: an edit costs its placement replay, and a
+// consumer that wants a cell's page reads it from the grid on the side of
+// the edit it needs.
 //
 //lint:deterministic bit-identical replay contract: no wall clock, no global RNG, no map-order folds
 package replan
@@ -70,14 +72,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// CellRef is one grid-cell change: the cell and the page involved. Pages
-// in Delta.Cleared carry pre-edit IDs, pages in Delta.Placed post-edit IDs.
-type CellRef struct {
-	Channel int32
-	Column  int32
-	Page    core.PageID
-}
-
 // Delta describes what one edit did to the live program.
 type Delta struct {
 	// Seq is the engine's edit sequence number, 1-based.
@@ -86,32 +80,25 @@ type Delta struct {
 	Kind Kind
 	// FromGroup is the earliest replayed group (KindAppend/KindSuffix).
 	FromGroup int
-	// Cleared lists the cells the edit vacated (pre-edit page IDs), in
-	// placement order. Nil for KindNone, KindAppend and KindRebuild (a
+	// Cleared lists the positions the edit vacated, in placement order;
+	// the page each held is read from the pre-edit grid (a Snapshot taken
+	// before the edit). Nil for KindNone, KindAppend and KindRebuild (a
 	// rebuild swaps the whole grid; per-cell diffs would cost the O(n) the
 	// engine avoids).
 	//
-	// Cleared and Placed live in arenas the engine reuses: they are valid
-	// until the engine's next edit, which overwrites them. Copy them to
-	// keep them longer.
-	Cleared []CellRef
-	// Placed lists the cells the edit wrote (post-edit page IDs), in
-	// placement order. Nil for KindNone and KindRebuild.
-	Placed []CellRef
+	// Cleared and Placed are the engine's and the placer's own buffers:
+	// they are valid until the engine's next edit, which overwrites them.
+	// Copy them to keep them longer.
+	Cleared []pamad.Cell
+	// Placed lists the positions the edit wrote, in placement order; the
+	// page each holds is read from the post-edit grid. Nil for KindNone
+	// and KindRebuild.
+	Placed []pamad.Cell
 	// ClearedCells/PlacedCells count the vacated and written cells for
 	// every kind, including rebuilds (where they are the old and new
 	// transmission totals F).
 	ClearedCells int
 	PlacedCells  int
-	// Unchanged counts written cells re-occupied by the page (under its
-	// remapped ID) that held them before the edit; Moved counts cells
-	// written with a surviving page somewhere it was not; Added counts
-	// cells of the brand-new page; Evicted counts vacated cells of retired
-	// pages. All four are zero for KindNone and KindRebuild.
-	Unchanged int
-	Moved     int
-	Added     int
-	Evicted   int
 
 	// remap parameters: old IDs at or above shiftAt move by shiftBy;
 	// removed (or core.None) is the one old ID with no successor.
@@ -124,6 +111,12 @@ type Delta struct {
 // RemapPage translates a pre-edit PageID to its post-edit identity, or
 // core.None when the page was retired. Pages are stable handles across
 // every other edit: only the dense-ID packing shifts.
+//
+// Only tests call it; it stays exported because it is the stable-handle
+// contract an epoch flip rests on, and the netcast transition and replan
+// splice suites check flips through it.
+//
+//lint:ignore testonly stable-handle remap the netcast and replan flip tests share
 func (d *Delta) RemapPage(id core.PageID) core.PageID {
 	if id < 0 || int(id) >= d.oldPages {
 		return core.None
@@ -146,12 +139,10 @@ type Engine struct {
 	placer *pamad.Placer
 	seq    int
 
-	// Arenas reused across edits: the backing arrays of Delta.Cleared and
-	// Delta.Placed, and account's per-cell scratch (channel-major, one
-	// entry per grid cell), which is core.None everywhere between edits.
-	cleared []CellRef
-	placed  []CellRef
-	prev    []core.PageID
+	// cleared backs Delta.Cleared and outlives rebuilds. New sizes it to
+	// the whole placement, the most a replay can vacate, so no edit grows
+	// it until the instance grows.
+	cleared []pamad.Cell
 }
 
 // New derives Algorithm 3 frequencies for gs at nReal channels and builds
@@ -165,7 +156,7 @@ func New(gs *core.GroupSet, nReal int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{nReal: nReal, placer: placer}, nil
+	return &Engine{nReal: nReal, placer: placer, cleared: make([]pamad.Cell, 0, s.TotalSlots(gs))}, nil
 }
 
 // Program returns the live program. The engine keeps mutating it; use
@@ -321,7 +312,7 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		}
 	}
 	if g == h {
-		if _, err := old.ReplayFrom(h, gsNew, sNew); err != nil {
+		if _, _, err := old.ReplayFrom(h, gsNew, sNew, nil); err != nil {
 			return nil, err
 		}
 		e.seq++
@@ -337,88 +328,21 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		e.seq++
 		d.Kind = KindAppend
 		d.FromGroup = g
-		e.placed = e.placed[:0]
-		for _, c := range placed {
-			e.placed = append(e.placed, CellRef{Channel: c.Channel, Column: c.Column, Page: ed.added})
-		}
-		d.Placed = e.placed
-		d.PlacedCells = len(d.Placed)
-		d.Added = len(d.Placed)
+		d.Placed = placed
+		d.PlacedCells = len(placed)
 		return d, nil
 	}
 
-	// Suffix replay. Annotate the doomed cells with their pre-edit pages
-	// before the replay rewrites the log.
-	e.cleared = annotate(e.cleared[:0], old.SuffixCells(g), gsOld, sOld, g)
-	placed, err := old.ReplayFrom(g, gsNew, sNew)
+	cleared, placed, err := old.ReplayFrom(g, gsNew, sNew, e.cleared[:0])
 	if err != nil {
 		return nil, err
 	}
+	e.cleared = cleared
 	e.seq++
 	d.Kind = KindSuffix
 	d.FromGroup = g
-	e.placed = annotate(e.placed[:0], placed, gsNew, sNew, g)
-	d.Cleared, d.Placed = e.cleared, e.placed
-	d.ClearedCells = len(d.Cleared)
-	d.PlacedCells = len(d.Placed)
-	e.account(d, ed)
+	d.Cleared, d.Placed = cleared, placed
+	d.ClearedCells = len(cleared)
+	d.PlacedCells = len(placed)
 	return d, nil
-}
-
-// annotate appends to dst the raw placement-log cells paired with the
-// pages that occupy them: the log order is groups ascending from `from`,
-// pages ascending within a group, k=0..S_i-1 appearances per page.
-func annotate(dst []CellRef, cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int) []CellRef {
-	i := 0
-	for gi := from; gi < gs.Len(); gi++ {
-		first, count := gs.GroupPages(gi)
-		for j := 0; j < count; j++ {
-			id := first + core.PageID(j)
-			for k := 0; k < s[gi]; k++ {
-				c := cells[i]
-				dst = append(dst, CellRef{Channel: c.Channel, Column: c.Column, Page: id})
-				i++
-			}
-		}
-	}
-	return dst
-}
-
-// account fills d's unchanged/moved/added/evicted counters from its
-// cleared and placed cell lists in O(Δ). The engine's per-cell scratch
-// records each cleared cell's remapped pre-edit page, is read at the
-// placed cells, and is reset at the cleared cells, so it is all core.None
-// again when account returns; a placed cell the edit did not clear was
-// empty before the edit and reads core.None.
-func (e *Engine) account(d *Delta, ed edit) {
-	L := e.placer.MajorCycle()
-	cells := e.nReal * L
-	if cap(e.prev) < cells {
-		e.prev = make([]core.PageID, cells)
-		for i := range e.prev {
-			e.prev[i] = core.None
-		}
-	}
-	e.prev = e.prev[:cells] // every entry up to cap is core.None
-	at := func(c CellRef) *core.PageID { return &e.prev[int(c.Channel)*L+int(c.Column)] }
-	for _, c := range d.Cleared {
-		nid := d.RemapPage(c.Page)
-		if nid == core.None {
-			d.Evicted++
-		}
-		*at(c) = nid
-	}
-	for _, c := range d.Placed {
-		switch {
-		case *at(c) == c.Page:
-			d.Unchanged++
-		case ed.added != core.None && c.Page == ed.added:
-			d.Added++
-		default:
-			d.Moved++
-		}
-	}
-	for _, c := range d.Cleared {
-		*at(c) = core.None
-	}
 }

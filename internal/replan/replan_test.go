@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tcsa/internal/core"
+	"tcsa/internal/delaymodel"
 	"tcsa/internal/pamad"
 )
 
@@ -42,13 +43,116 @@ func gridsEqual(t *testing.T, step int, got, want *core.Program) {
 	}
 }
 
+// cellRef is a Delta cell paired with the page involved: the pre-edit
+// page for a cleared cell, the post-edit page for a placed one.
+type cellRef struct {
+	Channel int32
+	Column  int32
+	Page    core.PageID
+}
+
+// tally is an edit's per-cell accounting. Unchanged counts written cells
+// re-occupied by the page (under its remapped ID) that held them before
+// the edit; Moved counts cells written with a surviving page somewhere it
+// was not; Added counts cells of the brand-new page; Evicted counts
+// vacated cells of retired pages. All four are zero for KindNone and
+// KindRebuild.
+type tally struct {
+	Unchanged, Moved, Added, Evicted int
+}
+
+// annotated is one edit as the test oracle sees it: the Delta's cells
+// paired with their pages by placement-log order alone, and the tally
+// derived from them.
+type annotated struct {
+	cleared, placed []cellRef
+	tally
+}
+
+// annotate pairs raw placement-log cells with the pages that occupy
+// them: the log order is groups ascending from `from`, pages ascending
+// within a group, k=0..S_i-1 appearances per page.
+func annotate(cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int) []cellRef {
+	var dst []cellRef
+	i := 0
+	for gi := from; gi < gs.Len(); gi++ {
+		first, count := gs.GroupPages(gi)
+		for j := 0; j < count; j++ {
+			id := first + core.PageID(j)
+			for k := 0; k < s[gi]; k++ {
+				c := cells[i]
+				dst = append(dst, cellRef{Channel: c.Channel, Column: c.Column, Page: id})
+				i++
+			}
+		}
+	}
+	return dst
+}
+
+// annotateEdit pairs d's cells with their pages without reading either
+// grid: cleared cells under the pre-edit instance (gsOld, sOld), placed
+// cells under eng's post-edit one, and an append's cells with the new
+// last page. It then derives the edit's counts from those pages.
+func annotateEdit(d *Delta, gsOld *core.GroupSet, sOld delaymodel.Frequencies, eng *Engine) annotated {
+	var a annotated
+	switch d.Kind {
+	case KindSuffix:
+		a.cleared = annotate(d.Cleared, gsOld, sOld, d.FromGroup)
+		a.placed = annotate(d.Placed, eng.GroupSet(), eng.Frequencies(), d.FromGroup)
+	case KindAppend:
+		id := core.PageID(eng.GroupSet().Pages() - 1)
+		for _, c := range d.Placed {
+			a.placed = append(a.placed, cellRef{Channel: c.Channel, Column: c.Column, Page: id})
+		}
+	}
+	a.tally = account(d, a.cleared, a.placed, eng.Channels(), eng.Program().Length())
+	return a
+}
+
+// account derives an edit's counts from its annotated cells in O(Δ)
+// with a dense per-cell scratch (channel-major, core.None everywhere
+// else): it records each cleared cell's remapped pre-edit page and reads
+// it back at the placed cells. A placed cell the edit did not clear was
+// empty before the edit and reads core.None.
+func account(d *Delta, cleared, placed []cellRef, nReal, L int) tally {
+	added := core.None // the brand-new post-edit ID of an AddPage
+	if d.shiftBy > 0 {
+		added = d.shiftAt
+	}
+	prev := make([]core.PageID, nReal*L)
+	for i := range prev {
+		prev[i] = core.None
+	}
+	at := func(c cellRef) *core.PageID { return &prev[int(c.Channel)*L+int(c.Column)] }
+	var n tally
+	for _, c := range cleared {
+		nid := d.RemapPage(c.Page)
+		if nid == core.None {
+			n.Evicted++
+		}
+		*at(c) = nid
+	}
+	for _, c := range placed {
+		switch {
+		case *at(c) == c.Page:
+			n.Unchanged++
+		case c.Page == added:
+			n.Added++
+		default:
+			n.Moved++
+		}
+	}
+	return n
+}
+
 // applyDelta replays an incremental Delta against a snapshot of the pre-edit
-// grid: clear the vacated cells (checking they held the advertised pages),
-// remap every surviving ID, write the placed cells into empty slots. The
-// result must reproduce the post-edit program exactly — the Delta is a
-// complete description of the edit, which is what lets the broadcast layer
-// patch live state instead of diffing two grids.
-func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.Program) {
+// grid: clear the vacated cells (checking they held the pages the log
+// order assigns them), remap every surviving ID, write the placed cells
+// into empty slots. The result must reproduce the post-edit program
+// exactly — the Delta is a complete description of the edit, which is
+// what lets the broadcast layer patch live state instead of diffing two
+// grids.
+func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, a annotated, want *core.Program) {
 	t.Helper()
 	type cell struct{ ch, col int32 }
 	grid := make(map[cell]core.PageID, old.Filled())
@@ -59,7 +163,7 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 			}
 		}
 	}
-	for _, c := range d.Cleared {
+	for _, c := range a.cleared {
 		got, ok := grid[cell{c.Channel, c.Column}]
 		if !ok || got != c.Page {
 			t.Fatalf("step %d: cleared cell (%d,%d) advertises page %d, grid holds %d",
@@ -74,7 +178,7 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 		}
 		grid[k] = nid
 	}
-	for _, c := range d.Placed {
+	for _, c := range a.placed {
 		if prev, ok := grid[cell{c.Channel, c.Column}]; ok {
 			t.Fatalf("step %d: placed cell (%d,%d) already holds %d", step, c.Channel, c.Column, prev)
 		}
@@ -97,7 +201,7 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 	}
 }
 
-func checkAccounting(t *testing.T, step int, d *Delta) {
+func checkAccounting(t *testing.T, step int, d *Delta, a annotated) {
 	t.Helper()
 	switch d.Kind {
 	case KindNone, KindRebuild:
@@ -109,24 +213,24 @@ func checkAccounting(t *testing.T, step int, d *Delta) {
 			t.Fatalf("step %d: cell counts %d/%d disagree with lists %d/%d",
 				step, d.ClearedCells, d.PlacedCells, len(d.Cleared), len(d.Placed))
 		}
-		if d.Unchanged+d.Moved+d.Added != d.PlacedCells {
+		if a.Unchanged+a.Moved+a.Added != d.PlacedCells {
 			t.Fatalf("step %d: unchanged %d + moved %d + added %d != placed %d",
-				step, d.Unchanged, d.Moved, d.Added, d.PlacedCells)
+				step, a.Unchanged, a.Moved, a.Added, d.PlacedCells)
 		}
-		if d.Evicted > d.ClearedCells {
-			t.Fatalf("step %d: evicted %d > cleared %d", step, d.Evicted, d.ClearedCells)
+		if a.Evicted > d.ClearedCells {
+			t.Fatalf("step %d: evicted %d > cleared %d", step, a.Evicted, d.ClearedCells)
 		}
 	}
 }
 
-// checkExactAccounting pins the Delta's Unchanged/Moved/Added/Evicted
-// counters against an oracle that never looks at the engine's bookkeeping:
-// the pre-edit grid, remapped through RemapPage, diffed against the
-// post-edit grid at every placed and cleared cell. A placed cell is
-// unchanged when it holds the remapped page it held before, added when
-// its page has no pre-edit identity, and moved otherwise; a cleared cell
-// is evicted when its pre-edit page was retired.
-func checkExactAccounting(t *testing.T, step int, before, after *core.Program, d *Delta) {
+// checkExactAccounting pins the counts account derives from the log-order
+// annotation against an oracle that reads only the grids: the pre-edit
+// grid, remapped through RemapPage, diffed against the post-edit grid at
+// every placed and cleared position. A placed cell is unchanged when it
+// holds the remapped page it held before, added when its page has no
+// pre-edit identity, and moved otherwise; a cleared cell is evicted when
+// its pre-edit page was retired.
+func checkExactAccounting(t *testing.T, step int, before, after *core.Program, d *Delta, a annotated) {
 	t.Helper()
 	born := make([]bool, after.GroupSet().Pages()) // post-edit IDs with no pre-edit page
 	for i := range born {
@@ -137,32 +241,32 @@ func checkExactAccounting(t *testing.T, step int, before, after *core.Program, d
 			born[nid] = false
 		}
 	}
-	remapped := func(c CellRef) core.PageID {
+	remapped := func(c pamad.Cell) core.PageID {
 		id := before.At(int(c.Channel), int(c.Column))
 		if id == core.None {
 			return core.None
 		}
 		return d.RemapPage(id)
 	}
-	var unchanged, moved, added, evicted int
+	var want tally
 	for _, c := range d.Placed {
 		switch page := after.At(int(c.Channel), int(c.Column)); {
 		case remapped(c) == page:
-			unchanged++
+			want.Unchanged++
 		case born[page]:
-			added++
+			want.Added++
 		default:
-			moved++
+			want.Moved++
 		}
 	}
 	for _, c := range d.Cleared {
 		if remapped(c) == core.None {
-			evicted++
+			want.Evicted++
 		}
 	}
-	if d.Unchanged != unchanged || d.Moved != moved || d.Added != added || d.Evicted != evicted {
+	if a.tally != want {
 		t.Fatalf("step %d (%v): unchanged/moved/added/evicted = %d/%d/%d/%d, oracle %d/%d/%d/%d",
-			step, d.Kind, d.Unchanged, d.Moved, d.Added, d.Evicted, unchanged, moved, added, evicted)
+			step, d.Kind, a.Unchanged, a.Moved, a.Added, a.Evicted, want.Unchanged, want.Moved, want.Added, want.Evicted)
 	}
 }
 
@@ -193,6 +297,7 @@ func TestEngineMatchesScratchUnderEditSequences(t *testing.T) {
 
 		for step := 0; step < 60; step++ {
 			before := eng.Snapshot()
+			gsOld, sOld := eng.GroupSet(), eng.Frequencies()
 			var d *Delta
 			var evErr error
 			switch rng.Intn(5) {
@@ -229,10 +334,11 @@ func TestEngineMatchesScratchUnderEditSequences(t *testing.T) {
 			}
 			want := scratch(t, eng.GroupSet(), eng.Channels())
 			gridsEqual(t, step, eng.Program(), want)
-			checkAccounting(t, step, d)
-			checkExactAccounting(t, step, before, eng.Program(), d)
+			a := annotateEdit(d, gsOld, sOld, eng)
+			checkAccounting(t, step, d, a)
+			checkExactAccounting(t, step, before, eng.Program(), d, a)
 			if d.Kind == KindSuffix || d.Kind == KindAppend {
-				applyDelta(t, step, before, d, want)
+				applyDelta(t, step, before, d, a, want)
 			}
 			if eng.Program().Filled() != eng.Frequencies().TotalSlots(eng.GroupSet()) {
 				t.Fatalf("run %d step %d: live program holds %d cells, want F=%d",
@@ -316,6 +422,7 @@ func TestEngineKinds(t *testing.T) {
 		t.Fatalf("retire from last group replayed from group %d", d.FromGroup)
 	}
 	gridsEqual(t, 1, eng.Program(), scratch(t, eng.GroupSet(), eng.Channels()))
+	gsOld, sOld := eng.GroupSet(), eng.Frequencies()
 	d, err = eng.AddPage(2)
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +431,8 @@ func TestEngineKinds(t *testing.T) {
 		if len(d.Placed) != eng.Frequencies()[2] {
 			t.Fatalf("append placed %d cells, want S_h=%d", len(d.Placed), eng.Frequencies()[2])
 		}
-		if d.Added != len(d.Placed) || d.Moved != 0 || d.Evicted != 0 {
-			t.Fatalf("append accounting %+v, want pure Added", d)
+		if a := annotateEdit(d, gsOld, sOld, eng); a.Added != len(d.Placed) || a.Moved != 0 || a.Evicted != 0 {
+			t.Fatalf("append accounting %+v, want pure Added", a.tally)
 		}
 	}
 	gridsEqual(t, 2, eng.Program(), scratch(t, eng.GroupSet(), eng.Channels()))
