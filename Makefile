@@ -34,7 +34,7 @@ fuzz:
 # on two.
 bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem -cpu 1,2 .
-	$(GO) test -run '^$$' -bench 'Fanout|CastSlot|RunStream' -benchtime=1x -benchmem -cpu 1,2 ./internal/netcast/ ./internal/loadgen/
+	$(GO) test -run '^$$' -bench 'Fanout|CastSlot|RingPoll|RunStream' -benchtime=1x -benchmem -cpu 1,2 ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'OnlineRun|ZipfStream' -benchtime=1x -benchmem -cpu 1,2 ./internal/online/ ./internal/workload/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 	$(GO) test -run '^$$' -bench 'ReplanLiveEdits' -benchtime=1x -benchmem ./internal/replan/

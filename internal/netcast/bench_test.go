@@ -73,3 +73,62 @@ func BenchmarkCastSlot(b *testing.B) {
 		}
 	}
 }
+
+// noFaults is a FaultInjector that injects nothing: a caster given it
+// casts dense rows of intact frames, where a nil injector casts epoch
+// rows.
+type noFaults struct{}
+
+func (noFaults) Stalled(abs int) bool     { return false }
+func (noFaults) Drop(ch, abs int) bool    { return false }
+func (noFaults) Corrupt(ch, abs int) bool { return false }
+
+// BenchmarkRingPoll measures the subscriber side of the ring: one Poll
+// per iteration of a (channel, slot) drawn from a fixed pseudo-random
+// sequence over a full default-depth ring, as scattered clients poll it.
+// It runs at the paper instance and its x100 catalog on their knee
+// channel counts (13 and 1,246), over epoch rows (a fault-free cast: the
+// page is read from the program) and over dense rows of the same frames
+// (a cast under an injector that injects nothing: the cell word is read
+// and its checksum checked).
+func BenchmarkRingPoll(b *testing.B) {
+	for _, scale := range []int{1, 100} {
+		gs, err := workload.GroupSet(workload.Uniform, 8, 1000*scale, 4, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, _, err := pamad.Build(gs, core.CeilDiv(gs.MinChannels(), 5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			kind  string
+			fault FaultInjector
+		}{{"epoch", nil}, {"dense", noFaults{}}} {
+			b.Run(fmt.Sprintf("x%d/ch=%d/%s", scale, prog.Channels(), c.kind), func(b *testing.B) {
+				ring, caster := ringCaster(b, prog, 0, c.fault)
+				depth := ring.Slots()
+				for abs := 0; abs < depth; abs++ {
+					caster.CastSlot(abs)
+				}
+				const picks = 1 << 12
+				chs := make([]int, picks)
+				slots := make([]int64, picks)
+				x := uint64(1)
+				for i := range chs {
+					x = x*6364136223846793005 + 1442695040888963407
+					chs[i] = int(x>>33) % prog.Channels()
+					slots[i] = int64(x>>17) % int64(depth)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := i & (picks - 1)
+					if _, st := ring.Poll(chs[j], slots[j]); st != RingOK {
+						b.Fatalf("Poll(%d, %d) = %v, want RingOK", chs[j], slots[j], st)
+					}
+				}
+			})
+		}
+	}
+}

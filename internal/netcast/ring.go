@@ -85,15 +85,22 @@ func cellFrameWords(ch int, abs int64, w uint64) (w0, w1 uint64) {
 
 // BroadcastRing is the in-process Transport: the program's channels ×
 // slots grid kept slot-major, one row per aired slot, exactly as the air
-// transmits it. The writer does O(1) work per (channel, slot) no matter
-// how many subscribers exist — subscribers pull, lock-free, with zero
-// allocations per poll — so one server saturates millions of in-process
-// clients.
+// transmits it. The writer does O(1) work per slot on fault-free air and
+// per (channel, slot) on faulted air, no matter how many subscribers
+// exist — subscribers pull, lock-free, with zero allocations per poll —
+// so one server saturates millions of in-process clients.
 //
-// Row abs&mask holds every channel's 8-byte cell for slot abs side by
-// side, so a cast writes one contiguous row at one atomic store per
-// frame. The row is guarded by one seqlock stamp carrying the absolute
-// slot number:
+// A row is one of two kinds. An epoch row references the epoch it airs
+// (rowHead.src): on fault-free air the slot's frames are a pure function
+// of the epoch's program and abs, so the caster stores one pointer and
+// the program column, and Poll reads the page straight from the
+// immutable program. A dense row (src nil) holds every channel's 8-byte
+// cell for slot abs side by side, written one atomic store per frame: a
+// faulted cast, Publish and Skip write dense rows, and opening one
+// clears src.
+//
+// Either kind is guarded by the row's seqlock stamp carrying the
+// absolute slot number:
 //
 //	2*abs+1  row being written for slot abs
 //	2*abs+2  row stable for slot abs (readable)
@@ -101,20 +108,31 @@ func cellFrameWords(ch int, abs int64, w uint64) (w0, w1 uint64) {
 // and the ring-wide head (slots aired) is stored after the stable stamp.
 // A reader that sees head > abs therefore finds row abs stable or
 // already lapped, never mid-write for abs itself; folding abs into the
-// stamp makes the lap check free. The reader loads the stamp, the cell
-// word, then the stamp again, and trusts the word only when the same
-// even stamp brackets both loads — so it either gets the exact frame
-// for the slot it asked for, or a definite RingLost, never a torn read.
+// stamp makes the lap check free. The reader loads the stamp, the row's
+// src, then its column (epoch row) or the cell word (dense row), then
+// the stamp again, and trusts what it read only when the same even
+// stamp brackets the loads — so it either gets the exact frame for the
+// slot it asked for, or a definite RingLost, never a torn read.
 //
-// A skipped channel writes skipCell, so a row never exposes the frame
-// its cell held one ring length earlier.
+// A skipped channel writes skipCell, so a dense row never exposes the
+// frame its cell held one ring length earlier, and an epoch row never
+// reads its cells at all.
 type BroadcastRing struct {
-	cells    []ringCell      // slot-major: row i is cells[i*channels:][:channels]
-	stamps   []atomic.Uint64 // one seqlock stamp per row
+	cells    []ringCell // slot-major: row i is cells[i*channels:][:channels]
+	heads    []rowHead  // one per row
 	head     atomic.Int64
 	channels int
 	mask     int64
-	open     int64 // the slot whose row is being written; writer-owned
+	open     int64 // the slot whose dense row is being written, or -1; writer-owned
+}
+
+// rowHead is one row's seqlock stamp and, in an epoch row, the epoch
+// whose program the row airs (nil in a dense row) and the program column
+// the row's slot airs, so a poll reads its page without a division.
+type rowHead struct {
+	stamp atomic.Uint64
+	src   atomic.Pointer[EpochInfo]
+	col   atomic.Int64
 }
 
 // DefaultRingSlots is the ring depth used when a caller passes
@@ -152,7 +170,7 @@ func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	}
 	return &BroadcastRing{
 		cells:    make([]ringCell, channels*n),
-		stamps:   make([]atomic.Uint64, n),
+		heads:    make([]rowHead, n),
 		channels: channels,
 		mask:     int64(n) - 1,
 		open:     -1,
@@ -176,13 +194,33 @@ func (r *BroadcastRing) row(abs int64) []ringCell {
 	return r.cells[i : i+r.channels : i+r.channels]
 }
 
-// openRow stamps slot abs's row as being written and returns it. The
-// caster fills every cell of the row itself, then ends the slot.
+// openRow stamps slot abs's row as a dense row being written and
+// returns it. The caster fills every cell of the row itself, then ends
+// the slot.
 func (r *BroadcastRing) openRow(abs int) []ringCell {
 	a := int64(abs)
+	h := &r.heads[a&r.mask]
 	r.open = a
-	r.stamps[a&r.mask].Store(2*uint64(a) + 1)
+	h.stamp.Store(2*uint64(a) + 1)
+	// src has one writer, this goroutine, so the load is exact; a row
+	// that was dense one lap ago skips the second atomic store.
+	if h.src.Load() != nil {
+		h.src.Store(nil)
+	}
 	return r.row(a)
+}
+
+// castEpoch airs slot abs as an epoch row and ends the slot: the row's
+// frames are column col of e.Program, and no cell is written. A later
+// Publish or Skip, even at abs, opens a dense row again.
+func (r *BroadcastRing) castEpoch(abs int, e *EpochInfo, col int) {
+	a := int64(abs)
+	h := &r.heads[a&r.mask]
+	r.open = -1
+	h.stamp.Store(2*uint64(a) + 1)
+	h.src.Store(e)
+	h.col.Store(int64(col))
+	r.EndSlot(abs)
 }
 
 // cell returns channel ch's cell in slot abs's row, stamping the row as
@@ -213,7 +251,7 @@ func (r *BroadcastRing) Skip(ch, abs int) {
 // EndSlot implements Transport: slot abs's row is complete. Its stamp
 // turns stable, then the head moves past it.
 func (r *BroadcastRing) EndSlot(abs int) {
-	r.stamps[int64(abs)&r.mask].Store(2*uint64(abs) + 2)
+	r.heads[int64(abs)&r.mask].stamp.Store(2*uint64(abs) + 2)
 	r.head.Store(int64(abs) + 1)
 }
 
@@ -226,27 +264,40 @@ func (r *BroadcastRing) Close() error { return nil }
 func (r *BroadcastRing) Head() int64 { return r.head.Load() }
 
 // Poll reads absolute slot abs from channel ch. It never blocks and
-// never allocates. RingOK returns the decoded frame; every other status
-// returns a zero Frame. A negative slot never airs, so it polls
-// RingPending.
+// never allocates. RingOK returns the frame; every other status returns a
+// zero Frame. A negative slot never airs, so it polls RingPending.
+//
+// An epoch row polls RingOK with the page its epoch's program airs at
+// abs. A dense row's cell word is validated like a received datagram,
+// checksum included.
 func (r *BroadcastRing) Poll(ch int, abs int64) (Frame, PollStatus) {
 	// One unsigned compare: a negative abs reads as at least 2^63, past
 	// any head.
 	if uint64(abs) >= uint64(r.head.Load()) {
 		return Frame{}, RingPending
 	}
-	stamp := &r.stamps[abs&r.mask]
+	h := &r.heads[abs&r.mask]
 	cell := &r.row(abs)[ch]
 	want := 2*uint64(abs) + 2
 	// The head passed abs, so the row is stable for abs or a newer slot.
-	if stamp.Load() != want {
+	if h.stamp.Load() != want {
 		return Frame{}, RingLost
 	}
-	w := cell.word.Load()
-	if stamp.Load() != want {
-		// A writer lapped us between the stamp check and the word load:
-		// the word may belong to a newer slot, discard it.
+	src := h.src.Load()
+	var w uint64
+	var col int64
+	if src == nil {
+		w = cell.word.Load()
+	} else {
+		col = h.col.Load()
+	}
+	if h.stamp.Load() != want {
+		// A writer lapped us between the stamp check and the last load:
+		// what it read may belong to a newer slot, discard it.
 		return Frame{}, RingLost
+	}
+	if src != nil {
+		return Frame{Channel: ch, Slot: uint32(abs), Page: src.Program.At(ch, int(col))}, RingOK
 	}
 	if w == skipCell {
 		return Frame{}, RingSkipped

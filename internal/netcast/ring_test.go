@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -454,11 +456,18 @@ type hiddenRing struct{ Transport }
 // TestCastRowMatchesPublish is the differential for the row cast: one
 // program is cast for several cycles across an epoch flip twice, as whole
 // rows into one ring and frame by frame through Publish and Skip into
-// another, and after every slot the slot's cell words, its row stamp and
-// the head must agree, and at the end the fault counters — fault-free,
+// another, and after every slot the two rings must agree — fault-free,
 // and under a plan that stalls slots and drops and corrupts frames. The
-// rings are shallow, so every row is reused and a cell the cast leaves
-// unwritten shows as the word it held one ring length earlier.
+// rings are shallow, so every row is reused.
+//
+// A faulted cast writes dense rows, so the slot's cell words must agree
+// word for word: a cell the cast leaves unwritten shows as the word it
+// held one ring length earlier. A fault-free cast writes epoch rows,
+// which hold no cell words, so there what subscribers see must agree:
+// every channel's Poll frame and status at every slot of the window and
+// at the row lapped one ring length back (RingLost on both). Either way
+// the slot's row stamp and the head must agree after every slot, and the
+// epochs and fault counters at the end.
 func TestCastRowMatchesPublish(t *testing.T) {
 	old, next, _, _ := flipFixture(t, func(e *replan.Engine) (*replan.Delta, error) {
 		return e.RetirePage(2)
@@ -494,13 +503,32 @@ func TestCastRowMatchesPublish(t *testing.T) {
 				rowCaster.CastSlot(abs)
 				pubCaster.CastSlot(abs)
 				a := int64(abs)
-				rows, pubs := rowRing.row(a), pubRing.row(a)
-				for ch := range rows {
-					if r, p := rows[ch].word.Load(), pubs[ch].word.Load(); r != p {
-						t.Fatalf("slot %d channel %d: row cast %#016x, published %#016x", abs, ch, r, p)
+				if c.fault == nil {
+					if src := rowRing.heads[a&rowRing.mask].src.Load(); src == nil {
+						t.Fatalf("slot %d: fault-free cast wrote a dense row", abs)
+					}
+					for ch := 0; ch < old.Channels(); ch++ {
+						for p := max(0, a-depth); p <= a; p++ {
+							rf, rs := rowRing.Poll(ch, p)
+							pf, ps := pubRing.Poll(ch, p)
+							if rf != pf || rs != ps {
+								t.Fatalf("head %d: Poll(%d, %d) = %+v/%v from the row cast, %+v/%v published",
+									abs+1, ch, p, rf, rs, pf, ps)
+							}
+							if p == a-depth && rs != RingLost {
+								t.Fatalf("head %d: lapped Poll(%d, %d) = %v, want RingLost", abs+1, ch, p, rs)
+							}
+						}
+					}
+				} else {
+					rows, pubs := rowRing.row(a), pubRing.row(a)
+					for ch := range rows {
+						if r, p := rows[ch].word.Load(), pubs[ch].word.Load(); r != p {
+							t.Fatalf("slot %d channel %d: row cast %#016x, published %#016x", abs, ch, r, p)
+						}
 					}
 				}
-				if r, p := rowRing.stamps[a&rowRing.mask].Load(), pubRing.stamps[a&pubRing.mask].Load(); r != p {
+				if r, p := rowRing.heads[a&rowRing.mask].stamp.Load(), pubRing.heads[a&pubRing.mask].stamp.Load(); r != p {
 					t.Fatalf("slot %d: stamps %d and %d", abs, r, p)
 				}
 				if rowRing.Head() != pubRing.Head() {
@@ -610,6 +638,106 @@ func TestRingChurnStorm(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRingEpochRowsRace races readers against the writer on epoch rows:
+// a fault-free caster airs one program across two epoch flips (old to
+// next, next back to old) into a depth-4 ring, lapping every row again
+// and again, while readers poll every channel of the slots behind the
+// head. Every RingOK frame must equal, channel, slot and page, the frame
+// a reference cast of the same staging through Publish airs there, so
+// a row read under one epoch and slot but built from another is caught;
+// under -race this is the data-race proof for the rows' epoch reference.
+// The writer casts a slot only once readers have polled as many times as
+// it has cast, so they read throughout the run.
+func TestRingEpochRowsRace(t *testing.T) {
+	old, next, _, _ := flipFixture(t, func(e *replan.Engine) (*replan.Delta, error) {
+		return e.RetirePage(2)
+	})
+	lOld, lNew := old.Length(), next.Length()
+	// next flips in at 6*lOld, old again at 6*lOld+11*lNew.
+	stages := map[int]*core.Program{5*lOld + lOld/2: next, 6*lOld + 10*lNew + lNew/2: old}
+	total := 11*lOld + 11*lNew
+	cast := func(c *Caster) {
+		for abs := 0; abs < total; abs++ {
+			if p := stages[abs]; p != nil {
+				if err := c.StageProgram(p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			c.CastSlot(abs)
+		}
+	}
+	refRing, err := NewBroadcastRing(old.Channels(), total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCaster(old, hiddenRing{refRing}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cast(ref)
+	if ep := ref.Epoch(); ep.Seq != 2 || ep.Program != old {
+		t.Fatalf("reference epoch %+v, want two flips back to the old program", ep)
+	}
+
+	ring, caster := ringCaster(t, old, 4, nil)
+	var polls, oks atomic.Int64
+	var failed atomic.Bool
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				head := ring.Head()
+				for abs := max(0, head-int64(ring.Slots())); abs < head; abs++ {
+					for ch := 0; ch < ring.Channels(); ch++ {
+						f, st := ring.Poll(ch, abs)
+						switch st {
+						case RingOK:
+							oks.Add(1)
+							if want, _ := refRing.Poll(ch, abs); f != want {
+								t.Errorf("Poll(%d, %d) = %+v, reference %+v", ch, abs, f, want)
+								failed.Store(true)
+							}
+						case RingLost:
+						default:
+							t.Errorf("Poll(%d, %d) = %v under fault-free air", ch, abs, st)
+							failed.Store(true)
+						}
+					}
+				}
+				polls.Add(1)
+			}
+		}()
+	}
+	for abs := 0; abs < total && !failed.Load(); abs++ {
+		for polls.Load() < int64(abs) && !failed.Load() {
+			runtime.Gosched()
+		}
+		if p := stages[abs]; p != nil {
+			if err := caster.StageProgram(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		caster.CastSlot(abs)
+	}
+	close(stop)
+	wg.Wait()
+	if ep := caster.Epoch(); !failed.Load() && (ep.Seq != 2 || ep.Program != old) {
+		t.Fatalf("epoch %+v, want two flips back to the old program", ep)
+	}
+	if oks.Load() == 0 {
+		t.Error("no poll read an intact frame")
+	}
 }
 
 // BenchmarkFanoutRing measures delivered frames per second through the

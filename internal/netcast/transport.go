@@ -101,6 +101,11 @@ type Caster struct {
 // NewCaster builds a slot engine for prog over tr. fault may be nil
 // (fault-free air). The program may have at most 65,536 channels, what a
 // frame's channel field can name.
+//
+// prog must not be mutated once cast (pass core.Analysis.Program or a
+// replan.Engine Snapshot): a fault-free BroadcastRing's rows reference
+// the program, and its subscribers read pages from it for as long as
+// those rows stay in the ring.
 func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, error) {
 	if prog == nil {
 		return nil, errors.New("netcast: nil program")
@@ -130,7 +135,9 @@ func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, 
 // flips to it at the next slot that starts a cycle of the airing epoch;
 // until then the old program keeps airing without a pause. The program
 // must not be mutated after staging (pass a snapshot — replan.Engine's
-// Snapshot is the production source). Staging again before the flip
+// Snapshot is the production source): on a fault-free BroadcastRing its
+// subscribers read pages from it for as long as its rows stay in the
+// ring, past the next flip. Staging again before the flip
 // replaces the pending program: the last staged snapshot wins. The
 // channel count must match the transport: the broadcast spectrum is
 // fixed hardware here, only the schedule is elastic.
@@ -154,12 +161,14 @@ func (c *Caster) Epoch() EpochInfo { return *c.published.Load() }
 // ends the slot on the transport. The checksum's slot term is computed
 // once for the slot, so each frame adds only its page term (frameEncoder).
 //
-// Into a BroadcastRing the slot is cast as one row: each channel's cell
-// word is stored straight into its cell, with no call through Transport
-// and no wire bytes. A dropped or stalled frame stores skipCell, a
-// corrupted one its word with the page byte flipped, the same flip the
-// wire carries. Every other transport gets the frame's wire bytes through
-// Publish, or a Skip.
+// Into a BroadcastRing the slot is cast as one row. Fault-free, it is an
+// epoch row: the row references the epoch on air, O(1) per slot, and
+// subscribers read each page from its program. Under a fault injector it
+// is a dense row: each channel's cell word is stored straight into its
+// cell, with no call through Transport and no wire bytes. A dropped or
+// stalled frame stores skipCell, a corrupted one its word with the page
+// byte flipped, the same flip the wire carries. Every other transport
+// gets the frame's wire bytes through Publish, or a Skip.
 func (c *Caster) CastSlot(abs int) {
 	if st := c.staged.Load(); st != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
 		// Start of an old-epoch cycle: flip. The CAS tolerates a racing
@@ -169,6 +178,10 @@ func (c *Caster) CastSlot(abs int) {
 			c.epoch = &EpochInfo{Seq: c.epoch.Seq + 1, Base: abs, Program: st}
 			c.published.Store(c.epoch)
 		}
+	}
+	if c.ring != nil && c.fault == nil {
+		c.ring.castEpoch(abs, c.epoch, c.epoch.Program.Column(abs-c.epoch.Base))
+		return
 	}
 	if c.fault != nil && c.fault.Stalled(abs) {
 		// The slot counter still advances during a stall: broadcast time
@@ -192,14 +205,8 @@ func (c *Caster) CastSlot(abs int) {
 	slotTerm := slotWord(uint32(abs))
 	if c.ring != nil {
 		row := c.ring.openRow(abs)
-		if c.fault == nil {
-			for ch := range row {
-				row[ch].word.Store(c.enc.word(ch, slotTerm, prog.At(ch, col)))
-			}
-		} else {
-			for ch := range row {
-				row[ch].word.Store(c.faulted(ch, abs, c.enc.word(ch, slotTerm, prog.At(ch, col))))
-			}
+		for ch := range row {
+			row[ch].word.Store(c.faulted(ch, abs, c.enc.word(ch, slotTerm, prog.At(ch, col))))
 		}
 		c.ring.EndSlot(abs)
 		return

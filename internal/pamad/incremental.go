@@ -63,6 +63,18 @@ type Placer struct {
 // the per-group checkpoints rely on. Vectors outside that family are
 // rejected; callers needing them use PlaceEvenly directly.
 func NewPlacer(gs *core.GroupSet, s delaymodel.Frequencies, nReal int) (*Placer, error) {
+	return newPlacer(gs, s, nReal, 0)
+}
+
+// Rebuilt is NewPlacer for a rebuilt instance, with a placement log of at
+// least p's capacity: an instance that grows back to its size before the
+// rebuild appends into the log without regrowing and copying it.
+func (p *Placer) Rebuilt(gs *core.GroupSet, s delaymodel.Frequencies, nReal int) (*Placer, error) {
+	return newPlacer(gs, s, nReal, cap(p.cells))
+}
+
+// newPlacer is NewPlacer with a placement log of at least logCap cells.
+func newPlacer(gs *core.GroupSet, s delaymodel.Frequencies, nReal, logCap int) (*Placer, error) {
 	if err := s.Validate(gs); err != nil {
 		return nil, err
 	}
@@ -85,7 +97,7 @@ func NewPlacer(gs *core.GroupSet, s delaymodel.Frequencies, nReal int) (*Placer,
 		prog:      prog,
 		chain:     newColChain(tMajor),
 		freeInCol: make([]int, tMajor),
-		cells:     make([]Cell, 0, s.TotalSlots(gs)),
+		cells:     make([]Cell, 0, max(s.TotalSlots(gs), logCap)),
 		marks:     make([]checkpoint, 0, gs.Len()),
 	}
 	for c := range p.freeInCol {

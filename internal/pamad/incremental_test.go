@@ -297,3 +297,42 @@ func TestPlaceEvenlyAllocs(t *testing.T) {
 		t.Fatalf("PlaceEvenly allocates %.0f times per run, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestPlacerRebuiltKeepsLogCapacity: a Placer rebuilt from another places
+// exactly what a from-scratch placement does and starts with its
+// predecessor's log capacity, so an instance that grows back to its size
+// before the rebuild appends without reallocating the log.
+func TestPlacerRebuiltKeepsLogCapacity(t *testing.T) {
+	gs := core.MustGroupSet([]core.Group{{Time: 4, Count: 12}, {Time: 8, Count: 20}, {Time: 16, Count: 28}})
+	for _, nReal := range []int{4, 6} {
+		s, _, err := Frequencies(gs, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPlacer(gs, s, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A log that grew past F since p was built.
+		p.cells = append(make([]Cell, 0, 2*cap(p.cells)), p.cells...)
+		sNew, _, err := Frequencies(gs, nReal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := p.Rebuilt(gs, sNew, nReal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := PlaceEvenly(gs, sNew, nReal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progsEqual(t, q.Program(), want)
+		if q.Stats() != wantStats {
+			t.Fatalf("%d channels: stats = %+v, want %+v", nReal, q.Stats(), wantStats)
+		}
+		if cap(q.cells) < cap(p.cells) {
+			t.Fatalf("%d channels: rebuilt log capacity %d, predecessor's %d", nReal, cap(q.cells), cap(p.cells))
+		}
+	}
+}

@@ -290,7 +290,7 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		sNew.MajorCycle(gsNew, nReal) != old.MajorCycle()
 	if rebuild {
 		d.ClearedCells = sOld.TotalSlots(gsOld)
-		placer, err := pamad.NewPlacer(gsNew, sNew, nReal)
+		placer, err := old.Rebuilt(gsNew, sNew, nReal)
 		if err != nil {
 			return nil, err
 		}
