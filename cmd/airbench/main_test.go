@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -127,6 +129,35 @@ func TestRunFig5Parallel(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Figure 5") {
 		t.Errorf("parallel fig5 output:\n%s", out.String())
+	}
+}
+
+// TestFullResultsGolden renders `airbench -experiment all -stride 1` and
+// compares it byte for byte with docs/full_results.txt, the snapshot
+// EXPERIMENTS.md quotes, so a change to any experiment's output shows
+// here. After a deliberate change, regenerate the snapshot with that
+// command. It takes seconds, so -short and -race skip it, like the slow
+// golden rows.
+func TestFullResultsGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full experiment matrix at stride 1; skipped under -short and -race")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "full_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-experiment", "all", "-stride", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("docs/full_results.txt line %d:\n got %q\nwant %q", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("output has %d lines, docs/full_results.txt %d", len(gotLines), len(wantLines))
 	}
 }
 

@@ -223,10 +223,8 @@ func runServe(out io.Writer, counts, dist string, pages, groups, t1, ratio, chan
 			ep.Seq, ep.Base, ep.Program.Length())
 	}
 	if srvCfg.Fault != nil {
-		// The UDP path skips a channel nobody listens to before the fault
-		// step, so drops and corruptions only count on listened channels.
 		f := srv.Faults()
-		fmt.Fprintf(out, "faults injected: %d stalled slots; on channels with a listener: %d dropped frames, %d corrupted frames\n",
+		fmt.Fprintf(out, "faults injected: %d stalled slots, %d dropped frames, %d corrupted frames\n",
 			f.StalledSlots, f.DroppedFrames, f.CorruptFrames)
 	}
 	fmt.Fprintf(out, "schedule sends failed: %d\n", ss.SendErrors())

@@ -166,6 +166,51 @@ func TestServerDropSuppressesFrames(t *testing.T) {
 	}
 }
 
+// TestServerFaultsCountEveryChannel pins that a UDP server with no
+// subscribers counts every fault its plan injects on every channel:
+// after Run returns, Faults equals the plan's stalls, drops and
+// corruptions over the slots the server aired, in the caster's priority
+// order (stall, then drop, then corruption).
+func TestServerFaultsCountEveryChannel(t *testing.T) {
+	prog := testProgram(t)
+	plan := testPlan(t, prog, chaos.Config{Seed: 6, Loss: 0.3, Corrupt: 0.2, StallEvery: 8, StallFor: 2})
+	srv, err := NewServer(prog, ServerConfig{SlotDuration: time.Millisecond, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Slot() < 64 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	srv.Stop()
+	if err := <-done; err != nil {
+		t.Fatalf("Run returned %v", err)
+	}
+	var want FaultStats
+	for abs := 0; abs < int(srv.Slot()); abs++ {
+		if plan.Stalled(abs) {
+			want.StalledSlots++
+			continue
+		}
+		for ch := 0; ch < prog.Channels(); ch++ {
+			switch {
+			case plan.Drop(ch, abs):
+				want.DroppedFrames++
+			case plan.Corrupt(ch, abs):
+				want.CorruptFrames++
+			}
+		}
+	}
+	if got := srv.Faults(); got != want {
+		t.Errorf("after %d slots: Faults() = %+v, plan injected %+v", srv.Slot(), got, want)
+	}
+	if want.StalledSlots == 0 || want.DroppedFrames == 0 || want.CorruptFrames == 0 {
+		t.Errorf("plan injected %+v over %d slots: a fault class is missing", want, srv.Slot())
+	}
+}
+
 // churnStorm hammers the server with concurrent subscribe/unsubscribe
 // cycles from many tuners while others read frames — the race test the
 // -race gate runs with fault injection both off and on.
@@ -349,7 +394,9 @@ func TestSmartFetchReplansUnderLoss(t *testing.T) {
 // flips. Readers only ever see frames that decode cleanly and carry page
 // IDs from some staged epoch; the exact flip alignment is pinned by the
 // deterministic TestRingEpochFlipZeroPause — here the point is the -race
-// coverage of StageProgram/Epoch against the transmit path.
+// coverage of StageProgram/Epoch against the transmit path. The UDP
+// variant airs through a Server; the ring variant drives a ring caster
+// on its own slot clock, with ring readers in place of tuners.
 func liveReplanStorm(t *testing.T, useRing bool) {
 	gs, err := core.Geometric(4, 2, []int{5, 7, 9})
 	if err != nil {
@@ -361,36 +408,35 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 	}
 	maxPages := eng.GroupSet().Pages() + 1 // edits alternate retire/add on the last group
 
-	var tr Transport
-	var ring *BroadcastRing
-	if useRing {
-		ring, err = NewBroadcastRing(eng.Channels(), DefaultRingSlots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr = ring
-	}
-	srv, err := NewServer(eng.Snapshot(), ServerConfig{SlotDuration: time.Millisecond, Transport: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Run(context.Background()) }()
-	defer func() {
-		srv.Stop()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("Run returned %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("server did not stop")
-		}
-	}()
-
+	// The air: a ring caster on its own slot clock, or a UDP server.
+	// stage, epoch and observe are what the replan loop and the observer
+	// call on it.
+	var stage func(*core.Program) error
+	var epoch func() EpochInfo
+	var observe func()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	if useRing {
+		ring, caster := ringCaster(t, eng.Snapshot(), DefaultRingSlots, nil)
+		stage, epoch = caster.StageProgram, caster.Epoch
+		observe = func() {
+			_ = ring.Head()
+			_ = caster.Faults()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ticker := time.NewTicker(time.Millisecond)
+			defer ticker.Stop()
+			for abs := 0; ; abs++ {
+				select {
+				case <-stop:
+					return
+				case <-ticker.C:
+					caster.CastSlot(abs)
+				}
+			}
+		}()
 		// Ring readers chase the head concurrently with flips.
 		for i := 0; i < 3; i++ {
 			ch := i % eng.Channels()
@@ -426,6 +472,29 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 			}()
 		}
 	} else {
+		srv, err := NewServer(eng.Snapshot(), ServerConfig{SlotDuration: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Run(context.Background()) }()
+		defer func() {
+			srv.Stop()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("Run returned %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("server did not stop")
+			}
+		}()
+		stage, epoch = srv.StageProgram, srv.Epoch
+		observe = func() {
+			_ = srv.Slot()
+			_ = srv.Faults()
+			_ = srv.udp.Subscribers(0)
+		}
 		addrs := srv.ChannelAddrs()
 		for i := 0; i < 4; i++ {
 			i := i
@@ -465,7 +534,7 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 	}
 
 	// Observer goroutine: the full concurrent read surface, including the
-	// epoch accessor, against transmits and flips.
+	// epoch accessor, against casts and flips.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -476,17 +545,13 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 				return
 			default:
 			}
-			ep := srv.Epoch()
+			ep := epoch()
 			if ep.Seq < lastSeq {
 				t.Errorf("epoch seq went backwards: %d -> %d", lastSeq, ep.Seq)
 				return
 			}
 			lastSeq = ep.Seq
-			_ = srv.Slot()
-			_ = srv.Faults()
-			if srv.udp != nil { // the ring transport tracks no subscribers
-				_ = srv.udp.Subscribers(0)
-			}
+			observe()
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -500,7 +565,7 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 		case <-deadline:
 			close(stop)
 			wg.Wait()
-			if srv.Epoch().Seq == 0 {
+			if epoch().Seq == 0 {
 				t.Error("storm finished without a single epoch flip")
 			}
 			return
@@ -518,7 +583,7 @@ func liveReplanStorm(t *testing.T, useRing bool) {
 			wg.Wait()
 			return
 		}
-		if err := srv.StageProgram(eng.Snapshot()); err != nil {
+		if err := stage(eng.Snapshot()); err != nil {
 			t.Error(err)
 			close(stop)
 			wg.Wait()

@@ -39,10 +39,10 @@ func appendFrame(buf []byte, f Frame) []byte {
 
 // TestFrameEncoderMatchesOracle pins the slot-hoisted encoder to the
 // direct CRC on every channel a frame can name, at the corner slots and
-// pages and a few seeded random ones: its cell word must be the one the
-// ring packs from the oracle's wire bytes, and must rebuild exactly those
-// bytes — with and without the corruption flip, whose cell-word form
-// must flip the same wire byte.
+// pages and a few seeded random ones: its cell word must be the one
+// packed from the oracle's wire bytes (cellWordOf), and must rebuild
+// exactly those bytes — with and without the corruption flip, whose
+// cell-word form must flip the same wire byte.
 func TestFrameEncoderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	slots := []uint32{0, 1, 1 << 31, 1<<32 - 1, rng.Uint32(), rng.Uint32()}
@@ -62,11 +62,10 @@ func TestFrameEncoderMatchesOracle(t *testing.T) {
 						w ^= cellCorruptFlip
 						want[corruptFlipOffset] ^= corruptFlipMask
 					}
-					w0, w1 := packFrameWords(want)
-					if oracle := cellWord(ch, abs, w0, w1); w != oracle {
+					if oracle := cellWordOf(want); w != oracle {
 						t.Fatalf("channel %d slot %d page %d flip %v: cell word %#016x, oracle %#016x", ch, slot, page, flip, w, oracle)
 					}
-					w0, w1 = cellFrameWords(ch, int64(abs), w)
+					w0, w1 := cellFrameWords(ch, int64(abs), w)
 					putFrameWords(&got, w0, w1)
 					if string(got[:]) != string(want) {
 						t.Fatalf("channel %d slot %d page %d flip %v: encoded %x, oracle %x", ch, slot, page, flip, got, want)

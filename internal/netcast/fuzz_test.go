@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"slices"
 	"testing"
 
 	"tcsa/internal/core"
@@ -37,9 +38,12 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzRingCell: 16 arbitrary bytes published at an arbitrary (ch, abs)
-// poll RingOK as parseFrame's Frame exactly when parseFrame accepts them
-// and they name the cell's channel and slot, and RingCorrupt otherwise.
+// FuzzRingCell: the cell word of 16 arbitrary bytes, stored at an
+// arbitrary (ch, abs), stands for the datagram those bytes make with the
+// cell's magic, channel and slot. It polls RingSkipped when the word is
+// skipCell, RingOK as parseFrame's Frame when parseFrame accepts the
+// datagram, and RingCorrupt otherwise; and Send hands exactly that
+// datagram on for channel ch, or nothing for a skip.
 func FuzzRingCell(f *testing.F) {
 	f.Add(appendFrame(nil, Frame{Channel: 1, Slot: 42, Page: 7}), uint16(1), int64(42))
 	f.Add(appendFrame(nil, Frame{Channel: 1, Slot: 42, Page: 7}), uint16(2), int64(42))
@@ -52,21 +56,41 @@ func FuzzRingCell(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	rec := &recorder{channels: ring.Channels()}
 	f.Fuzz(func(t *testing.T, data []byte, ch uint16, abs int64) {
 		if len(data) != FrameSize {
 			return
 		}
 		abs &= 1<<62 - 1 // a slot the ring can air: 2*abs+2 and abs+1 do not overflow
-		want, err := parseFrame(data)
-		ok := err == nil && want.Channel == int(ch) && want.Slot == uint32(abs)
-		ring.Publish(int(ch), int(abs), data)
-		ring.EndSlot(int(abs))
-		got, st := ring.Poll(int(ch), abs)
-		switch {
-		case ok && (st != RingOK || got != want):
-			t.Fatalf("frame %x at (%d, %d): polled %+v/%v, want %+v/RingOK", data, ch, abs, got, st, want)
-		case !ok && st != RingCorrupt:
-			t.Fatalf("frame %x at (%d, %d): polled %+v/%v, want RingCorrupt", data, ch, abs, got, st)
+		w := cellWordOf(data)
+		w0, w1 := cellFrameWords(int(ch), abs, w)
+		var dgram [FrameSize]byte
+		putFrameWords(&dgram, w0, w1)
+		wantF, wantSt := Frame{}, RingSkipped
+		if w != skipCell {
+			wantSt = RingCorrupt
+			if f, err := parseFrame(dgram[:]); err == nil {
+				wantF, wantSt = f, RingOK
+			}
+		}
+		storeCell(ring, int(ch), int(abs), w)
+		if got, st := ring.Poll(int(ch), abs); got != wantF || st != wantSt {
+			t.Fatalf("cell %x at (%d, %d): polled %+v/%v, want %+v/%v", data, ch, abs, got, st, wantF, wantSt)
+		}
+		rec.got = rec.got[:0]
+		ring.Send(rec, int(abs))
+		var sent []datagram
+		for _, d := range rec.got {
+			if d.ch == int(ch) {
+				sent = append(sent, d)
+			}
+		}
+		want := []datagram{{int(ch), int(abs), string(dgram[:])}}
+		if w == skipCell {
+			want = nil
+		}
+		if !slices.Equal(sent, want) {
+			t.Fatalf("cell %x at (%d, %d): Send published %q, want %q", data, ch, abs, sent, want)
 		}
 	})
 }
@@ -108,26 +132,26 @@ func (h hashFaults) Corrupt(ch, abs int) bool { return h.roll(ch, abs)%4 == 1 }
 
 // FuzzRingRowKinds airs an arbitrary interleaving of slot kinds into
 // the same rows of a depth-4 ring — fault-free casts (epoch rows),
-// faulted casts and Publish/Skip slots (dense rows) — at slots that
-// advance by arbitrary steps, zero included, and polls arbitrary
+// faulted casts and slots stored cell by cell (dense rows) — at slots
+// that advance by arbitrary steps, zero included, and polls arbitrary
 // (channel, slot) pairs in between. Every poll must read as a reference
 // model of the last slot aired into its row says: the slot's frame or
 // fault status, RingLost for any other slot, RingPending from the head
 // on. So a dense row must not read through a stale epoch reference, an
-// epoch row must not expose cells of an earlier lap, and a Publish after
-// a fault-free cast of the same slot must open a dense row.
+// epoch row must not expose cells of an earlier lap, and a stored cell
+// after a fault-free cast of the same slot must open a dense row.
 //
 // The input is a sequence of ops, op%5 selecting: 0 a fault-free cast,
-// 1 a faulted cast, 2 a Publish/Skip slot (one more byte per channel:
-// an intact frame, a skip, or a frame naming another slot), each after
-// a step byte; 3 a poll of (channel byte, slots-back-from-head byte);
-// 4 staging the program not on air on the fault-free caster.
+// 1 a faulted cast, 2 a stored slot (one more byte per channel: an
+// intact frame's word, a skip, or a corrupted word), each after a step
+// byte; 3 a poll of (channel byte, slots-back-from-head byte); 4
+// staging the program not on air on the fault-free caster.
 func FuzzRingRowKinds(f *testing.F) {
-	// Publish slot, fault-free cast and Publish slot at the same abs.
+	// Stored slot, fault-free cast and stored slot at the same abs.
 	f.Add([]byte{2, 1, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 3, 0, 1, 3, 1, 1, 3, 2, 1})
-	// Publish slot, then a fault-free cast one lap later.
+	// Stored slot, then a fault-free cast one lap later.
 	f.Add([]byte{2, 1, 1, 2, 0, 0, 4, 3, 0, 1, 3, 1, 1, 3, 2, 1, 3, 0, 5})
-	// Fault-free cast, then a Publish slot one lap later.
+	// Fault-free cast, then a stored slot one lap later.
 	f.Add([]byte{0, 1, 2, 4, 1, 0, 2, 3, 0, 1, 3, 1, 1, 3, 2, 1})
 	// Faulted casts, a flip, polls reaching lapped and future slots.
 	f.Add([]byte{1, 1, 1, 1, 4, 0, 3, 0, 1, 0, 1, 3, 2, 5, 1, 1, 3, 1, 2, 0, 2, 3, 0, 0})
@@ -205,20 +229,19 @@ func FuzzRingRowKinds(f *testing.F) {
 					for ch := range m.want {
 						b := next()
 						fr := Frame{ch, uint32(abs), core.PageID(b/3%17) - 1}
+						w := cellWordOf(appendFrame(nil, fr))
 						switch b % 3 {
 						case 0:
-							ring.Publish(ch, abs, appendFrame(nil, fr))
 							m.want[ch] = poll{fr, RingOK}
 						case 1:
-							ring.Skip(ch, abs)
+							w = skipCell
 							m.want[ch] = poll{st: RingSkipped}
 						case 2:
-							fr.Slot++
-							ring.Publish(ch, abs, appendFrame(nil, fr))
+							w ^= cellCorruptFlip
 							m.want[ch] = poll{st: RingCorrupt}
 						}
+						storeCell(ring, ch, abs, w)
 					}
-					ring.EndSlot(abs)
 				}
 			case 3:
 				ch := int(next()) % ring.Channels()

@@ -261,6 +261,41 @@ func TestTunerValidation(t *testing.T) {
 	}
 }
 
+// TestTunerReadFrameZeroAllocs pins that ReadFrame allocates nothing
+// per datagram: the tuned channel's address is kept as a netip.AddrPort
+// at Tune, and each source is compared as one. The tuner is tuned to the
+// IPv4-in-IPv6 form of the channel's address, the form a schedule
+// decodes, so the comparison must unmap both sides to hear the channel
+// at all.
+func TestTunerReadFrameZeroAllocs(t *testing.T) {
+	channel := listenLoopback(t)
+	tuner, err := NewTuner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tuner.Close()
+	addr := channel.LocalAddr().(*net.UDPAddr)
+	if err := tuner.Tune(&net.UDPAddr{IP: addr.IP.To16(), Port: addr.Port}); err != nil {
+		t.Fatal(err)
+	}
+	const reads = 100
+	want := Frame{Channel: 1, Slot: 2, Page: 3}
+	frame := appendFrame(nil, want)
+	for i := 0; i <= reads; i++ { // AllocsPerRun reads once more to warm up
+		if _, err := channel.WriteToUDP(frame, tuner.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(reads, func() {
+		if f, err := tuner.ReadFrame(5 * time.Second); err != nil || f != want {
+			t.Fatalf("ReadFrame = %+v, %v, want %+v", f, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadFrame allocates %v per datagram, want 0", allocs)
+	}
+}
+
 func TestServerStopIdempotent(t *testing.T) {
 	srv, err := NewServer(testProgram(t), ServerConfig{SlotDuration: time.Millisecond})
 	if err != nil {

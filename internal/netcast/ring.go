@@ -17,12 +17,11 @@ const (
 	RingOK PollStatus = iota
 	// RingPending: the server has not aired the slot yet.
 	RingPending
-	// RingSkipped: the slot aired but this channel transmitted nothing —
-	// a stall, an injected drop, or a channel the engine silenced.
+	// RingSkipped: the slot aired but this channel transmitted nothing:
+	// a stall or an injected drop.
 	RingSkipped
 	// RingCorrupt: a frame was transmitted but fails frame validation
-	// (bad checksum, the wire-level corruption the chaos plan injects) or
-	// names another channel or slot than the cell it was published to.
+	// (bad checksum, the wire-level corruption the chaos plan injects).
 	RingCorrupt
 	// RingLost: the slot has already been overwritten — the reader fell
 	// more than one ring length behind the writer.
@@ -44,36 +43,15 @@ const (
 // The magic, the channel and the slot are not stored: the channel is the
 // cell's column in its row and the slot is the abs the row's stamp
 // carries, so Poll rebuilds the two wire words from (ch, abs, word) and
-// validates them, checksum included, exactly as a received datagram.
+// validates them, checksum included, exactly as a received datagram, and
+// Send rebuilds the datagram itself.
 type ringCell struct {
 	word atomic.Uint64
 }
 
-// Two cell words no valid frame produces, since both carry version 0:
-// skipCell records that the channel transmitted nothing in the slot, and
-// corruptCell stands for a published frame whose magic, channel or slot
-// disagrees with its cell (or that would otherwise read as skipCell), so
-// it polls RingCorrupt like any frame that fails validation.
-const (
-	skipCell    uint64 = 0
-	corruptCell uint64 = 1
-)
-
-// cellHeaderMask selects the magic and channel fields of a frame's w0.
-const cellHeaderMask = 0xFFFF_0000_FFFF_0000
-
-// cellWord packs the frame (w0, w1) published on channel ch at slot abs
-// into its cell word.
-func cellWord(ch, abs int, w0, w1 uint64) uint64 {
-	if w0&cellHeaderMask != uint64(frameMagic)<<48|uint64(uint16(ch))<<16 || uint32(w1>>32) != uint32(abs) {
-		return corruptCell
-	}
-	w := (w0>>32&0xFFFF)<<48 | (w0&0xFFFF)<<32 | w1&0xFFFF_FFFF
-	if w == skipCell {
-		return corruptCell
-	}
-	return w
-}
+// skipCell is the cell word no valid frame produces, since it carries
+// version 0: the channel transmitted nothing in the slot.
+const skipCell uint64 = 0
 
 // cellFrameWords rebuilds the two wire words of the frame channel ch's
 // cell word w holds for slot abs.
@@ -83,12 +61,14 @@ func cellFrameWords(ch int, abs int64, w uint64) (w0, w1 uint64) {
 	return w0, w1
 }
 
-// BroadcastRing is the in-process Transport: the program's channels ×
-// slots grid kept slot-major, one row per aired slot, exactly as the air
+// BroadcastRing is the caster's output: the program's channels × slots
+// grid kept slot-major, one row per aired slot, exactly as the air
 // transmits it. The writer does O(1) work per slot on fault-free air and
 // per (channel, slot) on faulted air, no matter how many subscribers
-// exist — subscribers pull, lock-free, with zero allocations per poll —
-// so one server saturates millions of in-process clients.
+// exist. Its readers are in-process subscribers, which pull lock-free
+// with zero allocations per poll (Poll), so one server saturates
+// millions of in-process clients, and the server's Transport, which
+// Send hands each channel's datagram.
 //
 // A row is one of two kinds. An epoch row references the epoch it airs
 // (rowHead.src): on fault-free air the slot's frames are a pure function
@@ -96,8 +76,7 @@ func cellFrameWords(ch int, abs int64, w uint64) (w0, w1 uint64) {
 // the program column, and Poll reads the page straight from the
 // immutable program. A dense row (src nil) holds every channel's 8-byte
 // cell for slot abs side by side, written one atomic store per frame: a
-// faulted cast, Publish and Skip write dense rows, and opening one
-// clears src.
+// faulted cast writes dense rows, and opening one clears src.
 //
 // Either kind is guarded by the row's seqlock stamp carrying the
 // absolute slot number:
@@ -123,7 +102,8 @@ type BroadcastRing struct {
 	head     atomic.Int64
 	channels int
 	mask     int64
-	open     int64 // the slot whose dense row is being written, or -1; writer-owned
+	enc      frameEncoder    // encodes the cell words of a faulted cast and of Send
+	frame    [FrameSize]byte // Send's datagram buffer; cast-goroutine-owned
 }
 
 // rowHead is one row's seqlock stamp and, in an epoch row, the epoch
@@ -140,14 +120,14 @@ type rowHead struct {
 // slots behind before losing data.
 const DefaultRingSlots = 1024
 
-// NewBroadcastRing builds a ring transport with the given channel count
-// (at most 65,536, what a frame's channel field can name). slots (rounded
-// up to a power of two; DefaultRingSlots if <= 0) is how many consecutive
-// slots stay readable. The grid is one allocation sized from caller
-// input, so channels × depth is capped at core.MaxCells cells (2 GiB of
-// 8-byte cells): the depth alone is checked before rounding up, so the
-// rounding cannot overflow, and the product is checked by division, so
-// it cannot overflow either.
+// NewBroadcastRing builds a ring with the given channel count (at most
+// 65,536, what a frame's channel field can name). slots (rounded up to a
+// power of two; DefaultRingSlots if <= 0) is how many consecutive slots
+// stay readable. The grid is one allocation sized from caller input, so
+// channels × depth is capped at core.MaxCells cells (2 GiB of 8-byte
+// cells): the depth alone is checked before rounding up, so the rounding
+// cannot overflow, and the product is checked by division, so it cannot
+// overflow either.
 func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	if channels <= 0 {
 		return nil, errors.New("netcast: ring needs at least one channel")
@@ -173,17 +153,12 @@ func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 		heads:    make([]rowHead, n),
 		channels: channels,
 		mask:     int64(n) - 1,
-		open:     -1,
+		enc:      newFrameEncoder(channels),
 	}, nil
 }
 
-// Channels implements Transport.
+// Channels reports the channel count the ring was built for.
 func (r *BroadcastRing) Channels() int { return r.channels }
-
-// NeedsFrame implements Transport. The ring always wants the frame:
-// publishing costs O(1) regardless of subscribers, and a slot written
-// now is readable by a subscriber that arrives later.
-func (r *BroadcastRing) NeedsFrame(ch int) bool { return true }
 
 // Slots reports the ring depth: how many consecutive slots stay readable.
 func (r *BroadcastRing) Slots() int { return int(r.mask) + 1 }
@@ -200,7 +175,6 @@ func (r *BroadcastRing) row(abs int64) []ringCell {
 func (r *BroadcastRing) openRow(abs int) []ringCell {
 	a := int64(abs)
 	h := &r.heads[a&r.mask]
-	r.open = a
 	h.stamp.Store(2*uint64(a) + 1)
 	// src has one writer, this goroutine, so the load is exact; a row
 	// that was dense one lap ago skips the second atomic store.
@@ -211,53 +185,52 @@ func (r *BroadcastRing) openRow(abs int) []ringCell {
 }
 
 // castEpoch airs slot abs as an epoch row and ends the slot: the row's
-// frames are column col of e.Program, and no cell is written. A later
-// Publish or Skip, even at abs, opens a dense row again.
+// frames are column col of e.Program, and no cell is written.
 func (r *BroadcastRing) castEpoch(abs int, e *EpochInfo, col int) {
-	a := int64(abs)
-	h := &r.heads[a&r.mask]
-	r.open = -1
-	h.stamp.Store(2*uint64(a) + 1)
+	h := &r.heads[int64(abs)&r.mask]
+	h.stamp.Store(2*uint64(abs) + 1)
 	h.src.Store(e)
 	h.col.Store(int64(col))
-	r.EndSlot(abs)
+	r.endSlot(abs)
 }
 
-// cell returns channel ch's cell in slot abs's row, stamping the row as
-// being written the first time the slot is touched.
-func (r *BroadcastRing) cell(ch, abs int) *ringCell {
-	if int64(abs) != r.open {
-		return &r.openRow(abs)[ch]
-	}
-	return &r.row(int64(abs))[ch]
-}
-
-// Publish implements Transport with one atomic store. The ring has a
-// single writer: one goroutine publishes or skips every channel of a
-// slot, then ends it. A frame whose magic, channel or slot disagrees with
-// (ch, abs) is stored as corrupt.
-func (r *BroadcastRing) Publish(ch, abs int, frame []byte) {
-	w0, w1 := packFrameWords(frame)
-	r.cell(ch, abs).word.Store(cellWord(ch, abs, w0, w1))
-}
-
-// Skip implements Transport: the slot airs with nothing on channel ch.
-// The cell gets skipCell in place of the frame it held one ring length
-// ago, which Poll reports as RingSkipped.
-func (r *BroadcastRing) Skip(ch, abs int) {
-	r.cell(ch, abs).word.Store(skipCell)
-}
-
-// EndSlot implements Transport: slot abs's row is complete. Its stamp
-// turns stable, then the head moves past it.
-func (r *BroadcastRing) EndSlot(abs int) {
+// endSlot marks slot abs's row complete: its stamp turns stable, then
+// the head moves past it.
+func (r *BroadcastRing) endSlot(abs int) {
 	r.heads[int64(abs)&r.mask].stamp.Store(2*uint64(abs) + 2)
 	r.head.Store(int64(abs) + 1)
 }
 
-// Close implements Transport. The ring holds no OS resources and spawns
-// no goroutines; readers may keep polling historical slots after Close.
-func (r *BroadcastRing) Close() error { return nil }
+// Send hands slot abs's frames to tr, channel by channel: each frame's
+// wire bytes are rebuilt from the row (cellFrameWords; an epoch row's
+// cell word is encoded from its program first) and passed to Publish. A
+// channel that transmitted nothing in the slot, stalled or dropped, gets
+// no call, and a corrupted frame goes out with its flipped byte. Send
+// runs on the cast goroutine, between CastSlot(abs) and the next cast,
+// as the server's tick does; if the row no longer holds abs, it sends
+// nothing.
+func (r *BroadcastRing) Send(tr Transport, abs int) {
+	a := int64(abs)
+	h := &r.heads[a&r.mask]
+	if h.stamp.Load() != 2*uint64(a)+2 {
+		return
+	}
+	src := h.src.Load()
+	col := int(h.col.Load())
+	slotTerm := slotWord(uint32(abs))
+	row := r.row(a)
+	for ch := range row {
+		var w uint64
+		if src != nil {
+			w = r.enc.word(ch, slotTerm, src.Program.At(ch, col))
+		} else if w = row[ch].word.Load(); w == skipCell {
+			continue
+		}
+		w0, w1 := cellFrameWords(ch, a, w)
+		putFrameWords(&r.frame, w0, w1)
+		tr.Publish(ch, abs, r.frame[:])
+	}
+}
 
 // Head reports how many slots the ring has aired (the next absolute slot
 // to be published), on every channel at once.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,21 +85,11 @@ func TestRingCellSize(t *testing.T) {
 	}
 }
 
-// channelsOnly is a Transport that only reports a channel count, for
-// checking NewCaster's limits without building a ring of that size.
-type channelsOnly int
-
-func (c channelsOnly) Channels() int                   { return int(c) }
-func (channelsOnly) NeedsFrame(ch int) bool            { return true }
-func (channelsOnly) Publish(ch, abs int, frame []byte) {}
-func (channelsOnly) Skip(ch, abs int)                  {}
-func (channelsOnly) EndSlot(abs int)                   {}
-func (channelsOnly) Close() error                      { return nil }
-
 // TestChannelLimit pins the 16-bit channel field's limit: 65,536 channels
 // air, the last one polling as itself, and 65,537 are refused by the
-// ring, the caster and the UDP transport (whose check runs before any
-// socket is bound, so this opens none).
+// ring, by the caster (a program of 65,537 channels has no ring to cast
+// into) and by the UDP transport (whose check runs before any socket is
+// bound, so this opens none).
 func TestChannelLimit(t *testing.T) {
 	gs := core.MustGroupSet([]core.Group{{Time: 1, Count: 1}})
 	prog, err := core.NewProgram(gs, maxFrameChannels, 1)
@@ -122,7 +113,7 @@ func TestChannelLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCaster(wide, channelsOnly(maxFrameChannels+1), nil); err == nil {
+	if _, err := NewCaster(wide, ring, nil); err == nil {
 		t.Errorf("NewCaster over %d channels succeeded", maxFrameChannels+1)
 	}
 	if tr, err := NewUDPTransport(maxFrameChannels+1, ""); err == nil {
@@ -131,80 +122,48 @@ func TestChannelLimit(t *testing.T) {
 	}
 }
 
-// pollPublished publishes frame on channel ch at slot abs of a depth-1
-// ring, ends the slot and polls it back.
-func pollPublished(r *BroadcastRing, ch, abs int, frame []byte) (Frame, PollStatus) {
-	r.Publish(ch, abs, frame)
-	r.EndSlot(abs)
-	return r.Poll(ch, int64(abs))
+// storeCell airs slot abs of r as a dense row holding cell word w on
+// channel ch, the way a faulted cast stores a frame, so a test can poll
+// any word; the row's other cells keep what they held.
+func storeCell(r *BroadcastRing, ch, abs int, w uint64) {
+	r.openRow(abs)[ch].word.Store(w)
+	r.endSlot(abs)
+}
+
+// cellWordOf packs datagram b into the cell word a ring stores for it:
+// its version, flags, checksum and page. The magic, channel and slot are
+// not stored; a cell rebuilds them from its position.
+func cellWordOf(b []byte) uint64 {
+	w0, w1 := packFrameWords(b)
+	return (w0>>32&0xFFFF)<<48 | (w0&0xFFFF)<<32 | w1&0xFFFF_FFFF
 }
 
 // TestRingCellCatchesEverySingleByteFlip is the frame flip test through
-// the ring: every single-byte flip of a published frame polls
-// RingCorrupt — flips of the magic, channel and slot because the frame no
-// longer matches its cell, the rest by version or checksum.
+// the ring: every single-byte flip of a byte a cell stores (version,
+// flags and page; the checksum is what catches them) polls RingCorrupt.
 func TestRingCellCatchesEverySingleByteFlip(t *testing.T) {
 	ring, err := NewBroadcastRing(maxFrameChannels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stored := []int{frameVersionOff, frameVersionOff + 1, framePageOff, framePageOff + 1, framePageOff + 2, framePageOff + 3}
 	for _, f := range sampleFrames(128) {
 		clean := appendFrame(nil, f)
-		if got, st := pollPublished(ring, f.Channel, int(f.Slot), clean); st != RingOK || got != f {
+		storeCell(ring, f.Channel, int(f.Slot), cellWordOf(clean))
+		if got, st := ring.Poll(f.Channel, int64(f.Slot)); st != RingOK || got != f {
 			t.Fatalf("%+v: clean frame polled %+v/%v", f, got, st)
 		}
 		b := make([]byte, FrameSize)
-		for i := 0; i < FrameSize; i++ {
-			if i == frameSumOff || i == frameSumOff+1 {
-				continue
-			}
+		for _, i := range stored {
 			for mask := 1; mask < 256; mask++ {
 				copy(b, clean)
 				b[i] ^= byte(mask)
-				got, st := pollPublished(ring, f.Channel, int(f.Slot), b)
-				if st != RingCorrupt {
+				storeCell(ring, f.Channel, int(f.Slot), cellWordOf(b))
+				if got, st := ring.Poll(f.Channel, int64(f.Slot)); st != RingCorrupt {
 					t.Fatalf("%+v: flip %#02x at byte %d polled %+v/%v", f, mask, i, got, st)
 				}
 			}
 		}
-	}
-}
-
-// TestRingCellMismatchPollsCorrupt pins that a frame the cell cannot hold
-// polls RingCorrupt even with a valid checksum: one naming another
-// channel or slot, or carrying another magic, and one whose stored word
-// would read as a skipped channel.
-func TestRingCellMismatchPollsCorrupt(t *testing.T) {
-	ring, err := NewBroadcastRing(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := appendFrame(nil, Frame{Channel: 3, Slot: 7, Page: 5})
-	if got, st := pollPublished(ring, 3, 7, frame); st != RingOK || got != (Frame{Channel: 3, Slot: 7, Page: 5}) {
-		t.Fatalf("matching cell polled %+v/%v", got, st)
-	}
-	if _, st := pollPublished(ring, 2, 7, frame); st != RingCorrupt {
-		t.Errorf("frame for channel 3 on channel 2 polled %v, want RingCorrupt", st)
-	}
-	if _, st := pollPublished(ring, 3, 8, frame); st != RingCorrupt {
-		t.Errorf("frame for slot 7 at slot 8 polled %v, want RingCorrupt", st)
-	}
-	// Slot 7 at abs 2^32+7 matches in the low 32 bits the wire carries.
-	if _, st := pollPublished(ring, 3, 1<<32+7, frame); st != RingOK {
-		t.Errorf("frame for slot 7 at abs 2^32+7 polled %v, want RingOK", st)
-	}
-	w0, w1 := packFrameWords(frame)
-	w0 = w0&^(0xFFFF<<48|0xFFFF) | 0x1234<<48
-	w0 |= uint64(frameSumWords(w0, w1))
-	var other [FrameSize]byte
-	putFrameWords(&other, w0, w1)
-	if _, st := pollPublished(ring, 3, 7, other[:]); st != RingCorrupt {
-		t.Errorf("frame with magic 0x1234 polled %v, want RingCorrupt", st)
-	}
-	// Version 0, no flags, checksum 0, page 0: every stored bit zero.
-	putFrameWords(&other, uint64(frameMagic)<<48|3<<16, 7<<32)
-	if _, st := pollPublished(ring, 3, 7, other[:]); st != RingCorrupt {
-		t.Errorf("all-zero cell word polled %v, want RingCorrupt", st)
 	}
 }
 
@@ -220,7 +179,8 @@ func TestRingCellVersion1(t *testing.T) {
 	if f, err := parseFrame(v1[:]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("parseFrame(v1) = %+v, %v, want ErrBadFrame", f, err)
 	}
-	if got, st := pollPublished(ring, 2, 9, v1[:]); st != RingCorrupt {
+	storeCell(ring, 2, 9, cellWordOf(v1[:]))
+	if got, st := ring.Poll(2, 9); st != RingCorrupt {
 		t.Errorf("version-1 frame polled %+v/%v, want RingCorrupt", got, st)
 	}
 }
@@ -235,7 +195,7 @@ func TestCasterValidation(t *testing.T) {
 		t.Error("expected error for nil program")
 	}
 	if _, err := NewCaster(prog, nil, nil); err == nil {
-		t.Error("expected error for nil transport")
+		t.Error("expected error for nil ring")
 	}
 	if _, err := NewCaster(prog, ring, nil); err == nil {
 		t.Error("expected error for channel count mismatch")
@@ -449,25 +409,78 @@ func stallDropCorrupt(t *testing.T, prog *core.Program) *chaos.Plan {
 	return plan
 }
 
-// hiddenRing hides a ring's type from NewCaster, so the caster casts
-// into it frame by frame through Publish and Skip.
-type hiddenRing struct{ Transport }
+// datagram is one frame a transport was handed: its channel, its slot
+// and its wire bytes.
+type datagram struct {
+	ch, abs int
+	bytes   string
+}
 
-// TestCastRowMatchesPublish is the differential for the row cast: one
-// program is cast for several cycles across an epoch flip twice, as whole
-// rows into one ring and frame by frame through Publish and Skip into
-// another, and after every slot the two rings must agree — fault-free,
-// and under a plan that stalls slots and drops and corrupts frames. The
-// rings are shallow, so every row is reused.
-//
-// A faulted cast writes dense rows, so the slot's cell words must agree
-// word for word: a cell the cast leaves unwritten shows as the word it
-// held one ring length earlier. A fault-free cast writes epoch rows,
-// which hold no cell words, so there what subscribers see must agree:
-// every channel's Poll frame and status at every slot of the window and
-// at the row lapped one ring length back (RingLost on both). Either way
-// the slot's row stamp and the head must agree after every slot, and the
-// epochs and fault counters at the end.
+// recorder is a Transport that records every datagram published to it.
+type recorder struct {
+	channels int
+	got      []datagram
+}
+
+func (r *recorder) Channels() int { return r.channels }
+func (r *recorder) Publish(ch, abs int, frame []byte) {
+	r.got = append(r.got, datagram{ch, abs, string(frame)})
+}
+func (r *recorder) Close() error { return nil }
+
+// frameCaster is the frame-by-frame reference caster. Per slot it
+// encodes each channel's datagram directly (appendFrame's whole-frame
+// checksum), applies the injector's faults in the chaos engine's order
+// (stall, then drop, then corruption, the flip made in the wire bytes)
+// and flips to a staged program at the airing program's cycle boundary,
+// as Caster does.
+type frameCaster struct {
+	epoch  EpochInfo
+	staged *core.Program
+	fault  FaultInjector
+	faults FaultStats
+}
+
+// cast returns slot abs's datagrams in channel order, one per channel
+// that transmits.
+func (c *frameCaster) cast(abs int) []datagram {
+	if c.staged != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
+		c.epoch = EpochInfo{Seq: c.epoch.Seq + 1, Base: abs, Program: c.staged}
+		c.staged = nil
+	}
+	if c.fault != nil && c.fault.Stalled(abs) {
+		c.faults.StalledSlots++
+		return nil
+	}
+	prog := c.epoch.Program
+	col := prog.Column(abs - c.epoch.Base)
+	var out []datagram
+	for ch := 0; ch < prog.Channels(); ch++ {
+		if c.fault != nil && c.fault.Drop(ch, abs) {
+			c.faults.DroppedFrames++
+			continue
+		}
+		b := appendFrame(nil, Frame{Channel: ch, Slot: uint32(abs), Page: prog.At(ch, col)})
+		if c.fault != nil && c.fault.Corrupt(ch, abs) {
+			c.faults.CorruptFrames++
+			b[corruptFlipOffset] ^= corruptFlipMask
+		}
+		out = append(out, datagram{ch, abs, string(b)})
+	}
+	return out
+}
+
+// TestCastRowMatchesPublish is the differential for the one cast path:
+// one program is cast for several cycles across an epoch flip, as whole
+// rows into a shallow ring (every row is reused) and by the
+// frame-by-frame reference caster, fault-free and under a plan that
+// stalls slots and drops and corrupts frames. After every slot the
+// datagrams Send hands a recording Transport must equal the reference's
+// byte for byte, in channel order, and every channel must poll as its
+// datagram parses: RingOK with the parsed frame, RingCorrupt for a
+// datagram parseFrame refuses, RingSkipped for a channel with none.
+// A slot not yet cast sends nothing. The epochs and the fault counters
+// must agree at the end.
 func TestCastRowMatchesPublish(t *testing.T) {
 	old, next, _, _ := flipFixture(t, func(e *replan.Engine) (*replan.Delta, error) {
 		return e.RetirePage(2)
@@ -479,68 +492,54 @@ func TestCastRowMatchesPublish(t *testing.T) {
 		fault FaultInjector
 	}{{"fault-free", nil}, {"faulted", plan}} {
 		t.Run(c.name, func(t *testing.T) {
-			rowRing, rowCaster := ringCaster(t, old, depth, c.fault)
-			pubRing, err := NewBroadcastRing(old.Channels(), depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pubCaster, err := NewCaster(old, hiddenRing{pubRing}, c.fault)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rowCaster.ring == nil || pubCaster.ring != nil {
-				t.Fatal("the casters do not take the row and the frame path")
-			}
+			ring, caster := ringCaster(t, old, depth, c.fault)
+			ref := &frameCaster{epoch: EpochInfo{Program: old}, fault: c.fault}
+			rec := &recorder{channels: old.Channels()}
 			stageAt := old.Length()/2 + 1
 			for abs := 0; abs < 3*old.Length()+2*next.Length(); abs++ {
 				if abs == stageAt {
-					for _, cs := range []*Caster{rowCaster, pubCaster} {
-						if err := cs.StageProgram(next); err != nil {
-							t.Fatal(err)
+					if err := caster.StageProgram(next); err != nil {
+						t.Fatal(err)
+					}
+					ref.staged = next
+				}
+				caster.CastSlot(abs)
+				if src := ring.heads[int64(abs)&ring.mask].src.Load(); (src != nil) != (c.fault == nil) {
+					t.Fatalf("slot %d: epoch row %v under fault injector %v", abs, src != nil, c.fault)
+				}
+				rec.got = rec.got[:0]
+				ring.Send(rec, abs)
+				want := ref.cast(abs)
+				if !slices.Equal(rec.got, want) {
+					t.Fatalf("slot %d: Send published %q, reference %q", abs, rec.got, want)
+				}
+				sent := make([]string, old.Channels())
+				for _, d := range want {
+					sent[d.ch] = d.bytes
+				}
+				for ch, b := range sent {
+					wantF, wantSt := Frame{}, RingSkipped
+					if b != "" {
+						wantSt = RingCorrupt
+						if f, err := parseFrame([]byte(b)); err == nil {
+							wantF, wantSt = f, RingOK
 						}
 					}
-				}
-				rowCaster.CastSlot(abs)
-				pubCaster.CastSlot(abs)
-				a := int64(abs)
-				if c.fault == nil {
-					if src := rowRing.heads[a&rowRing.mask].src.Load(); src == nil {
-						t.Fatalf("slot %d: fault-free cast wrote a dense row", abs)
-					}
-					for ch := 0; ch < old.Channels(); ch++ {
-						for p := max(0, a-depth); p <= a; p++ {
-							rf, rs := rowRing.Poll(ch, p)
-							pf, ps := pubRing.Poll(ch, p)
-							if rf != pf || rs != ps {
-								t.Fatalf("head %d: Poll(%d, %d) = %+v/%v from the row cast, %+v/%v published",
-									abs+1, ch, p, rf, rs, pf, ps)
-							}
-							if p == a-depth && rs != RingLost {
-								t.Fatalf("head %d: lapped Poll(%d, %d) = %v, want RingLost", abs+1, ch, p, rs)
-							}
-						}
-					}
-				} else {
-					rows, pubs := rowRing.row(a), pubRing.row(a)
-					for ch := range rows {
-						if r, p := rows[ch].word.Load(), pubs[ch].word.Load(); r != p {
-							t.Fatalf("slot %d channel %d: row cast %#016x, published %#016x", abs, ch, r, p)
-						}
+					if f, st := ring.Poll(ch, int64(abs)); f != wantF || st != wantSt {
+						t.Fatalf("Poll(%d, %d) = %+v/%v, want %+v/%v", ch, abs, f, st, wantF, wantSt)
 					}
 				}
-				if r, p := rowRing.heads[a&rowRing.mask].stamp.Load(), pubRing.heads[a&pubRing.mask].stamp.Load(); r != p {
-					t.Fatalf("slot %d: stamps %d and %d", abs, r, p)
-				}
-				if rowRing.Head() != pubRing.Head() {
-					t.Fatalf("slot %d: heads %d and %d", abs, rowRing.Head(), pubRing.Head())
+				rec.got = rec.got[:0]
+				if ring.Send(rec, abs+1); len(rec.got) != 0 {
+					t.Fatalf("slot %d not yet cast: Send published %q", abs+1, rec.got)
 				}
 			}
-			if rowCaster.Epoch() != pubCaster.Epoch() || rowCaster.Epoch().Seq != 1 {
-				t.Fatalf("epochs %+v and %+v, want one flip on both", rowCaster.Epoch(), pubCaster.Epoch())
+			if ep := caster.Epoch(); ep != ref.epoch || ep.Seq != 1 {
+				t.Fatalf("epochs %+v and %+v, want one flip on both", ep, ref.epoch)
 			}
-			got, want := rowCaster.Faults(), pubCaster.Faults()
-			if got != want {
-				t.Fatalf("row cast faults %+v, published %+v", got, want)
+			got := caster.Faults()
+			if got != ref.faults {
+				t.Fatalf("caster faults %+v, reference %+v", got, ref.faults)
 			}
 			if c.fault != nil && (got.StalledSlots == 0 || got.DroppedFrames == 0 || got.CorruptFrames == 0) {
 				t.Errorf("faults %+v: the plan misses a fault class", got)
@@ -645,7 +644,7 @@ func TestRingChurnStorm(t *testing.T) {
 // next, next back to old) into a depth-4 ring, lapping every row again
 // and again, while readers poll every channel of the slots behind the
 // head. Every RingOK frame must equal, channel, slot and page, the frame
-// a reference cast of the same staging through Publish airs there, so
+// the frame-by-frame reference caster airs there under the same staging, so
 // a row read under one epoch and slot but built from another is caught;
 // under -race this is the data-race proof for the rows' epoch reference.
 // The writer casts a slot only once readers have polled as many times as
@@ -658,27 +657,21 @@ func TestRingEpochRowsRace(t *testing.T) {
 	// next flips in at 6*lOld, old again at 6*lOld+11*lNew.
 	stages := map[int]*core.Program{5*lOld + lOld/2: next, 6*lOld + 10*lNew + lNew/2: old}
 	total := 11*lOld + 11*lNew
-	cast := func(c *Caster) {
-		for abs := 0; abs < total; abs++ {
-			if p := stages[abs]; p != nil {
-				if err := c.StageProgram(p); err != nil {
-					t.Error(err)
-					return
-				}
+	ref := &frameCaster{epoch: EpochInfo{Program: old}}
+	want := make([][]Frame, total)
+	for abs := range want {
+		if p := stages[abs]; p != nil {
+			ref.staged = p
+		}
+		for _, d := range ref.cast(abs) {
+			f, err := parseFrame([]byte(d.bytes))
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.CastSlot(abs)
+			want[abs] = append(want[abs], f)
 		}
 	}
-	refRing, err := NewBroadcastRing(old.Channels(), total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewCaster(old, hiddenRing{refRing}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cast(ref)
-	if ep := ref.Epoch(); ep.Seq != 2 || ep.Program != old {
+	if ep := ref.epoch; ep.Seq != 2 || ep.Program != old {
 		t.Fatalf("reference epoch %+v, want two flips back to the old program", ep)
 	}
 
@@ -704,8 +697,8 @@ func TestRingEpochRowsRace(t *testing.T) {
 						switch st {
 						case RingOK:
 							oks.Add(1)
-							if want, _ := refRing.Poll(ch, abs); f != want {
-								t.Errorf("Poll(%d, %d) = %+v, reference %+v", ch, abs, f, want)
+							if f != want[abs][ch] {
+								t.Errorf("Poll(%d, %d) = %+v, reference %+v", ch, abs, f, want[abs][ch])
 								failed.Store(true)
 							}
 						case RingLost:

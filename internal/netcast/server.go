@@ -38,19 +38,20 @@ type ServerConfig struct {
 	// counter still advances during a stall: broadcast time is locked to
 	// the wall clock, a stalled server simply wastes its slots.
 	Fault FaultInjector
-	// Transport, when non-nil, replaces the default UDP transport — e.g. a
-	// BroadcastRing for in-process load generation. The server takes
-	// ownership: Stop closes it. Channel count must match the program.
+	// Transport, when non-nil, replaces the default UDP transport as
+	// the sink of every tick's frames. The server takes ownership: Stop
+	// closes it. Channel count must match the program.
 	Transport Transport
 }
 
 // Server replays a broadcast program in real time: one tick per slot,
-// each tick encoded once per channel by a Caster and fanned out through
-// a pluggable Transport (UDP sockets by default, an in-process
-// BroadcastRing for load generation).
+// each tick cast by a Caster into a one-slot BroadcastRing the server
+// owns and sent from that row through a Transport (UDP sockets by
+// default).
 type Server struct {
 	prog    *core.Program
 	slotDur time.Duration
+	ring    *BroadcastRing // depth 1: the row each tick casts and sends
 	caster  *Caster
 	tr      Transport
 	udp     *UDPTransport // non-nil iff tr is the default UDP transport
@@ -71,9 +72,22 @@ func NewServer(prog *core.Program, cfg ServerConfig) (*Server, error) {
 	if cfg.SlotDuration <= 0 {
 		return nil, fmt.Errorf("netcast: slot duration %v", cfg.SlotDuration)
 	}
+	if cfg.Transport != nil && cfg.Transport.Channels() != prog.Channels() {
+		return nil, errors.New("netcast: transport/program channel count mismatch")
+	}
+	ring, err := NewBroadcastRing(prog.Channels(), 1)
+	if err != nil {
+		return nil, err
+	}
+	caster, err := NewCaster(prog, ring, cfg.Fault)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		prog:    prog,
 		slotDur: cfg.SlotDuration,
+		ring:    ring,
+		caster:  caster,
 		tr:      cfg.Transport,
 		stopped: make(chan struct{}),
 	}
@@ -85,14 +99,6 @@ func NewServer(prog *core.Program, cfg ServerConfig) (*Server, error) {
 		s.tr = udp
 		s.udp = udp
 	}
-	caster, err := NewCaster(prog, s.tr, cfg.Fault)
-	if err != nil {
-		if s.udp != nil {
-			_ = s.udp.Close()
-		}
-		return nil, err
-	}
-	s.caster = caster
 	return s, nil
 }
 
@@ -130,7 +136,8 @@ func (s *Server) StageProgram(next *core.Program) error {
 func (s *Server) Epoch() EpochInfo { return s.caster.Epoch() }
 
 // Run transmits until ctx is cancelled or Stop is called; the transport
-// owns its own reader/worker goroutines, Run owns only the slot clock.
+// owns its own reader/worker goroutines, Run owns the slot clock and the
+// cast.
 func (s *Server) Run(ctx context.Context) error {
 	ticker := time.NewTicker(s.slotDur)
 	defer ticker.Stop()
@@ -156,12 +163,13 @@ func (s *Server) Stop() {
 	})
 }
 
-// transmit claims the next slot under the lock and hands it to the slot
-// engine; all fan-out happens behind the Transport.
+// transmit claims the next slot under the lock, casts it into the ring
+// and sends the row through the Transport, which owns the fan-out.
 func (s *Server) transmit() {
 	s.mu.Lock()
-	slot := s.slot
+	slot := int(s.slot)
 	s.slot++
 	s.mu.Unlock()
-	s.caster.CastSlot(int(slot))
+	s.caster.CastSlot(slot)
+	s.ring.Send(s.tr, slot)
 }

@@ -2,42 +2,23 @@ package netcast
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"tcsa/internal/core"
 )
 
-// Transport is the fan-out substrate a broadcast slot engine publishes
-// through. The engine (Caster) does the per-(channel, slot) work that is
-// independent of the subscriber count — claiming the column, injecting
-// faults, encoding the frame once — and the transport does the delivery:
-// over UDP sockets to every subscriber, or into the in-process broadcast
-// ring subscribers read lock-free.
+// Transport is the frame sink a Server feeds. On each tick the server
+// casts the slot into its ring and hands every channel's frame to
+// Publish (BroadcastRing.Send); the UDP transport fans each out to the
+// channel's subscribers.
 type Transport interface {
 	// Channels reports the channel count the transport was built for.
 	Channels() int
-	// NeedsFrame reports whether channel ch wants a frame published even
-	// though the engine might know of nothing listening. Transports whose
-	// per-slot delivery cost scales with the subscriber count (UDP)
-	// return false for silent channels so the engine can skip the encode
-	// and fault work; transports with O(1) delivery cost (the ring)
-	// always return true — late subscribers can still read the slot.
-	NeedsFrame(ch int) bool
 	// Publish delivers the encoded frame (FrameSize bytes) for channel ch
-	// at absolute slot abs. The buffer is reused by the caller:
-	// implementations must copy what they need before returning.
+	// at absolute slot abs. A channel that transmits nothing in the slot,
+	// stalled or dropped, gets no call. The buffer is reused by the
+	// caller: implementations must copy what they need before returning.
 	Publish(ch, abs int, frame []byte)
-	// Skip records that channel ch transmits nothing at slot abs — a
-	// stall, an injected drop, or a silent channel. The ring writes a
-	// skip marker into the channel's cell so subscribers read "aired
-	// empty", not the frame the cell held one ring length earlier; UDP
-	// has nothing to do (a missing datagram is the loss).
-	Skip(ch, abs int)
-	// EndSlot marks slot abs complete: every channel has been published
-	// or skipped. The ring makes the slot readable on every channel at
-	// once; UDP has nothing to do.
-	EndSlot(abs int)
 	// Close releases the transport's resources and stops its workers.
 	// Safe to call more than once.
 	Close() error
@@ -64,10 +45,12 @@ type EpochInfo struct {
 	Program *core.Program
 }
 
-// Caster is the transport-independent slot engine: one call per absolute
-// slot encodes each channel's frame exactly once and publishes it through
-// the Transport, with fault injection applied in the same priority order
-// as the chaos measurement engine (stall, then drop, then corruption).
+// Caster is the slot engine: one call per absolute slot casts the slot
+// as one row of a BroadcastRing, its only output, with fault injection
+// applied in the same priority order as the chaos measurement engine
+// (stall, then drop, then corruption). Faults are drawn once per
+// (channel, slot), whoever reads the row, so Faults counts what the plan
+// injected.
 //
 // The caster owns the live-transition protocol. A replan stages its new
 // program with StageProgram; the cast loop keeps airing the old epoch and
@@ -87,45 +70,37 @@ type Caster struct {
 	epoch     *EpochInfo                // owned by the cast goroutine
 	published atomic.Pointer[EpochInfo] // last flipped epoch, for observers
 	staged    atomic.Pointer[core.Program]
-	tr        Transport
-	ring      *BroadcastRing // tr itself when it is the ring: CastSlot writes whole rows
+	ring      *BroadcastRing
 	fault     FaultInjector
-	enc       frameEncoder
-	frame     [FrameSize]byte
 
 	stalledSlots  atomic.Int64
 	droppedFrames atomic.Int64
 	corruptFrames atomic.Int64
 }
 
-// NewCaster builds a slot engine for prog over tr. fault may be nil
-// (fault-free air). The program may have at most 65,536 channels, what a
-// frame's channel field can name.
+// NewCaster builds a slot engine for prog over ring. fault may be nil
+// (fault-free air). The ring's channel count must be the program's, so
+// the program has at most 65,536 channels, what a frame's channel field
+// can name.
 //
 // prog must not be mutated once cast (pass core.Analysis.Program or a
-// replan.Engine Snapshot): a fault-free BroadcastRing's rows reference
-// the program, and its subscribers read pages from it for as long as
+// replan.Engine Snapshot): a fault-free cast's rows reference the
+// program, and the ring's readers read pages from it for as long as
 // those rows stay in the ring.
-func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, error) {
+func NewCaster(prog *core.Program, ring *BroadcastRing, fault FaultInjector) (*Caster, error) {
 	if prog == nil {
 		return nil, errors.New("netcast: nil program")
 	}
-	if tr == nil {
-		return nil, errors.New("netcast: nil transport")
+	if ring == nil {
+		return nil, errors.New("netcast: nil ring")
 	}
-	if tr.Channels() != prog.Channels() {
-		return nil, errors.New("netcast: transport/program channel count mismatch")
+	if ring.Channels() != prog.Channels() {
+		return nil, errors.New("netcast: ring/program channel count mismatch")
 	}
-	if prog.Channels() > maxFrameChannels {
-		return nil, fmt.Errorf("netcast: program of %d channels exceeds the frame's %d", prog.Channels(), maxFrameChannels)
-	}
-	ring, _ := tr.(*BroadcastRing)
 	c := &Caster{
 		epoch: &EpochInfo{Seq: 0, Base: 0, Program: prog},
-		tr:    tr,
 		ring:  ring,
 		fault: fault,
-		enc:   newFrameEncoder(prog.Channels()),
 	}
 	c.published.Store(c.epoch)
 	return c, nil
@@ -135,17 +110,17 @@ func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, 
 // flips to it at the next slot that starts a cycle of the airing epoch;
 // until then the old program keeps airing without a pause. The program
 // must not be mutated after staging (pass a snapshot — replan.Engine's
-// Snapshot is the production source): on a fault-free BroadcastRing its
-// subscribers read pages from it for as long as its rows stay in the
-// ring, past the next flip. Staging again before the flip
-// replaces the pending program: the last staged snapshot wins. The
-// channel count must match the transport: the broadcast spectrum is
-// fixed hardware here, only the schedule is elastic.
+// Snapshot is the production source): on fault-free air the ring's
+// readers read pages from it for as long as its rows stay in the ring,
+// past the next flip. Staging again before the flip replaces the pending
+// program: the last staged snapshot wins. The channel count must match
+// the ring: the broadcast spectrum is fixed hardware here, only the
+// schedule is elastic.
 func (c *Caster) StageProgram(next *core.Program) error {
 	if next == nil {
 		return errors.New("netcast: nil program")
 	}
-	if next.Channels() != c.tr.Channels() {
+	if next.Channels() != c.ring.Channels() {
 		return errors.New("netcast: staged program channel count mismatch")
 	}
 	c.staged.Store(next)
@@ -157,18 +132,15 @@ func (c *Caster) StageProgram(next *core.Program) error {
 // never a torn mix.
 func (c *Caster) Epoch() EpochInfo { return *c.published.Load() }
 
-// CastSlot encodes and publishes absolute slot abs on every channel, then
-// ends the slot on the transport. The checksum's slot term is computed
-// once for the slot, so each frame adds only its page term (frameEncoder).
-//
-// Into a BroadcastRing the slot is cast as one row. Fault-free, it is an
-// epoch row: the row references the epoch on air, O(1) per slot, and
-// subscribers read each page from its program. Under a fault injector it
-// is a dense row: each channel's cell word is stored straight into its
-// cell, with no call through Transport and no wire bytes. A dropped or
-// stalled frame stores skipCell, a corrupted one its word with the page
-// byte flipped, the same flip the wire carries. Every other transport
-// gets the frame's wire bytes through Publish, or a Skip.
+// CastSlot casts absolute slot abs on every channel as the ring's row
+// for abs, then ends the slot. Fault-free, it is an epoch row: the row
+// references the epoch on air, O(1) per slot, and readers take each page
+// from its program. Under a fault injector it is a dense row: each
+// channel's cell word is stored straight into its cell. A stalled slot
+// or a dropped frame stores skipCell, a corrupted frame its word with
+// the page byte flipped, the same flip the wire carries. The checksum's
+// slot term is computed once for the slot, so each frame adds only its
+// page term (frameEncoder).
 func (c *Caster) CastSlot(abs int) {
 	if st := c.staged.Load(); st != nil && c.epoch.Program.Column(abs-c.epoch.Base) == 0 {
 		// Start of an old-epoch cycle: flip. The CAS tolerates a racing
@@ -179,61 +151,27 @@ func (c *Caster) CastSlot(abs int) {
 			c.published.Store(c.epoch)
 		}
 	}
-	if c.ring != nil && c.fault == nil {
-		c.ring.castEpoch(abs, c.epoch, c.epoch.Program.Column(abs-c.epoch.Base))
+	prog := c.epoch.Program
+	col := prog.Column(abs - c.epoch.Base)
+	if c.fault == nil {
+		c.ring.castEpoch(abs, c.epoch, col)
 		return
 	}
-	if c.fault != nil && c.fault.Stalled(abs) {
+	row := c.ring.openRow(abs)
+	if c.fault.Stalled(abs) {
 		// The slot counter still advances during a stall: broadcast time
 		// is locked to the clock, a stalled server simply wastes the slot.
 		c.stalledSlots.Add(1)
-		if c.ring != nil {
-			row := c.ring.openRow(abs)
-			for ch := range row {
-				row[ch].word.Store(skipCell)
-			}
-		} else {
-			for ch := 0; ch < c.tr.Channels(); ch++ {
-				c.tr.Skip(ch, abs)
-			}
-		}
-		c.tr.EndSlot(abs)
-		return
-	}
-	prog := c.epoch.Program
-	col := prog.Column(abs - c.epoch.Base)
-	slotTerm := slotWord(uint32(abs))
-	if c.ring != nil {
-		row := c.ring.openRow(abs)
 		for ch := range row {
-			row[ch].word.Store(c.faulted(ch, abs, c.enc.word(ch, slotTerm, prog.At(ch, col))))
+			row[ch].word.Store(skipCell)
 		}
-		c.ring.EndSlot(abs)
-		return
+	} else {
+		enc, slotTerm := c.ring.enc, slotWord(uint32(abs))
+		for ch := range row {
+			row[ch].word.Store(c.faulted(ch, abs, enc.word(ch, slotTerm, prog.At(ch, col))))
+		}
 	}
-	for ch := 0; ch < prog.Channels(); ch++ {
-		if !c.tr.NeedsFrame(ch) {
-			// Nobody is listening and the transport pays per subscriber:
-			// skip the fault predicates and the encode outright. A frame
-			// that was never sent cannot be dropped or corrupted, so the
-			// fault counters only ever account for channels with
-			// listeners on this path.
-			c.tr.Skip(ch, abs)
-			continue
-		}
-		w := c.enc.word(ch, slotTerm, prog.At(ch, col))
-		if c.fault != nil {
-			w = c.faulted(ch, abs, w)
-		}
-		if w == skipCell {
-			c.tr.Skip(ch, abs)
-			continue
-		}
-		w0, w1 := cellFrameWords(ch, int64(abs), w)
-		putFrameWords(&c.frame, w0, w1)
-		c.tr.Publish(ch, abs, c.frame[:])
-	}
-	c.tr.EndSlot(abs)
+	c.ring.endSlot(abs)
 }
 
 // faulted applies the injector's per-frame faults to channel ch's cell

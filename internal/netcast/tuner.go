@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"tcsa/internal/core"
@@ -13,8 +14,11 @@ import (
 // paper's model it hears exactly one channel at a time; Retune moves it.
 // A Tuner is not safe for concurrent use.
 type Tuner struct {
-	conn      *net.UDPConn
-	current   *net.UDPAddr
+	conn    *net.UDPConn
+	current *net.UDPAddr
+	// from is current as the source address its frames arrive from, kept
+	// once so ReadFrame compares without allocating.
+	from      netip.AddrPort
 	badFrames int
 	buf       [FrameSize + 16]byte
 }
@@ -41,7 +45,15 @@ func (t *Tuner) Tune(addr *net.UDPAddr) error {
 		return fmt.Errorf("netcast: subscribing to %v: %w", addr, err)
 	}
 	t.current = addr
+	t.from = unmapped(addr.AddrPort())
 	return nil
+}
+
+// unmapped strips an IPv4-in-IPv6 prefix from ap's address: a schedule
+// decodes channel addresses in that form, but IPv4 datagrams report
+// plain IPv4 sources.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // Detach unsubscribes from the current channel, if any.
@@ -64,11 +76,11 @@ func (t *Tuner) ReadFrame(timeout time.Duration) (Frame, error) {
 		return Frame{}, err
 	}
 	for {
-		n, addr, err := t.conn.ReadFromUDP(t.buf[:])
+		n, from, err := t.conn.ReadFromUDPAddrPort(t.buf[:])
 		if err != nil {
 			return Frame{}, fmt.Errorf("netcast: reading frame: %w", err)
 		}
-		if t.current == nil || addr.String() != t.current.String() {
+		if t.current == nil || unmapped(from) != t.from {
 			continue // stale traffic from a previous channel
 		}
 		f, err := parseFrame(t.buf[:n])

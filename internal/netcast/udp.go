@@ -105,17 +105,14 @@ func NewUDPTransport(channels int, host string) (*UDPTransport, error) {
 // Channels implements Transport.
 func (t *UDPTransport) Channels() int { return len(t.conns) }
 
-// NeedsFrame implements Transport: a channel nobody subscribes to has no
-// datagrams to send, so the engine can skip its encode and fault work.
-func (t *UDPTransport) NeedsFrame(ch int) bool {
-	ds := t.dests[ch].Load()
-	return ds != nil && len(ds.addrs) > 0
-}
-
 // Publish implements Transport: hand the frame to channel ch's transmit
-// worker. Never blocks — a full mailbox drops the frame (best-effort,
-// like the air) and counts it in Overruns.
+// worker. A channel without subscribers has no datagram to send, so it
+// returns at once. Never blocks — a full mailbox drops the frame
+// (best-effort, like the air) and counts it in Overruns.
 func (t *UDPTransport) Publish(ch, abs int, frame []byte) {
+	if ds := t.dests[ch].Load(); ds == nil || len(ds.addrs) == 0 {
+		return
+	}
 	var j udpJob
 	copy(j.frame[:], frame)
 	select {
@@ -124,14 +121,6 @@ func (t *UDPTransport) Publish(ch, abs int, frame []byte) {
 		t.overruns.Add(1)
 	}
 }
-
-// Skip implements Transport: an unaired channel-slot sends nothing, and
-// on UDP a missing datagram needs no marker.
-func (t *UDPTransport) Skip(ch, abs int) {}
-
-// EndSlot implements Transport: each frame went to its channel's worker
-// on Publish, so the end of a slot sends nothing.
-func (t *UDPTransport) EndSlot(abs int) {}
 
 // Overruns reports how many frames were dropped because a channel's
 // transmit worker had fallen a full mailbox behind the slot clock.

@@ -54,6 +54,16 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# gofmt -l lists the files whose formatting differs from gofmt's (both
+# modules); any listed file fails the stage.
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted" >&2
+    echo "gofmt: the files above need gofmt -w" >&2
+    exit 1
+fi
+
 echo "==> bench module: go vet + go test (it builds against internal/ APIs)"
 (cd bench && go vet ./... && go test ./...)
 
